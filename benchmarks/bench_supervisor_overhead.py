@@ -12,7 +12,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from benchmarks.conftest import emit
-from repro.core.campaign import CampaignSpec, ResilienceCampaign, _run_replica
+from repro.core.campaign import (
+    CampaignSpec,
+    ReplicaTask,
+    ResilienceCampaign,
+    _run_replica,
+)
 from repro.core.fault_injection import RecoveryPolicy
 from repro.core.montecarlo import derive_seeds
 
@@ -32,9 +37,9 @@ def _legacy_pool_map(policy: RecoveryPolicy) -> None:
     for mtbf in MTBFS:
         for period in PERIODS:
             spec = CampaignSpec(node_mtbf_s=mtbf, ckpt_period=period, **SPEC_KW)
-            payloads = [(spec, policy, s) for s in seeds]
+            tasks = [ReplicaTask(spec, policy, s) for s in seeds]
             with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-                list(pool.map(_run_replica, payloads))
+                list(pool.map(_run_replica, tasks))
 
 
 def _supervised(policy: RecoveryPolicy):

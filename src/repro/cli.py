@@ -81,33 +81,16 @@ def _parse_fault_mix(pairs: "list[str]") -> "dict[str, float]":
     for pair in pairs:
         kind, sep, weight = pair.partition("=")
         if not sep or not kind:
-            raise SystemExit(
+            raise ValueError(
                 f"--fault-mix entries must look like kind=weight, got {pair!r}"
             )
         try:
             mix[kind] = float(weight)
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"--fault-mix weight for {kind!r} is not a number: {weight!r}"
             ) from None
     return mix
-
-
-#: fault-config flat kwarg -> campaign-flag argparse dest (fields with a
-#: CLI flag; config-only fields like net_fault_split flow straight into
-#: the spec)
-_FAULT_CONFIG_DESTS = {
-    "burst_size": "burst_size",
-    "sdc_coverage": "sdc_coverage",
-    "sdc_correct_prob": "sdc_correct_prob",
-    "straggler_slowdown": "straggler_slowdown",
-    "straggler_repair_s": "straggler_repair",
-    "net_link_mtbf_s": "net_link_mtbf",
-    "net_repair_s": "net_repair_time",
-    "net_degrade_factor": "net_degrade_factor",
-    "net_loss_prob": "net_loss_prob",
-    "net_topology": "net_topology",
-}
 
 
 def _load_fault_config(path: str) -> dict:
@@ -118,40 +101,45 @@ def _load_fault_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"campaign: cannot read --fault-config: {exc}")
+        raise ValueError(f"cannot read --fault-config: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"campaign: --fault-config is not valid JSON: {exc}")
+        raise ValueError(f"--fault-config is not valid JSON: {exc}") from None
     try:
         return campaign_kwargs_from_config(cfg)
     except ValueError as exc:
-        raise SystemExit(f"campaign: bad --fault-config: {exc}")
+        raise ValueError(f"bad --fault-config: {exc}") from None
 
 
-def _apply_fault_config(args) -> dict:
-    """Overlay the fault-config file onto *args* in place.
+def _campaign_spec_kwargs(args) -> dict:
+    """The ``CampaignSpec`` kwargs shared by every grid point.
 
-    Precedence: explicit taxonomy flags > config file > built-in
-    defaults (a flag is "explicit" when its parsed value differs from
-    the parser default).  Returns the flat kwargs with no CLI flag of
-    their own (``fault_mix``, ``net_fault_split``) for the caller to
-    merge into the spec directly.
+    The ``--fault-config`` file's values, then every flag the user gave
+    whose dest names a ``CampaignSpec`` field.  Those flags default to
+    None (``--timesteps`` excepted), so an absent flag never masks the
+    file, and whatever neither sets takes the ``CampaignSpec`` default.
     """
-    overrides = _load_fault_config(args.fault_config)
-    defaults = _build_parser().parse_args(["campaign"])
-    rest = {}
-    for key, value in overrides.items():
-        dest = _FAULT_CONFIG_DESTS.get(key)
-        if dest is None:
-            rest[key] = value
-        elif getattr(args, dest) == getattr(defaults, dest):
-            setattr(args, dest, value)
-    return rest
+    from dataclasses import fields
+
+    from repro.core.campaign import CampaignSpec
+
+    kwargs = _load_fault_config(args.fault_config) if args.fault_config else {}
+    for f in fields(CampaignSpec):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            kwargs[f.name] = value
+    if args.fault_mix:  # given as kind=weight strings
+        kwargs["fault_mix"] = _parse_fault_mix(args.fault_mix)
+    return kwargs
 
 
 def _format_faults_list() -> str:
     """`repro faults list`: the registry's taxonomy, one domain per block."""
-    from repro.faults.registry import FAULT_KINDS, REGISTRY, spec_fields
+    from dataclasses import fields
 
+    from repro.core.campaign import CampaignSpec
+    from repro.faults.registry import FAULT_KINDS, REGISTRY
+
+    defaults = {f.name: f.default for f in fields(CampaignSpec)}
     lines = [
         "registered fault domains (repro.faults; draw order: "
         + " ".join(FAULT_KINDS)
@@ -162,9 +150,10 @@ def _format_faults_list() -> str:
         kinds = " ".join(info.kinds) if info.kinds else "(no injectable kinds)"
         lines.append(f"{info.name:<10s} {kinds}")
         lines.append(f"    {info.summary}")
-        fields = spec_fields(info)
-        if fields:
-            knobs = ", ".join(f"{f.name}={f.default!r}" for f in fields)
+        if info.config:
+            knobs = ", ".join(
+                f"{key}={defaults[dest]!r}" for key, dest in info.config.items()
+            )
             lines.append(f"    config: {knobs}")
         if info.hooks:
             lines.append(f"    hooks:  {', '.join(info.hooks)}")
@@ -241,55 +230,56 @@ def _build_parser() -> argparse.ArgumentParser:
             "built-in defaults"
         ),
     )
+    # Flags that set a CampaignSpec fault knob carry its field name as
+    # dest and default to None: CampaignSpec holds the one default.
     camp.add_argument(
-        "--verify-period", type=int, default=0,
+        "--verify-period", type=int,
         help="ABFT verification cadence in timesteps (0 disables)",
     )
     camp.add_argument(
-        "--verify-cost", type=float, default=0.01,
+        "--verify-cost", type=float, dest="verify_cost_s",
         help="modeled cost of one ABFT verification kernel (seconds)",
     )
     camp.add_argument(
-        "--sdc-coverage", type=float, default=0.95,
+        "--sdc-coverage", type=float,
         help="probability an SDC strike is ABFT-detectable",
     )
     camp.add_argument(
-        "--sdc-correct-prob", type=float, default=0.5,
+        "--sdc-correct-prob", type=float,
         help="probability a detected strike is correctable in place",
     )
     camp.add_argument(
-        "--straggler-slowdown", type=float, default=2.0,
+        "--straggler-slowdown", type=float,
         help="compute-clock slowdown factor of a degraded node",
     )
     camp.add_argument(
-        "--straggler-repair", type=float, default=5.0,
+        "--straggler-repair", type=float, dest="straggler_repair_s",
         help="seconds until a degraded node is repaired (<= 0: never)",
     )
     camp.add_argument(
-        "--burst-size", type=int, default=2,
+        "--burst-size", type=int,
         help="nodes felled per correlated failure burst",
     )
     camp.add_argument(
-        "--net-link-mtbf", type=float, default=0.0,
+        "--net-link-mtbf", type=float, dest="net_link_mtbf_s",
         help="per-link MTBF in seconds; > 0 folds a network fault stream "
         "(link/switch/netdeg) into the campaign's fault process",
     )
     camp.add_argument(
-        "--net-degrade-factor", type=float, default=4.0,
+        "--net-degrade-factor", type=float,
         help="bandwidth de-rate factor of a degraded link (netdeg faults)",
     )
     camp.add_argument(
-        "--net-loss-prob", type=float, default=0.05,
+        "--net-loss-prob", type=float,
         help="message-loss probability of a degraded link",
     )
     camp.add_argument(
-        "--net-repair-time", type=float, default=5.0,
+        "--net-repair-time", type=float, dest="net_repair_s",
         help="seconds until a failed/degraded link or switch is repaired "
         "(<= 0: never)",
     )
     camp.add_argument(
         "--net-topology", choices=("full", "torus", "fattree"),
-        default="full",
         help="interconnect shape of the campaign workload's ranks",
     )
     camp.add_argument(
@@ -623,7 +613,7 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 def _run_campaign(args) -> tuple[str, int]:
     """Run the campaign; returns ``(stdout text, exit code)``."""
-    from repro.core.campaign import ResilienceCampaign
+    from repro.core.campaign import CampaignSpec, ResilienceCampaign
     from repro.core.fault_injection import RecoveryPolicy
     from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
     from repro.obs.instrument import CampaignObs, ObsOptions
@@ -637,6 +627,18 @@ def _run_campaign(args) -> tuple[str, int]:
         )
     if args.partial_report:
         return ResilienceCampaign.report_from_journal(args.journal).format(), 0
+    # Build (and so validate) every grid point before anything touches
+    # the journal: a bad value is a usage error, not a half-run sweep.
+    try:
+        spec_kwargs = _campaign_spec_kwargs(args)
+        grid = [
+            CampaignSpec(node_mtbf_s=m, ckpt_period=p, **spec_kwargs)
+            for m in args.mtbf
+            for p in args.periods
+        ]
+    except ValueError as exc:
+        print(f"repro campaign: error: {exc}", file=sys.stderr)
+        return "", 2
 
     retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout)
     fs_dict = None
@@ -741,30 +743,8 @@ def _run_campaign(args) -> tuple[str, int]:
             flight_dir=args.flight_dir,
             **snapshot_kwargs,
         )
-    cfg_rest = _apply_fault_config(args) if args.fault_config else {}
-    spec_kwargs = dict(
-        timesteps=args.timesteps,
-        verify_period=args.verify_period,
-        verify_cost_s=args.verify_cost,
-        sdc_coverage=args.sdc_coverage,
-        sdc_correct_prob=args.sdc_correct_prob,
-        straggler_slowdown=args.straggler_slowdown,
-        straggler_repair_s=args.straggler_repair,
-        burst_size=args.burst_size,
-        net_link_mtbf_s=args.net_link_mtbf,
-        net_degrade_factor=args.net_degrade_factor,
-        net_loss_prob=args.net_loss_prob,
-        net_repair_s=args.net_repair_time,
-        net_topology=args.net_topology,
-    )
-    if "net_fault_split" in cfg_rest:
-        spec_kwargs["net_fault_split"] = cfg_rest["net_fault_split"]
-    if args.fault_mix:
-        spec_kwargs["fault_mix"] = _parse_fault_mix(args.fault_mix)
-    elif "fault_mix" in cfg_rest:
-        spec_kwargs["fault_mix"] = cfg_rest["fault_mix"]
     try:
-        report = camp.run_grid(args.mtbf, args.periods, **spec_kwargs)
+        report = camp.run_specs(grid)
     finally:
         camp.close()
         if host_shim_installed:
@@ -895,7 +875,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.command == "campaign":
         text, code = _run_campaign(args)
-        print(text)
+        if text:
+            print(text)
         return code
     if args.command == "analyze":
         text, code = _run_analyze(args)

@@ -61,13 +61,6 @@ from repro.core.supervisor import (
     WriteAheadJournal,
 )
 from repro.des.snapshot import SnapshotStore
-from repro.faults.registry import (
-    FailStopSpec,
-    NetworkSpec,
-    SdcSpec,
-    StragglerSpec,
-    TornCheckpointSpec,
-)
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
@@ -92,11 +85,10 @@ class CampaignSpec:
     #: normalised).  Empty = the two-kind ``software_fraction`` mix.
     fault_mix: tuple = ()
     # -- per-domain fault knobs --------------------------------------------------------
-    # The flat fields below are DEPRECATED ALIASES: they remain the
-    # storage/serialization layer (the campaign spec hash and journal
-    # records are byte-stable functions of them), but new code should
-    # read the normalized per-domain view via :meth:`fault_domain_specs`
-    # and structured files via ``repro campaign --fault-config``.
+    # These fields are the one definition of each knob and its default:
+    # the ``campaign`` flags default to None and fall through to them,
+    # and ``repro.faults.registry`` maps the ``--fault-config`` file
+    # layout onto them.
     verify_period: int = 0          #: ABFT verification cadence (0 = off)
     verify_cost_s: float = 0.01     #: modeled verification-kernel cost
     sdc_coverage: float = 0.95      #: P(SDC strike is ABFT-detectable)
@@ -190,67 +182,36 @@ class CampaignSpec:
             )
         return FullyConnected(self.nranks)
 
-    def fault_domain_specs(self) -> dict:
-        """Normalized per-domain configuration view of the flat knobs.
-
-        Returns ``{domain name -> FaultDomainSpec}`` in registry order —
-        the authoritative in-memory shape of the fault configuration
-        (the flat fields are its deprecated serialization aliases).
-        """
-        return {
-            "failstop": FailStopSpec(burst_size=self.burst_size),
-            "sdc": SdcSpec(
-                coverage=self.sdc_coverage,
-                correct_prob=self.sdc_correct_prob,
-            ),
-            "straggler": StragglerSpec(
-                slowdown=self.straggler_slowdown,
-                repair_s=self.straggler_repair_s,
-            ),
-            "network": NetworkSpec(
-                link_mtbf_s=self.net_link_mtbf_s,
-                repair_s=self.net_repair_s,
-                degrade_factor=self.net_degrade_factor,
-                loss_prob=self.net_loss_prob,
-                fault_split=self.net_fault_split,
-            ),
-            "torn": TornCheckpointSpec(),
-        }
-
     def fault_model(self) -> FaultModel:
         """The (validated) failure process of this grid point.
 
-        Built from the normalized :meth:`fault_domain_specs` so the
-        registry view is authoritative.  With ``net_link_mtbf_s`` set,
-        the per-link failure stream is superposed onto the node stream
+        With ``net_link_mtbf_s`` set, the per-link failure stream is
+        superposed onto the node stream
         (:func:`~repro.core.fault_injection.fold_link_rate`): the
         effective MTBF and kind weights shift so network faults arrive
         at ``nlinks / link_mtbf`` while the configured mix keeps its
         relative shares.
         """
-        specs = self.fault_domain_specs()
-        failstop, sdc = specs["failstop"], specs["sdc"]
-        straggler, network = specs["straggler"], specs["network"]
         model = FaultModel(
             node_mtbf_s=self.node_mtbf_s,
             software_fraction=self.software_fraction,
             kind_weights=dict(self.fault_mix) if self.fault_mix else None,
-            sdc_coverage=sdc.coverage,
-            sdc_correct_prob=sdc.correct_prob,
-            straggler_slowdown=straggler.slowdown,
-            straggler_repair_s=straggler.repair_s,
-            burst_size=failstop.burst_size,
-            net_degrade_factor=network.degrade_factor,
-            net_loss_prob=network.loss_prob,
-            net_repair_s=network.repair_s,
+            sdc_coverage=self.sdc_coverage,
+            sdc_correct_prob=self.sdc_correct_prob,
+            straggler_slowdown=self.straggler_slowdown,
+            straggler_repair_s=self.straggler_repair_s,
+            burst_size=self.burst_size,
+            net_degrade_factor=self.net_degrade_factor,
+            net_loss_prob=self.net_loss_prob,
+            net_repair_s=self.net_repair_s,
         )
-        if network.link_mtbf_s > 0:
+        if self.net_link_mtbf_s > 0:
             model = fold_link_rate(
                 model,
                 nnodes=self.nnodes,
                 nlinks=link_count(self.build_topology()),
-                link_mtbf_s=network.link_mtbf_s,
-                split=network.fault_split or None,
+                link_mtbf_s=self.net_link_mtbf_s,
+                split=self.net_fault_split or None,
             )
         return model
 
@@ -371,8 +332,8 @@ _REPLICA_KEYS = frozenset(
 class ReplicaSnapshotConfig:
     """In-simulation snapshot cadence for one replica.
 
-    When present in a replica payload, the simulator checkpoints itself
-    into *directory* every *every_events* fired events, and a retried
+    When a :class:`ReplicaTask` carries one, the simulator checkpoints
+    itself into *directory* every *every_events* fired events, and a retried
     replica (after a timeout, kill or worker crash) resumes from the
     newest loadable snapshot instead of restarting from ``t=0``.  The
     resumed metrics are bit-identical to an uninterrupted run, so
@@ -390,41 +351,56 @@ class ReplicaSnapshotConfig:
             )
 
 
-def _run_replica(payload: tuple) -> dict:
+@dataclass(frozen=True)
+class ReplicaTask:
+    """One replica's work order, shipped to a worker as its payload.
+
+    ``spec``, ``policy`` and ``seed`` fix the replica's result.  The
+    optional rest only change how it runs: ``snapshot`` makes a retry
+    resume mid-simulation, ``obs_ctx`` (an
+    :class:`~repro.obs.tracing.ObsContext`) joins the replica to the
+    campaign's trace, and ``flight_dir`` points its flight recorder at
+    the campaign's dump directory.
+    """
+
+    spec: CampaignSpec
+    policy: RecoveryPolicy
+    seed: int
+    snapshot: Optional[ReplicaSnapshotConfig] = None
+    obs_ctx: object = None
+    flight_dir: Optional[str] = None
+
+
+def _run_replica(task: ReplicaTask) -> dict:
     """One Monte-Carlo replica → a slim, picklable metrics dict.
 
     Module-level so :class:`ProcessPoolExecutor` can ship it to workers.
-    A pure function of its payload: retrying it (after a worker crash,
-    hang or injected harness fault) reproduces the original result
-    bit-identically.  With a :class:`ReplicaSnapshotConfig` the retry
-    resumes from the replica's newest in-simulation snapshot rather than
-    recomputing from scratch.  An :class:`~repro.obs.tracing.ObsContext`
-    in slot 4 joins the replica to the campaign's trace (spans + worker
-    metrics dumped into the shared obs directory); observability never
-    touches the metrics dict beyond adding ``events_fired``, so journals
-    and reports stay bit-identical with it on or off.  A flight-recorder
-    directory in slot 5 records the replica's fault/recovery timeline
-    out-of-band (live spill + atomic final dump, both named by seed);
-    the recorder is observation-only, so the metrics dict — and with it
-    journal and report bytes — is identical with it on or off.
+    A pure function of ``(task.spec, task.policy, task.seed)``: retrying
+    it (after a worker crash, hang or injected harness fault) reproduces
+    the original result bit-identically.  With a snapshot config the
+    retry resumes from the replica's newest in-simulation snapshot
+    rather than recomputing from scratch.  With an ``obs_ctx`` the
+    replica's spans and worker metrics land in the shared obs
+    directory; observability never touches the metrics dict beyond
+    adding ``events_fired``, so journals and reports stay bit-identical
+    with it on or off.  With a ``flight_dir`` the replica records its
+    fault/recovery timeline out-of-band (live spill + atomic final
+    dump, both named by seed); the recorder is observation-only, so the
+    metrics dict — and with it journal and report bytes — is identical
+    with it on or off.
     """
-    spec, policy, seed = payload[:3]
-    snap_cfg: Optional[ReplicaSnapshotConfig] = (
-        payload[3] if len(payload) > 3 else None
-    )
-    obs_ctx = payload[4] if len(payload) > 4 else None
-    flight_dir = payload[5] if len(payload) > 5 else None
+    seed, snap_cfg = task.seed, task.snapshot
     tracer = engine_obs = span = None
-    if obs_ctx is not None:
+    if task.obs_ctx is not None:
         from repro.obs.instrument import replica_obs_begin
 
-        tracer, engine_obs, span = replica_obs_begin(obs_ctx, seed)
+        tracer, engine_obs, span = replica_obs_begin(task.obs_ctx, seed)
     flight = None
-    if flight_dir is not None:
+    if task.flight_dir is not None:
         from repro.obs.flightrec import FlightRecorder, flight_spill_path
 
         flight = FlightRecorder(
-            spill_path=flight_spill_path(flight_dir, seed)
+            spill_path=flight_spill_path(task.flight_dir, seed)
         )
         flight.record("replica_start", 0.0, seed=seed, pid=os.getpid())
     sim = None
@@ -435,7 +411,7 @@ def _run_replica(payload: tuple) -> dict:
         if latest is not None:
             sim = BESSTSimulator.restore(latest)
     if sim is None:
-        sim = build_campaign_simulator(spec, seed, policy)
+        sim = build_campaign_simulator(task.spec, seed, task.policy)
         if snap_cfg is not None:
             sim.enable_snapshots(
                 snap_cfg.directory,
@@ -516,15 +492,17 @@ def _run_replica(payload: tuple) -> dict:
         }
         dumped = guarded_export(
             "flight-dump",
-            lambda: flight.dump(flight_dump_path(flight_dir, seed), meta=meta),
+            lambda: flight.dump(
+                flight_dump_path(task.flight_dir, seed), meta=meta
+            ),
         )
         # Only a successfully-dumped replica may drop its spill: a live
         # spill left behind is the post-mortem signal for a killed worker.
         flight.close(remove_spill=dumped)
-    if obs_ctx is not None:
+    if task.obs_ctx is not None:
         from repro.obs.instrument import replica_obs_end
 
-        replica_obs_end(obs_ctx, tracer, span, result)
+        replica_obs_end(task.obs_ctx, tracer, span, result)
     return result
 
 
@@ -935,7 +913,7 @@ class ResilienceCampaign(MonteCarloRunner):
         self.aborted = False
         self.abort_reason = ""
         #: snapshot-cadence multiplier driven by the ladder's
-        #: ``stretch_cadence`` stage (applied to new replica payloads)
+        #: ``stretch_cadence`` stage (applied to new replica tasks)
         self._cadence_factor = 1
         self._journal: Optional[CampaignJournal] = None
         #: accumulated supervisor telemetry (kept out of report JSON so
@@ -1057,9 +1035,9 @@ class ResilienceCampaign(MonteCarloRunner):
     def _replica_snapshot_dir(self, spec_key: str, replica) -> str:
         return os.path.join(self.sim_snapshot_dir, f"{spec_key}-r{replica}")
 
-    def _replica_payload(
+    def _replica_task(
         self, spec: CampaignSpec, spec_key: str, seeds, i: int
-    ) -> tuple:
+    ) -> ReplicaTask:
         snap_cfg = None
         if self.sim_snapshot_dir is not None:
             snap_cfg = ReplicaSnapshotConfig(
@@ -1069,32 +1047,19 @@ class ResilienceCampaign(MonteCarloRunner):
                 # replica's (pure-function) results.
                 every_events=self.sim_snapshot_every * self._cadence_factor,
             )
-        if self.flight_dir is not None:
-            # 6-tuple: slots 3/4 may be None, slot 5 points the worker's
-            # flight recorder (spill + final dump) at the shared directory.
-            return (
-                spec,
-                self.policy,
-                seeds[i],
-                snap_cfg,
+        return ReplicaTask(
+            spec,
+            self.policy,
+            seeds[i],
+            snapshot=snap_cfg,
+            # parented on the task's derived span in the campaign trace
+            obs_ctx=(
                 self.obs.worker_context(f"{spec_key}:{i}")
                 if self.obs is not None
-                else None,
-                self.flight_dir,
-            )
-        if self.obs is not None:
-            # 5-tuple: slot 3 may be None, slot 4 joins the worker to
-            # the campaign trace (parented on the task's derived span).
-            return (
-                spec,
-                self.policy,
-                seeds[i],
-                snap_cfg,
-                self.obs.worker_context(f"{spec_key}:{i}"),
-            )
-        if snap_cfg is not None:
-            return (spec, self.policy, seeds[i], snap_cfg)
-        return (spec, self.policy, seeds[i])
+                else None
+            ),
+            flight_dir=self.flight_dir,
+        )
 
     def _get_journal(self) -> Optional[CampaignJournal]:
         if self.journal_path is not None and self._journal is None:
@@ -1130,7 +1095,7 @@ class ResilienceCampaign(MonteCarloRunner):
                 obs.replica_done(replayed, from_journal=True)
         try:
             tasks = [
-                (f"{spec_key}:{i}", self._replica_payload(spec, spec_key, seeds, i))
+                (f"{spec_key}:{i}", self._replica_task(spec, spec_key, seeds, i))
                 for i in range(self.reps)
                 if i not in done
             ]
@@ -1218,29 +1183,33 @@ class ResilienceCampaign(MonteCarloRunner):
         periods: Sequence[int],
         **spec_kwargs,
     ) -> CampaignReport:
-        """Sweep fault rates × checkpoint periods.
+        """Sweep fault rates × checkpoint periods (see :meth:`run_specs`).
+
+        Every grid point's spec is built, and so validated, before any
+        replica runs or the journal is opened.
+        """
+        return self.run_specs(
+            [
+                CampaignSpec(node_mtbf_s=m, ckpt_period=p, **spec_kwargs)
+                for m in mtbfs
+                for p in periods
+            ]
+        )
+
+    def run_specs(self, specs: Sequence[CampaignSpec]) -> CampaignReport:
+        """Run every grid point in *specs*, in order.
 
         On a resource-guard abort the sweep stops early: already-run
         points are reported (``partial`` set), every journaled replica
         is durable, and :meth:`resume` completes the grid bit-identically
         once resources recover.
         """
-        mtbfs = list(mtbfs)
-        periods = list(periods)
-        n_points = len(mtbfs) * len(periods)
         if self.obs is not None:
-            self.obs.begin_campaign(n_points * self.reps, points=n_points)
+            self.obs.begin_campaign(len(specs) * self.reps, points=len(specs))
         points: list[CampaignPointReport] = []
         try:
-            for m in mtbfs:
-                for p in periods:
-                    points.append(
-                        self.run_point(
-                            CampaignSpec(node_mtbf_s=m, ckpt_period=p, **spec_kwargs)
-                        )
-                    )
-                    if self.aborted:
-                        break
+            for spec in specs:
+                points.append(self.run_point(spec))
                 if self.aborted:
                     break
         finally:

@@ -4,7 +4,8 @@ Layout:
 
 * :mod:`repro.faults.registry` — taxonomy metadata: the canonical
   ``FAULT_KINDS`` order, kind → domain mapping, per-kind recovery
-  metadata, and the ``FaultDomainSpec`` config dataclasses.  Import-light
+  metadata, and each domain's section of the fault-config file layout
+  (the knobs themselves are ``CampaignSpec`` fields).  Import-light
   by contract: ``repro.core.fault_injection`` derives ``FAULT_KINDS``
   from it.
 * :mod:`repro.faults.context` — the shared :class:`RecoveryContext`
@@ -29,12 +30,6 @@ from repro.faults.registry import (  # noqa: F401
     MIN_LEVEL_FOR_KIND,
     REGISTRY,
     DomainInfo,
-    FailStopSpec,
-    FaultDomainSpec,
-    NetworkSpec,
-    SdcSpec,
-    StragglerSpec,
-    TornCheckpointSpec,
     campaign_kwargs_from_config,
     domain_for_kind,
     kinds_of,

@@ -4,8 +4,10 @@ Every fault *kind* the simulator understands belongs to exactly one
 fault *domain* — a pluggable behaviour module under ``repro.faults``
 (see :mod:`repro.faults.domains`).  This module owns the metadata only:
 the canonical kind ordering, the kind → domain mapping, per-kind
-recovery metadata, and the :class:`FaultDomainSpec` dataclasses that
-normalize the flat campaign knobs into per-domain configuration.
+recovery metadata, and the layout of structured fault-config files
+(which :class:`~repro.core.campaign.CampaignSpec` field each per-domain
+file field sets).  The knobs themselves, with their defaults, are
+defined once, as ``CampaignSpec`` fields.
 
 Deliberately import-light (stdlib only): ``repro.core.fault_injection``
 derives its public ``FAULT_KINDS`` tuple from here, so this module must
@@ -25,7 +27,7 @@ to exactly one domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 #: canonical fault-kind order — the FaultModel draw-stream contract
 #: (append-only; see module docstring)
@@ -70,62 +72,6 @@ MIN_LEVEL_FOR_KIND: dict[str, int] = {
 }
 
 
-# -- per-domain configuration specs ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultDomainSpec:
-    """Base class for normalized per-domain configuration.
-
-    Campaign configuration historically exposed one flat knob per
-    parameter (``sdc_coverage``, ``net_loss_prob``, ...).  Those flat
-    fields remain the storage/serialization layer — the campaign spec
-    hash and journal records depend on them byte-for-byte — and are now
-    deprecated aliases that normalize into these spec objects via
-    :meth:`repro.core.campaign.CampaignSpec.fault_domain_specs`.
-    """
-
-
-@dataclass(frozen=True)
-class FailStopSpec(FaultDomainSpec):
-    """Fail-stop family: software crashes, node losses, correlated bursts."""
-
-    burst_size: int = 3  #: nodes felled together by one ``burst`` fault
-
-
-@dataclass(frozen=True)
-class SdcSpec(FaultDomainSpec):
-    """Silent-data-corruption family."""
-
-    coverage: float = 0.95      #: P(strike lands in detector-covered state)
-    correct_prob: float = 0.5   #: P(covered strike is ABFT-correctable)
-
-
-@dataclass(frozen=True)
-class StragglerSpec(FaultDomainSpec):
-    """Degraded-node (slow clock) family."""
-
-    slowdown: float = 2.0   #: compute-clock slowdown factor on the victim
-    repair_s: float = 30.0  #: time until the degradation is repaired
-
-
-@dataclass(frozen=True)
-class NetworkSpec(FaultDomainSpec):
-    """Network family: link/switch failures and degraded routes."""
-
-    link_mtbf_s: float = 0.0        #: per-link MTBF folded into the mix (0 = off)
-    repair_s: float = 30.0          #: time until the overlay mutation is repaired
-    degrade_factor: float = 4.0     #: bandwidth de-rate of a ``netdeg`` fault
-    loss_prob: float = 0.05         #: per-message loss probability on degraded links
-    fault_split: tuple = ()         #: ((kind, share), ...) link/switch/netdeg split
-
-
-@dataclass(frozen=True)
-class TornCheckpointSpec(FaultDomainSpec):
-    """Torn-checkpoint semantics (no knobs of its own: follows
-    ``RecoveryPolicy.l1_inplace_writes``)."""
-
-
 # -- registry entries ------------------------------------------------------------------
 
 
@@ -135,8 +81,10 @@ class DomainInfo:
 
     name: str
     kinds: tuple[str, ...]
-    spec_cls: type
     summary: str
+    #: this domain's section of a fault-config file: file field ->
+    #: the CampaignSpec field it sets (which holds the default)
+    config: dict = field(default_factory=dict)
     #: protocol hooks this domain implements beyond ``apply`` (introspection
     #: for ``repro faults list``; behaviour lives in repro.faults.domains)
     hooks: tuple[str, ...] = ()
@@ -146,35 +94,41 @@ REGISTRY: tuple[DomainInfo, ...] = (
     DomainInfo(
         name="failstop",
         kinds=("software", "node", "burst"),
-        spec_cls=FailStopSpec,
         summary="Fail-stop crashes: coordinated rollback along the escalation ladder.",
+        config={"burst_size": "burst_size"},
         hooks=("on_failstop_strike",),
     ),
     DomainInfo(
         name="sdc",
         kinds=("sdc",),
-        spec_cls=SdcSpec,
         summary="Silent data corruption: latent strikes, ABFT/validation detection.",
+        config={"coverage": "sdc_coverage", "correct_prob": "sdc_correct_prob"},
         hooks=("on_checkpoint_commit", "on_verify_point", "on_rewind", "reset"),
     ),
     DomainInfo(
         name="straggler",
         kinds=("straggler",),
-        spec_cls=StragglerSpec,
         summary="Degraded compute clocks with token-guarded repairs.",
+        config={"slowdown": "straggler_slowdown", "repair_s": "straggler_repair_s"},
         hooks=("reset",),
     ),
     DomainInfo(
         name="network",
         kinds=("link", "switch", "netdeg"),
-        spec_cls=NetworkSpec,
         summary="Topology health overlay: failed/degraded links, partitions.",
+        config={
+            "link_mtbf_s": "net_link_mtbf_s",
+            "repair_s": "net_repair_s",
+            "degrade_factor": "net_degrade_factor",
+            "loss_prob": "net_loss_prob",
+            "topology": "net_topology",
+            "fault_split": "net_fault_split",
+        },
         hooks=("blocks_resume", "on_resume_blocked", "reset", "metrics_gauges"),
     ),
     DomainInfo(
         name="torn",
         kinds=(),
-        spec_cls=TornCheckpointSpec,
         summary="Torn-checkpoint invalidation on fail-stop strikes.",
         hooks=("on_failstop_strike",),
     ),
@@ -220,33 +174,7 @@ def get_domain(name: str) -> DomainInfo:
                    f"{[i.name for i in REGISTRY]}")
 
 
-def spec_fields(info: DomainInfo) -> list:
-    """Dataclass fields of a domain's spec (for introspection/CLI)."""
-    return list(fields(info.spec_cls))
-
-
 # -- structured fault-config files -----------------------------------------------------
-
-#: fault-config JSON section/field -> CampaignSpec flat kwarg.  The file
-#: layout mirrors the domain specs; the mapping keeps CampaignSpec (and
-#: with it the spec hash and journals) byte-stable.
-_CONFIG_FIELD_MAP: dict[str, dict[str, str]] = {
-    "failstop": {"burst_size": "burst_size"},
-    "sdc": {"coverage": "sdc_coverage", "correct_prob": "sdc_correct_prob"},
-    "straggler": {
-        "slowdown": "straggler_slowdown",
-        "repair_s": "straggler_repair_s",
-    },
-    "network": {
-        "link_mtbf_s": "net_link_mtbf_s",
-        "repair_s": "net_repair_s",
-        "degrade_factor": "net_degrade_factor",
-        "loss_prob": "net_loss_prob",
-        "topology": "net_topology",
-        "fault_split": "net_fault_split",
-    },
-    "torn": {},
-}
 
 
 def campaign_kwargs_from_config(cfg: dict) -> dict:
@@ -269,12 +197,13 @@ def campaign_kwargs_from_config(cfg: dict) -> dict:
                 raise ValueError(f"unknown fault kinds in mix: {unknown}")
             out["fault_mix"] = {str(k): float(v) for k, v in value.items()}
             continue
-        field_map = _CONFIG_FIELD_MAP.get(section)
-        if field_map is None:
+        try:
+            field_map = get_domain(section).config
+        except KeyError:
             raise ValueError(
                 f"unknown fault-config section {section!r}; expected one of "
-                f"{sorted([*_CONFIG_FIELD_MAP, 'mix'])}"
-            )
+                f"{sorted([*(info.name for info in REGISTRY), 'mix'])}"
+            ) from None
         if not isinstance(value, dict):
             raise ValueError(f"fault-config section {section!r} must be an object")
         for key, raw in value.items():

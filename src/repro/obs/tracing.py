@@ -247,7 +247,7 @@ def load_spans(source: str) -> list[Span]:
 class ObsContext:
     """Everything a worker process needs to join the campaign's trace.
 
-    Carried inside the replica payload tuple; the worker builds its own
+    Carried inside the replica's ReplicaTask; the worker builds its own
     :class:`Tracer` with ``default_parent_id=parent_span_id`` and dumps
     spans/metrics into ``obs_dir`` for the campaign to merge.
     ``host_pid`` lets in-process (sequential/degraded) execution skip

@@ -22,6 +22,7 @@ import pytest
 import repro.core.campaign as campaign_mod
 from repro.core.campaign import (
     CampaignSpec,
+    ReplicaTask,
     ResilienceCampaign,
     _run_replica,
     campaign_spec_key,
@@ -43,8 +44,8 @@ def _journal_replica_records(path):
 
 def test_retried_replica_is_bit_identical():
     spec = CampaignSpec(node_mtbf_s=6.0, ckpt_period=5, timesteps=30)
-    payload = (spec, RecoveryPolicy(), 12345)
-    assert _run_replica(payload) == _run_replica(payload)
+    task = ReplicaTask(spec, RecoveryPolicy(), 12345)
+    assert _run_replica(task) == _run_replica(task)
 
 
 def test_replica_retried_through_supervisor_matches_direct_run():

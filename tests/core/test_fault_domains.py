@@ -10,7 +10,9 @@ wiring-attr rejection), :class:`NodeRangeError` surfacing through the
 the ``repro faults list`` / ``--fault-config`` CLI layer.
 """
 
+import ast
 import json
+import re
 
 import pytest
 
@@ -219,36 +221,99 @@ def test_faults_list_cli(capsys):
         assert kind in out
 
 
+#: a valid file value for the config fields that are not plain numbers
+_SAMPLE = {"topology": "torus", "fault_split": {"link": 1.0}}
+
+
+def _printed_config(out: str) -> dict:
+    """``repro faults list`` output -> {domain: {field: printed default}}."""
+    printed, domain = {}, None
+    for line in out.splitlines():
+        head = line.split(" ", 1)[0]
+        if head in {info.name for info in REGISTRY}:
+            domain = head
+            printed[domain] = {}
+        elif line.strip().startswith("config:"):
+            body = line.split("config:", 1)[1]
+            for knob in re.split(r", (?=\w+=)", body.strip()):
+                key, _, value = knob.partition("=")
+                printed[domain][key] = value
+    return printed
+
+
+def test_faults_list_prints_the_defaults_campaign_uses(capsys):
+    from dataclasses import fields
+
+    from repro.cli import main
+
+    assert main(["faults", "list"]) == 0
+    printed = _printed_config(capsys.readouterr().out)
+    defaults = {f.name: f.default for f in fields(CampaignSpec)}
+    for info in REGISTRY:
+        shown = printed[info.name]
+        # every field the parser accepts, read from its own rejection message
+        with pytest.raises(ValueError, match="expected one of") as exc:
+            campaign_kwargs_from_config({info.name: {"no_such_field": 1}})
+        accepted = ast.literal_eval(str(exc.value).rsplit("expected one of ", 1)[1])
+        assert sorted(shown) == accepted, info.name
+        for key, value in shown.items():
+            sample = {info.name: {key: _SAMPLE.get(key, 1)}}
+            (dest,) = campaign_kwargs_from_config(sample)
+            assert value == repr(defaults[dest]), f"{info.name}.{key}"
+    assert printed["failstop"]["burst_size"] == "2"
+    assert printed["straggler"]["repair_s"] == "5.0"
+    assert printed["network"]["repair_s"] == "5.0"
+    assert printed["network"]["topology"] == "'full'"
+
+
+def test_campaign_without_fault_flags_uses_spec_defaults(monkeypatch):
+    from repro.cli import main
+    from repro.core.campaign import CampaignReport, ResilienceCampaign
+
+    built = []
+
+    def capture(self, specs):
+        built.extend(specs)
+        return CampaignReport(points=[], reps=self.reps, base_seed=0)
+
+    monkeypatch.setattr(ResilienceCampaign, "run_specs", capture)
+    assert main(["campaign", "--mtbf", "8", "--periods", "5"]) == 0
+    assert built == [CampaignSpec(node_mtbf_s=8.0, ckpt_period=5, timesteps=40)]
+
+
 def test_fault_config_flag_precedence(tmp_path):
-    from repro.cli import _apply_fault_config, _build_parser
+    from repro.cli import _build_parser, _campaign_spec_kwargs
 
     cfg = tmp_path / "faults.json"
     cfg.write_text(
         json.dumps({"sdc": {"coverage": 0.8}, "network": {"repair_s": 7.0}})
     )
+
+    def spec_kwargs(*flags):
+        args = _build_parser().parse_args(
+            ["campaign", "--fault-config", str(cfg), *flags]
+        )
+        return _campaign_spec_kwargs(args)
+
     # file overrides defaults
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(cfg)]
-    )
-    _apply_fault_config(args)
-    assert args.sdc_coverage == 0.8
-    assert args.net_repair_time == 7.0
+    kwargs = spec_kwargs()
+    assert kwargs["sdc_coverage"] == 0.8
+    assert kwargs["net_repair_s"] == 7.0
     # explicit flag beats the file
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(cfg), "--sdc-coverage", "0.99"]
-    )
-    _apply_fault_config(args)
-    assert args.sdc_coverage == 0.99
-    assert args.net_repair_time == 7.0
+    kwargs = spec_kwargs("--sdc-coverage", "0.99")
+    assert kwargs["sdc_coverage"] == 0.99
+    assert kwargs["net_repair_s"] == 7.0
+    # ...even when the flag repeats the built-in default
+    kwargs = spec_kwargs("--sdc-coverage", "0.95")
+    assert kwargs["sdc_coverage"] == 0.95
+    assert kwargs["net_repair_s"] == 7.0
 
 
-def test_fault_config_bad_file_exits(tmp_path):
-    from repro.cli import _apply_fault_config, _build_parser
+def test_fault_config_bad_file_exits(tmp_path, capsys):
+    from repro.cli import main
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    args = _build_parser().parse_args(
-        ["campaign", "--fault-config", str(bad)]
-    )
-    with pytest.raises(SystemExit, match="not valid JSON"):
-        _apply_fault_config(args)
+    assert main(["campaign", "--fault-config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro campaign: error: --fault-config is not valid JSON")

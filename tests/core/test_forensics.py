@@ -47,9 +47,9 @@ def _mixed_spec(**over):
 
 def _replica_result(spec, seed):
     """One worker-shaped replica record (what the journal stores)."""
-    from repro.core.campaign import _run_replica
+    from repro.core.campaign import ReplicaTask, _run_replica
 
-    return _run_replica((spec, RecoveryPolicy(), seed))
+    return _run_replica(ReplicaTask(spec, RecoveryPolicy(), seed))
 
 
 # -- per-replica attribution ------------------------------------------------------

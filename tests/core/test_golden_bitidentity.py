@@ -97,6 +97,29 @@ def test_flight_dumps_bit_identical(regenerated):
         assert got == want, f"flight dump {name} diverged"
 
 
+#: the same taxonomy as CAMPAIGN_ARGS, stated as a --fault-config file
+FAULT_CONFIG = {
+    "mix": {"software": 0.2, "node": 0.1, "sdc": 0.25, "straggler": 0.15,
+            "burst": 0.05, "link": 0.1, "switch": 0.05, "netdeg": 0.1},
+    "sdc": {"coverage": 0.9},
+    "network": {"topology": "torus", "repair_s": 1},
+}
+
+
+def test_fault_config_report_bit_identical(tmp_path):
+    """The --fault-config file is a pure front-end for the flags."""
+    cfg = tmp_path / "faults.json"
+    cfg.write_text(json.dumps(FAULT_CONFIG))
+    report = tmp_path / "report.json"
+    cmd = [sys.executable, "-m", "repro", "campaign",
+           "--seed", "13", "--reps", "4", "--mtbf", "2.5", "--periods", "4",
+           "--timesteps", "20", "--fault-config", str(cfg),
+           "--verify-period", "3", "--json", str(report)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == (GOLDEN / "report.json").read_bytes()
+
+
 def test_golden_covers_every_fault_kind():
     """The fixture config must keep exercising the whole taxonomy."""
     from repro.faults.registry import FAULT_KINDS

@@ -10,7 +10,12 @@ under a mixed node+link fault process.
 import pytest
 
 from repro.core import FaultDetail, RecoveryPolicy
-from repro.core.campaign import CampaignSpec, _run_replica, build_campaign_simulator
+from repro.core.campaign import (
+    CampaignSpec,
+    ReplicaTask,
+    _run_replica,
+    build_campaign_simulator,
+)
 from repro.core.fault_injection import (
     FAULT_KINDS,
     FaultModel,
@@ -223,7 +228,7 @@ def _mixed_task(seed=42):
         net_topology="torus",
         net_repair_s=1.0,
     )
-    return (spec, RecoveryPolicy(), seed)
+    return ReplicaTask(spec, RecoveryPolicy(), seed)
 
 
 def test_mixed_node_link_replica_deterministic():
@@ -239,7 +244,7 @@ def test_net_metrics_survive_aggregation():
     from repro.core.campaign import aggregate_point
 
     reps = [_run_replica(_mixed_task(s)) for s in (1, 2, 3)]
-    spec = _mixed_task()[0]
+    spec = _mixed_task().spec
     point = aggregate_point(spec, reps, 3)
     assert set(point.net) == {
         "faults",

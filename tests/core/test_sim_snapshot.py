@@ -16,6 +16,7 @@ from repro.core import (
 from repro.core.campaign import (
     CampaignSpec,
     ReplicaSnapshotConfig,
+    ReplicaTask,
     ResilienceCampaign,
     _run_replica,
     build_campaign_simulator,
@@ -122,7 +123,7 @@ POLICY = RecoveryPolicy()
 
 def test_replica_resumes_from_snapshot_bit_identical(tmp_path):
     seed = 1234
-    fresh = _run_replica((SPEC, POLICY, seed))
+    fresh = _run_replica(ReplicaTask(SPEC, POLICY, seed))
 
     # simulate a kill mid-replica: run the exact production simulator
     # with snapshots enabled until the event budget trips
@@ -135,7 +136,7 @@ def test_replica_resumes_from_snapshot_bit_identical(tmp_path):
 
     assert SnapshotStore(snap_dir).latest() is not None
     # the retried replica resumes mid-simulation...
-    resumed = _run_replica((SPEC, POLICY, seed, cfg))
+    resumed = _run_replica(ReplicaTask(SPEC, POLICY, seed, snapshot=cfg))
     assert resumed == fresh  # ...and is bit-identical to an uninterrupted run
     # completion clears the snapshot directory
     assert SnapshotStore(snap_dir).paths() == []
@@ -143,8 +144,8 @@ def test_replica_resumes_from_snapshot_bit_identical(tmp_path):
 
 def test_replica_without_prior_snapshot_starts_fresh(tmp_path):
     cfg = ReplicaSnapshotConfig(directory=str(tmp_path / "r1"), every_events=100)
-    with_cfg = _run_replica((SPEC, POLICY, 7, cfg))
-    without = _run_replica((SPEC, POLICY, 7))
+    with_cfg = _run_replica(ReplicaTask(SPEC, POLICY, 7, snapshot=cfg))
+    without = _run_replica(ReplicaTask(SPEC, POLICY, 7))
     assert with_cfg == without
 
 

@@ -343,22 +343,45 @@ def test_campaign_fault_mix_flags(tmp_path, capsys):
     assert point["wrong_results"] >= 0
 
 
-def test_campaign_fault_mix_flag_syntax_errors():
+def test_campaign_fault_mix_flag_syntax_errors(capsys):
     base = ["campaign", "--reps", "1", "--mtbf", "16", "--periods", "5",
             "--timesteps", "10"]
-    with pytest.raises(SystemExit, match="kind=weight"):
-        main([*base, "--fault-mix", "sdc"])
-    with pytest.raises(SystemExit, match="not a number"):
-        main([*base, "--fault-mix", "sdc=lots"])
+    assert main([*base, "--fault-mix", "sdc"]) == 2
+    assert "kind=weight" in capsys.readouterr().err
+    assert main([*base, "--fault-mix", "sdc=lots"]) == 2
+    assert "not a number" in capsys.readouterr().err
 
 
-def test_campaign_fault_mix_semantic_errors_from_model():
+def test_campaign_fault_mix_semantic_errors_from_model(capsys):
     base = ["campaign", "--reps", "1", "--mtbf", "16", "--periods", "5",
             "--timesteps", "10"]
-    with pytest.raises(ValueError, match="unknown fault kinds"):
-        main([*base, "--fault-mix", "gremlin=1.0"])
-    with pytest.raises(ValueError, match="sum to 1"):
-        main([*base, "--fault-mix", "sdc=0.4"])
+    assert main([*base, "--fault-mix", "gremlin=1.0"]) == 2
+    assert "unknown fault kinds" in capsys.readouterr().err
+    assert main([*base, "--fault-mix", "sdc=0.4"]) == 2
+    assert "sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--mtbf", "8", "-1"],  # the first point alone is valid
+        ["--periods", "0"],
+        ["--sdc-coverage", "1.5"],
+        ["--burst-size", "0"],
+        ["--fault-mix", "node=2"],
+    ],
+)
+def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
+    journal = tmp_path / "wal.jsonl"
+    argv = ["campaign", "--reps", "1", "--mtbf", "8", "--periods", "5",
+            "--timesteps", "5", "--journal", str(journal), *bad]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro campaign: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not journal.exists()
 
 
 def test_campaign_network_fault_flags(tmp_path, capsys):
