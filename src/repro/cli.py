@@ -627,9 +627,13 @@ def _run_campaign(args) -> tuple[str, int]:
         )
     if args.partial_report:
         return ResilienceCampaign.report_from_journal(args.journal).format(), 0
-    # Build (and so validate) every grid point before anything touches
-    # the journal: a bad value is a usage error, not a half-run sweep.
+    # Build (and so validate) every grid point and the harness settings
+    # before anything touches the journal: a bad value is a usage error,
+    # not a half-run sweep.
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout)
         spec_kwargs = _campaign_spec_kwargs(args)
         grid = [
             CampaignSpec(node_mtbf_s=m, ckpt_period=p, **spec_kwargs)
@@ -640,7 +644,6 @@ def _run_campaign(args) -> tuple[str, int]:
         print(f"repro campaign: error: {exc}", file=sys.stderr)
         return "", 2
 
-    retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout)
     fs_dict = None
     if args.chaos_enospc or args.chaos_eio or args.chaos_slow_io:
         from repro.guard.fsfault import FsFaultConfig

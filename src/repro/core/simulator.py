@@ -68,8 +68,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.core.beo import AppBEO, ArchBEO
 from repro.core.fault_injection import (
     FAULT_KINDS,
@@ -196,6 +194,32 @@ class SimulationResult:
         return tl.checkpoint_marks() if tl else []
 
 
+#: (instruction type, timeline kind), indexed by a compiled row's kind
+#: code.  The priced kinds come first: ``code <= _VERIFY`` polls a model.
+_KINDS = (
+    (Compute, "compute"),
+    (Checkpoint, "checkpoint"),
+    (Verify, "verify"),
+    (Exchange, "exchange"),
+    (Marker, "marker"),
+    (Collective, "collective"),
+)
+_COMPUTE, _CHECKPOINT, _VERIFY, _EXCHANGE, _MARKER, _COLLECTIVE = range(len(_KINDS))
+
+
+def _compile_row(instr: Instruction) -> tuple:
+    """Resolve *instr* once into ``(code, instr, kernel, params, timeline
+    kind, timeline label, level)``.  Rows are shared (see
+    :meth:`BESSTSimulator._row`), so models get a copy of ``params``."""
+    code = next((c for c, (cls, _) in enumerate(_KINDS) if isinstance(instr, cls)), None)
+    if code is None:
+        raise TypeError(f"cannot simulate instruction {instr!r}")
+    kernel = getattr(instr, "kernel", None)
+    label = kernel or getattr(instr, "name", type(instr).__name__.lower())
+    params = dict(instr.params) if code <= _VERIFY else None
+    return (code, instr, kernel, params, _KINDS[code][1], label, getattr(instr, "level", 0))
+
+
 class _SyncDomain:
     """Rendezvous state for one collective call site sequence.
 
@@ -250,7 +274,8 @@ class _Rank(Component):
         super().__init__(f"rank{rank}")
         self.rank = rank
         self.sim = sim
-        self.program = list(program)
+        #: the program as compiled rows (see :func:`_compile_row`)
+        self.rows = [sim._row(instr) for instr in program]
         self.pc = 0
         self.collective_calls = 0
         self.done = False
@@ -268,6 +293,8 @@ class _Rank(Component):
             0: (0, 0, 0.0, 0.0, 0)
         }
         self._pending: Optional[Event] = None
+        #: duration of the batch in ``_pending`` (its start is end - span)
+        self._batch_span = 0.0
 
     def setup(self) -> None:
         self._pending = self.schedule(0.0, self._on_resume)
@@ -282,22 +309,25 @@ class _Rank(Component):
     def advance(self) -> None:
         """Execute instructions until blocking on a collective or finishing."""
         self._pending = None
-        while self.pc < len(self.program):
-            instr = self.program[self.pc]
-            if isinstance(instr, Collective):
+        rows = self.rows
+        while self.pc < len(rows):
+            row = rows[self.pc]
+            code = row[0]
+            if code == _COLLECTIVE:
                 self.pc += 1
                 self.collective_calls += 1
-                self.sim.sync.arrive(self, self.collective_calls - 1, instr)
+                self.sim.sync.arrive(self, self.collective_calls - 1, row[1])
                 return
-            if isinstance(instr, Marker):
+            if code == _MARKER:
                 if self.record:
                     self.timeline.entries.append(
-                        TimelineEntry(self.now, self.now, "marker", instr.name)
+                        TimelineEntry(self.now, self.now, "marker", row[5])
                     )
                 self.pc += 1
                 continue
             # Batch consecutive non-synchronizing instructions.
             dt, batch = self._price_batch()
+            self._batch_span = dt
             self._pending = self.schedule(dt, self._on_batch_done, payload=batch)
             return
         if not self.done:
@@ -311,6 +341,12 @@ class _Rank(Component):
         Returns total duration and ``(instr, start_offset, duration)``
         records for the timeline.
         """
+        sim = self.sim
+        arch = sim.archbeo
+        rng = self.rng if sim.monte_carlo else None
+        rows = self.rows
+        n = len(rows)
+        pc = self.pc
         t_off = 0.0
         batch = []
         # Straggler degradation: local (clocked) work on a degraded node
@@ -318,73 +354,47 @@ class _Rank(Component):
         # network-bound and keep their modeled time.  The factor is read
         # once per batch — an already-priced batch keeps its price even
         # if a repair lands mid-flight (batch granularity).
-        slow = self.sim._slowdown_for_rank(self.rank)
+        slow = sim._straggler_dom.slowdown_for_rank(self.rank)
         slowed_t = 0.0
-        while self.pc < len(self.program):
-            instr = self.program[self.pc]
-            if isinstance(instr, (Compute, Checkpoint, Verify)):
-                dt = slow * self.sim.archbeo.predict(
-                    instr.kernel, instr.param_dict(), self._model_rng()
-                )
-                if (
-                    isinstance(instr, Checkpoint)
-                    and instr.level >= 2
-                    and self.sim._net_active
-                ):
+        while pc < n:
+            code, instr, kernel, params, _kind, _label, level = rows[pc]
+            if code <= _VERIFY:
+                dt = slow * arch.predict(kernel, dict(params), rng)
+                if code == _CHECKPOINT and level >= 2 and sim._net_dom.active:
                     # L2/partner-copy traffic crosses the (possibly
                     # degraded) fabric and pays the real network cost.
-                    dt *= self.sim._net_ckpt_factor(self.rank)
+                    dt *= sim._net_dom.ckpt_factor(self.rank)
                 if slow != 1.0:
                     slowed_t += dt
-            elif isinstance(instr, Exchange):
-                dt = self.sim.archbeo.exchange_time(instr)
-            elif isinstance(instr, Marker):
+            elif code == _EXCHANGE:
+                dt = arch.exchange_time(instr)
+            elif code == _MARKER:
                 dt = 0.0
             else:
                 break
             batch.append((instr, t_off, dt))
             t_off += dt
-            self.pc += 1
+            pc += 1
+        self.pc = pc
         if slowed_t > 0.0:
             # Forensic accounting only: the excess over healthy-clock time
             # for this batch's slowed instructions (dt includes the factor,
             # so excess = dt - dt/slow).
-            self.sim._note_straggler_excess(
-                self.rank, slowed_t * (1.0 - 1.0 / slow)
-            )
+            sim._straggler_dom.note_excess(self.rank, slowed_t * (1.0 - 1.0 / slow))
         return t_off, batch
 
     def _on_batch_done(self, ev: Event) -> None:
-        t_end = self.now
+        sim = self.sim
         batch = ev.payload
-        t_start = t_end - sum(d for _, _, d in batch)
+        t_start = self.now - self._batch_span
         base = self.pc - len(batch)  # pc of the first batched instruction
-        for i, (instr, off, dt) in enumerate(batch):
+        for i, (_instr, off, dt) in enumerate(batch):
+            code, _, _, _, kind, label, level = self.rows[base + i]
             if self.record:
-                kind = (
-                    "compute"
-                    if isinstance(instr, Compute)
-                    else "checkpoint"
-                    if isinstance(instr, Checkpoint)
-                    else "verify"
-                    if isinstance(instr, Verify)
-                    else "exchange"
-                    if isinstance(instr, Exchange)
-                    else "marker"
-                )
-                label = getattr(instr, "kernel", None) or getattr(
-                    instr, "name", type(instr).__name__.lower()
-                )
                 self.timeline.entries.append(
-                    TimelineEntry(
-                        t_start + off,
-                        t_start + off + dt,
-                        kind,
-                        label,
-                        level=getattr(instr, "level", 0),
-                    )
+                    TimelineEntry(t_start + off, t_start + off + dt, kind, label, level=level)
                 )
-            if isinstance(instr, Checkpoint):
+            if code == _CHECKPOINT:
                 # Restart point: resume AFTER this checkpoint instruction.
                 # The recorded level is the protection actually achieved
                 # (a partitioned partner degrades an L2+ write to L1).
@@ -394,23 +404,20 @@ class _Rank(Component):
                     self.collective_calls,
                     t_start + off + dt,
                     dt,
-                    self.sim._effective_ckpt_level(self.rank, instr.level),
+                    sim._net_dom.effective_ckpt_level(self.rank, level),
                 )
                 stale = self.ckpt_seq - 6
                 if stale > 0:
                     self.restart_history.pop(stale, None)
-                if self.sim._on_checkpoint_commit(self, self.ckpt_seq):
+                if sim._on_checkpoint_commit(self, self.ckpt_seq):
                     # Write-validation caught latent SDC: recovery has
                     # paused every rank and the rest of the batch is
                     # discarded by the rollback — do not advance.
                     return
-            elif isinstance(instr, Verify):
-                if self.sim._on_verify_point(self):
+            elif code == _VERIFY:
+                if sim._on_verify_point(self):
                     return  # detection started a recovery episode
         self.advance()
-
-    def _model_rng(self) -> Optional[np.random.Generator]:
-        return self.rng if self.sim.monte_carlo else None
 
     # -- fault handling -----------------------------------------------------------
 
@@ -544,6 +551,8 @@ class BESSTSimulator:
         # hot-path shortcuts (batch pricing reads these every event)
         self._straggler_dom = by_name["straggler"]
         self._net_dom = by_name["network"]
+        #: instruction -> compiled row, shared by every rank's program
+        self._rows: dict[Instruction, tuple] = {}
 
         program0 = self.appbeo.build(0, nranks, self.params)
         for r in range(nranks):
@@ -552,6 +561,14 @@ class BESSTSimulator:
 
         if fault_injector is not None:
             fault_injector.attach(self)
+
+    def _row(self, instr: Instruction) -> tuple:
+        """The interned compiled row of *instr* (equal instructions share
+        one row, so SPMD ranks add no per-rank row memory)."""
+        row = self._rows.get(instr)
+        if row is None:
+            row = self._rows[instr] = _compile_row(instr)
+        return row
 
     # -- callbacks ---------------------------------------------------------------------
 
@@ -614,24 +631,9 @@ class BESSTSimulator:
     #
     # The lifecycle itself lives in repro.faults (RecoveryContext + one
     # domain per fault family).  What remains here is the registry
-    # dispatch in inject_fault plus the thin hot-path hooks the rank
-    # components call every batch/commit.
-
-    def _slowdown_for_rank(self, rank: int) -> float:
-        return self._straggler_dom.slowdown_for_rank(rank)
-
-    def _note_straggler_excess(self, rank: int, excess: float) -> None:
-        self._straggler_dom.note_excess(rank, excess)
-
-    @property
-    def _net_active(self) -> bool:
-        return self._net_dom.active
-
-    def _net_ckpt_factor(self, rank: int) -> float:
-        return self._net_dom.ckpt_factor(rank)
-
-    def _effective_ckpt_level(self, rank: int, level: int) -> int:
-        return self._net_dom.effective_ckpt_level(rank, level)
+    # dispatch in inject_fault plus the commit/verify hooks the rank
+    # components call (batch pricing reads the straggler and network
+    # domains directly).
 
     def _on_checkpoint_commit(self, rank: "_Rank", seq: int) -> bool:
         for domain in self._domains:

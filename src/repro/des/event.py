@@ -5,6 +5,11 @@ number is assigned at scheduling time and breaks ties deterministically,
 which is what makes both engines reproducible: two events scheduled for the
 same timestamp always fire in scheduling order regardless of heap
 internals.
+
+The queue's heap holds ``(time, priority, seq, event)`` entries rather
+than events, so :mod:`heapq` orders them with C-level float and int
+comparisons.  ``seq`` is unique per queue, so two entries never tie and
+an :class:`Event` itself is never compared.
 """
 
 from __future__ import annotations
@@ -53,14 +58,12 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
     def sort_key(self) -> tuple:
+        """The queue order; :class:`EventQueue` heap entries extend it."""
         return (self.time, self.priority, self.seq)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -77,7 +80,8 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries; see the module docstring
+        self._heap: list[tuple[float, int, int, Event]] = []
         # A plain int rather than itertools.count(): the counter is part
         # of engine snapshots, so it must pickle and resume exactly.
         self._next_seq = 0
@@ -103,7 +107,7 @@ class EventQueue:
         """
         if event.seq < 0:
             event.seq = self.take_seq()
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, event.sort_key() + (event,))
         return event
 
     def pop(self) -> Event:
@@ -115,7 +119,7 @@ class EventQueue:
             If the queue holds no live events.
         """
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[3]
             if ev.cancelled:
                 self._cancelled_in_heap = max(0, self._cancelled_in_heap - 1)
                 continue
@@ -124,12 +128,13 @@ class EventQueue:
 
     def peek_time(self) -> float:
         """Timestamp of the earliest live event, or ``inf`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
             self._cancelled_in_heap = max(0, self._cancelled_in_heap - 1)
-        if not self._heap:
+        if not heap:
             return float("inf")
-        return self._heap[0].time
+        return heap[0][0]
 
     def note_cancelled(self) -> None:
         """Account for an event cancelled while still in the heap.

@@ -55,7 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Engine
 
 #: Current snapshot format version; bumped on incompatible changes.
-SNAPSHOT_VERSION = 1
+#: Version 2: the event heap holds ``(time, priority, seq, event)``
+#: entries and simulator ranks carry compiled instruction rows.
+SNAPSHOT_VERSION = 2
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

@@ -1,0 +1,163 @@
+"""Pinned outputs of Monte-Carlo simulations (not covered by the golden suite).
+
+The golden fixtures are all ``monte_carlo=False`` campaigns.  These cases
+run stochastic models under a checkpointing, fault-injecting scenario and
+compare bit-exact results with constants recorded before the simulator's
+instruction interpreter was compiled into shared rows.  They fail if the
+order or number of model draws changes, or if two unequal instructions
+ever share a price.
+"""
+
+from repro.core import (
+    AppBEO,
+    ArchBEO,
+    BESSTSimulator,
+    Checkpoint,
+    Collective,
+    Compute,
+    Exchange,
+    Marker,
+    RecoveryPolicy,
+    Verify,
+)
+from repro.core.fault_injection import FaultInjector, FaultModel
+from repro.core.ft import scenario_l1_l2
+from repro.models import CallableModel
+from repro.network import Torus
+
+SCENARIO = scenario_l1_l2(period=4).with_verification(3)
+TIMESTEPS = 16
+NRANKS = 16
+
+
+# -- recorded before the interpreter used compiled rows ---------------------------
+
+SPMD_TOTAL = "0x1.2ebe36aff598dp+6"
+SPMD_EVENTS = 1929
+SPMD_MARKS = [
+    ("0x1.ebe3cfb00b979p-1", 1),
+    ("0x1.55cfbabed1aa0p+0", 2),
+    ("0x1.848d6a5f4bab1p+2", 1),
+    ("0x1.a18f8b6117a9ap+2", 2),
+    ("0x1.1477200b80743p+3", 1),
+    ("0x1.3213843656266p+3", 2),
+    ("0x1.183a7fa5f7f2bp+4", 1),
+    ("0x1.2a868c0864f91p+4", 2),
+    ("0x1.15692b7a8f5cap+5", 1),
+    ("0x1.1e9e11ba08a1cp+5", 2),
+    ("0x1.4b4ccc44778e0p+5", 1),
+    ("0x1.4f80e281dede7p+5", 2),
+    ("0x1.8e744e902009ap+5", 1),
+    ("0x1.924e6a86eaa65p+5", 2),
+    ("0x1.a5404633ced74p+5", 1),
+    ("0x1.a9e647b4c1145p+5", 2),
+    ("0x1.241db24129e38p+6", 1),
+    ("0x1.2678d0a254023p+6", 2),
+    ("0x1.2ba436f7bd01bp+6", 1),
+    ("0x1.2dd7f0a3440f3p+6", 2),
+]
+
+RANKDEP_TOTAL = "0x1.5f298bda3baaep+6"
+RANKDEP_EVENTS = 1924
+RANKDEP_FINISH = [
+    "0x1.5c52dd26523a8p+6",
+    "0x1.5ccb62018bfe4p+6",
+    "0x1.5c962fef14278p+6",
+    "0x1.5ce3b7a81f894p+6",
+    "0x1.5c702fc47a75fp+6",
+    "0x1.5c9c74f87ead8p+6",
+    "0x1.5d2b7174a236ep+6",
+    "0x1.5c132ac336341p+6",
+    "0x1.5da2b7b0b59aep+6",
+    "0x1.5c848717c69dep+6",
+    "0x1.5f298bda3baaep+6",
+    "0x1.5e69fdae74f36p+6",
+    "0x1.5ce6dbacf8b7ap+6",
+    "0x1.5c104ceada0cdp+6",
+    "0x1.5c1957897e8a9p+6",
+    "0x1.5c367b3d26e6dp+6",
+]
+
+
+def _noisy(base):
+    """Stochastic model: ``base * n`` with a per-draw lognormal factor."""
+
+    def fn(params, rng):
+        scale = base * params.get("n", 1.0) * params.get("w", 1.0)
+        return scale * float(rng.lognormal(0.0, 0.2)) if rng is not None else scale
+
+    return CallableModel(fn, stochastic=True)
+
+
+def _arch():
+    arch = ArchBEO("mc", topology=Torus((4, 4)), cores_per_node=2)
+    arch.bind("work", _noisy(0.01))
+    arch.bind("fti_l1", _noisy(0.02))
+    arch.bind("fti_l2", _noisy(0.05))
+    arch.bind("abft_verify", _noisy(0.003))
+    arch.recovery_time_s = 0.5
+    return arch
+
+
+def _app(rank_dependent):
+    def builder(rank, nranks, params):
+        n = params["n"]
+        # Rank-dependent programs give each rank its own params; an SPMD
+        # program is the same instruction list on every rank.
+        w = 1.0 + (rank % 4) / 4 if rank_dependent else 1.0
+        body = []
+        for ts in range(1, TIMESTEPS + 1):
+            body.append(Marker(f"ts{ts}"))
+            body.append(Compute.of("work", n=n, w=w))
+            body.append(Exchange(nbytes=4096, neighbors=4))
+            body.append(Compute.of("work", n=n / 2, w=w))
+            if SCENARIO.verification_due(ts):
+                body.append(Verify.of(SCENARIO.VERIFY_KERNEL, n=n))
+            body.append(Collective("allreduce", nbytes=8))
+            for level in SCENARIO.checkpoints_due(ts):
+                body.append(Checkpoint.of(level, SCENARIO.kernel_for(level), n=n))
+        return body
+
+    return AppBEO("mc_app", builder, default_params={"n": 10.0})
+
+
+def _run(rank_dependent):
+    arch = _arch()
+    injector = FaultInjector(
+        FaultModel(
+            node_mtbf_s=12.0,
+            kind_weights={
+                "software": 0.3,
+                "node": 0.2,
+                "sdc": 0.2,
+                "straggler": 0.15,
+                "link": 0.15,
+            },
+        ),
+        nnodes=NRANKS // 2,
+        seed=99,
+    )
+    sim = BESSTSimulator(
+        _app(rank_dependent),
+        arch,
+        nranks=NRANKS,
+        seed=5,
+        monte_carlo=True,
+        fault_injector=injector,
+        recovery_policy=RecoveryPolicy(),
+    )
+    return sim.run()
+
+
+def test_spmd_monte_carlo_run_is_pinned():
+    res = _run(rank_dependent=False)
+    assert res.total_time.hex() == SPMD_TOTAL
+    assert res.events_fired == SPMD_EVENTS
+    assert [(t.hex(), lvl) for t, lvl in res.checkpoint_marks()] == SPMD_MARKS
+
+
+def test_rank_dependent_monte_carlo_run_is_pinned():
+    res = _run(rank_dependent=True)
+    assert res.total_time.hex() == RANKDEP_TOTAL
+    assert res.events_fired == RANKDEP_EVENTS
+    assert [t.hex() for t in res.finish_times] == RANKDEP_FINISH

@@ -202,3 +202,44 @@ def test_event_batching_reduces_events():
     # 1 setup event + 1 batch event (10 instructions)
     assert res.events_fired <= 3
     assert res.total_time == pytest.approx(1.0)
+
+
+def test_ranks_share_rows_of_equal_instructions_only():
+    def builder(rank, nranks, params):
+        return [Compute.of("k", n=10), Compute.of("k", n=rank % 2), Collective("barrier")]
+
+    sim = BESSTSimulator(AppBEO("rows", builder), make_arch(), nranks=4, monte_carlo=False)
+    r0, r1, r2 = sim._ranks[:3]
+    assert r0.rows[0] is r1.rows[0]  # separately built, equal instructions
+    assert r0.rows[1] is r2.rows[1]
+    assert r0.rows[1] is not r1.rows[1]
+    assert len(sim._rows) == 4  # n=10, n=0, n=1, barrier
+
+
+def test_models_get_a_fresh_params_mapping():
+    seen = []
+
+    def misbehaving(params):
+        seen.append(dict(params))
+        params["n"] = -1  # must not leak into the shared row
+        return 0.1
+
+    arch = ArchBEO("m", topology=FullyConnected(4), cores_per_node=2)
+    arch.bind("k", CallableModel(misbehaving, ("n",)))
+
+    def builder(rank, nranks, params):
+        return [Compute.of("k", n=3), Collective("barrier")] * 2
+
+    BESSTSimulator(AppBEO("spmd", builder), arch, nranks=4, monte_carlo=False).run()
+    assert seen == [{"n": 3}] * 8
+
+
+def test_unknown_instruction_rejected_at_construction():
+    from repro.core.instructions import Instruction
+
+    class Teleport(Instruction):
+        pass
+
+    app = AppBEO("odd", lambda rank, nranks, params: [Teleport()])
+    with pytest.raises(TypeError, match="cannot simulate"):
+        BESSTSimulator(app, make_arch(), nranks=1)

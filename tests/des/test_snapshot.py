@@ -14,7 +14,7 @@ from repro.des import (
     trace_digest,
 )
 from repro.des.link import connect
-from repro.des.snapshot import AutoSnapshotPolicy
+from repro.des.snapshot import SNAPSHOT_VERSION, AutoSnapshotPolicy
 
 
 class Chatter(Component):
@@ -94,7 +94,7 @@ def test_snapshot_meta_carries_clock():
     eng = Engine(seed=0)
     build_pair(eng)
     snap = eng.snapshot(meta={"note": "x"})
-    assert snap.meta["version"] == 1
+    assert snap.meta["version"] == SNAPSHOT_VERSION
     assert snap.meta["root"] == "Engine"
     assert snap.meta["sim_time"] == 0.0
     assert snap.meta["note"] == "x"
@@ -241,6 +241,32 @@ def test_corrupt_skip_is_counted(tmp_path):
         with open(bad, "r+b") as fh:
             fh.truncate(os.path.getsize(bad) - 20)
         store.latest()
+        assert reg.counter("snapshot_corrupt_skipped_total").value == 1
+    finally:
+        set_registry(None)
+
+
+def test_version_1_snapshot_is_refused_and_skipped(tmp_path):
+    # Version 1 pickled Event objects as heap entries; a file written in
+    # that format must not be unpickled into the current queue.
+    from repro.obs.metrics import MetricsRegistry, set_registry
+
+    eng = Engine(seed=0)
+    build_pair(eng)
+    with pytest.raises(Exception):
+        eng.run(max_events=3)
+    old = eng.snapshot()
+    old.meta["version"] = 1
+    store = SnapshotStore(str(tmp_path))
+    path = store.write(old)
+    with pytest.raises(SnapshotError, match="version 1"):
+        Snapshot.load(path)
+
+    reg = MetricsRegistry()
+    set_registry(reg)
+    try:
+        # A resumed replica finds no usable snapshot and reruns from t=0.
+        assert store.latest() is None
         assert reg.counter("snapshot_corrupt_skipped_total").value == 1
     finally:
         set_registry(None)

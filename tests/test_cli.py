@@ -369,6 +369,9 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--sdc-coverage", "1.5"],
         ["--burst-size", "0"],
         ["--fault-mix", "node=2"],
+        ["--workers", "0"],
+        ["--retries", "-1"],
+        ["--timeout", "0"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
