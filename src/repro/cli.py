@@ -618,19 +618,14 @@ def _run_campaign(args) -> tuple[str, int]:
     from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
     from repro.obs.instrument import CampaignObs, ObsOptions
 
-    if (args.resume or args.partial_report) and not args.journal:
-        raise SystemExit("campaign: --resume/--partial-report require --journal")
-    if (args.sim_snapshot_dir is None) != (args.sim_snapshot_every is None):
-        raise SystemExit(
-            "campaign: --sim-snapshot-dir and --sim-snapshot-every must be "
-            "given together"
-        )
-    if args.partial_report:
-        return ResilienceCampaign.report_from_journal(args.journal).format(), 0
     # Build (and so validate) every grid point and the harness settings
     # before anything touches the journal: a bad value is a usage error,
     # not a half-run sweep.
     try:
+        if (args.resume or args.partial_report) and not args.journal:
+            raise ValueError("--resume/--partial-report require --journal")
+        if (args.sim_snapshot_dir is None) != (args.sim_snapshot_every is None):
+            raise ValueError("--sim-snapshot-dir and --sim-snapshot-every must be given together")
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout)
@@ -643,6 +638,8 @@ def _run_campaign(args) -> tuple[str, int]:
     except ValueError as exc:
         print(f"repro campaign: error: {exc}", file=sys.stderr)
         return "", 2
+    if args.partial_report:
+        return ResilienceCampaign.report_from_journal(args.journal).format(), 0
 
     fs_dict = None
     if args.chaos_enospc or args.chaos_eio or args.chaos_slow_io:

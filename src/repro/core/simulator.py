@@ -6,7 +6,10 @@ Collectives rendezvous all ranks and release them together at
 ``max(arrival) + modeled cost``.  Consecutive non-synchronizing
 instructions are batched into a single event, which keeps a
 1000-rank × 200-timestep case-study simulation at a few hundred thousand
-events.
+events.  A batch with no commit hook (``Checkpoint``/``Verify``) that ends
+at a collective is not even a heap event: its rank arrives at the
+rendezvous at once, as a lazy engine event (:meth:`Engine.defer`), and
+only the rendezvous itself goes on the heap.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -66,6 +69,7 @@ level of 1 (local-only protection) and is counted in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from repro.core.beo import AppBEO, ArchBEO
@@ -220,39 +224,106 @@ def _compile_row(instr: Instruction) -> tuple:
     return (code, instr, kernel, params, _KINDS[code][1], label, getattr(instr, "level", 0))
 
 
+#: sort key of a ``(key, rank, lazy entry)`` arrival
+_arrival_key = itemgetter(0)
+
+
 class _SyncDomain:
     """Rendezvous state for one collective call site sequence.
 
     Collectives are totally ordered per rank (SPMD), so a single counter
     per call-index suffices: the n-th collective executed by each rank is
     matched with every other rank's n-th collective.
+
+    A rank arrives either in the event that reaches the collective
+    (:meth:`arrive`) or lazily, when it prices a hook-free batch ending
+    there (:meth:`arrive_lazy`).  Each arrival carries its key in the
+    queue order: the firing event's, or the lazy event's.  When the last
+    rank has arrived, the arrivals sorted by key give the order the
+    ranks are released in.  If the largest key is a lazy event still
+    ahead, one rendezvous event takes it over, so it fires exactly where
+    that rank's own batch event would have, and prices the collective
+    then.
     """
 
     def __init__(self, sim: "BESSTSimulator") -> None:
         self.sim = sim
-        self._arrivals: dict[int, list] = {}   # call index -> [(comp, t_arrive)]
-        self._pending_releases: list[Event] = []
+        #: call index -> [(key, rank, lazy entry or None)]
+        self._arrivals: dict[int, list] = {}
+        #: the rendezvous or release event not fired yet (one at a time:
+        #: no rank reaches collective n+1 before collective n releases)
+        self._pending: Optional[Event] = None
 
     def arrive(self, comp: "_Rank", call_index: int, instr: Collective) -> None:
-        lst = self._arrivals.setdefault(call_index, [])
-        lst.append((comp, comp.now))
-        if len(lst) == self.sim.nranks:
-            t_max = max(t for _, t in lst)
-            cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
-            release_at = max(t_max + cost, comp.now)
-            # One release event frees every rank (equivalent to per-rank
-            # events at the same timestamp, at 1/nranks the event count).
-            ev = Event(
-                time=release_at,
-                handler=self._release_all,
-                payload=(list(lst), instr, cost),
+        """*comp* reaches collective *call_index* in the firing event."""
+        key = self.sim.engine.firing.sort_key()
+        self._add(call_index, instr, (key, comp, None))
+
+    def arrive_lazy(
+        self, comp: "_Rank", call_index: int, instr: Collective, dt: float, batch
+    ) -> None:
+        """*comp* reaches collective *call_index* at ``now + dt``, the end
+        of its hook-free *batch*.  The lazy event writes the batch's
+        timeline rows of a recorded rank; for any other rank it only
+        counts."""
+        if comp.record:
+            entry = self.sim.engine.defer(dt, comp._record_lazy_batch, batch)
+        else:
+            entry = self.sim.engine.defer(dt)
+        self._add(call_index, instr, (entry, comp, entry))
+
+    def _add(self, call_index: int, instr: Collective, arrival: tuple) -> None:
+        arrivals = self._arrivals.get(call_index)
+        if arrivals is None:
+            arrivals = self._arrivals[call_index] = []
+        arrivals.append(arrival)
+        if len(arrivals) < self.sim.nranks:
+            return
+        del self._arrivals[call_index]
+        # Stable: ranks released by one event keep their release order.
+        arrivals.sort(key=_arrival_key)
+        ranks = [comp for _, comp, _ in arrivals]
+        last = arrivals[-1][2]
+        if last is None:  # the firing event holds the largest key
+            self._price(ranks, instr)
+            return
+        engine = self.sim.engine
+        engine.undefer(last)
+        t, priority, seq, handler, payload = last
+        self._pending = engine.schedule_event(
+            Event(
+                time=t,
+                handler=self._rendezvous,
+                payload=(ranks, instr, handler, payload),
+                priority=priority,
+                seq=seq,
             )
-            self._pending_releases.append(self.sim.engine.schedule_event(ev))
-            del self._arrivals[call_index]
+        )
+
+    def _rendezvous(self, ev: Event) -> None:
+        ranks, instr, handler, payload = ev.payload
+        if handler is not None:
+            handler(ev.time, payload)
+        self._price(ranks, instr)
+
+    def _price(self, ranks: list, instr: Collective) -> None:
+        """Every rank has arrived, the last one now: schedule the release."""
+        now = self.sim.engine.now
+        cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
+        # One release event frees every rank (equivalent to per-rank
+        # events at the same timestamp, at 1/nranks the event count).
+        self._pending = self.sim.engine.schedule_event(
+            Event(
+                time=max(now + cost, now),
+                handler=self._release_all,
+                payload=(ranks, instr, cost),
+            )
+        )
 
     def _release_all(self, ev: Event) -> None:
-        lst, instr, cost = ev.payload
-        for c, _t in lst:
+        self._pending = None
+        ranks, instr, cost = ev.payload
+        for c in ranks:
             if c.record:
                 c.timeline.entries.append(
                     TimelineEntry(c.now - cost, c.now, "collective", instr.op)
@@ -260,10 +331,16 @@ class _SyncDomain:
             c.advance()
 
     def reset(self, engine: Engine) -> None:
-        """Drop all rendezvous state (used on fault rollback)."""
-        for ev in self._pending_releases:
-            engine.cancel(ev)
-        self._pending_releases.clear()
+        """Drop all rendezvous state (used on fault rollback).
+
+        Lazy arrivals ahead of the firing event never happen, exactly as
+        a cancelled batch event would not; the earlier ones were already
+        committed before it fired.
+        """
+        if self._pending is not None:
+            engine.cancel(self._pending)
+            self._pending = None
+        engine.drop_lazy()
         self._arrivals.clear()
 
 
@@ -274,8 +351,12 @@ class _Rank(Component):
         super().__init__(f"rank{rank}")
         self.rank = rank
         self.sim = sim
-        #: the program as compiled rows (see :func:`_compile_row`)
-        self.rows = [sim._row(instr) for instr in program]
+        #: the program as compiled rows (see :func:`_compile_row`); ranks
+        #: with equal programs share one list (rows are interned, so the
+        #: comparison only tests identities)
+        rows = [sim._row(instr) for instr in program]
+        first = sim._ranks[0].rows if sim._ranks else None
+        self.rows = first if rows == first else rows
         self.pc = 0
         self.collective_calls = 0
         self.done = False
@@ -326,20 +407,29 @@ class _Rank(Component):
                 self.pc += 1
                 continue
             # Batch consecutive non-synchronizing instructions.
-            dt, batch = self._price_batch()
+            dt, batch, hooked = self._price_batch()
             self._batch_span = dt
-            self._pending = self.schedule(dt, self._on_batch_done, payload=batch)
+            if hooked or self.pc == len(rows):
+                self._pending = self.schedule(dt, self._on_batch_done, payload=batch)
+                return
+            # Hook-free and ending at a collective: arrive there now.
+            self.pc += 1
+            self.collective_calls += 1
+            self.sim.sync.arrive_lazy(
+                self, self.collective_calls - 1, rows[self.pc - 1][1], dt, batch
+            )
             return
         if not self.done:
             self.done = True
             self.finish_time = self.now
             self.sim._rank_finished(self)
 
-    def _price_batch(self) -> tuple[float, list]:
+    def _price_batch(self) -> tuple[float, list, bool]:
         """Price the run of local instructions starting at ``pc``.
 
-        Returns total duration and ``(instr, start_offset, duration)``
-        records for the timeline.
+        Returns total duration, ``(instr, start_offset, duration)``
+        records for the timeline, and whether a ``Checkpoint`` or
+        ``Verify`` (a commit hook) is among them.
         """
         sim = self.sim
         arch = sim.archbeo
@@ -356,9 +446,12 @@ class _Rank(Component):
         # if a repair lands mid-flight (batch granularity).
         slow = sim._straggler_dom.slowdown_for_rank(self.rank)
         slowed_t = 0.0
+        hooked = False
         while pc < n:
             code, instr, kernel, params, _kind, _label, level = rows[pc]
             if code <= _VERIFY:
+                if code:
+                    hooked = True
                 dt = slow * arch.predict(kernel, dict(params), rng)
                 if code == _CHECKPOINT and level >= 2 and sim._net_dom.active:
                     # L2/partner-copy traffic crosses the (possibly
@@ -381,7 +474,18 @@ class _Rank(Component):
             # for this batch's slowed instructions (dt includes the factor,
             # so excess = dt - dt/slow).
             sim._straggler_dom.note_excess(self.rank, slowed_t * (1.0 - 1.0 / slow))
-        return t_off, batch
+        return t_off, batch, hooked
+
+    def _record_lazy_batch(self, t_end: float, batch: list) -> None:
+        """Timeline rows of the hook-free batch that ended at *t_end*
+        (the lazy event of :meth:`_SyncDomain.arrive_lazy`)."""
+        t_start = t_end - self._batch_span
+        base = self.pc - 1 - len(batch)  # pc has passed the collective
+        for i, (_instr, off, dt) in enumerate(batch):
+            _, _, _, _, kind, label, level = self.rows[base + i]
+            self.timeline.entries.append(
+                TimelineEntry(t_start + off, t_start + off + dt, kind, label, level=level)
+            )
 
     def _on_batch_done(self, ev: Event) -> None:
         sim = self.sim

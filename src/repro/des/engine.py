@@ -10,14 +10,19 @@ registration and RNG streams.  Its loop is intentionally minimal::
 
 Determinism comes from the queue's total ordering and from per-component
 RNG streams (:class:`~repro.des.rng.RNGRegistry`).
+
+A *lazy event* (:meth:`Engine.defer`) takes its place in that order
+without a heap entry of its own: it is committed, and counted in
+``events_fired``, just before the first heap event that sorts after it.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.des.event import Event, EventQueue
+from repro.des.event import PRIORITY_NORMAL, Event, EventQueue
 from repro.des.rng import RNGRegistry
 from repro.des.snapshot import (
     AutoSnapshotPolicy,
@@ -57,6 +62,12 @@ class Engine:
         self.links: list["Link"] = []
         self.rngs = RNGRegistry(seed)
         self.events_fired = 0
+        #: lazy events (see :meth:`defer`): a heap of ``(time, priority,
+        #: seq, handler, payload)`` entries, committed in queue order
+        self._lazy: list[tuple] = []
+        #: the heap event fired last, whose handler may be running
+        #: (``None`` between runs)
+        self.firing: Optional[Event] = None
         self.trace = trace
         self.trace_log: list[tuple] = []
         self._running = False
@@ -116,6 +127,46 @@ class Engine:
         if not event.cancelled:
             event.cancel()
             self.queue.note_cancelled()
+
+    def defer(self, delay: float, handler=None, payload=None) -> tuple:
+        """Schedule a *lazy event* after *delay*, without a heap entry.
+
+        It takes a sequence number now, as :meth:`schedule` would, and
+        keeps that place in the queue order: just before the first heap
+        event that sorts after it, the loop commits it — counts it in
+        ``events_fired``, samples the flight recorder, and calls
+        ``handler(time, payload)`` if given.  Lazy events suit work that
+        only records history; they are neither traced nor journaled, and
+        only this sequential loop commits them.
+        Returns the entry, the handle for :meth:`undefer`.
+        """
+        entry = (self.now + delay, PRIORITY_NORMAL, self.queue.take_seq(), handler, payload)
+        heappush(self._lazy, entry)
+        return entry
+
+    def undefer(self, entry: tuple) -> None:
+        """Withdraw one lazy event (e.g. a heap event takes over its key)."""
+        self._lazy.remove(entry)
+        heapify(self._lazy)
+
+    def drop_lazy(self) -> None:
+        """Withdraw every lazy event not yet committed."""
+        self._lazy.clear()
+
+    def _commit_lazy(self, key: tuple, limit: float) -> None:
+        """Commit, in queue order, every lazy event sorting before *key*,
+        stopping once ``events_fired`` reaches *limit*."""
+        lazy = self._lazy
+        flight = self._flightrec
+        mask = flight.tick_stride - 1 if flight is not None else 0
+        while lazy and lazy[0] < key and self.events_fired < limit:
+            t, _prio, _seq, handler, payload = heappop(lazy)
+            self.now = t
+            self.events_fired += 1
+            if handler is not None:
+                handler(t, payload)
+            if flight is not None and not (self.events_fired & mask):
+                flight.tick(t, self.events_fired)
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -210,6 +261,7 @@ class Engine:
         state["_journal"] = None  # open file handle: reattach post-restore
         state["_obs"] = None  # wall-clock state and locks: reattach too
         state["_flightrec"] = None  # open spill handle: reattach too
+        state["firing"] = None  # snapshots are taken between events
         return state
 
     # -- execution -----------------------------------------------------------
@@ -223,7 +275,8 @@ class Engine:
             Stop once the next event would fire strictly after this time;
             ``None`` runs to queue exhaustion.
         max_events:
-            Safety valve; raise :class:`SimulationError` if exceeded.
+            Safety valve; raise :class:`SimulationError` once this run
+            has fired that many events (lazy ones included).
 
         Returns
         -------
@@ -239,7 +292,8 @@ class Engine:
                     comp.setup()
                 self._setup_done = True
             end = float("inf") if until is None else float(until)
-            fired_this_run = 0
+            limit = float("inf") if max_events is None else self.events_fired + max_events
+            lazy = self._lazy
             # Hoist the cadence test to one int compare per event: the
             # policy precomputes the events_fired count at which it next
             # needs a look (snapshotting at ~100k events/s rates must not
@@ -264,18 +318,28 @@ class Engine:
             try:
                 while True:
                     t = self.queue.peek_time()
+                    if lazy and lazy[0][0] <= t and lazy[0][0] <= end:
+                        # Lazy events ahead of the next heap event (or,
+                        # past the horizon, up to it) fire first.
+                        key = (
+                            self.queue.peek_key()
+                            if t <= end and t != float("inf")
+                            else (end, float("inf"), 0)
+                        )
+                        self._commit_lazy(key, limit)
+                        if lazy and lazy[0] < key:
+                            t = lazy[0][0]  # the budget stopped them: one is due
                     if t == float("inf") or t > end:
                         break
-                    if max_events is not None and fired_this_run >= max_events:
+                    if self.events_fired >= limit:
                         # Checked before the pop so events_fired counts only
                         # events whose handlers actually ran.
                         raise SimulationError(
                             f"exceeded max_events={max_events} (possible livelock)"
                         )
-                    ev = self.queue.pop()
+                    ev = self.firing = self.queue.pop()
                     self.now = ev.time
                     self.events_fired += 1
-                    fired_this_run += 1
                     if self.trace:
                         self.trace_log.append(
                             (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
@@ -328,3 +392,4 @@ class Engine:
             return self.now
         finally:
             self._running = False
+            self.firing = None

@@ -136,6 +136,12 @@ class EventQueue:
             return float("inf")
         return heap[0][0]
 
+    def peek_key(self) -> tuple:
+        """``(time, priority, seq)`` of the earliest live event; the queue
+        must not be empty."""
+        self.peek_time()
+        return self._heap[0][:3]
+
     def note_cancelled(self) -> None:
         """Account for an event cancelled while still in the heap.
 

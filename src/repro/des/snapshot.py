@@ -57,7 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Current snapshot format version; bumped on incompatible changes.
 #: Version 2: the event heap holds ``(time, priority, seq, event)``
 #: entries and simulator ranks carry compiled instruction rows.
-SNAPSHOT_VERSION = 2
+#: Version 3: engines carry lazy events and the simulator's rendezvous
+#: state is per-phase (collective-phase stepping).
+SNAPSHOT_VERSION = 3
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

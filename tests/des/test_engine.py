@@ -250,3 +250,54 @@ def test_events_fired_counter_and_trace():
     assert len(eng.trace_log) == 4
     times = [t[0] for t in eng.trace_log]
     assert times == sorted(times)
+
+
+# -- lazy events --------------------------------------------------------------
+
+
+def test_lazy_events_commit_in_queue_order():
+    eng = Engine()
+    log = []
+    eng.schedule(1.0, lambda ev: log.append(("heap", ev.time)))
+    eng.defer(1.0, lambda t, p: log.append(("lazy", t, p)), "a")  # later seq
+    eng.defer(0.5, lambda t, p: log.append(("lazy", t, p)), "b")
+    eng.defer(2.0)  # counted only
+    eng.schedule(3.0, lambda ev: log.append(("heap", ev.time)))
+    eng.run()
+    assert log == [("lazy", 0.5, "b"), ("heap", 1.0), ("lazy", 1.0, "a"), ("heap", 3.0)]
+    assert eng.events_fired == 5
+
+
+def test_lazy_events_respect_the_until_horizon():
+    eng = Engine()
+    seen = []
+    eng.defer(1.0, lambda t, p: seen.append(t))
+    eng.defer(5.0, lambda t, p: seen.append(t))
+    eng.run(until=2.0)
+    assert seen == [1.0] and eng.events_fired == 1
+    eng.run()
+    assert seen == [1.0, 5.0] and eng.events_fired == 2
+
+
+def test_undefer_and_drop_lazy_withdraw_events():
+    eng = Engine()
+    seen = []
+    keep = eng.defer(1.0, lambda t, p: seen.append(p), "keep")
+    gone = eng.defer(2.0, lambda t, p: seen.append(p), "gone")
+    eng.undefer(gone)
+    eng.run()
+    assert seen == ["keep"] and keep[2] < gone[2]
+    eng.defer(1.0, lambda t, p: seen.append(p), "dropped")
+    eng.drop_lazy()
+    eng.run()
+    assert seen == ["keep"] and eng.events_fired == 1
+
+
+def test_max_events_counts_lazy_events():
+    eng = Engine()
+    for i in range(5):
+        eng.defer(float(i))
+    eng.schedule(10.0, lambda ev: None)
+    with pytest.raises(SimulationError):
+        eng.run(max_events=5)
+    assert eng.events_fired == 5

@@ -110,10 +110,10 @@ def test_write_text_atomic_never_truncates_existing(tmp_path, monkeypatch):
 
 
 def test_campaign_resume_requires_journal(capsys):
-    with pytest.raises(SystemExit):
-        main(["campaign", "--resume"])
-    with pytest.raises(SystemExit):
-        main(["campaign", "--partial-report"])
+    for flag in ("--resume", "--partial-report"):
+        assert main(["campaign", flag]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro campaign: error: --resume/--partial-report require --journal\n"
 
 
 def test_campaign_journal_resume_and_partial_report(tmp_path, capsys):
@@ -181,13 +181,12 @@ def test_campaign_all_poisoned_exits_nonzero_with_summary(capsys):
     assert summary["failure_kinds"]["poisoned"] == 2
 
 
-def test_campaign_sim_snapshot_flags_must_be_paired(tmp_path):
+def test_campaign_sim_snapshot_flags_must_be_paired(tmp_path, capsys):
     base = ["campaign", "--reps", "1", "--mtbf", "16", "--periods", "5",
             "--timesteps", "10"]
-    with pytest.raises(SystemExit, match="together"):
-        main([*base, "--sim-snapshot-dir", str(tmp_path)])
-    with pytest.raises(SystemExit, match="together"):
-        main([*base, "--sim-snapshot-every", "500"])
+    for flag in (["--sim-snapshot-dir", str(tmp_path)], ["--sim-snapshot-every", "500"]):
+        assert main([*base, *flag]) == 2
+        assert "must be given together" in capsys.readouterr().err
 
 
 def test_campaign_with_sim_snapshots_runs_clean(tmp_path, capsys):
@@ -372,12 +371,17 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--workers", "0"],
         ["--retries", "-1"],
         ["--timeout", "0"],
+        ["--resume", "--no-journal"],
+        ["--sim-snapshot-every", "10"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
     journal = tmp_path / "wal.jsonl"
+    # "--no-journal" is not a flag: it drops --journal from the command line
+    journal_args = [] if "--no-journal" in bad else ["--journal", str(journal)]
     argv = ["campaign", "--reps", "1", "--mtbf", "8", "--periods", "5",
-            "--timesteps", "5", "--journal", str(journal), *bad]
+            "--timesteps", "5", *journal_args,
+            *[arg for arg in bad if arg != "--no-journal"]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
