@@ -1,17 +1,13 @@
 #!/usr/bin/env python
-"""Self-healing simulation: snapshot/restore, replay oracle, failover.
+"""Self-healing simulation: snapshot/restore and the replay oracle.
 
-Demonstrates (and asserts) the three recovery guarantees the simulator
-makes, using a fault-injected application run plus a parallel DES ring:
+Demonstrates (and asserts) the two recovery guarantees the simulator
+makes, using a fault-injected application run plus a DES token ring:
 
 * **kill/restore** — a run killed mid-flight resumes from its newest
   on-disk snapshot and finishes *bit-identical* to an uninterrupted run;
 * **deterministic replay** — the event journal written across the
-  kill/restore replays against a fresh engine with zero divergences;
-* **partition failover** — simulated rank failures in the parallel
-  engine roll back to window-boundary snapshots (migrating the dead
-  partition's components), and the committed trace still matches the
-  sequential reference exactly.
+  kill/restore replays against a fresh engine with zero divergences.
 
 Every printed line is deterministic: CI runs this script twice (plus the
 internal kill/restore leg) and diffs the outputs byte-for-byte.
@@ -36,7 +32,6 @@ from repro.des import (
     Component,
     Engine,
     EventJournal,
-    ParallelEngine,
     SimulationError,
     replay_and_diff,
     trace_digest,
@@ -168,26 +163,7 @@ def main() -> None:
     print(report.summary())
     assert report.identical, "journal replay diverged"
 
-    print("\n== 4. Partition failover: 3 rank failures, migration on ==")
-    seq = Engine(seed=3, trace=True)
-    build_ring(seq)
-    seq.run()
-
-    par = ParallelEngine(nparts=4, seed=3, trace=True)
-    build_ring(par)
-    failover = par.enable_failover(
-        FaultModel(node_mtbf_s=8.0), seed=5, migrate=True, max_failures=4
-    )
-    par.run()
-    print(
-        f"failures={failover.failures_injected} "
-        f"restores={failover.restores} migrations={failover.migrations}"
-    )
-    match = trace_digest(par) == trace_digest(seq)
-    print(f"trace identical to sequential: {match}")
-    assert match, "failover trace diverged from the sequential reference"
-
-    print(f"\ndigest {trace_digest(seq)}")
+    print(f"\ndigest {trace_digest(restored)}")
     print("self-healing demo ok")
 
 

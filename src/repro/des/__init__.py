@@ -10,18 +10,18 @@ substrate that BE-SST requires from Sandia's Structural Simulation Toolkit:
   component ports.
 * :class:`~repro.des.engine.Engine` — the sequential event loop.
 * :class:`~repro.des.parallel.ParallelEngine` — a conservative,
-  lookahead-window (YAWNS-style) partitioned engine that produces results
-  identical to the sequential engine.
+  lookahead-window (YAWNS-style) partitioned engine.  Every component
+  receives the same events, at the same times and in the same order, as
+  under the sequential engine; only the global interleaving of events
+  across partitions may differ.
 * :class:`~repro.des.snapshot.Snapshot` / :class:`~repro.des.snapshot.SnapshotStore`
   — versioned, checksummed engine checkpoints with atomic persistence.
 * :class:`~repro.des.replay.EventJournal` / :func:`~repro.des.replay.replay_and_diff`
   — append-only event journal and the deterministic-replay oracle.
-* :class:`~repro.des.parallel.PartitionFailover` — simulated rank failures
-  with boundary-snapshot recovery and component migration.
 
-The engines are deterministic: given the same components, connections and
-seeds they produce identical event orderings and final states — an
-invariant that survives snapshot/restore and partition failover.
+Each engine is deterministic: given the same components, connections and
+seeds it reproduces its event ordering and final state exactly — an
+invariant that survives snapshot/restore.
 """
 
 from repro.des.event import Event, EventQueue
@@ -29,8 +29,7 @@ from repro.des.component import Component, Port
 from repro.des.link import Link
 from repro.des.clock import Clock
 from repro.des.engine import Engine, SimulationError
-from repro.des.parallel import ParallelEngine, PartitionFailover
-from repro.des.partition import migrate_assignment, partition_components
+from repro.des.parallel import ParallelEngine
 from repro.des.replay import (
     EventJournal,
     ReplayError,
@@ -58,9 +57,6 @@ __all__ = [
     "Engine",
     "SimulationError",
     "ParallelEngine",
-    "PartitionFailover",
-    "partition_components",
-    "migrate_assignment",
     "RNGRegistry",
     "Snapshot",
     "SnapshotError",

@@ -202,8 +202,8 @@ def replay_and_diff(
     *engine_factory* must rebuild the simulation exactly as originally
     configured (same components, seeds, links) and return its engine,
     which is run here with tracing forced on.  This is the recovery
-    oracle: a snapshot/restore (or partition failover) is correct iff
-    the journal it produced replays with ``identical=True``.
+    oracle: a snapshot/restore is correct iff the journal it produced
+    replays with ``identical=True``.
     """
     expected = read_journal(journal) if isinstance(journal, str) else list(journal)
     engine = engine_factory()

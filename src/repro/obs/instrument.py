@@ -59,8 +59,8 @@ class EngineObs:
 
     Attach with ``engine.attach_obs(EngineObs(...))`` before ``run()``.
     The same adapter works for :class:`~repro.des.engine.Engine` and
-    :class:`~repro.des.parallel.ParallelEngine` (window / lookahead /
-    failover metrics are emitted when the engine has them).
+    :class:`~repro.des.parallel.ParallelEngine` (window / lookahead
+    metrics are emitted when the engine has them).
 
     The ``busy`` dict and ``queue_depth`` instrument are *public hot
     fields*: the engine run loop updates them directly so the per-event
@@ -94,7 +94,6 @@ class EngineObs:
         self._t0 = 0.0
         self._events0 = 0
         self._windows0 = 0
-        self._failover0 = (0, 0, 0)
 
     # -- run lifecycle (called by Engine.run) --------------------------------
 
@@ -102,12 +101,6 @@ class EngineObs:
         self._t0 = time.perf_counter()
         self._events0 = engine.events_fired
         self._windows0 = getattr(engine, "windows_executed", 0)
-        failover = getattr(engine, "_failover", None)
-        self._failover0 = (
-            (failover.failures_injected, failover.restores, failover.migrations)
-            if failover is not None
-            else (0, 0, 0)
-        )
         if self.tracer is not None:
             self._span = self.tracer.start_span("engine.run", push=False)
 
@@ -149,17 +142,6 @@ class EngineObs:
                 "engine_lookahead_seconds",
                 help="Conservative lookahead (min cross-partition latency).",
             ).set(0.0 if la == float("inf") else la)
-        failover = getattr(engine, "_failover", None)
-        if failover is not None:
-            f0, r0, m0 = self._failover0
-            for metric, now_v, base in (
-                ("engine_failover_failures_total", failover.failures_injected, f0),
-                ("engine_failover_restores_total", failover.restores, r0),
-                ("engine_failover_migrations_total", failover.migrations, m0),
-            ):
-                reg.counter(metric, help="Partition failover activity.").inc(
-                    now_v - base
-                )
         if self._span is not None:
             self._span.end(events=fired, sim_time=float(engine.now))
             self._span = None

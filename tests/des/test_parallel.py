@@ -1,12 +1,22 @@
-"""Parallel engine: partitioning and sequential-equivalence tests."""
+"""Parallel engine: block partitioning and sequential-equivalence tests."""
+
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Component, Engine, ParallelEngine, SimulationError
+from repro.des import (
+    Component,
+    Engine,
+    EventJournal,
+    ParallelEngine,
+    SimulationError,
+    trace_digest,
+)
 from repro.des.link import connect
-from repro.des.partition import cut_statistics, partition_components
+from repro.des.parallel import block_partition
+from repro.obs.flightrec import FlightRecorder
 
 
 class RingNode(Component):
@@ -80,30 +90,110 @@ def build_workers(engine, n=6, bursts=10, latency=0.25):
 
 
 def test_ring_sequential_vs_parallel():
-    seq = Engine(seed=3)
+    # one token in flight: no two partitions ever share a window's events,
+    # so the whole trace (seq stamps included) matches the sequential one
+    seq = Engine(seed=3, trace=True)
     nodes_s = build_ring(seq, n=8, laps=3)
     seq.run()
 
     for nparts in (1, 2, 3, 8):
-        par = ParallelEngine(nparts=nparts, seed=3)
+        par = ParallelEngine(nparts=nparts, seed=3, trace=True)
         nodes_p = build_ring(par, n=8, laps=3)
         par.run()
         for a, b in zip(nodes_s, nodes_p):
             assert a.visits == b.visits, f"nparts={nparts}"
+        assert trace_digest(par) == trace_digest(seq), f"nparts={nparts}"
+        assert par.events_fired == seq.events_fired
+
+
+class Starter(Component):
+    """Kicks a ring off from its own bound-method event, sending via n_0."""
+
+    def setup(self):
+        self.schedule(0.0, self._go)
+
+    def _go(self, ev):
+        self.engine.components["n_0"].send("next", {"lap": 0})
+
+    def handle_event(self, port_name, payload, time):  # pragma: no cover
+        pass
+
+
+def build_started_ring(engine, starter, n=8, laps=5, latency=0.5):
+    nodes = [engine.register(RingNode(f"n_{i}", laps)) for i in range(n)]
+    for i in range(n):
+        connect(nodes[i], "next", nodes[(i + 1) % n], "prev", latency=latency)
+    engine.register(Starter(starter))
+    return nodes
+
+
+def started_ring_reference(starter):
+    seq = Engine(seed=3, trace=True)
+    build_started_ring(seq, starter)
+    seq.run()
+    return seq
+
+
+@pytest.mark.parametrize("starter", ["aa_start", "zz_start"])
+def test_started_ring_trace_identical_to_sequential(starter):
+    # the starter sorts into n_0's partition ("aa_") or into the last one
+    # ("zz_"), where its kick-off event fires away from the sending port
+    seq = started_ring_reference(starter)
+    par = ParallelEngine(nparts=4, seed=3, trace=True)
+    build_started_ring(par, starter)
+    par.run()
+
+    assert par._assignment[starter] == (0 if starter == "aa_start" else 3)
+    assert trace_digest(par) == trace_digest(seq)
+    assert par.events_fired == seq.events_fired
+    for name, comp in seq.components.items():
+        if isinstance(comp, RingNode):
+            assert par.components[name].visits == comp.visits
+
+
+def test_started_ring_resumed_run_matches_sequential():
+    # stopping mid-run and running on gives the uninterrupted trace
+    seq = started_ring_reference("zz_start")
+    par = ParallelEngine(nparts=4, seed=3, trace=True)
+    build_started_ring(par, "zz_start")
+    par.run(until=7.0)
+    assert 0 < par.events_fired < seq.events_fired
+    par.run()
+
+    assert trace_digest(par) == trace_digest(seq)
+    assert par.events_fired == seq.events_fired
+
+
+def received(engine):
+    """Each component's received events, in the order it saw them."""
+    out = defaultdict(list)
+    for time, _prio, _seq, src, dst in engine.trace_log:
+        out[dst].append((time, src))
+    return dict(out)
+
+
+def fired_multiset(engine):
+    return Counter((t, prio, src, dst) for t, prio, _seq, src, dst in engine.trace_log)
 
 
 def test_noisy_workers_equivalence():
-    seq = Engine(seed=11)
+    # Workers in different partitions are busy inside the same window, and
+    # partitions run one after another, so the global interleaving (and the
+    # seq stamps) differ from the sequential trace.  What each component
+    # observes does not.
+    seq = Engine(seed=11, trace=True)
     sink_s = build_workers(seq)
     seq.run()
 
-    par = ParallelEngine(nparts=4, seed=11)
-    sink_p = build_workers(par)
-    par.run()
+    for nparts in (1, 2, 4, 7):
+        par = ParallelEngine(nparts=nparts, seed=11, trace=True)
+        sink_p = build_workers(par)
+        par.run()
 
-    # Cross-partition tie order may differ; compare as multisets.
-    assert sorted(sink_s.log) == sorted(sink_p.log)
-    assert seq.events_fired == par.events_fired
+        assert received(par) == received(seq), f"nparts={nparts}"
+        assert fired_multiset(par) == fired_multiset(seq), f"nparts={nparts}"
+        assert par.events_fired == seq.events_fired
+        assert sink_p.log == sink_s.log
 
 
 def test_parallel_executes_multiple_windows():
@@ -115,22 +205,18 @@ def test_parallel_executes_multiple_windows():
 
 
 def test_lookahead_infinite_without_cross_links():
-    par = ParallelEngine(nparts=2, seed=0, assignment={"w_0": 0, "w_1": 0, "sink": 0})
-    sink = par.register(Sink("sink"))
-    w0 = par.register(NoisyWorker("w_0", 3))
-    w1 = par.register(NoisyWorker("w_1", 3))
-    connect(w0, "out", sink, "in_0", latency=0.1)
-    connect(w1, "out", sink, "in_1", latency=0.1)
+    # the block split keeps each worker next to its own sink
+    par = ParallelEngine(nparts=2, seed=0)
+    sinks = []
+    for group in "ab":
+        sink = par.register(Sink(f"{group}_sink"))
+        worker = par.register(NoisyWorker(f"{group}_w", 3))
+        connect(worker, "out", sink, "in_0", latency=0.1)
+        sinks.append(sink)
     par.run()
+    assert par._assignment == {"a_sink": 0, "a_w": 0, "b_sink": 1, "b_w": 1}
     assert par.lookahead == float("inf")
-    assert len(sink.log) == 6
-
-
-def test_explicit_assignment_used():
-    par = ParallelEngine(nparts=2, assignment={"n_0": 0, "n_1": 1, "n_2": 0, "n_3": 1})
-    build_ring(par, n=4, laps=2)
-    par.run()
-    assert par.lookahead == 0.5
+    assert [len(sink.log) for sink in sinks] == [3, 3]
 
 
 def test_run_until_matches_sequential():
@@ -170,9 +256,7 @@ def test_zero_latency_cross_partition_link_rejected():
     # Link construction already enforces latency > 0; this guards the
     # engine against post-construction mutation (e.g. a dynamic-latency
     # model extension) that would silently break conservative windows.
-    par = ParallelEngine(
-        nparts=2, seed=0, assignment={"n_0": 0, "n_1": 0, "n_2": 1, "n_3": 1}
-    )
+    par = ParallelEngine(nparts=2, seed=0)
     build_ring(par, n=4, laps=1, latency=0.5)
     cross = next(  # n_1 -> n_2 spans partitions 0 and 1
         ln for ln in par.links
@@ -195,9 +279,7 @@ def _raised_message(par):
 def test_zero_latency_internal_link_is_fine():
     # zero lookahead only matters across partitions: an intra-partition
     # link may (hypothetically) carry any latency without breaking windows
-    par = ParallelEngine(
-        nparts=2, seed=0, assignment={"n_0": 0, "n_1": 0, "n_2": 1, "n_3": 1}
-    )
+    par = ParallelEngine(nparts=2, seed=0)
     build_ring(par, n=4, laps=1, latency=0.5)
     # n_0 <-> n_1 is internal to partition 0
     internal = next(
@@ -217,64 +299,70 @@ def test_parallel_max_events_counts_fired_handlers():
     assert eng.events_fired == 50
 
 
-# -- partitioning ------------------------------------------------------------
+# -- sequential-only hooks ----------------------------------------------------
+
+
+def test_defer_rejected():
+    # lazy events are committed only by the sequential loop; accepting one
+    # here would drop it silently
+    par = ParallelEngine(nparts=2, seed=0)
+    build_ring(par, n=2, laps=1)
+    with pytest.raises(SimulationError, match="sequential"):
+        par.defer(0.5)
+    assert par._lazy == []
+
+
+def test_autosnapshot_rejected(tmp_path):
+    par = ParallelEngine(nparts=2, seed=0)
+    build_ring(par, n=8, laps=2)
+    par.enable_autosnapshot(str(tmp_path), every_events=10)
+    with pytest.raises(SimulationError, match="auto-snapshots.*sequential Engine"):
+        par.run()
+    assert par.events_fired == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_journal_rejected(tmp_path):
+    par = ParallelEngine(nparts=2, seed=0)
+    build_ring(par, n=8, laps=2)
+    with EventJournal(str(tmp_path / "j.jsonl"), fresh=True) as journal:
+        par.attach_journal(journal)
+        with pytest.raises(SimulationError, match="journal.*sequential Engine"):
+            par.run()
+    assert par.events_fired == 0
+
+
+def test_flight_recorder_rejected():
+    par = ParallelEngine(nparts=2, seed=0)
+    build_ring(par, n=8, laps=2)
+    par.attach_flightrec(FlightRecorder(tick_stride=1))
+    with pytest.raises(SimulationError, match="flight recorder.*sequential Engine"):
+        par.run()
+    assert par.events_fired == 0
+
+
+# -- block partitioning --------------------------------------------------------
 
 
 def test_block_partition_contiguous_and_balanced():
     names = [f"c{i:02d}" for i in range(10)]
-    assign = partition_components(names, 3, method="block")
+    assign = block_partition(names, 3)
     sizes = [list(assign.values()).count(p) for p in range(3)]
-    assert sorted(sizes) == [3, 3, 4]
+    assert sizes == [4, 3, 3]
     # contiguity in sorted order
     seen = [assign[n] for n in sorted(names)]
     assert seen == sorted(seen)
 
 
-def test_round_robin_partition():
-    assign = partition_components(["a", "b", "c", "d"], 2, method="round_robin")
-    assert assign == {"a": 0, "b": 1, "c": 0, "d": 1}
-
-
-def test_more_parts_than_names_clamped():
-    assign = partition_components(["a", "b"], 5, method="block")
-    assert set(assign.values()) <= {0, 1}
-
-
-def test_graph_partition_cuts_few_edges():
-    # Two cliques joined by one bridge: graph partitioning should cut ~1 edge.
-    edges = []
-    for grp, names in enumerate([["a0", "a1", "a2", "a3"], ["b0", "b1", "b2", "b3"]]):
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                edges.append((names[i], names[j], 1.0))
-    edges.append(("a0", "b0", 1.0))
-    names = [f"{g}{i}" for g in "ab" for i in range(4)]
-    assign = partition_components(names, 2, edges=edges, method="graph")
-    stats = cut_statistics(assign, edges)
-    assert stats["cut_links"] <= 2
-    assert sorted(stats["partition_sizes"]) == [4, 4]
-
-
-def test_graph_partition_requires_edges():
-    with pytest.raises(ValueError):
-        partition_components(["a", "b"], 2, method="graph")
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        partition_components(["a"], 1, method="zigzag")
-
-
-@given(
-    n=st.integers(min_value=1, max_value=40),
-    nparts=st.integers(min_value=1, max_value=8),
-    method=st.sampled_from(["block", "round_robin"]),
-)
-def test_partition_covers_all_names(n, nparts, method):
+@given(n=st.integers(min_value=1, max_value=40), data=st.data())
+def test_partition_covers_all_names(n, data):
+    nparts = data.draw(st.integers(min_value=1, max_value=n))
     names = [f"x{i}" for i in range(n)]
-    assign = partition_components(names, nparts, method=method)
+    assign = block_partition(names, nparts)
     assert set(assign) == set(names)
-    assert all(0 <= p < min(nparts, n) for p in assign.values())
+    sizes = Counter(assign.values())
+    assert set(sizes) == set(range(nparts))
+    assert max(sizes.values()) - min(sizes.values()) <= 1
 
 
 @settings(deadline=None, max_examples=20)
