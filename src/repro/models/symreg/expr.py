@@ -4,6 +4,14 @@ Expressions evaluate vectorised over NumPy arrays and use *protected*
 operators (division, log, sqrt, pow) so that any tree produced by the
 genetic operators yields finite values on any input — a standard GP
 hygiene requirement that keeps fitness evaluation total.
+
+Trees are immutable: no code mutates a node after construction.
+:meth:`Expression.replace`, :meth:`~Expression.with_constants` and
+:meth:`~Expression.simplify` build new trees that share the untouched
+subtrees of their input, the GP engine shares genes and subtrees between
+individuals instead of copying them, and every node caches its
+:meth:`~Expression.size` and ``str()``.  Mutating a node in place would
+silently corrupt every tree that shares it and every cached value above it.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ class Expression:
 
     #: node count contribution used by parsimony pressure
     arity = 0
+    # Caches, filled on first use (nodes are immutable).
+    _size: int | None = None
+    _str: str | None = None
 
     def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         """Evaluate over *env* (parameter name -> array), returning finite
@@ -41,7 +52,9 @@ class Expression:
 
     def size(self) -> int:
         """Total node count (complexity measure)."""
-        return 1 + sum(c.size() for c in self.children())
+        if self._size is None:
+            self._size = 1 + sum(c.size() for c in self.children())
+        return self._size
 
     def depth(self) -> int:
         kids = self.children()
@@ -57,17 +70,24 @@ class Expression:
         return self.with_children(tuple(c.copy() for c in self.children()))
 
     def replace(self, index: int, new: "Expression") -> "Expression":
-        """A copy with the pre-order node at *index* replaced by *new*."""
+        """This tree with the pre-order node at *index* replaced by *new*.
 
-        def rec(node: Expression, counter: list[int]) -> Expression:
-            if counter[0] == index:
-                counter[0] += 1
-                return new.copy()
-            counter[0] += 1
-            kids = tuple(rec(c, counter) for c in node.children())
-            return node.with_children(kids) if kids else node
+        Only the path from the root to *index* is rebuilt; *new* and every
+        other subtree are shared with the inputs.
+        """
 
-        return rec(self, [0])
+        def rec(node: Expression, start: int) -> Expression:
+            if start == index:
+                return new
+            if not start < index < start + node.size():
+                return node
+            kids = []
+            for c in node.children():
+                kids.append(rec(c, start + 1))
+                start += c.size()
+            return node.with_children(tuple(kids))
+
+        return rec(self, 0)
 
     def variables(self) -> set[str]:
         return {n.name for n in self.walk() if isinstance(n, Var)}
@@ -93,6 +113,14 @@ class Expression:
 
     # -- misc -------------------------------------------------------------------
 
+    def __str__(self) -> str:
+        if self._str is None:
+            self._str = self._format()
+        return self._str
+
+    def _format(self) -> str:
+        raise NotImplementedError
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Expression) and str(self) == str(other)
 
@@ -116,7 +144,7 @@ class Const(Expression):
         assert not children
         return Const(self.value)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         # repr() keeps full precision so parse(str(e)) round-trips exactly.
         return repr(self.value)
 
@@ -139,8 +167,16 @@ class Var(Expression):
         assert not children
         return Var(self.name)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return self.name
+
+
+def _finite(out):
+    """*out* with nan -> 0 and +-inf -> +-1e30.  An already finite array is
+    returned as is: ``nan_to_num`` would only copy it."""
+    if np.isfinite(out).all():
+        return out
+    return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
 
 
 def _p_sqrt(x):
@@ -206,7 +242,7 @@ class Unary(Expression):
     def evaluate(self, env):
         with np.errstate(all="ignore"):
             out = UNARY_OPS[self.op](self.child.evaluate(env))
-        return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
+        return _finite(out)
 
     def children(self):
         return (self.child,)
@@ -215,7 +251,7 @@ class Unary(Expression):
         (c,) = children
         return Unary(self.op, c)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         if self.op == "neg":
             return f"(-{self.child})"
         return f"{self.op}({self.child})"
@@ -238,7 +274,7 @@ class Binary(Expression):
             out = BINARY_OPS[self.op](
                 self.left.evaluate(env), self.right.evaluate(env)
             )
-        return np.nan_to_num(out, nan=0.0, posinf=1e30, neginf=-1e30)
+        return _finite(out)
 
     def children(self):
         return (self.left, self.right)
@@ -247,7 +283,7 @@ class Binary(Expression):
         left, right = children
         return Binary(self.op, left, right)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         if self.op in ("min", "max", "pow"):
             return f"{self.op}({self.left}, {self.right})"
         return f"({self.left} {self.op} {self.right})"

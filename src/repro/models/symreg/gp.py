@@ -62,9 +62,22 @@ class GPConfig:
     fitness: str = "relative"
 
     def __post_init__(self) -> None:
-        total = self.p_crossover + self.p_subtree_mutation + self.p_point_mutation
-        if total > 1.0 + 1e-9:
+        probs = {
+            "p_crossover": self.p_crossover,
+            "p_subtree_mutation": self.p_subtree_mutation,
+            "p_point_mutation": self.p_point_mutation,
+            "p_const_jitter": self.p_const_jitter,
+        }
+        for name, p in probs.items():
+            if p < 0:
+                raise ValueError(f"{name} must be >= 0, got {p!r}")
+        if sum(probs.values()) > 1.0 + 1e-9:
             raise ValueError("operator probabilities exceed 1")
+        if self.tournament_k < 1:
+            raise ValueError("tournament_k must be >= 1")
+        lo, hi = self.init_depth
+        if not 1 <= lo <= hi:
+            raise ValueError(f"init_depth must satisfy 1 <= lo <= hi, got {self.init_depth!r}")
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
         if self.n_genes < 1:
@@ -97,6 +110,37 @@ class _Individual:
 
     def size(self) -> int:
         return sum(g.size() for g in self.genes)
+
+
+class _Split:
+    """One data split of a :meth:`SymbolicRegressor.fit` call.
+
+    Memoises each gene's design-matrix column by ``str(gene)``, which is
+    the tree's identity (:meth:`Expression.__eq__`): equal strings evaluate
+    to identical columns, so a hit returns exactly what a fresh evaluation
+    would.
+    """
+
+    __slots__ = ("env", "y", "w", "columns")
+
+    def __init__(self, env: dict, y: np.ndarray, w: np.ndarray) -> None:
+        self.env = env
+        self.y = y
+        self.w = w
+        self.columns: dict[str, np.ndarray] = {}
+
+    def design_matrix(self, genes: list[Expression]) -> np.ndarray:
+        n = self.y.shape[0]
+        cols = [np.ones(n)]
+        for g in genes:
+            key = str(g)
+            col = self.columns.get(key)
+            if col is None:
+                col = np.broadcast_to(np.asarray(g.evaluate(self.env), dtype=float), (n,))
+                col = np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30)
+                self.columns[key] = col
+            cols.append(col)
+        return np.column_stack(cols)
 
 
 class SymbolicRegressor:
@@ -163,47 +207,50 @@ class SymbolicRegressor:
 
     # -- fitness --------------------------------------------------------------------
 
-    def _design_matrix(self, genes: list[Expression], env: dict, n: int) -> np.ndarray:
-        cols = [np.ones(n)]
-        for g in genes:
-            col = np.broadcast_to(np.asarray(g.evaluate(env), dtype=float), (n,))
-            cols.append(np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30))
-        return np.column_stack(cols)
-
-    def _weights(self, y: np.ndarray) -> np.ndarray:
+    def _split(self, X: np.ndarray, y: np.ndarray) -> _Split:
+        env = {name: X[:, j] for j, name in enumerate(self.param_names)}
         if self.config.fitness == "relative":
-            return 1.0 / np.maximum(np.abs(y), 1e-30)
-        return np.ones_like(y)
+            w = 1.0 / np.maximum(np.abs(y), 1e-30)
+        else:
+            w = np.ones_like(y)
+        return _Split(env, y, w)
 
-    def _evaluate(self, ind: _Individual, env: dict, y: np.ndarray) -> None:
-        """Solve the gene coefficients by weighted least squares and score."""
-        n = y.shape[0]
-        A = self._design_matrix(ind.genes, env, n)
-        w = self._weights(y)
+    def _evaluate(self, ind: _Individual, train: _Split, scores: dict) -> None:
+        """Solve the gene coefficients by weighted least squares and score.
+
+        *scores* memoises ``(coeffs, error, fitness)`` by the genes' strings:
+        an individual whose gene list was seen before gets the same result
+        without another solve.
+        """
+        key = tuple(str(g) for g in ind.genes)
+        hit = scores.get(key)
+        if hit is None:
+            hit = scores[key] = self._solve(ind, train)
+        ind.coeffs, ind.error, ind.fitness = hit
+
+    def _solve(self, ind: _Individual, train: _Split) -> tuple:
+        A = train.design_matrix(ind.genes)
+        y, w = train.y, train.w
         Aw = A * w[:, None]
         try:
             coeffs, *_ = np.linalg.lstsq(Aw, y * w, rcond=None)
         except np.linalg.LinAlgError:  # pragma: no cover - lstsq rarely fails
-            ind.coeffs = None
-            ind.error = ind.fitness = 1e30
-            return
+            return None, 1e30, 1e30
         if not np.all(np.isfinite(coeffs)):
-            ind.coeffs = None
-            ind.error = ind.fitness = 1e30
-            return
+            return None, 1e30, 1e30
+        coeffs.setflags(write=False)  # shared by every individual with this key
         resid = (A @ coeffs - y) * w
         err = float(np.sqrt(np.mean(resid**2)))
-        ind.coeffs = coeffs
-        ind.error = err if np.isfinite(err) else 1e30
-        ind.fitness = ind.error + self.config.parsimony * ind.size()
+        error = err if np.isfinite(err) else 1e30
+        return coeffs, error, error + self.config.parsimony * ind.size()
 
-    def _score_on(self, ind: _Individual, env: dict, y: np.ndarray) -> float:
+    @staticmethod
+    def _score_on(ind: _Individual, split: _Split) -> float:
         """Error of an already-fitted individual on another split."""
         if ind.coeffs is None:
             return 1e30
-        n = y.shape[0]
-        A = self._design_matrix(ind.genes, env, n)
-        resid = (A @ ind.coeffs - y) * self._weights(y)
+        A = split.design_matrix(ind.genes)
+        resid = (A @ ind.coeffs - split.y) * split.w
         err = float(np.sqrt(np.mean(resid**2)))
         return err if np.isfinite(err) else 1e30
 
@@ -216,14 +263,16 @@ class SymbolicRegressor:
     def _random_node_index(self, expr: Expression) -> int:
         return int(self.rng.integers(0, expr.size()))
 
-    def _clone(self, ind: _Individual) -> _Individual:
-        return _Individual([g.copy() for g in ind.genes])
+    @staticmethod
+    def _clone(ind: _Individual) -> _Individual:
+        # Genes are immutable trees, so a clone shares them.
+        return _Individual(list(ind.genes))
 
     def _crossover(self, a: _Individual, b: _Individual) -> _Individual:
         child = self._clone(a)
         if self.rng.random() < 0.4 and len(child.genes) >= 1:
             # High-level: replace or append a whole gene from b.
-            donor = b.genes[int(self.rng.integers(0, len(b.genes)))].copy()
+            donor = b.genes[int(self.rng.integers(0, len(b.genes)))]
             if (
                 len(child.genes) < self.config.n_genes
                 and self.rng.random() < 0.5
@@ -294,7 +343,7 @@ class SymbolicRegressor:
         for b, gene in zip(ind.coeffs[1:], ind.genes):
             if b == 0.0:
                 continue
-            out = Binary("+", out, Binary("*", Const(float(b)), gene.copy()))
+            out = Binary("+", out, Binary("*", Const(float(b)), gene))
         return out.simplify()
 
     # -- main loop ------------------------------------------------------------------------
@@ -321,19 +370,19 @@ class SymbolicRegressor:
             raise ValueError(
                 f"X has {X.shape[1]} columns for {len(self.param_names)} parameters"
             )
-        env = {name: X[:, j] for j, name in enumerate(self.param_names)}
-        test_env = None
+        # The memos live only as long as this call.
+        train = self._split(X, y)
+        test = None
         if X_test is not None and y_test is not None:
             X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
             y_test = np.asarray(y_test, dtype=float).ravel()
-            test_env = {
-                name: X_test[:, j] for j, name in enumerate(self.param_names)
-            }
+            test = self._split(X_test, y_test)
+        scores: dict[tuple[str, ...], tuple] = {}
 
         cfg = self.config
         pop = [self._random_individual(i) for i in range(cfg.population_size)]
         for ind in pop:
-            self._evaluate(ind, env, y)
+            self._evaluate(ind, train, scores)
 
         hof_ind: Optional[_Individual] = None
         hof_score = float("inf")
@@ -347,11 +396,7 @@ class SymbolicRegressor:
 
             # Hall of fame scored on the test split when available.
             for cand in pop[: max(cfg.elitism, 1)]:
-                score = (
-                    self._score_on(cand, test_env, y_test)
-                    if test_env is not None
-                    else cand.error
-                )
+                score = self._score_on(cand, test) if test is not None else cand.error
                 if score < hof_score:
                     hof_score = score
                     hof_ind = cand
@@ -378,7 +423,7 @@ class SymbolicRegressor:
                     child = self._const_jitter(parent)
                 else:
                     child = self._clone(parent)
-                self._evaluate(child, env, y)
+                self._evaluate(child, train, scores)
                 next_pop.append(child)
             pop = next_pop
 
@@ -388,11 +433,7 @@ class SymbolicRegressor:
         result = FitResult(
             expression=best_expr,
             train_nrmse=hof_ind.error,
-            test_nrmse=(
-                self._score_on(hof_ind, test_env, y_test)
-                if test_env is not None
-                else None
-            ),
+            test_nrmse=self._score_on(hof_ind, test) if test is not None else None,
             generations_run=gens_run,
             history=history,
         )

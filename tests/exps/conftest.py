@@ -1,8 +1,8 @@
 """Shared light-weight case-study context for experiment-driver tests.
 
 The real experiments fit three symbolic-regression models over the full
-Table II grid (~20 s); tests share one cheaper context (smaller GP budget,
-fewer samples) built once per session.
+Table II grid (about 7 s on one core of a 2-core x86 host); tests share one
+cheaper context (smaller GP budget, fewer samples) built once per session.
 """
 
 import pytest

@@ -96,6 +96,74 @@ def test_simplify_folds_constants():
     assert str(e4.simplify()) == "x"
 
 
+def _render(node):
+    """``str(node)`` recomputed from scratch, bypassing the per-node cache."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Unary):
+        child = _render(node.child)
+        return f"(-{child})" if node.op == "neg" else f"{node.op}({child})"
+    left, right = _render(node.left), _render(node.right)
+    if node.op in ("min", "max", "pow"):
+        return f"{node.op}({left}, {right})"
+    return f"({left} {node.op} {right})"
+
+
+def _assert_caches_fresh(tree):
+    for node in tree.walk():
+        assert node.size() == sum(1 for _ in node.walk())
+        assert str(node) == _render(node)
+
+
+def test_rebuilding_operations_leave_their_input_unchanged():
+    e = Binary(
+        "+",
+        Binary("*", Const(1.0), Var("x")),
+        Unary("neg", Unary("neg", Binary("/", Const(2.0), Const(4.0)))),
+    )
+    before = str(e)
+    outputs = [e.replace(i, Var("y")) for i in range(e.size())]
+    outputs.append(e.with_constants([3.0, 5.0, 7.0]))
+    outputs.append(e.simplify())
+    assert [str(o) for o in outputs[-2:]] == ["((3.0 * x) + (-(-(5.0 / 7.0))))", "(x + 0.5)"]
+    assert str(e) == _render(e) == before
+    for tree in [e, *outputs]:
+        _assert_caches_fresh(tree)
+
+
+def test_replace_shares_untouched_subtrees():
+    left = Binary("*", Const(2.0), Var("x"))
+    right = Unary("sqrt", Var("y"))
+    e = Binary("+", left, right)
+    new = Var("z")
+    r = e.replace(5, new)  # the Var under sqrt
+    assert str(r) == "((2.0 * x) + sqrt(z))"
+    assert r.left is left and r.right.child is new
+    assert e.replace(e.size(), new) is e  # out of range: nothing to rebuild
+
+
+def test_fit_leaves_every_evaluated_gene_unchanged():
+    seen = []
+
+    class Recording(SymbolicRegressor):
+        def _evaluate(self, ind, train, scores):
+            seen.extend((g, _render(g)) for g in ind.genes)
+            super()._evaluate(ind, train, scores)
+
+    rng = np.random.default_rng(6)
+    X = rng.uniform(1, 5, size=(20, 2))
+    y = X[:, 0] ** 2 / X[:, 1]
+    cfg = quick_config(population_size=40, generations=6, n_genes=3)
+    res = Recording(("a", "b"), config=cfg, seed=2).fit(X, y)
+    assert len(seen) > cfg.population_size * cfg.generations
+    for gene, rendered in seen:
+        assert str(gene) == rendered
+        _assert_caches_fresh(gene)
+    _assert_caches_fresh(res.expression)
+
+
 def test_invalid_var_name():
     with pytest.raises(ValueError):
         Var("2bad")
@@ -235,6 +303,20 @@ def test_gp_config_validation():
         GPConfig(p_crossover=0.9, p_subtree_mutation=0.2)
     with pytest.raises(ValueError):
         GPConfig(population_size=2)
+    # the jitter probability counts toward the total
+    with pytest.raises(ValueError, match="exceed 1"):
+        GPConfig(p_const_jitter=0.5)
+    with pytest.raises(ValueError, match="p_crossover must be >= 0"):
+        GPConfig(p_crossover=-0.5)
+    with pytest.raises(ValueError, match="p_const_jitter must be >= 0"):
+        GPConfig(p_const_jitter=-0.1)
+    with pytest.raises(ValueError, match="tournament_k"):
+        GPConfig(tournament_k=0)
+    for depth in ((0, 3), (3, 1)):
+        with pytest.raises(ValueError, match="init_depth"):
+            GPConfig(init_depth=depth)
+    # boundary values stay accepted
+    GPConfig(tournament_k=1, init_depth=(2, 2), p_crossover=0.0, p_const_jitter=0.25)
 
 
 def test_gp_early_stop_on_exact_fit():
