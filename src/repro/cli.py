@@ -628,6 +628,8 @@ def _run_campaign(args) -> tuple[str, int]:
             raise ValueError("--sim-snapshot-dir and --sim-snapshot-every must be given together")
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if args.reps < 1 and not args.resume:  # a resume reads reps from the journal
+            raise ValueError(f"--reps must be >= 1, got {args.reps}")
         retry = RetryPolicy(max_retries=args.retries, timeout_s=args.timeout)
         spec_kwargs = _campaign_spec_kwargs(args)
         grid = [

@@ -61,6 +61,7 @@ from repro.core.supervisor import (
     WriteAheadJournal,
 )
 from repro.des.snapshot import SnapshotStore
+from repro.faults.domains import NetworkDomain, SdcDomain
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
@@ -110,12 +111,18 @@ class CampaignSpec:
     net_fault_split: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.node_mtbf_s <= 0:
+        # Float bounds are written so that NaN fails them too; an
+        # infinite MTBF stays valid (a fault-free sweep point).
+        if not self.node_mtbf_s > 0:
             raise ValueError(f"node_mtbf_s must be > 0, got {self.node_mtbf_s}")
-        if self.ckpt_period < 1:
-            raise ValueError(f"ckpt_period must be >= 1, got {self.ckpt_period}")
-        if self.timesteps < 1:
-            raise ValueError(f"timesteps must be >= 1, got {self.timesteps}")
+        for name in ("ckpt_period", "timesteps", "nranks", "nnodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("compute_s", "ckpt_cost_s", "verify_cost_s", "recovery_time_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
         if self.verify_period < 0:
             raise ValueError(
                 f"verify_period must be >= 0, got {self.verify_period}"
@@ -148,7 +155,7 @@ class CampaignSpec:
                 "net_fault_split",
                 tuple(sorted((str(k), float(v)) for k, v in self.net_fault_split)),
             )
-        if self.net_link_mtbf_s < 0:
+        if not self.net_link_mtbf_s >= 0:
             raise ValueError(
                 f"net_link_mtbf_s must be >= 0, got {self.net_link_mtbf_s}"
             )
@@ -442,31 +449,12 @@ def _run_replica(task: ReplicaTask) -> dict:
         "checkpoint_time": res.checkpoint_time,
         "fault_log": sim.fault_injector.log.to_rows(),
         "fault_kinds": sim.fault_injector.log.kind_counts(),
-        "sdc": {
-            "injected": res.sdc_injected,
-            "detected": res.sdc_detected,
-            "corrected": res.sdc_corrected,
-            "undetected": res.sdc_undetected,
-            "detect_latency_s": res.sdc_detect_latency_s,
-        },
-        "net": {
-            "faults": res.net_faults,
-            "repairs": res.net_repairs,
-            "partition_stalls": res.net_partition_stalls,
-            "degraded_commits": res.net_degraded_commits,
-            "reroutes": res.net_reroutes,
-            "retransmits": res.net_retransmits,
-        },
+        "sdc": res.sdc,
+        "net": res.net,
         "wrong_result": res.wrong_result,
         # Always present (forensics is derived from the run, not from
         # any recorder): per-episode waste attribution + phase timelines.
-        "forensics": {
-            "episodes": res.episodes,
-            "straggler_excess_s": res.straggler_excess_s,
-            "straggler_excess_by_node": {
-                str(k): v for k, v in res.straggler_excess_by_node.items()
-            },
-        },
+        "forensics": {"episodes": res.episodes, **res.straggler},
         # Extra key (not in _REPLICA_KEYS): feeds the heartbeat's
         # events/sec; aggregation ignores it, so reports are unchanged.
         "events_fired": res.events_fired,
@@ -763,34 +751,18 @@ def aggregate_point(
         "checkpoint": mean("checkpoint_time"),
         "requeue": mean("waste_requeue"),
     }
-    # Per-kind and SDC-outcome totals across every available replica.
-    # Older journals predate these keys; .get keeps resume compatible.
+    # Per-kind and fault-domain block totals across every available
+    # replica.  Older journals predate these keys; .get keeps resume
+    # compatible.
     fault_kinds: dict[str, int] = {}
-    sdc_totals = {
-        "injected": 0,
-        "detected": 0,
-        "corrected": 0,
-        "undetected": 0,
-        "detect_latency_s": 0.0,
-    }
-    net_totals = {
-        "faults": 0,
-        "repairs": 0,
-        "partition_stalls": 0,
-        "degraded_commits": 0,
-        "reroutes": 0,
-        "retransmits": 0.0,
-    }
+    blocks = {"sdc": dict(SdcDomain.ZERO_BLOCK), "net": dict(NetworkDomain.ZERO_BLOCK)}
     wrong_results = 0
     for r in replicas:
         for kind, n in r.get("fault_kinds", {}).items():
             fault_kinds[kind] = fault_kinds.get(kind, 0) + int(n)
-        for key, v in r.get("sdc", {}).items():
-            if key in sdc_totals:
-                sdc_totals[key] += v
-        for key, v in r.get("net", {}).items():
-            if key in net_totals:
-                net_totals[key] += v
+        for name, totals in blocks.items():
+            for key, v in r.get(name, {}).items():
+                totals[key] = totals.get(key, 0) + v
         if r.get("wrong_result"):
             wrong_results += 1
     return CampaignPointReport(
@@ -809,8 +781,8 @@ def aggregate_point(
         waste=waste,
         youngdaly=_youngdaly_check(spec, replicas),
         fault_kinds=dict(sorted(fault_kinds.items())),
-        sdc=sdc_totals,
-        net=net_totals,
+        sdc=blocks["sdc"],
+        net=blocks["net"],
         wrong_results=wrong_results,
         replicas=replicas,
     )

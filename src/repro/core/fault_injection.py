@@ -43,6 +43,7 @@ abort/requeue path with its spare-node pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -156,11 +157,12 @@ class FaultModel:
     net_repair_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.node_mtbf_s <= 0:
+        # Bounds are written ``not x > lo`` so that NaN fails them too.
+        if not self.node_mtbf_s > 0:
             raise ValueError(f"node_mtbf_s must be > 0, got {self.node_mtbf_s}")
         if self.distribution not in ("exponential", "weibull"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.weibull_shape <= 0:
+        if not self.weibull_shape > 0:
             raise ValueError(f"weibull_shape must be > 0, got {self.weibull_shape}")
         if not 0.0 <= self.software_fraction <= 1.0:
             raise ValueError(
@@ -174,13 +176,13 @@ class FaultModel:
             raise ValueError(
                 f"sdc_correct_prob must be in [0,1], got {self.sdc_correct_prob}"
             )
-        if self.straggler_slowdown < 1.0:
+        if not self.straggler_slowdown >= 1.0:
             raise ValueError(
                 f"straggler_slowdown must be >= 1, got {self.straggler_slowdown}"
             )
         if self.burst_size < 1:
             raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
-        if self.net_degrade_factor < 1.0:
+        if not self.net_degrade_factor >= 1.0:
             raise ValueError(
                 f"net_degrade_factor must be >= 1, got {self.net_degrade_factor}"
             )
@@ -188,6 +190,9 @@ class FaultModel:
             raise ValueError(
                 f"net_loss_prob must be in [0, 1), got {self.net_loss_prob}"
             )
+        for name in ("straggler_repair_s", "net_repair_s"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         # Freeze the validated, canonically-ordered weight table once.
         object.__setattr__(
             self, "_weights", self._validated_weights(self.kind_weights)
@@ -208,7 +213,7 @@ class FaultModel:
                 f"{list(FAULT_KINDS)}"
             )
         for kind, w in weights.items():
-            if w < 0:
+            if not w >= 0:
                 raise ValueError(f"kind_weights[{kind!r}] must be >= 0, got {w}")
         total = sum(weights.values())
         if abs(total - 1.0) > 1e-6:

@@ -62,8 +62,8 @@ pays the degraded-network cost, and when the participant set is
 (bounded by the episode's attempt budget) until a repair restores
 connectivity or the ladder escalates into requeue/abort.  A checkpoint
 whose partner copy cannot cross a partition commits at an *effective*
-level of 1 (local-only protection) and is counted in
-``net_degraded_commits``.
+level of 1 (local-only protection) and is counted in the ``net``
+result block.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from repro.des.engine import Engine
 from repro.des.event import Event
 from repro.des.snapshot import AutoSnapshotPolicy, Snapshot, SnapshotError
 from repro.faults.context import RecoveryContext
-from repro.faults.domains import build_domains
+from repro.faults.domains import NetworkDomain, SdcDomain, build_domains
 from repro.faults.registry import MIN_LEVEL_FOR_KIND
 
 
@@ -162,24 +162,19 @@ class SimulationResult:
     waste_requeue: float = 0.0      #: resubmission + spare-swap/rebuild stalls
     verify_time: float = 0.0        #: rank-0 time inside ABFT Verify kernels
     faults_by_kind: dict = field(default_factory=dict)  #: kind -> injected count
-    sdc_injected: int = 0           #: SDC strikes armed
-    sdc_detected: int = 0           #: strikes observed at a detection point
-    sdc_corrected: int = 0          #: detected strikes fixed in place (ABFT)
-    sdc_undetected: int = 0         #: strikes still latent at the end of the run
-    wrong_result: bool = False      #: job "completed" but carries undetected SDC
-    sdc_detect_latency_s: float = 0.0  #: summed injection→detection latency
-    net_faults: int = 0             #: link/switch/netdeg faults applied to the overlay
-    net_repairs: int = 0            #: network repairs that restored service
-    net_partition_stalls: int = 0   #: recovery attempts stalled by a partitioned group
-    net_degraded_commits: int = 0   #: L2+ checkpoints degraded to L1 (partner unreachable)
-    net_reroutes: int = 0           #: messages priced over a detour route
-    net_retransmits: float = 0.0    #: expected retransmissions on lossy routes
     #: closed forensic recovery-episode summaries (see ``core.forensics``):
     #: each carries its owning fault ids, phase timeline and the exact
     #: per-episode waste charges, so attribution sums to the totals
     episodes: list = field(default_factory=list)
-    straggler_excess_s: float = 0.0  #: job-time excess from degraded compute clocks
-    straggler_excess_by_node: dict = field(default_factory=dict)  #: node -> excess share
+    #: fault-domain result blocks, each from its domain's ``result_fields``
+    sdc: dict = field(default_factory=SdcDomain.ZERO_BLOCK.copy)
+    net: dict = field(default_factory=NetworkDomain.ZERO_BLOCK.copy)
+    straggler: dict = field(default_factory=dict)
+
+    @property
+    def wrong_result(self) -> bool:
+        """The job "completed" but carries undetected SDC."""
+        return SdcDomain.wrong_result(self.completed, self.sdc)
 
     @property
     def ft_overhead_fraction(self) -> float:
@@ -877,7 +872,7 @@ class BESSTSimulator:
                 )
         tl0 = self._ranks[0].timeline
         # Lifecycle counters come from the recovery context; each fault
-        # domain contributes its own fields (in registry order, which
+        # domain contributes its result block (in registry order, which
         # also fixes the order of end-of-run metric emission).
         fields = ctx.result_fields()
         for domain in self._domains:

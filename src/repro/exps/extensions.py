@@ -662,9 +662,9 @@ def sdc_verification_dse(
                 mean_total=float(np.mean([r.total_time for r in results])),
                 mean_wasted=float(np.mean([r.wasted_time for r in results])),
                 mean_verify=float(np.mean([r.verify_time for r in results])),
-                sdc_detected=float(np.mean([r.sdc_detected for r in results])),
+                sdc_detected=float(np.mean([r.sdc["detected"] for r in results])),
                 sdc_undetected=float(
-                    np.mean([r.sdc_undetected for r in results])
+                    np.mean([r.sdc["undetected"] for r in results])
                 ),
                 wrong_result_rate=float(
                     np.mean([1.0 if r.wrong_result else 0.0 for r in results])
@@ -861,15 +861,15 @@ def network_fault_dse(
                     analytic_slowdown=ext9_analytic_slowdown(
                         mtbf, period, timesteps, base.total_time
                     ),
-                    net_faults=float(np.mean([r.net_faults for r in results])),
+                    net_faults=float(np.mean([r.net["faults"] for r in results])),
                     net_repairs=float(
-                        np.mean([r.net_repairs for r in results])
+                        np.mean([r.net["repairs"] for r in results])
                     ),
                     partition_stalls=float(
-                        np.mean([r.net_partition_stalls for r in results])
+                        np.mean([r.net["partition_stalls"] for r in results])
                     ),
                     retransmits=float(
-                        np.mean([r.net_retransmits for r in results])
+                        np.mean([r.net["retransmits"] for r in results])
                     ),
                 )
             )

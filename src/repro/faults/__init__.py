@@ -15,13 +15,22 @@ Layout:
   the concrete fail-stop / SDC / straggler / network / torn-checkpoint
   implementations.
 
-The package body imports only the registry eagerly; the context and
-domain modules import ``repro.core.fault_injection``, which itself
-imports the registry — loading them from here at package-init time
-would make that import circular.  ``__getattr__`` resolves the
-re-exports on first use instead.
+None of them imports ``repro.core`` at module level (the domains load
+:class:`~repro.core.fault_injection.FaultDetail` on use), so the
+package imports cleanly whichever module is loaded first.
 """
 
+from repro.faults.context import RecoveryContext, RecoveryEpisode  # noqa: F401
+from repro.faults.domains import (  # noqa: F401
+    DOMAIN_CLASSES,
+    FailStopDomain,
+    FaultDomain,
+    NetworkDomain,
+    SdcDomain,
+    StragglerDomain,
+    TornCheckpointDomain,
+    build_domains,
+)
 from repro.faults.registry import (  # noqa: F401
     FAILSTOP_KINDS,
     FAULT_KINDS,
@@ -34,30 +43,3 @@ from repro.faults.registry import (  # noqa: F401
     domain_for_kind,
     kinds_of,
 )
-
-_LAZY = {
-    "RecoveryContext": ("repro.faults.context", "RecoveryContext"),
-    "RecoveryEpisode": ("repro.faults.context", "RecoveryEpisode"),
-    "FaultDomain": ("repro.faults.domains", "FaultDomain"),
-    "FailStopDomain": ("repro.faults.domains", "FailStopDomain"),
-    "SdcDomain": ("repro.faults.domains", "SdcDomain"),
-    "StragglerDomain": ("repro.faults.domains", "StragglerDomain"),
-    "NetworkDomain": ("repro.faults.domains", "NetworkDomain"),
-    "TornCheckpointDomain": ("repro.faults.domains", "TornCheckpointDomain"),
-    "DOMAIN_CLASSES": ("repro.faults.domains", "DOMAIN_CLASSES"),
-    "build_domains": ("repro.faults.domains", "build_domains"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

@@ -20,11 +20,11 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.fault_injection import FaultDetail, FaultEvent
 from repro.des.event import Event
 from repro.faults.registry import REGISTRY, kinds_of
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.fault_injection import FaultDetail, FaultEvent
     from repro.core.simulator import BESSTSimulator, _Rank
     from repro.faults.context import RecoveryContext, RecoveryEpisode
 
@@ -56,6 +56,8 @@ class FaultDomain:
     def default_detail(self, kind: str, node: int) -> FaultDetail:
         """Kind-specific parameters applied when ``inject_fault`` is
         called directly (the injector always draws its own)."""
+        from repro.core.fault_injection import FaultDetail
+
         return FaultDetail(victims=(node,), slowdown=2.0)
 
     def apply(
@@ -101,7 +103,10 @@ class FaultDomain:
         """Requeue onto a fresh allocation: drop this domain's live state."""
 
     def result_fields(self) -> dict:
-        """This domain's contribution to ``SimulationResult`` assembly."""
+        """This domain's result block, ``{block name: block}`` (``{}``:
+        none).  The simulator stores it as the ``SimulationResult``
+        attribute of that name; the campaign copies it into the replica
+        record unchanged."""
         return {}
 
     def metrics_gauges(self) -> dict:
@@ -189,6 +194,15 @@ class SdcDomain(FaultDomain):
 
     name = "sdc"
     kinds = kinds_of("sdc")
+    #: the ``sdc`` result block's keys in report order, with typed zeros
+    #: (the campaign sums replica blocks starting from it)
+    ZERO_BLOCK = {
+        "injected": 0,          #: strikes armed
+        "detected": 0,          #: strikes observed at a detection point
+        "corrected": 0,         #: detected strikes fixed in place (ABFT)
+        "undetected": 0,        #: strikes still latent at the end of the run
+        "detect_latency_s": 0.0,  #: summed injection-to-detection latency
+    }
 
     def __init__(self, sim, ctx):
         super().__init__(sim, ctx)
@@ -348,23 +362,27 @@ class SdcDomain(FaultDomain):
                     ev.outcome = "undetected"
         return undetected
 
+    @staticmethod
+    def wrong_result(completed: bool, block: dict) -> bool:
+        """A completed run that carries undetected corruption."""
+        return completed and block["undetected"] > 0
+
     def result_fields(self) -> dict:
-        undetected = self.finalize_undetected()
-        wrong_result = (not self.ctx.aborted) and undetected > 0
-        if wrong_result:
+        block = dict(
+            self.ZERO_BLOCK,
+            injected=self.injected,
+            detected=self.detected,
+            corrected=self.corrected,
+            undetected=self.finalize_undetected(),
+            detect_latency_s=self.detect_latency_s,
+        )
+        if self.wrong_result(not self.ctx.aborted, block):
             self.ctx.emit_counter(
                 "sim_wrong_result_total",
                 help="Runs that finished carrying undetected silent corruption.",
             )
-            self.ctx.note("wrong_result", undetected=undetected)
-        return {
-            "sdc_injected": self.injected,
-            "sdc_detected": self.detected,
-            "sdc_corrected": self.corrected,
-            "sdc_undetected": undetected,
-            "wrong_result": wrong_result,
-            "sdc_detect_latency_s": self.detect_latency_s,
-        }
+            self.ctx.note("wrong_result", undetected=block["undetected"])
+        return {"sdc": block}
 
 
 class StragglerDomain(FaultDomain):
@@ -421,9 +439,15 @@ class StragglerDomain(FaultDomain):
         self.node_slowdown.clear()
 
     def result_fields(self) -> dict:
+        # The replica's ``forensics`` record carries this block as is,
+        # so node keys are strings (JSON object keys).
         return {
-            "straggler_excess_s": self.excess_s,
-            "straggler_excess_by_node": dict(sorted(self.excess_by_node.items())),
+            "straggler": {
+                "straggler_excess_s": self.excess_s,
+                "straggler_excess_by_node": {
+                    str(k): v for k, v in sorted(self.excess_by_node.items())
+                },
+            }
         }
 
 
@@ -432,6 +456,16 @@ class NetworkDomain(FaultDomain):
 
     name = "network"
     kinds = kinds_of("network")
+    #: the ``net`` result block's keys in report order, with typed zeros
+    #: (the campaign sums replica blocks starting from it)
+    ZERO_BLOCK = {
+        "faults": 0,            #: link/switch/netdeg faults applied to the overlay
+        "repairs": 0,           #: network repairs that restored service
+        "partition_stalls": 0,  #: recovery attempts stalled by a partitioned group
+        "degraded_commits": 0,  #: L2+ checkpoints degraded to L1 (partner unreachable)
+        "reroutes": 0,          #: messages priced over a detour route
+        "retransmits": 0.0,     #: expected retransmissions on lossy routes
+    }
 
     def __init__(self, sim, ctx):
         super().__init__(sim, ctx)
@@ -452,6 +486,8 @@ class NetworkDomain(FaultDomain):
         self.stats_base = dict(getattr(p2p, "stats", None) or {})
 
     def default_detail(self, kind, node):
+        from repro.core.fault_injection import FaultDetail
+
         if kind == "netdeg":
             return FaultDetail(repair_s=30.0, derate=4.0, loss_prob=0.05)
         return FaultDetail(repair_s=30.0)
@@ -683,12 +719,15 @@ class NetworkDomain(FaultDomain):
                 inc=retransmits,
             )
         return {
-            "net_faults": self.faults,
-            "net_repairs": self.repairs,
-            "net_partition_stalls": self.partition_stalls,
-            "net_degraded_commits": self.degraded_commits,
-            "net_reroutes": reroutes,
-            "net_retransmits": retransmits,
+            "net": dict(
+                self.ZERO_BLOCK,
+                faults=self.faults,
+                repairs=self.repairs,
+                partition_stalls=self.partition_stalls,
+                degraded_commits=self.degraded_commits,
+                reroutes=reroutes,
+                retransmits=retransmits,
+            )
         }
 
 

@@ -2,6 +2,7 @@
 cross-check."""
 
 import json
+import math
 
 import pytest
 
@@ -24,6 +25,25 @@ def test_spec_validation():
     assert s.work_s == pytest.approx(4.0)
     assert s.interval_s == pytest.approx(0.5)
     assert s.system_mtbf_s == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"nnodes": 0},
+        {"nranks": 0},
+        {"compute_s": math.nan},
+        {"ckpt_cost_s": -0.1},
+        {"recovery_time_s": math.inf},
+    ],
+)
+def test_spec_rejects_knobs_without_a_cli_flag(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        CampaignSpec(**{"node_mtbf_s": 8.0, "ckpt_period": 5, **bad})
+
+
+def test_spec_keeps_infinite_mtbf_as_fault_free_point():
+    assert CampaignSpec(node_mtbf_s=math.inf, ckpt_period=5).node_mtbf_s == math.inf
 
 
 def test_clean_point_has_no_waste():

@@ -5,9 +5,11 @@ kind owned by exactly one domain, canonical draw order preserved),
 ``FaultModel.kind_weights`` validation edges (single-kind mixes, the
 1e-6 sum tolerance at its exact boundary, unknown-kind messages),
 the :class:`FaultDomain` protocol (dispatch, state snapshot/restore,
-wiring-attr rejection), :class:`NodeRangeError` surfacing through the
-``NetworkDomain`` injection path, structured fault-config parsing, and
-the ``repro faults list`` / ``--fault-config`` CLI layer.
+wiring-attr rejection), the result-block flow from a domain's
+``result_fields`` to the point report, :class:`NodeRangeError`
+surfacing through the ``NetworkDomain`` injection path, structured
+fault-config parsing, and the ``repro faults list`` /
+``--fault-config`` CLI layer.
 """
 
 import ast
@@ -17,8 +19,15 @@ import re
 import pytest
 
 from repro.core import FaultDetail, RecoveryPolicy
-from repro.core.campaign import CampaignSpec, build_campaign_simulator
+from repro.core.campaign import (
+    CampaignSpec,
+    ReplicaTask,
+    _run_replica,
+    aggregate_point,
+    build_campaign_simulator,
+)
 from repro.core.fault_injection import FAULT_KINDS, FaultModel
+from repro.faults.domains import NetworkDomain, SdcDomain
 from repro.faults.registry import (
     KIND_TO_DOMAIN,
     REGISTRY,
@@ -147,6 +156,41 @@ def test_unknown_kind_injection_message():
     sim = _sim()
     with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):
         sim.inject_fault(0, kind="meteor")
+
+
+# -- result blocks ----------------------------------------------------------------
+
+
+def test_extra_sdc_block_key_reaches_the_point_report(monkeypatch):
+    """A key added in ``result_fields`` alone flows through the
+    simulator result and the replica record into the summed block."""
+    original = SdcDomain.result_fields
+
+    def with_erased(self):
+        fields = original(self)
+        fields["sdc"]["erased"] = 1
+        return fields
+
+    monkeypatch.setattr(SdcDomain, "result_fields", with_erased)
+    spec = CampaignSpec(
+        node_mtbf_s=8.0, ckpt_period=5, timesteps=10, fault_mix={"sdc": 1.0}
+    )
+    replicas = [
+        _run_replica(ReplicaTask(spec, RecoveryPolicy(), seed)) for seed in (1, 2)
+    ]
+    assert [r["sdc"]["erased"] for r in replicas] == [1, 1]
+    point = aggregate_point(spec, replicas, reps=2)
+    assert list(point.sdc) == [*SdcDomain.ZERO_BLOCK, "erased"]
+    assert point.sdc["erased"] == 2
+    assert "erased" not in SdcDomain.ZERO_BLOCK
+
+
+def test_empty_point_reports_every_block_as_typed_zeros():
+    spec = CampaignSpec(node_mtbf_s=8.0, ckpt_period=5)
+    d = aggregate_point(spec, [], reps=3).to_dict()
+    for name, zero in (("sdc", SdcDomain.ZERO_BLOCK), ("net", NetworkDomain.ZERO_BLOCK)):
+        assert list(d[name].items()) == list(zero.items())
+        assert [type(v) for v in d[name].values()] == [type(v) for v in zero.values()]
 
 
 # -- NodeRangeError through the NetworkDomain path ---------------------------------

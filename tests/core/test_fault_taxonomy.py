@@ -6,6 +6,8 @@ validation), detection-latency accounting, rollback *past* a corrupt
 checkpoint, and the wrong-result outcome of undetected corruption.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,7 @@ def test_kind_weights_override_alias_and_drop_zero_weights():
         ({"software": 0.5, "node": 0.4}, "must sum to 1"),
         ({"software": 0.7, "node": 0.7}, "must sum to 1"),
         ({}, "must sum to 1"),
+        ({"software": math.nan, "node": 1.0}, "must be >= 0"),
     ],
 )
 def test_invalid_kind_weights_rejected(weights, match):
@@ -68,6 +71,11 @@ def test_invalid_kind_weights_rejected(weights, match):
         (dict(sdc_correct_prob=-0.1), "sdc_correct_prob"),
         (dict(straggler_slowdown=0.5), "straggler_slowdown"),
         (dict(burst_size=0), "burst_size"),
+        (dict(weibull_shape=math.nan), "weibull_shape"),
+        (dict(straggler_slowdown=math.nan), "straggler_slowdown"),
+        (dict(straggler_repair_s=math.nan), "straggler_repair_s"),
+        (dict(net_degrade_factor=math.nan), "net_degrade_factor"),
+        (dict(net_repair_s=math.nan), "net_repair_s"),
     ],
 )
 def test_invalid_taxonomy_parameters_rejected(kwargs, match):
@@ -265,13 +273,13 @@ def test_sdc_corrected_in_place_no_rollback(marks):
     detail = FaultDetail(covered=True, correctable=True)
     _, res = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(8,))
     assert res.completed and not res.wrong_result
-    assert res.sdc_injected == 1
-    assert res.sdc_detected == 1
-    assert res.sdc_corrected == 1
-    assert res.sdc_undetected == 0
+    assert res.sdc["injected"] == 1
+    assert res.sdc["detected"] == 1
+    assert res.sdc["corrected"] == 1
+    assert res.sdc["undetected"] == 0
     assert res.rollbacks == 0
     assert res.verify_time > 0
-    assert res.sdc_detect_latency_s > 0
+    assert res.sdc["detect_latency_s"] > 0
 
 
 def test_sdc_detection_latency_scales_with_verify_cadence(marks):
@@ -281,8 +289,8 @@ def test_sdc_detection_latency_scales_with_verify_cadence(marks):
     _, late = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(16,))
     # the strike waits for the next Verify commit: a later detection
     # point means a strictly longer recorded latency
-    assert 0 < soon.sdc_detect_latency_s < late.sdc_detect_latency_s
-    assert late.sdc_detect_latency_s < late.total_time
+    assert 0 < soon.sdc["detect_latency_s"] < late.sdc["detect_latency_s"]
+    assert late.sdc["detect_latency_s"] < late.total_time
 
 
 def test_sdc_rollback_reaches_past_corrupt_checkpoint(marks):
@@ -298,12 +306,12 @@ def test_sdc_rollback_reaches_past_corrupt_checkpoint(marks):
     detail = FaultDetail(covered=True, correctable=False)
     sim, res = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(18,))
     assert res.completed and not res.wrong_result
-    assert res.sdc_detected == 1 and res.sdc_corrected == 0
+    assert res.sdc["detected"] == 1 and res.sdc["corrected"] == 0
     assert res.rollbacks == 1
     # rework spans from checkpoint 2's commit (the clean restart point)
     # to the detection instant — strictly more than a rollback to the
     # corrupt checkpoint 3 would have cost
-    detect_time = t + res.sdc_detect_latency_s
+    detect_time = t + res.sdc["detect_latency_s"]
     assert res.waste_rework == pytest.approx(detect_time - marks[1])
     assert res.waste_rework > detect_time - marks[2]
 
@@ -317,7 +325,7 @@ def test_sdc_detected_before_checkpoint_keeps_newest_restart_point(marks):
     _, early = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(14,))
     _, late = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(18,))
     assert early.completed and late.completed
-    assert early.sdc_detect_latency_s < late.sdc_detect_latency_s
+    assert early.sdc["detect_latency_s"] < late.sdc["detect_latency_s"]
     assert early.waste_rework < late.waste_rework
     assert early.total_time < late.total_time
 
@@ -327,8 +335,8 @@ def test_sdc_uncovered_strike_survives_to_wrong_result(marks):
     detail = FaultDetail(covered=False, correctable=False)
     _, res = run_sim(faults=[(t, 0, "sdc", detail)], verify_at=(8, 12, 16))
     assert res.completed
-    assert res.sdc_detected == 0
-    assert res.sdc_undetected == 1
+    assert res.sdc["detected"] == 0
+    assert res.sdc["undetected"] == 1
     assert res.wrong_result  # finished, but the answer is bad
 
 
@@ -337,7 +345,7 @@ def test_sdc_without_any_detector_is_wrong_result(marks):
     detail = FaultDetail(covered=True, correctable=True)
     _, res = run_sim(faults=[(t, 0, "sdc", detail)])  # no Verify points
     assert res.completed and res.wrong_result
-    assert res.sdc_detected == 0 and res.sdc_undetected == 1
+    assert res.sdc["detected"] == 0 and res.sdc["undetected"] == 1
 
 
 # -- SDC: detection via checkpoint-write validation --------------------------------
@@ -352,9 +360,9 @@ def test_ckpt_validation_is_secondary_detection_point(marks):
     detail = FaultDetail(covered=True, correctable=False)
     _, res = run_sim(policy, faults=[(t, 0, "sdc", detail)])
     assert res.completed and not res.wrong_result
-    assert res.sdc_detected == 1
+    assert res.sdc["detected"] == 1
     assert res.rollbacks == 1
-    detect_time = t + res.sdc_detect_latency_s
+    detect_time = t + res.sdc["detect_latency_s"]
     assert res.waste_rework == pytest.approx(detect_time - marks[1])
 
 
@@ -364,7 +372,7 @@ def test_ckpt_validation_disabled_misses_the_write(marks):
     detail = FaultDetail(covered=True, correctable=False)
     _, res = run_sim(policy, faults=[(t, 0, "sdc", detail)])
     assert res.completed and res.wrong_result
-    assert res.sdc_detected == 0 and res.sdc_undetected == 1
+    assert res.sdc["detected"] == 0 and res.sdc["undetected"] == 1
 
 
 # -- injector-driven determinism ---------------------------------------------------
@@ -404,10 +412,10 @@ def test_mixed_fault_stream_is_deterministic():
     assert log_a == log_b
     assert res_a.total_time == res_b.total_time
     assert res_a.faults_by_kind == res_b.faults_by_kind
-    assert (res_a.sdc_detected, res_a.sdc_undetected, res_a.sdc_corrected) == (
-        res_b.sdc_detected,
-        res_b.sdc_undetected,
-        res_b.sdc_corrected,
+    assert (res_a.sdc["detected"], res_a.sdc["undetected"], res_a.sdc["corrected"]) == (
+        res_b.sdc["detected"],
+        res_b.sdc["undetected"],
+        res_b.sdc["corrected"],
     )
 
 

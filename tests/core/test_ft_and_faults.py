@@ -1,5 +1,7 @@
 """FT scenarios and fault injection (Cases 1-4 of Fig. 4)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,9 @@ def test_fault_model_validation():
         FaultModel(node_mtbf_s=1, distribution="uniform")
     with pytest.raises(ValueError):
         FaultModel(node_mtbf_s=1, weibull_shape=0)
+    with pytest.raises(ValueError):
+        FaultModel(node_mtbf_s=math.nan)
+    assert FaultModel(node_mtbf_s=math.inf).node_mtbf_s == math.inf  # fault-free
 
 
 def test_system_mtbf_scales_inversely():

@@ -91,8 +91,8 @@ def test_netdeg_slows_collectives_and_counts_retransmits():
     detail = FaultDetail(repair_s=0.0, derate=8.0, loss_prob=0.2, edge=(0, 1))
     _, slow = _run_with_fault(spec, POLICY, (0.01, 0, "netdeg", detail))
     assert slow.completed and slow.rollbacks == 0
-    assert slow.net_faults == 1 and slow.net_repairs == 0
-    assert slow.net_retransmits > 0
+    assert slow.net["faults"] == 1 and slow.net["repairs"] == 0
+    assert slow.net["retransmits"] > 0
     assert slow.total_time > clean.total_time
     assert slow.faults_by_kind == {"netdeg": 1}
 
@@ -107,10 +107,10 @@ def test_netdeg_default_detail_applied():
     )
     sim.engine.schedule(1.0, lambda ev: seen.update(deg=dict(h.degraded)))
     res = sim.run(max_events=5_000_000)
-    assert res.net_faults == 1
+    assert res.net["faults"] == 1
     assert list(seen["deg"].values()) == [(4.0, 0.05)]
     # the default 30s repair outlives the run but still fires and heals
-    assert res.net_repairs == 1 and h.healthy
+    assert res.net["repairs"] == 1 and h.healthy
 
 
 def test_link_fault_repairs_on_schedule():
@@ -118,7 +118,7 @@ def test_link_fault_repairs_on_schedule():
     detail = FaultDetail(repair_s=0.5, edge=(0, 1))
     sim, res = _run_with_fault(spec, POLICY, (0.01, 0, "link", detail))
     assert res.completed
-    assert res.net_faults == 1 and res.net_repairs == 1
+    assert res.net["faults"] == 1 and res.net["repairs"] == 1
     assert sim.archbeo.topology._health.healthy
 
 
@@ -155,7 +155,7 @@ def test_partitioned_group_escalates_and_terminates():
     )
     assert res.completed, "partitioned run must terminate"
     # one stall at detection plus one per burned recovery attempt
-    assert res.net_partition_stalls == 4
+    assert res.net["partition_stalls"] == 4
     assert res.recovery_attempts == 3
     # stalls are not verify failures: no rung is climbed, the ladder
     # escalates straight to a requeue once attempts run out
@@ -177,7 +177,7 @@ def test_partition_aborts_when_requeues_exhausted():
         _spec(), policy, (0.01, 0, "switch", FaultDetail(repair_s=0.0))
     )
     assert not res.completed
-    assert res.net_partition_stalls == 3  # detection + 2 attempts
+    assert res.net["partition_stalls"] == 3  # detection + 2 attempts
 
 
 def test_repaired_partition_resumes_without_requeue():
@@ -193,8 +193,8 @@ def test_repaired_partition_resumes_without_requeue():
     )
     assert res.completed
     assert res.requeues == 0
-    assert res.net_repairs >= 1
-    assert res.net_partition_stalls >= 1
+    assert res.net["repairs"] >= 1
+    assert res.net["partition_stalls"] >= 1
     assert sim.archbeo.topology._health.healthy
 
 

@@ -300,7 +300,7 @@ def test_link_fault_mid_phase_reprices_the_collective():
         lambda: sim.inject_fault(0, kind="link", detail=FaultDetail(edge=(0, 1), repair_s=1e3)),
     )
     res = sim.run()
-    assert res.net_faults == 1
+    assert res.net["faults"] == 1
     # the fault changes this phase's price (and so everything after it)
     assert _release(res, 0, LINK_PHASE).duration != _release(ref, 0, LINK_PHASE).duration
     assert _pins(res) == EDGE_PINS["link"]

@@ -97,10 +97,10 @@ def test_exposure_window_is_identical_across_replicas(replicas):
 
 
 def test_detected_fraction_converges_to_coverage(replicas):
-    injected = sum(r.sdc_injected for r in replicas)
-    detected = sum(r.sdc_detected for r in replicas)
-    corrected = sum(r.sdc_corrected for r in replicas)
-    undetected = sum(r.sdc_undetected for r in replicas)
+    injected = sum(r.sdc["injected"] for r in replicas)
+    detected = sum(r.sdc["detected"] for r in replicas)
+    corrected = sum(r.sdc["corrected"] for r in replicas)
+    undetected = sum(r.sdc["undetected"] for r in replicas)
     assert injected > 50  # enough strikes for a meaningful frequency
     assert detected + undetected == injected
     assert corrected == detected
@@ -116,7 +116,7 @@ def test_wrong_result_rate_converges_to_p_bad_abft(replicas):
         job_hours=total_time / 3600.0,
         abft_coverage=COVERAGE,
     )
-    struck_rate = np.mean([1.0 if r.sdc_injected else 0.0 for r in replicas])
+    struck_rate = np.mean([1.0 if r.sdc["injected"] else 0.0 for r in replicas])
     wrong_rate = np.mean([1.0 if r.wrong_result else 0.0 for r in replicas])
     # REPS=80 binomial sd is at most ~0.056; 3 sd tolerance
     assert struck_rate == pytest.approx(p["p_sdc"], abs=0.17)
@@ -127,4 +127,4 @@ def test_wrong_result_rate_converges_to_p_bad_abft(replicas):
 
 def test_wrong_result_implies_undetected_and_vice_versa(replicas):
     for r in replicas:
-        assert r.wrong_result == (r.sdc_undetected > 0)
+        assert r.wrong_result == (r.sdc["undetected"] > 0)

@@ -206,11 +206,23 @@ def test_ext8_sdc_verification_dse():
 
 
 def test_ext8_is_deterministic():
-    from repro.exps.extensions import sdc_verification_dse
+    """Repeatable, and equal to the rows recorded while the simulator
+    still reported SDC outcomes as flat ``sdc_*`` result fields."""
+    from repro.exps.extensions import SDCVerifyRow, sdc_verification_dse
 
     a = sdc_verification_dse(verify_periods=(5,), reps=2, timesteps=30, seed=4)
     b = sdc_verification_dse(verify_periods=(5,), reps=2, timesteps=30, seed=4)
-    assert a == b
+    assert a == b == [
+        SDCVerifyRow(
+            verify_period=5,
+            mean_total=7.676635331286443,
+            mean_wasted=6.797577007521312,
+            mean_verify=0.119999999999998,
+            sdc_detected=1.0,
+            sdc_undetected=0.0,
+            wrong_result_rate=0.0,
+        )
+    ]
 
 
 def test_ext9_network_fault_dse():
@@ -241,7 +253,9 @@ def test_ext9_network_fault_dse():
 
 
 def test_ext9_is_deterministic():
-    from repro.exps.extensions import network_fault_dse
+    """Repeatable, and equal to the rows recorded while the simulator
+    still reported network outcomes as flat ``net_*`` result fields."""
+    from repro.exps.extensions import NetFaultRow, network_fault_dse
 
     a = network_fault_dse(
         link_mtbfs=(16.0,), ckpt_periods=(5,), timesteps=15, reps=2, seed=3
@@ -249,7 +263,20 @@ def test_ext9_is_deterministic():
     b = network_fault_dse(
         link_mtbfs=(16.0,), ckpt_periods=(5,), timesteps=15, reps=2, seed=3
     )
-    assert a == b
+    assert a == b == [
+        NetFaultRow(
+            link_mtbf_s=16.0,
+            ckpt_period=5,
+            baseline_total=1.5443650944000007,
+            mean_total=2.647667920951579,
+            slowdown=1.7144054411435796,
+            analytic_slowdown=1.5671599273726249,
+            net_faults=4.5,
+            net_repairs=4.0,
+            partition_stalls=0.0,
+            retransmits=0.8421052631578938,
+        )
+    ]
 
 
 def test_ext9_analytic_slowdown_monotone_in_mtbf():

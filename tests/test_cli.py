@@ -373,6 +373,15 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--timeout", "0"],
         ["--resume", "--no-journal"],
         ["--sim-snapshot-every", "10"],
+        ["--reps", "0"],
+        ["--mtbf", "nan"],
+        ["--net-link-mtbf", "nan"],
+        ["--net-repair-time", "nan"],
+        ["--net-degrade-factor", "nan"],
+        ["--straggler-slowdown", "nan"],
+        ["--straggler-repair", "nan"],
+        ["--verify-cost", "-1", "--verify-period", "2"],
+        ["--verify-cost", "nan", "--verify-period", "2"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
