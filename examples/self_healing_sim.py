@@ -68,7 +68,7 @@ def make_sim(seed=3):
     injector = FaultInjector(
         FaultModel(node_mtbf_s=3.0, software_fraction=1.0), nnodes=4, seed=seed
     )
-    app = AppBEO("demo_l1", SPMDProgram(40, scenario_l1(5)))
+    app = AppBEO("demo_l1", SPMDProgram(40, scenario_l1(5)), spmd=True)
     return BESSTSimulator(
         app, arch, nranks=8, seed=seed, fault_injector=injector,
         monte_carlo=False,

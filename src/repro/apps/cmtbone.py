@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.beo import AppBEO
+from repro.core.beo import AppBEO, as_int
 from repro.core.instructions import Collective, Compute, Exchange, Instruction
 
 _BYTES_PER_DOUBLE = 8
@@ -100,12 +100,13 @@ def cmtbone_state_bytes(elem_size: int, elements_per_rank: int, nfields: int = 5
 def cmtbone_appbeo(timesteps: int = 1) -> AppBEO:
     """CMT-bone AppBEO over parameters ``elem_size`` (points per element
     edge) and ``elements`` (elements per rank)."""
+    timesteps = as_int("timesteps", timesteps)
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
 
     def builder(rank: int, nranks: int, params: Mapping[str, float]):
-        elem_size = int(params["elem_size"])
-        elements = int(params["elements"])
+        elem_size = as_int("elem_size", params["elem_size"])
+        elements = as_int("elements", params["elements"])
         if elem_size < 1 or elements < 1:
             raise ValueError("elem_size and elements must be >= 1")
         face_bytes = elements * elem_size**2 * _BYTES_PER_DOUBLE
@@ -127,4 +128,5 @@ def cmtbone_appbeo(timesteps: int = 1) -> AppBEO:
         name="cmtbone",
         builder=builder,
         default_params={"elem_size": 5, "elements": 64},
+        spmd=True,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.beo import AppBEO
+from repro.core.beo import AppBEO, as_int
 from repro.core.ft import NO_FT, FTScenario
 from repro.core.instructions import (
     Checkpoint,
@@ -33,13 +33,14 @@ def iterative_solver_appbeo(
     Parameters are ``n`` (local problem size) and the rank count; the
     checkpoint payload scales with ``n``.
     """
+    iterations = as_int("iterations", iterations)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if halo_bytes < 0:
         raise ValueError(f"halo_bytes must be >= 0, got {halo_bytes}")
 
     def builder(rank: int, nranks: int, params: Mapping[str, float]):
-        n = int(params["n"])
+        n = as_int("n", params["n"])
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         body: list[Instruction] = []
@@ -58,4 +59,5 @@ def iterative_solver_appbeo(
         name=f"iterative_{scenario.name}",
         builder=builder,
         default_params={"n": 1000},
+        spmd=True,
     )

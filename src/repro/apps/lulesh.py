@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.core.beo import AppBEO
+from repro.core.beo import AppBEO, as_int
 from repro.core.ft import NO_FT, FTScenario
 from repro.core.instructions import (
     Checkpoint,
@@ -205,11 +205,12 @@ def lulesh_appbeo(
     Instruction parameters carry exactly the knobs that affect
     performance: ``epr`` and ``ranks``.
     """
+    timesteps = as_int("timesteps", timesteps)
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
 
     def builder(rank: int, nranks: int, params: Mapping[str, float]):
-        epr = int(params["epr"])
+        epr = as_int("epr", params["epr"])
         if epr < 1:
             raise ValueError(f"epr must be >= 1, got {epr}")
         body: list[Instruction] = []
@@ -239,4 +240,5 @@ def lulesh_appbeo(
         builder=builder,
         default_params={"epr": 10},
         validate_ranks=validate_cube_ranks,
+        spmd=True,
     )

@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -20,6 +22,22 @@ from repro.core.instructions import Collective, Exchange, Instruction
 from repro.models.base import ModelError, PerformanceModel
 from repro.network.commmodel import CollectiveCostModel, LogGPModel
 from repro.network.topology import Topology
+
+
+def as_int(name: str, value) -> int:
+    """*value* as an ``int``, or ``ValueError`` naming *name*.
+
+    Integral floats such as ``10.0`` pass (sweeps often carry parameters
+    as floats); ``2.5``, ``True`` and non-numbers are rejected instead of
+    being truncated or failing later inside ``range``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, numbers.Real) and float(value).is_integer():
+                return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class AppBEO:
@@ -36,6 +54,12 @@ class AppBEO:
     validate_ranks:
         Optional callable raising ``ValueError`` for unsupported rank
         counts (e.g. LULESH's perfect-cube rule).
+    spmd:
+        Declares that the builder's output does not depend on ``rank``
+        (every rank runs the same stream).  The simulator then builds
+        the program once per simulation instead of once per rank.
+        Nothing checks this at run time: declare it only for builders
+        that ignore ``rank``.
     """
 
     def __init__(
@@ -44,23 +68,28 @@ class AppBEO:
         builder: Callable[[int, int, Mapping[str, float]], Sequence[Instruction]],
         default_params: Optional[Mapping[str, float]] = None,
         validate_ranks: Optional[Callable[[int], None]] = None,
+        spmd: bool = False,
     ) -> None:
         self.name = name
         self._builder = builder
         self.default_params = dict(default_params or {})
         self._validate_ranks = validate_ranks
+        self.spmd = spmd
 
-    def check_ranks(self, nranks: int) -> None:
+    def check_ranks(self, nranks: int) -> int:
+        """Validate *nranks* for this app; returns it as an ``int``."""
+        nranks = as_int("nranks", nranks)
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         if self._validate_ranks is not None:
             self._validate_ranks(nranks)
+        return nranks
 
     def build(
         self, rank: int, nranks: int, params: Optional[Mapping[str, float]] = None
     ) -> list[Instruction]:
         """Instruction stream for *rank* of *nranks*."""
-        self.check_ranks(nranks)
+        nranks = self.check_ranks(nranks)
         if not 0 <= rank < nranks:
             raise IndexError(f"rank {rank} out of range [0, {nranks})")
         merged = dict(self.default_params)

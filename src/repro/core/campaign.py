@@ -115,9 +115,24 @@ class CampaignSpec:
         # infinite MTBF stays valid (a fault-free sweep point).
         if not self.node_mtbf_s > 0:
             raise ValueError(f"node_mtbf_s must be > 0, got {self.node_mtbf_s}")
+        # Counts must be real ints: a float would change asdict() (the
+        # journal hash) and fail later inside every replica.
+        for name in (
+            "ckpt_period", "level", "timesteps", "nranks", "nnodes",
+            "verify_period", "burst_size", "allreduce_bytes",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("ckpt_period", "timesteps", "nranks", "nnodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.level <= 4:
+            raise ValueError(f"level must be in 1-4, got {self.level}")
+        if self.allreduce_bytes < 0:
+            raise ValueError(
+                f"allreduce_bytes must be >= 0, got {self.allreduce_bytes}"
+            )
         for name in ("compute_s", "ckpt_cost_s", "verify_cost_s", "recovery_time_s"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(
@@ -266,7 +281,9 @@ class CampaignWorkload:
 def build_campaign_app(spec: CampaignSpec) -> AppBEO:
     """The campaign's synthetic SPMD workload."""
     return AppBEO(
-        f"campaign_p{spec.ckpt_period}_l{spec.level}", CampaignWorkload(spec)
+        f"campaign_p{spec.ckpt_period}_l{spec.level}",
+        CampaignWorkload(spec),
+        spmd=True,
     )
 
 

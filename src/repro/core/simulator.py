@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.core.beo import AppBEO, ArchBEO
 from repro.core.fault_injection import (
@@ -342,16 +342,13 @@ class _SyncDomain:
 class _Rank(Component):
     """One simulated MPI rank executing its AppBEO instruction stream."""
 
-    def __init__(self, rank: int, sim: "BESSTSimulator", program: Sequence[Instruction]):
+    def __init__(self, rank: int, sim: "BESSTSimulator", rows: list):
         super().__init__(f"rank{rank}")
         self.rank = rank
         self.sim = sim
         #: the program as compiled rows (see :func:`_compile_row`); ranks
-        #: with equal programs share one list (rows are interned, so the
-        #: comparison only tests identities)
-        rows = [sim._row(instr) for instr in program]
-        first = sim._ranks[0].rows if sim._ranks else None
-        self.rows = first if rows == first else rows
+        #: with equal programs share one list
+        self.rows = rows
         self.pc = 0
         self.collective_calls = 0
         self.done = False
@@ -613,7 +610,7 @@ class BESSTSimulator:
     ) -> None:
         if record_timelines not in ("rank0", "all", "none"):
             raise ValueError(f"invalid record_timelines {record_timelines!r}")
-        appbeo.check_ranks(nranks)
+        nranks = appbeo.check_ranks(nranks)
         self.appbeo = appbeo
         self.archbeo = archbeo
         self.nranks = nranks
@@ -653,13 +650,24 @@ class BESSTSimulator:
         #: instruction -> compiled row, shared by every rank's program
         self._rows: dict[Instruction, tuple] = {}
 
-        program0 = self.appbeo.build(0, nranks, self.params)
+        # An SPMD app is built and compiled once; any other app once per
+        # rank, with programs equal to rank 0's sharing its row list (rows
+        # are interned, so the comparison only tests identities).
+        rows0 = rows = self._compile(0)
         for r in range(nranks):
-            program = program0 if r == 0 else self.appbeo.build(r, nranks, self.params)
-            self._ranks.append(self.engine.register(_Rank(r, self, program)))
+            if r and not appbeo.spmd:
+                rows = self._compile(r)
+                if rows == rows0:
+                    rows = rows0
+            self._ranks.append(self.engine.register(_Rank(r, self, rows)))
 
         if fault_injector is not None:
             fault_injector.attach(self)
+
+    def _compile(self, rank: int) -> list:
+        """Rank *rank*'s program as a list of interned compiled rows."""
+        program = self.appbeo.build(rank, self.nranks, self.params)
+        return [self._row(instr) for instr in program]
 
     def _row(self, instr: Instruction) -> tuple:
         """The interned compiled row of *instr* (equal instructions share

@@ -489,6 +489,48 @@ class GranularityRow:
         return 100.0 * abs(self.simulated_total - self.measured_total) / self.measured_total
 
 
+def granularity_apps(epr: int, timesteps: int) -> list:
+    """EXT7's two LULESH variants as ``(name, kernels, AppBEO)`` triples:
+    coarse (one timestep kernel) and fine (force + EOS subkernels)."""
+    from repro.apps.lulesh import lulesh_halo_bytes, validate_cube_ranks
+    from repro.core.beo import AppBEO, as_int
+    from repro.core.instructions import Collective, Compute, Exchange
+
+    def fine_builder(rank, nranks, params):
+        e = as_int("epr", params["epr"])
+        body = []
+        for _ in range(timesteps):
+            body.append(Compute.of("lulesh_force", epr=e, ranks=nranks))
+            body.append(Compute.of("lulesh_eos", epr=e, ranks=nranks))
+            body.append(Exchange(nbytes=lulesh_halo_bytes(e), neighbors=6))
+            body.append(Collective("allreduce", nbytes=8))
+        return body
+
+    def coarse_builder(rank, nranks, params):
+        e = as_int("epr", params["epr"])
+        body = []
+        for _ in range(timesteps):
+            body.append(Compute.of("lulesh_timestep", epr=e, ranks=nranks))
+            body.append(Exchange(nbytes=lulesh_halo_bytes(e), neighbors=6))
+            body.append(Collective("allreduce", nbytes=8))
+        return body
+
+    return [
+        (
+            name,
+            kernels,
+            AppBEO(
+                f"lulesh_{name}", builder, default_params={"epr": epr},
+                validate_ranks=validate_cube_ranks, spmd=True,
+            ),
+        )
+        for name, kernels, builder in (
+            ("coarse", ["lulesh_timestep"], coarse_builder),
+            ("fine", ["lulesh_force", "lulesh_eos"], fine_builder),
+        )
+    ]
+
+
 def granularity_ablation(
     ranks: int = 64,
     epr: int = 10,
@@ -506,37 +548,11 @@ def granularity_ablation(
     import time as _time
 
     from repro.core.ft import NO_FT
-    from repro.core.instructions import Collective, Compute, Exchange
-    from repro.core.beo import AppBEO
-    from repro.apps.lulesh import lulesh_halo_bytes, validate_cube_ranks
     from repro.testbed.machine import measure_application_run
     from repro.testbed.quartz import make_quartz
 
     machine = make_quartz()
-
-    def fine_builder(rank, nranks, params):
-        e = int(params["epr"])
-        body = []
-        for _ in range(timesteps):
-            body.append(Compute.of("lulesh_force", epr=e, ranks=nranks))
-            body.append(Compute.of("lulesh_eos", epr=e, ranks=nranks))
-            body.append(Exchange(nbytes=lulesh_halo_bytes(e), neighbors=6))
-            body.append(Collective("allreduce", nbytes=8))
-        return body
-
-    def coarse_builder(rank, nranks, params):
-        e = int(params["epr"])
-        body = []
-        for _ in range(timesteps):
-            body.append(Compute.of("lulesh_timestep", epr=e, ranks=nranks))
-            body.append(Exchange(nbytes=lulesh_halo_bytes(e), neighbors=6))
-            body.append(Collective("allreduce", nbytes=8))
-        return body
-
-    variants = [
-        ("coarse", ["lulesh_timestep"], coarse_builder),
-        ("fine", ["lulesh_force", "lulesh_eos"], fine_builder),
-    ]
+    variants = granularity_apps(epr, timesteps)
     measured = float(
         np.mean(
             [
@@ -549,15 +565,11 @@ def granularity_ablation(
         )
     )
     rows: list[GranularityRow] = []
-    for name, kernels, builder in variants:
+    for name, kernels, app in variants:
         t0 = _time.perf_counter()
         dev = ModelDevelopment(machine, kernels, seed=seed).run()
         fit_seconds = _time.perf_counter() - t0
         arch = build_archbeo(machine, dev.models())
-        app = AppBEO(
-            f"lulesh_{name}", builder, default_params={"epr": epr},
-            validate_ranks=validate_cube_ranks,
-        )
 
         def factory(s, _app=app, _arch=arch):
             return BESSTSimulator(

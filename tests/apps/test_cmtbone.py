@@ -86,3 +86,16 @@ def test_appbeo_validation():
     app = cmtbone_appbeo()
     with pytest.raises(ValueError):
         app.build(0, 4, {"elem_size": 0, "elements": 1})
+
+
+def test_appbeo_rejects_non_integral_counts():
+    with pytest.raises(ValueError, match="timesteps must be an integer"):
+        cmtbone_appbeo(timesteps=2.5)
+    app = cmtbone_appbeo(timesteps=2)
+    with pytest.raises(ValueError, match="elem_size must be an integer"):
+        app.build(0, 4, {"elem_size": 5.5, "elements": 8})
+    with pytest.raises(ValueError, match="elements must be an integer"):
+        app.build(0, 4, {"elem_size": 5, "elements": 7.9})
+    assert cmtbone_appbeo(timesteps=2.0).build(
+        0, 4, {"elem_size": 5.0, "elements": 8.0}
+    ) == app.build(0, 4, {"elem_size": 5, "elements": 8})

@@ -207,6 +207,18 @@ def test_appbeo_rejects_bad_params():
         app.build(0, 8, {"epr": 0})
 
 
+def test_appbeo_rejects_non_integral_counts():
+    with pytest.raises(ValueError, match="timesteps must be an integer"):
+        lulesh_appbeo(timesteps=2.5)
+    app = lulesh_appbeo(timesteps=3)
+    with pytest.raises(ValueError, match="epr must be an integer"):
+        app.build(0, 8, {"epr": 2.7})
+    # integral floats are the same program as their ints
+    assert lulesh_appbeo(timesteps=3.0).build(0, 8, {"epr": 5.0}) == app.build(
+        0, 8, {"epr": 5}
+    )
+
+
 def test_appbeo_spmd_streams_identical():
     app = lulesh_appbeo(timesteps=5, scenario=scenario_l1(2))
     assert app.build(0, 27, {"epr": 5}) == app.build(13, 27, {"epr": 5})

@@ -35,6 +35,17 @@ def test_spec_validation():
         {"compute_s": math.nan},
         {"ckpt_cost_s": -0.1},
         {"recovery_time_s": math.inf},
+        {"ckpt_period": 2.5},
+        {"timesteps": 10.0},
+        {"nranks": 16.0},
+        {"nnodes": True},
+        {"verify_period": 1.5},
+        {"burst_size": 2.0},
+        {"allreduce_bytes": 8.0},
+        {"allreduce_bytes": -1},
+        {"level": 0},
+        {"level": 5},
+        {"level": 1.0},
     ],
 )
 def test_spec_rejects_knobs_without_a_cli_flag(bad):

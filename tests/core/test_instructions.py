@@ -93,6 +93,18 @@ def test_appbeo_rank_checks():
         app.check_ranks(0)
 
 
+@pytest.mark.parametrize("bad", [8.5, True, "8", float("nan")])
+def test_appbeo_rejects_non_integral_rank_counts(bad):
+    with pytest.raises(ValueError, match="nranks must be an integer"):
+        make_appbeo().check_ranks(bad)
+
+
+def test_appbeo_integral_float_rank_count_is_an_int():
+    app = make_appbeo()
+    assert app.check_ranks(8.0) == 8 and type(app.check_ranks(8.0)) is int
+    assert app.build(0, 8.0) == app.build(0, 8)
+
+
 def test_appbeo_custom_rank_validation():
     def only_even(n):
         if n % 2:

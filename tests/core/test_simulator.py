@@ -216,6 +216,14 @@ def test_ranks_share_rows_of_equal_instructions_only():
     assert len(sim._rows) == 4  # n=10, n=0, n=1, barrier
 
 
+def test_integral_float_rank_count_runs_as_its_int():
+    runs = [
+        BESSTSimulator(simple_app(), make_arch(), nranks=n, monte_carlo=False).run()
+        for n in (8, 8.0)
+    ]
+    assert runs[0] == runs[1] and type(runs[1].nranks) is int
+
+
 def test_models_get_a_fresh_params_mapping():
     seen = []
 
