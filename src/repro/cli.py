@@ -41,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 _EXPERIMENTS: dict[str, tuple[str, str]] = {
@@ -586,36 +585,12 @@ def _run_experiment(name: str, seed: int, reps: int) -> str:
     raise ValueError(f"unknown experiment {name!r}")  # pragma: no cover
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    Creates missing parent directories; a crash mid-write can never
-    leave a truncated or absent report behind an existing one.
-    """
-    from repro.guard.fsfault import fault_check, fsync_dir
-
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    fault_check("report.json", path, len(text))
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(parent)  # the rename lives in the directory inode
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _run_campaign(args) -> tuple[str, int]:
     """Run the campaign; returns ``(stdout text, exit code)``."""
     from repro.core.campaign import CampaignSpec, ResilienceCampaign
     from repro.core.fault_injection import RecoveryPolicy
     from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
+    from repro.guard.durable import atomic_write
     from repro.obs.instrument import CampaignObs, ObsOptions
 
     # Build (and so validate) every grid point and the harness settings
@@ -624,6 +599,8 @@ def _run_campaign(args) -> tuple[str, int]:
     try:
         if (args.resume or args.partial_report) and not args.journal:
             raise ValueError("--resume/--partial-report require --journal")
+        if (args.resume or args.partial_report) and not os.path.exists(args.journal):
+            raise ValueError(f"journal {args.journal!r} does not exist")
         if (args.sim_snapshot_dir is None) != (args.sim_snapshot_every is None):
             raise ValueError("--sim-snapshot-dir and --sim-snapshot-every must be given together")
         if args.workers < 1:
@@ -754,7 +731,7 @@ def _run_campaign(args) -> tuple[str, int]:
 
             uninstall()
     if args.json_out:
-        _write_text_atomic(args.json_out, report.to_json())
+        atomic_write(args.json_out, report.to_json(), "report.json")
     lines = [report.format()]
     stats = camp.harness_stats
     if stats.retries or stats.pool_rebuilds or stats.quarantined:
@@ -802,6 +779,7 @@ def _run_analyze(args) -> tuple[str, int]:
         format_analysis,
         worst_fault_trace,
     )
+    from repro.guard.durable import JournalError, atomic_write
 
     def _no_data(error: str, detail: str) -> tuple[str, int]:
         summary = {
@@ -818,7 +796,7 @@ def _run_analyze(args) -> tuple[str, int]:
         )
     except FileNotFoundError:
         return _no_data("analyze-journal-not-found", "journal does not exist")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, JournalError) as exc:
         return _no_data(
             "analyze-journal-unreadable", f"{type(exc).__name__}: {exc}"
         )
@@ -827,12 +805,12 @@ def _run_analyze(args) -> tuple[str, int]:
             "analyze-journal-empty", "journal holds no campaign points"
         )
     if args.json_out:
-        _write_text_atomic(
-            args.json_out, json.dumps(analysis, sort_keys=True, indent=1)
+        atomic_write(
+            args.json_out, json.dumps(analysis, sort_keys=True, indent=1), "report.json"
         )
     if args.trace_out:
-        _write_text_atomic(
-            args.trace_out, json.dumps(worst_fault_trace(analysis))
+        atomic_write(
+            args.trace_out, json.dumps(worst_fault_trace(analysis)), "report.json"
         )
     return format_analysis(analysis), 0
 
@@ -876,7 +854,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:<8s} {artifact:<10s} {desc}")
         return 0
     if args.command == "campaign":
-        text, code = _run_campaign(args)
+        from repro.guard.durable import JournalError
+
+        try:
+            text, code = _run_campaign(args)
+        except JournalError as exc:  # unreadable or mismatched --journal
+            print(f"repro campaign: error: {exc}", file=sys.stderr)
+            return 2
         if text:
             print(text)
         return code

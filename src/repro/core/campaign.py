@@ -58,10 +58,10 @@ from repro.core.supervisor import (
     RetryPolicy,
     SupervisorStats,
     TaskSupervisor,
-    WriteAheadJournal,
 )
 from repro.des.snapshot import SnapshotStore
 from repro.faults.domains import NetworkDomain, SdcDomain
+from repro.guard.durable import JournalError, WriteAheadJournal
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
@@ -532,7 +532,7 @@ class CampaignJournal:
     Record kinds: ``point`` (one per grid point, carrying the spec) and
     ``replica`` (one fsynced record per completed replica).  Reopening
     with a different (reps, base_seed, policy) raises
-    :class:`repro.core.supervisor.JournalError`.
+    :class:`repro.guard.durable.JournalError`.
     """
 
     def __init__(
@@ -583,20 +583,17 @@ class CampaignJournal:
     def close(self) -> None:
         self._wal.close()
 
-    @staticmethod
-    def read(path: str):
+    @classmethod
+    def read(cls, path: str):
         """Load ``(meta, points, replicas)`` without opening for append."""
         meta, records = WriteAheadJournal.read(path)
-        points: dict[str, dict] = {}
-        replicas: dict[str, dict[int, dict]] = {}
+        if meta.get("campaign") != "resilience":
+            raise JournalError(f"journal {path!r} is not a campaign journal")
+        view = cls.__new__(cls)  # the index alone, with no file open
+        view.points, view.replicas = {}, {}
         for rec in records:
-            if rec.get("kind") == "point":
-                points[rec["spec_key"]] = rec["spec"]
-            elif rec.get("kind") == "replica":
-                replicas.setdefault(rec["spec_key"], {})[
-                    int(rec["replica"])
-                ] = rec["result"]
-        return meta, points, replicas
+            view._index(rec)
+        return meta, view.points, view.replicas
 
 
 # -- reports ---------------------------------------------------------------------

@@ -324,33 +324,22 @@ def _two_error_check(spec, attributions: list[dict]) -> Optional[dict]:
 
 def _load_harness_log(path: str) -> Optional[dict]:
     """Torn-tail-safe summary of the supervisor failure log."""
-    import json
     import os
+
+    from repro.guard.durable import read_jsonl
 
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    good = len(raw)
-    if raw and not raw.endswith(b"\n"):
-        good = raw.rfind(b"\n") + 1
+    records, _ = read_jsonl(path, skip_malformed=True)
     by_kind: dict[str, int] = {}
     quarantined = []
-    n = 0
-    for line in raw[:good].decode("utf-8", errors="replace").splitlines():
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(rec, dict):
-            continue
-        n += 1
+    for rec in records:
         kind = str(rec.get("kind", "unknown"))
         by_kind[kind] = by_kind.get(kind, 0) + 1
         if kind == "poisoned":
             quarantined.append(rec.get("key"))
     return {
-        "failures": n,
+        "failures": len(records),
         "by_kind": dict(sorted(by_kind.items())),
         "quarantined": quarantined,
     }

@@ -22,9 +22,10 @@ multi-hour sweep).  It schedules tasks individually with
   stall a sweep.
 
 Completed results can be persisted through an ``on_result`` callback,
-typically into a :class:`WriteAheadJournal` — an append-only, fsynced
-JSONL log that tolerates torn tails, which is what makes campaign
-``--resume`` after a SIGKILL bit-identical to an uninterrupted run.
+typically into a :class:`~repro.guard.durable.WriteAheadJournal` — an
+append-only, fsynced JSONL log that tolerates torn tails, which is what
+makes campaign ``--resume`` after a SIGKILL bit-identical to an
+uninterrupted run.
 
 To test the harness honestly, :class:`HarnessFaultInjector` makes
 workers crash, hang, or return garbage with configured probability.  It
@@ -47,7 +48,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Optional
 
-from repro.guard.fsfault import fault_check, fsync_dir
+from repro.guard.durable import LineAppender
+
+# Re-exported: the journal persists this supervisor's results, and
+# perfbench/tracer.py times WriteAheadJournal.append through this module.
+from repro.guard.durable import JournalError, WriteAheadJournal  # noqa: F401
 
 #: The failure taxonomy.  ``poisoned`` is terminal (quarantine); the
 #: others are retried under the :class:`RetryPolicy`.
@@ -405,8 +410,7 @@ class TaskSupervisor:
         #: hangs, garbage, quarantines) for post-mortem forensics; writes
         #: are best-effort — an I/O error disables the log, never the run
         self.failure_log_path = failure_log_path
-        self._failure_fh = None
-        self._failure_log_dead = False
+        self._failure_log: Optional[LineAppender] = None
         self._rng = random.Random(seed)
 
     # -- public entrypoint -----------------------------------------------------
@@ -689,42 +693,29 @@ class TaskSupervisor:
     # -- failure log -----------------------------------------------------------
 
     def _log_failure(self, key: str, kind: str, attempt: int, detail: str) -> None:
-        """Best-effort JSONL append of one harness failure (flushed per
-        line, so a torn tail is the worst a crash can leave)."""
-        if self.failure_log_path is None or self._failure_log_dead:
+        """Best-effort JSONL append of one harness failure."""
+        if self.failure_log_path is None:
             return
-        try:
-            if self._failure_fh is None:
-                parent = os.path.dirname(os.path.abspath(self.failure_log_path))
-                os.makedirs(parent, exist_ok=True)
-                self._failure_fh = open(
-                    self.failure_log_path, "a", encoding="utf-8"
-                )
-            self._failure_fh.write(
-                json.dumps(
-                    {
-                        "t_wall": time.time(),
-                        "key": key,
-                        "kind": kind,
-                        "attempt": attempt,
-                        "detail": str(detail),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+        if self._failure_log is None:
+            self._failure_log = LineAppender(self.failure_log_path)
+        self._failure_log.write(
+            json.dumps(
+                {
+                    "t_wall": time.time(),
+                    "key": key,
+                    "kind": kind,
+                    "attempt": attempt,
+                    "detail": str(detail),
+                },
+                sort_keys=True,
             )
-            self._failure_fh.flush()
-        except OSError:
-            self._failure_log_dead = True
-            self._close_failure_log()
+        )
 
     def _close_failure_log(self) -> None:
-        if self._failure_fh is not None:
-            try:
-                self._failure_fh.close()
-            except OSError:
-                pass
-            self._failure_fh = None
+        # A failed log stays failed: later runs of this supervisor skip it.
+        if self._failure_log is not None and not self._failure_log.failed:
+            self._failure_log.close()
+            self._failure_log = None
 
     # -- chaos env plumbing ----------------------------------------------------
 
@@ -742,117 +733,3 @@ class TaskSupervisor:
             os.environ[FAULT_ENV_VAR] = saved
         else:
             os.environ.pop(FAULT_ENV_VAR, None)
-
-
-# -- write-ahead journal ---------------------------------------------------------
-
-
-class JournalError(RuntimeError):
-    """The journal exists but does not match the requested campaign."""
-
-
-def _canon(obj):
-    """JSON-canonical form (numpy scalars → python, tuples → lists)."""
-    return json.loads(json.dumps(obj, sort_keys=True, default=_json_default))
-
-
-def _json_default(obj):
-    item = getattr(obj, "item", None)  # numpy scalars
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-class WriteAheadJournal:
-    """Append-only fsynced JSONL log with a validated header.
-
-    Line 1 is ``{"kind": "header", "version": 1, "meta": {...}}``; every
-    later line is one record.  Each append is flushed **and fsynced**
-    before returning, so a record either survives a SIGKILL whole or was
-    never acknowledged.  A torn tail (partial last line from a crash
-    mid-write) is detected on open and truncated away.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str, meta: dict) -> None:
-        self.path = path
-        self.meta = _canon(meta)
-        self.records: list = []
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        fault_check("wal.open", path)
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            stored_meta, self.records = self._load(path, truncate_torn=True)
-            if stored_meta != self.meta:
-                raise JournalError(
-                    f"journal {path!r} belongs to a different campaign: "
-                    f"{stored_meta!r} != {self.meta!r}"
-                )
-            self._fh = open(path, "a")
-        else:
-            self._fh = open(path, "w")
-            self._write_line(
-                {"kind": "header", "version": self.VERSION, "meta": self.meta}
-            )
-            # The file's *contents* are fsynced, but its directory entry
-            # is not until the directory inode itself is — without this
-            # a crash here can lose the whole journal file.
-            fsync_dir(parent)
-
-    @classmethod
-    def read(cls, path: str):
-        """Load ``(meta, records)`` without opening for append."""
-        return cls._load(path, truncate_torn=False)
-
-    @staticmethod
-    def _load(path: str, truncate_torn: bool):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        good = len(raw)
-        if raw and not raw.endswith(b"\n"):
-            good = raw.rfind(b"\n") + 1  # torn tail: keep whole lines only
-        lines = raw[:good].decode().splitlines()
-        if not lines:
-            raise JournalError(f"journal {path!r} is empty")
-        header = json.loads(lines[0])
-        if header.get("kind") != "header":
-            raise JournalError(f"journal {path!r} has no header line")
-        if header.get("version") != WriteAheadJournal.VERSION:
-            raise JournalError(
-                f"journal {path!r} has version {header.get('version')}, "
-                f"expected {WriteAheadJournal.VERSION}"
-            )
-        records = []
-        for line in lines[1:]:
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # torn interior line: everything after is suspect
-        if truncate_torn and good < len(raw):
-            with open(path, "r+b") as fh:
-                fh.truncate(good)
-        return header["meta"], records
-
-    def append(self, record: dict) -> None:
-        """Durably append one record (flush + fsync before returning)."""
-        record = _canon(record)
-        self._write_line(record)
-        self.records.append(record)
-
-    def _write_line(self, obj: dict) -> None:
-        data = json.dumps(obj, default=_json_default) + "\n"
-        fault_check("wal.append", self.path, len(data))
-        self._fh.write(data)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "WriteAheadJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -32,7 +32,6 @@ from repro.des.engine import Engine, SimulationError
 from repro.des.parallel import ParallelEngine
 from repro.des.replay import (
     EventJournal,
-    ReplayError,
     ReplayReport,
     diff_traces,
     read_journal,
@@ -63,7 +62,6 @@ __all__ = [
     "SnapshotStore",
     "AutoSnapshotPolicy",
     "EventJournal",
-    "ReplayError",
     "ReplayReport",
     "read_journal",
     "replay_and_diff",

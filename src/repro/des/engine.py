@@ -50,9 +50,9 @@ class Engine:
     seed:
         Root seed for all component RNG streams.
     trace:
-        When true, every fired event is appended to :attr:`trace_log` as
-        ``(time, priority, seq, src, dst)`` — used by the engine-equivalence
-        tests and handy for debugging.
+        When true, every event fired by :meth:`run` is appended to
+        :attr:`trace_log` as ``(time, priority, seq, src, dst)`` — used by
+        the engine-equivalence tests and the replay oracle.
     """
 
     def __init__(self, seed: int = 0, trace: bool = False) -> None:
@@ -230,8 +230,17 @@ class Engine:
         ).inc()
 
     def attach_journal(self, journal: "EventJournal") -> None:
-        """Append every subsequently fired event to *journal*."""
+        """Append every event fired by later :meth:`run` calls to *journal*."""
         self._journal = journal
+
+    def _recorders(self) -> list:
+        """Where this run records each fired event's ``(time, priority,
+        seq, src, dst)``: :attr:`trace_log` when :attr:`trace` is on, and
+        the attached journal."""
+        sinks = [self.trace_log.append] if self.trace else []
+        if self._journal is not None:
+            sinks.append(self._journal.record)
+        return sinks
 
     def attach_obs(self, obs: Optional["EngineObs"]) -> Optional["EngineObs"]:
         """Attach (or with ``None`` detach) an observability adapter.
@@ -315,6 +324,8 @@ class Engine:
             # mask test per event and one record per tick_stride events.
             flight = self._flightrec
             flight_mask = flight.tick_stride - 1 if flight is not None else 0
+            # Hoisted recorders: one emptiness test per event.
+            recorders = self._recorders()
             try:
                 while True:
                     t = self.queue.peek_time()
@@ -340,12 +351,10 @@ class Engine:
                     ev = self.firing = self.queue.pop()
                     self.now = ev.time
                     self.events_fired += 1
-                    if self.trace:
-                        self.trace_log.append(
-                            (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
-                        )
-                    if self._journal is not None:
-                        self._journal.record(ev)
+                    if recorders:
+                        rec = (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
+                        for sink in recorders:
+                            sink(rec)
                     if ev.handler is not None:
                         if obs_busy is None:
                             ev.handler(ev)

@@ -178,6 +178,7 @@ class ParallelEngine(Engine):
             self._prepare_run()
             end = float("inf") if until is None else float(until)
             limit = float("inf") if max_events is None else self.events_fired + max_events
+            recorders = self._recorders()
             while True:
                 t_min = min(q.peek_time() for q in self._queues)
                 if t_min == float("inf") or t_min > end:
@@ -200,10 +201,10 @@ class ParallelEngine(Engine):
                         ev = q.pop()
                         self.now = ev.time
                         self.events_fired += 1
-                        if self.trace:
-                            self.trace_log.append(
-                                (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
-                            )
+                        if recorders:
+                            rec = (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
+                            for sink in recorders:
+                                sink(rec)
                         if ev.handler is None:
                             continue
                         if obs_busy is None:

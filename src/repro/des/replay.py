@@ -5,9 +5,10 @@ top of it — is only worth what can be *checked*.  This module provides
 the checking machinery:
 
 * :class:`EventJournal` — an append-only JSONL log of fired events
-  ``(time, priority, seq, src, dst)``.  Attach one to an engine
-  (:meth:`~repro.des.engine.Engine.attach_journal`) and every fired
-  event is durably recorded; after a crash the journal holds the exact
+  ``(time, priority, seq, src, dst)``, one use of the shared
+  :class:`~repro.guard.durable.WriteAheadJournal`.  Attach one to an
+  engine (:meth:`~repro.des.engine.Engine.attach_journal`) and every
+  fired event is recorded; after a crash the journal holds the exact
   prefix the dead run executed.
 * :func:`diff_traces` — first divergences between two event traces.
 * :func:`replay_and_diff` — the oracle: re-execute a simulation from a
@@ -22,33 +23,21 @@ not approximate.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.des.engine import Engine
-from repro.des.event import Event
-from repro.guard.fsfault import fault_check, fsync_dir
-
-#: Journal format version.
-JOURNAL_VERSION = 1
+from repro.guard.durable import JournalError, WriteAheadJournal
 
 #: One trace record: (time, priority, seq, src, dst).
 TraceRecord = tuple
 
 
-class ReplayError(RuntimeError):
-    """The journal is unreadable or structurally invalid."""
-
-
-def event_record(ev: Event) -> TraceRecord:
-    """The canonical trace tuple of one fired event."""
-    return (ev.time, ev.priority, ev.seq, ev.src, ev.dst)
-
-
-class EventJournal:
+class EventJournal(WriteAheadJournal):
     """Append-only JSONL journal of fired events.
+
+    A :class:`~repro.guard.durable.WriteAheadJournal` whose header meta
+    is :attr:`META` and whose records are ``{"t", "p", "q", "s", "d"}``.
 
     Parameters
     ----------
@@ -62,77 +51,35 @@ class EventJournal:
         determinism oracle and same-process kill tests.
     """
 
+    META = {"journal": "events"}
+    OPEN_OP = "journal.open"
+    APPEND_OP = "journal.append"
+
     def __init__(self, path: str, fresh: bool = False, fsync: bool = False) -> None:
-        self.path = path
-        self.fsync = fsync
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        exists = os.path.exists(path) and os.path.getsize(path) > 0
-        fault_check("journal.open", path)
-        if fresh or not exists:
-            self._fh = open(path, "w")
-            self._write({"kind": "journal", "version": JOURNAL_VERSION})
-            if fsync:
-                # Crash-durable journals need their directory entry
-                # persisted too, or a crash can lose the whole file.
-                fsync_dir(parent)
-        else:
-            read_journal(path)  # validate header before appending
-            self._fh = open(path, "a")
+        super().__init__(path, self.META, fresh=fresh, fsync=fsync)
 
-    def record(self, ev: Event) -> None:
-        """Append one fired event."""
-        t, prio, seq, src, dst = event_record(ev)
-        self._write({"t": t, "p": prio, "q": seq, "s": src, "d": dst})
-
-    def _write(self, obj: dict) -> None:
-        data = json.dumps(obj) + "\n"
-        fault_check("journal.append", self.path, len(data))
-        self._fh.write(data)
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "EventJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def record(self, rec: TraceRecord) -> None:
+        """Append one fired event's trace record."""
+        t, prio, seq, src, dst = rec
+        self.append({"t": t, "p": prio, "q": seq, "s": src, "d": dst})
 
 
 def read_journal(path: str) -> list[TraceRecord]:
-    """Load a journal's trace records, tolerating a torn final line."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ReplayError(f"cannot read journal {path!r}: {exc}") from exc
-    good = len(raw)
-    if raw and not raw.endswith(b"\n"):
-        good = raw.rfind(b"\n") + 1  # torn tail from a mid-write kill
-    lines = raw[:good].decode().splitlines()
-    if not lines:
-        raise ReplayError(f"journal {path!r} is empty")
-    header = json.loads(lines[0])
-    if header.get("kind") != "journal":
-        raise ReplayError(f"journal {path!r} has no header line")
-    if header.get("version") != JOURNAL_VERSION:
-        raise ReplayError(
-            f"journal {path!r} has version {header.get('version')!r}, "
-            f"expected {JOURNAL_VERSION}"
-        )
-    records: list[TraceRecord] = []
-    for line in lines[1:]:
+    """Load an event journal's trace records, tolerating a torn tail.
+
+    Raises :class:`~repro.guard.durable.JournalError` for a file that is
+    not an event journal.
+    """
+    meta, records = EventJournal.read(path)
+    if meta != EventJournal.META:
+        raise JournalError(f"journal {path!r} is not an event journal")
+    trace: list[TraceRecord] = []
+    for rec in records:
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn interior line: drop the suspect suffix
-        records.append((rec["t"], rec["p"], rec["q"], rec["s"], rec["d"]))
-    return records
+            trace.append((rec["t"], rec["p"], rec["q"], rec["s"], rec["d"]))
+        except KeyError:
+            break  # not an event record: drop the suspect suffix
+    return trace
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ simulator).
 
 Persistence is torn-write safe: :meth:`Snapshot.save` writes a magic
 line, a JSON header carrying the format version and a SHA-256 payload
-checksum, then the pickled payload — all through a temp file and one
-atomic :func:`os.replace`.  :meth:`Snapshot.load` refuses truncated,
-corrupt or version-mismatched files with :class:`SnapshotError`, so a
-resume can always fall back to the previous snapshot (or a fresh run)
-rather than continue from damaged state.
+checksum, then the pickled payload — all through one
+:func:`~repro.guard.durable.atomic_write`.  :meth:`Snapshot.load`
+refuses truncated, corrupt or version-mismatched files with
+:class:`SnapshotError`, so a resume can always fall back to the previous
+snapshot (or a fresh run) rather than continue from damaged state.
 
 :class:`SnapshotStore` manages a directory of numbered snapshots with
 bounded retention; :class:`AutoSnapshotPolicy` gives an engine a
@@ -44,12 +44,11 @@ import json
 import os
 import pickle
 import pickletools
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.guard.fsfault import fault_check, fsync_dir
+from repro.guard.durable import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Engine
@@ -133,24 +132,8 @@ class Snapshot:
         header = dict(self.meta)
         header["sha256"] = hashlib.sha256(self.payload).hexdigest()
         header["payload_bytes"] = len(self.payload)
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        fault_check("snapshot.write", path, len(self.payload))
-        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".snap")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(SNAPSHOT_MAGIC)
-                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-                fh.write(self.payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            fsync_dir(parent)  # make the rename itself crash-durable
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        head = SNAPSHOT_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+        return atomic_write(path, head + self.payload, "snapshot.write")
 
     @classmethod
     def load(cls, path: str) -> "Snapshot":

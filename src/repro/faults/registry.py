@@ -195,7 +195,9 @@ def campaign_kwargs_from_config(cfg: dict) -> dict:
             unknown = sorted(set(value) - set(FAULT_KINDS))
             if unknown:
                 raise ValueError(f"unknown fault kinds in mix: {unknown}")
-            out["fault_mix"] = {str(k): float(v) for k, v in value.items()}
+            out["fault_mix"] = {
+                str(k): _config_number(f"mix.{k}", v) for k, v in value.items()
+            }
             continue
         try:
             field_map = get_domain(section).config
@@ -216,21 +218,34 @@ def campaign_kwargs_from_config(cfg: dict) -> dict:
             if dest == "net_fault_split":
                 if not isinstance(raw, dict):
                     raise ValueError("network.fault_split must map kind -> share")
-                raw = tuple(sorted((str(k), float(v)) for k, v in raw.items()))
+                raw = tuple(sorted(
+                    (str(k), _config_number(f"{section}.{key}.{k}", v))
+                    for k, v in raw.items()
+                ))
             elif dest == "net_topology":
                 raw = str(raw)
             else:
-                # coerce to the CampaignSpec field's numeric type so a
-                # JSON "1" and "1.0" build byte-identical spec records
-                try:
-                    raw = int(raw) if dest == "burst_size" else float(raw)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"fault-config {section}.{key} must be a number, "
-                        f"got {raw!r}"
-                    ) from None
+                raw = _config_number(
+                    f"{section}.{key}", raw, integral=dest == "burst_size"
+                )
             out[dest] = raw
     return out
+
+
+def _config_number(where: str, raw, integral: bool = False):
+    """A fault-config number as its ``CampaignSpec`` type.
+
+    JSON ``1`` and ``1.0`` build byte-identical spec records.  Bools and
+    strings are rejected rather than coerced, and so are non-integral
+    values of an *integral* field, which ``int()`` would truncate.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"fault-config {where} must be a number, got {raw!r}")
+    if not integral:
+        return float(raw)
+    if not float(raw).is_integer():
+        raise ValueError(f"fault-config {where} must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_registry() -> None:

@@ -1,10 +1,12 @@
 """repro.guard — resource-exhaustion resilience for the durability stack.
 
-Three pieces:
+Four pieces:
 
+* :mod:`repro.guard.durable` — how a file is made durable (atomic
+  write, :func:`fsync_dir`, the write-ahead journal) and how a torn one
+  is read.
 * :mod:`repro.guard.fsfault` — deterministic, injectable filesystem
-  faults (``ENOSPC``/``EIO``/``EMFILE``/slow I/O) plus :func:`fsync_dir`
-  for directory-entry durability after ``os.replace``.
+  faults (``ENOSPC``/``EIO``/``EMFILE``/slow I/O) at every durable write.
 * :mod:`repro.guard.resource` — the :class:`ResourceGuard` watchdog
   (disk headroom, RSS, open fds) polled at supervisor cadence.
 * :mod:`repro.guard.ladder` — the :class:`DegradationLadder` of ordered,
@@ -16,13 +18,13 @@ exporter suspension and half-open recovery probes.
 """
 
 from repro.guard.circuit import CircuitBreaker
+from repro.guard.durable import fsync_dir
 from repro.guard.fsfault import (
     FS_FAULT_KINDS,
     FsFaultConfig,
     FsFaultInjector,
     active,
     fault_check,
-    fsync_dir,
     injected,
     install,
     uninstall,

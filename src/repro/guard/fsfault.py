@@ -1,9 +1,13 @@
 """Injectable filesystem faults for the durability stack.
 
-Every durable-write path in the repo — :class:`WriteAheadJournal`
-appends, :class:`Snapshot` saves, :class:`EventJournal` records, the
-JSONL/Prometheus metric sinks and the CLI's atomic report writes —
-funnels through :func:`fault_check` before touching the filesystem.
+The writers in :mod:`repro.guard.durable` — the campaign WAL and the
+event journal, atomic writes of snapshots, flight dumps, reports and
+Prometheus snapshots, the flight spill — and the JSONL metric sink call
+:func:`fault_check` before touching the filesystem.  Three writers do
+not, because losing them costs forensics, not results: span dumps
+(``Tracer.dump_jsonl``), worker-metric dumps (``dump_worker_metrics``)
+and the supervisor failure log.
+
 With no injector installed the call is one module-global read and an
 ``is None`` test; with one installed, each checked operation draws a
 deterministic uniform from ``sha256(seed:op_index)`` and may raise
@@ -16,10 +20,6 @@ kills the Nth WAL append can assert byte-exact resume behaviour.  The
 config is a plain dict-round-trippable dataclass so it can ride the
 :data:`repro.core.supervisor.FAULT_ENV_VAR` environment variable into
 worker processes (see ``HarnessFaultInjector.fs``).
-
-This module also owns :func:`fsync_dir`, the directory-entry fsync that
-makes ``os.replace``-based atomic writes durable across power loss (the
-rename itself lives in the directory inode, not the file).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class FsFaultConfig:
         (e.g. ``"wal"`` to starve just the journal).  Empty = all.
     ops:
         Restrict eligibility to these operation names (``None`` = all).
-        See the ``fault_check`` call sites for the vocabulary
-        (``wal.append``, ``snapshot.write``, ``metrics.jsonl``, ...).
+        DESIGN.md §11 lists the vocabulary (``wal.append``,
+        ``snapshot.write``, ``metrics.jsonl``, ...).
     seed:
         Keys the deterministic draw stream.
     """
@@ -223,28 +223,3 @@ def fault_check(op: str, path: str = "", nbytes: int = 0) -> None:
     inj = _installed
     if inj is not None:
         inj.check(op, path, nbytes)
-
-
-# -- directory-entry durability ------------------------------------------------
-
-
-def fsync_dir(path: str) -> None:
-    """fsync the *directory* so a just-created/renamed entry survives a
-    host crash.  ``os.replace`` makes a write atomic, but the rename
-    itself lives in the directory inode — without this fsync a crash
-    immediately after the replace can roll the directory back to the old
-    entry (or to nothing, for a fresh file).
-
-    Platforms without directory fds (e.g. Windows) degrade to a no-op.
-    """
-    fault_check("fsync_dir", path)
-    try:
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - e.g. fsync unsupported on dir fd
-        pass
-    finally:
-        os.close(fd)

@@ -27,7 +27,8 @@ import time
 from typing import Callable, Mapping, Optional
 
 from repro.guard.circuit import CircuitBreaker
-from repro.guard.fsfault import fault_check, fsync_dir
+from repro.guard.durable import atomic_write
+from repro.guard.fsfault import fault_check
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 log = logging.getLogger("repro.obs")
@@ -216,23 +217,7 @@ def registry_to_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
 
 def write_prometheus(path: str, registry: Optional[MetricsRegistry] = None) -> str:
     """Atomically and durably write the exposition snapshot to *path*."""
-    text = registry_to_prometheus(registry)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    fault_check("metrics.prom", path, len(text))
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(parent)  # the rename lives in the directory inode
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return atomic_write(path, registry_to_prometheus(registry), "metrics.prom")
 
 
 # -- strict text-format parser (CI validation) -------------------------------

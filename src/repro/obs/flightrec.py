@@ -6,15 +6,14 @@ deque, so its steady-state cost is one dict append regardless of run
 length.  Two durability paths make the buffer useful after the fact:
 
 * **Spill** (``spill_path``): every record is also appended to a live
-  JSONL file and flushed, so a replica killed with SIGKILL leaves at
-  worst a torn final line.  :func:`load_flight_dump` keeps whole lines
-  only and skips malformed ones, mirroring the WAL's torn-tail
-  handling.  A spill I/O error disables spilling for the rest of the
-  run — recording never interrupts the simulation.
+  JSONL file through a :class:`~repro.guard.durable.LineAppender`, so a
+  replica killed with SIGKILL leaves at worst a torn final line, which
+  :func:`load_flight_dump` drops.  A spill I/O error disables spilling
+  for the rest of the run — recording never interrupts the simulation.
 * **Dump** (:meth:`FlightRecorder.dump`): on normal exit (completed,
-  aborted, wrong result) the ring is written atomically with the
-  repo-wide fsync'd atomic-write idiom (temp file → fsync → rename →
-  directory fsync), so readers never observe a half-written dump.
+  aborted, wrong result) the ring is written with
+  :func:`~repro.guard.durable.atomic_write`, so readers never observe a
+  half-written dump.
 
 Dumps are out-of-band artifacts named by replica seed
 (:func:`flight_dump_path`); nothing about them enters the campaign
@@ -27,10 +26,9 @@ from __future__ import annotations
 import collections
 import json
 import os
-import tempfile
 from typing import Optional
 
-from repro.guard.fsfault import fault_check, fsync_dir
+from repro.guard.durable import LineAppender, atomic_write, read_jsonl
 
 #: spill files stop growing past this many records (a truncation marker
 #: is written once); the ring itself is always bounded by ``capacity``
@@ -81,11 +79,16 @@ class FlightRecorder:
         self.ring: collections.deque = collections.deque(maxlen=capacity)
         self.seq = 0
         self.spill_path = spill_path
-        self.spill_failed = False
-        self._spill_fh = None
+        self._spill: Optional[LineAppender] = None
         self._spill_written = 0
         if spill_path is not None:
-            self._open_spill(spill_path)
+            self._spill = LineAppender(spill_path, op="flight.spill")
+            self._spill.open(truncate=True)
+
+    @property
+    def spill_failed(self) -> bool:
+        """Whether a spill I/O error stopped the live spill."""
+        return self._spill is not None and self._spill.failed
 
     # -- recording ---------------------------------------------------------------
 
@@ -100,81 +103,29 @@ class FlightRecorder:
         if data:
             rec.update(data)
         self.ring.append(rec)
-        if self._spill_fh is not None:
-            self._spill(rec)
+        spill = self._spill
+        if spill is not None and not spill.closed and self._spill_written < MAX_SPILL_RECORDS:
+            self._spill_written += 1
+            lines = [json.dumps(rec, sort_keys=True)]
+            if self._spill_written == MAX_SPILL_RECORDS:
+                lines.append(json.dumps({"kind": "spill_truncated", "seq": self.seq}))
+            spill.write(*lines)
 
     def tick(self, now: float, events_fired: int) -> None:
         """Periodic engine-progress sample (called at ``tick_stride``)."""
         self.record("tick", now, events=events_fired)
-
-    # -- spill -------------------------------------------------------------------
-
-    def _open_spill(self, path: str) -> None:
-        try:
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            fault_check("flight.spill", path)
-            self._spill_fh = open(path, "w", encoding="utf-8")
-        except OSError:
-            self._spill_fh = None
-            self.spill_failed = True
-
-    def _spill(self, rec: dict) -> None:
-        if self._spill_written >= MAX_SPILL_RECORDS:
-            return
-        try:
-            line = json.dumps(rec, sort_keys=True)
-            self._spill_fh.write(line + "\n")
-            self._spill_written += 1
-            if self._spill_written == MAX_SPILL_RECORDS:
-                self._spill_fh.write(
-                    json.dumps({"kind": "spill_truncated", "seq": self.seq})
-                    + "\n"
-                )
-            self._spill_fh.flush()
-        except OSError:
-            # A full or broken disk must never take the simulation down:
-            # drop the spill and keep recording in memory only.
-            try:
-                self._spill_fh.close()
-            except OSError:
-                pass
-            self._spill_fh = None
-            self.spill_failed = True
 
     # -- dump --------------------------------------------------------------------
 
     def dump(self, path: str, meta: Optional[dict] = None) -> str:
         """Atomically write the ring as a JSONL dump (header + records).
 
-        Uses the repo-wide durable-write idiom: temp file in the target
-        directory, fsync, atomic rename, directory fsync.  Readers never
-        see a partial dump.  Returns *path*.
+        Readers never see a partial dump.  Returns *path*.
         """
         header = {"kind": "header", "flight": 1, "meta": dict(meta or {})}
         lines = [json.dumps(header, sort_keys=True)]
         lines.extend(json.dumps(rec, sort_keys=True) for rec in self.ring)
-        payload = "\n".join(lines) + "\n"
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        fault_check("flight.dump", path, len(payload))
-        fd, tmp = tempfile.mkstemp(
-            dir=parent, prefix=".flight-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(parent)
-        return path
+        return atomic_write(path, "\n".join(lines) + "\n", "flight.dump")
 
     def close(self, remove_spill: bool = False) -> None:
         """Flush and close the spill file (idempotent).
@@ -183,13 +134,8 @@ class FlightRecorder:
         this after a *successful* final dump, so a live spill on disk
         always means the replica never got to dump (killed mid-run).
         """
-        if self._spill_fh is not None:
-            try:
-                self._spill_fh.flush()
-                self._spill_fh.close()
-            except OSError:
-                pass
-            self._spill_fh = None
+        if self._spill is not None:
+            self._spill.close()
         if remove_spill and self.spill_path is not None:
             try:
                 os.unlink(self.spill_path)
@@ -201,26 +147,12 @@ def load_flight_dump(path: str) -> tuple[dict, list[dict]]:
     """Read a dump or live spill, torn-tail-safe.
 
     Keeps whole lines only (a SIGKILL mid-write tears at most the final
-    line) and skips anything that does not parse — the same discipline
-    the WAL and span loaders use.  Returns ``(meta, records)``; *meta*
+    line) and skips malformed ones.  Returns ``(meta, records)``; *meta*
     is empty for spill files, which carry no header.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    good = len(raw)
-    if raw and not raw.endswith(b"\n"):
-        good = raw.rfind(b"\n") + 1
     meta: dict = {}
     records: list[dict] = []
-    for line in raw[:good].decode("utf-8", errors="replace").splitlines():
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, dict):
-            continue
+    for obj in read_jsonl(path, skip_malformed=True)[0]:
         if obj.get("kind") == "header" and "flight" in obj:
             meta = dict(obj.get("meta") or {})
         else:

@@ -32,6 +32,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.guard.durable import read_jsonl
+
 
 def new_trace_id() -> str:
     """A fresh 32-hex-digit trace id."""
@@ -228,18 +230,15 @@ def load_spans(source: str) -> list[Span]:
     by_id: dict[str, Span] = {}
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        span = Span.from_dict(json.loads(line))
-                    except (ValueError, KeyError, TypeError):
-                        continue  # torn tail or foreign line
-                    by_id[span.span_id] = span
+            records, _ = read_jsonl(path, skip_malformed=True)
         except OSError:
             continue
+        for rec in records:
+            try:
+                span = Span.from_dict(rec)
+            except (ValueError, KeyError, TypeError):
+                continue  # a foreign line
+            by_id[span.span_id] = span
     return sorted(by_id.values(), key=lambda s: (s.t_start, s.span_id))
 
 

@@ -15,6 +15,7 @@ fault-config parsing, and the ``repro faults list`` /
 import ast
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -249,6 +250,40 @@ def test_fault_config_rejects_unknown_section_and_field():
         campaign_kwargs_from_config({"sdc": {"coverage": 0.9, "volts": 1.2}})
     with pytest.raises(ValueError, match="unknown fault kind"):
         campaign_kwargs_from_config({"mix": {"meteor": 1.0}})
+
+
+@pytest.mark.parametrize("raw", [2.5, True, "3", None, float("inf")])
+def test_fault_config_rejects_non_integral_burst_size(raw):
+    with pytest.raises(ValueError, match="failstop.burst_size must be an? "):
+        campaign_kwargs_from_config({"failstop": {"burst_size": raw}})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"sdc": {"coverage": True}},
+        {"sdc": {"coverage": "0.9"}},
+        {"straggler": {"repair_s": False}},
+        {"mix": {"sdc": "1"}},
+        {"network": {"fault_split": {"link": True}}},
+    ],
+)
+def test_fault_config_rejects_bool_and_string_numbers(cfg):
+    with pytest.raises(ValueError, match="must be a number"):
+        campaign_kwargs_from_config(cfg)
+
+
+def test_fault_config_integral_burst_size_builds_the_same_spec():
+    specs = [
+        CampaignSpec(
+            node_mtbf_s=10.0,
+            ckpt_period=5,
+            **campaign_kwargs_from_config({"failstop": {"burst_size": raw}}),
+        )
+        for raw in (2, 2.0)
+    ]
+    assert asdict(specs[0]) == asdict(specs[1])
+    assert asdict(specs[0])["burst_size"] == 2 and type(specs[1].burst_size) is int
 
 
 # -- CLI layer ---------------------------------------------------------------------

@@ -388,3 +388,78 @@ def test_journal_rejects_headerless_file(tmp_path):
         fh.write('{"kind": "replica", "i": 0}\n')
     with pytest.raises(JournalError):
         WriteAheadJournal.read(path)
+
+
+# -- bad journals fail with JournalError, naming the file --------------------------
+
+
+def _write_bytes(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+_HEADER = json.dumps({"kind": "header", "version": 1, "meta": {"reps": 2}})
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    [b"not json at all", b"{", b'["kind", "header"]', b"\xff\xfe header", b"42"],
+)
+def test_journal_with_bad_header_line_raises_journal_error(tmp_path, first_line):
+    from repro.des.replay import read_journal
+
+    path = _write_bytes(tmp_path, "wal.jsonl", first_line + b"\n")
+    for load in (
+        WriteAheadJournal.read,
+        lambda p: WriteAheadJournal(p, {"reps": 2}),
+        read_journal,
+    ):
+        with pytest.raises(JournalError, match="wal.jsonl"):
+            load(path)
+
+
+def test_journal_stops_at_a_non_utf8_record(tmp_path):
+    record = json.dumps({"i": 0}).encode()
+    path = _write_bytes(
+        tmp_path,
+        "wal.jsonl",
+        _HEADER.encode() + b"\n" + record + b"\n" + b'{"i": "\xff"}\n' + record + b"\n",
+    )
+    meta, records = WriteAheadJournal.read(path)
+    assert meta == {"reps": 2}
+    assert records == [{"i": 0}]  # everything after the bad line is suspect
+
+
+def test_journal_stops_at_a_non_object_record(tmp_path):
+    path = _write_bytes(
+        tmp_path, "wal.jsonl", f'{_HEADER}\n{{"i": 0}}\n[1, 2]\n{{"i": 1}}\n'.encode()
+    )
+    assert WriteAheadJournal.read(path)[1] == [{"i": 0}]
+
+
+def test_journal_holding_only_a_torn_header_reopens_fresh(tmp_path):
+    """A kill mid-header leaves a file nothing was ever acknowledged in:
+    opening it for append starts the journal over."""
+    path = str(tmp_path / "wal.jsonl")
+    with WriteAheadJournal(path, {"reps": 2}):
+        pass
+    whole = open(path, "rb").read()
+    for cut in (1, len(whole) // 2, len(whole) - 1):
+        with open(path, "wb") as fh:
+            fh.write(whole[:cut])
+        with pytest.raises(JournalError, match="empty"):
+            WriteAheadJournal.read(path)
+        with WriteAheadJournal(path, {"reps": 2}) as wal:
+            assert wal.records == []
+            wal.append({"i": 0})
+        assert WriteAheadJournal.read(path) == ({"reps": 2}, [{"i": 0}])
+
+
+def test_journal_refuses_a_foreign_file_without_newline(tmp_path):
+    """A file with no whole line that is not a torn header of this
+    journal is someone else's data: it is refused, never overwritten."""
+    path = _write_bytes(tmp_path, "report.json", b'{"points": []}')
+    with pytest.raises(JournalError, match="report.json"):
+        WriteAheadJournal(path, {"reps": 2})
+    assert open(path, "rb").read() == b'{"points": []}'

@@ -7,12 +7,12 @@ import pytest
 from repro.des import (
     Engine,
     EventJournal,
-    ReplayError,
     SimulationError,
     diff_traces,
     read_journal,
     replay_and_diff,
 )
+from repro.guard.durable import JournalError
 from tests.des.test_snapshot import build_pair
 
 
@@ -67,16 +67,22 @@ def test_journal_append_keeps_prefix(tmp_path):
 def test_journal_header_validation(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(ReplayError, match="empty"):
+    with pytest.raises(JournalError, match="empty"):
         read_journal(str(empty))
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"kind": "other"}) + "\n")
-    with pytest.raises(ReplayError, match="header"):
+    with pytest.raises(JournalError, match="header"):
         read_journal(str(bad))
     wrong = tmp_path / "wrong.jsonl"
-    wrong.write_text(json.dumps({"kind": "journal", "version": 99}) + "\n")
-    with pytest.raises(ReplayError, match="version"):
+    header = {"kind": "header", "version": 99, "meta": EventJournal.META}
+    wrong.write_text(json.dumps(header) + "\n")
+    with pytest.raises(JournalError, match="version"):
         read_journal(str(wrong))
+    other = tmp_path / "other.jsonl"
+    header = {"kind": "header", "version": 1, "meta": {"campaign": "resilience"}}
+    other.write_text(json.dumps(header) + "\n")
+    with pytest.raises(JournalError, match="not an event journal"):
+        read_journal(str(other))
 
 
 def test_diff_traces_pinpoints_divergence():

@@ -2,7 +2,7 @@
 
 ``os.replace`` (and fresh-file creation) is only durable once the
 *directory* inode is fsynced; these tests pin that each durable-write
-site actually reaches :func:`repro.guard.fsfault.fsync_dir`.  The shim
+site actually reaches :func:`repro.guard.durable.fsync_dir`.  The shim
 counts ``fsync_dir`` as a checked op, so installing an injector with
 ``ops=("fsync_dir",)`` and zero probabilities turns it into a pure
 call counter — no faults, just proof the call happened.
@@ -10,11 +10,11 @@ call counter — no faults, just proof the call happened.
 
 import pytest
 
-from repro.core.supervisor import WriteAheadJournal
 from repro.des.engine import Engine
 from repro.des.replay import EventJournal
 from repro.des.snapshot import Snapshot
 from repro.guard import fsfault
+from repro.guard.durable import WriteAheadJournal, atomic_write
 from repro.guard.fsfault import FsFaultConfig, FsFaultInjector
 from repro.obs.export import write_prometheus
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -55,19 +55,15 @@ def test_write_prometheus_fsyncs_directory(tmp_path, fsync_counter):
 
 
 def test_cli_atomic_report_write_fsyncs_directory(tmp_path, fsync_counter):
-    from repro.cli import _write_text_atomic
-
-    _write_text_atomic(str(tmp_path / "report.json"), "{}")
+    atomic_write(str(tmp_path / "report.json"), "{}", "report.json")
     assert fsync_counter.ops_seen >= 1
 
 
 def test_replaced_file_content_is_the_new_one(tmp_path):
     """The atomic-replace semantics the fsync protects: never a torn mix."""
-    from repro.cli import _write_text_atomic
-
     path = str(tmp_path / "report.json")
-    _write_text_atomic(path, "old")
-    _write_text_atomic(path, "new")
+    atomic_write(path, "old", "report.json")
+    atomic_write(path, "new", "report.json")
     with open(path) as fh:
         assert fh.read() == "new"
     assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]  # no tmp litter

@@ -11,11 +11,11 @@ from repro.guard.fsfault import (
     FsFaultInjector,
     active,
     fault_check,
-    fsync_dir,
     injected,
     install,
     uninstall,
 )
+from repro.guard.durable import fsync_dir
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 

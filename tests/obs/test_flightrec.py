@@ -102,11 +102,12 @@ def test_spill_failure_is_nonfatal(tmp_path):
     """A broken spill device must never take the simulation down."""
     spill = flight_spill_path(str(tmp_path), 1)
     rec = FlightRecorder(spill_path=spill)
-    rec._spill_fh.close()  # break the handle: next write hits ValueError/OSError
-    rec._spill_fh = open(os.devnull, "r")  # unwritable handle
+    rec._spill._fh.close()  # break the handle: next write hits ValueError/OSError
+    unwritable = rec._spill._fh = open(os.devnull, "r")
     rec.record("tick", 0.0)
+    assert rec.spill_failed is True
     with pytest.raises(Exception):
-        rec._spill_fh.write("x")  # sanity: the handle really is unwritable
+        unwritable.write("x")  # sanity: the handle really is unwritable
     rec.close()
 
 

@@ -92,7 +92,7 @@ def test_campaign_json_creates_parent_dirs_atomically(tmp_path, capsys):
 
 
 def test_write_text_atomic_never_truncates_existing(tmp_path, monkeypatch):
-    from repro.cli import _write_text_atomic
+    from repro.guard import durable
 
     target = tmp_path / "out.json"
     target.write_text("precious")
@@ -100,11 +100,9 @@ def test_write_text_atomic_never_truncates_existing(tmp_path, monkeypatch):
     def exploding_replace(src, dst):
         raise OSError("simulated crash at replace time")
 
-    import repro.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.os, "replace", exploding_replace)
+    monkeypatch.setattr(durable.os, "replace", exploding_replace)
     with pytest.raises(OSError):
-        _write_text_atomic(str(target), "new content")
+        durable.atomic_write(str(target), "new content", "report.json")
     assert target.read_text() == "precious"  # old report untouched
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no temp litter
 
@@ -114,6 +112,62 @@ def test_campaign_resume_requires_journal(capsys):
         assert main(["campaign", flag]) == 2
         err = capsys.readouterr().err
         assert err == "repro campaign: error: --resume/--partial-report require --journal\n"
+
+
+@pytest.mark.parametrize("flag", ["--resume", "--partial-report"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{\n  "points": []\n}\n',  # an indented JSON report
+        '["kind", "header"]\n',
+        "",
+    ],
+)
+def test_campaign_unreadable_journal_is_a_usage_error(tmp_path, capsys, flag, content):
+    journal = tmp_path / "report.json"
+    journal.write_text(content)
+    assert main(["campaign", "--journal", str(journal), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro campaign: error: journal ")
+    assert "report.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--resume", "--partial-report"])
+def test_campaign_missing_journal_is_a_usage_error(tmp_path, capsys, flag):
+    missing = str(tmp_path / "nope.jsonl")
+    assert main(["campaign", "--journal", missing, flag]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro campaign: error: journal {missing!r} does not exist\n"
+
+
+def test_campaign_journal_of_another_campaign_is_a_usage_error(tmp_path, capsys):
+    from repro.core.campaign import CampaignJournal
+    from repro.core.fault_injection import RecoveryPolicy
+
+    journal = str(tmp_path / "wal.jsonl")
+    CampaignJournal(journal, reps=2, base_seed=0, policy=RecoveryPolicy()).close()
+    before = open(journal, "rb").read()
+    args = ["campaign", "--reps", "3", "--mtbf", "16", "--periods", "5",
+            "--timesteps", "10", "--journal", journal]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro campaign: error: journal ")
+    assert "belongs to a different run" in captured.err
+    assert open(journal, "rb").read() == before
+
+
+def test_campaign_journal_holding_a_torn_header_starts_fresh(tmp_path, capsys):
+    journal = tmp_path / "wal.jsonl"
+    args = ["campaign", "--reps", "2", "--mtbf", "16", "--periods", "5",
+            "--timesteps", "10", "--journal", str(journal)]
+    assert main(args) == 0
+    whole = capsys.readouterr().out
+    full = journal.read_bytes()
+    journal.write_bytes(full[: full.index(b"\n") // 2])  # killed mid-header
+    assert main(args) == 0
+    assert capsys.readouterr().out == whole
+    assert journal.read_bytes() == full
 
 
 def test_campaign_journal_resume_and_partial_report(tmp_path, capsys):
