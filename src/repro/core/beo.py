@@ -149,6 +149,16 @@ class ArchBEO:
         self.models[kernel] = model
         return self
 
+    def model(self, kernel: str) -> PerformanceModel:
+        """The model bound to *kernel*."""
+        model = self.models.get(kernel)
+        if model is None:
+            raise ModelError(
+                f"ArchBEO {self.name!r} has no model for kernel {kernel!r}; "
+                f"bound kernels: {sorted(self.models)}"
+            )
+        return model
+
     def predict(
         self,
         kernel: str,
@@ -158,10 +168,7 @@ class ArchBEO:
         """Runtime of one *kernel* call — the simulator's model poll."""
         model = self.models.get(kernel)
         if model is None:
-            raise ModelError(
-                f"ArchBEO {self.name!r} has no model for kernel {kernel!r}; "
-                f"bound kernels: {sorted(self.models)}"
-            )
+            model = self.model(kernel)  # raises, naming the bound kernels
         return model.predict(params, rng)
 
     # -- communication pricing -----------------------------------------------------

@@ -93,6 +93,13 @@ class EventQueue:
         self._next_seq += 1
         return seq
 
+    def take_seqs(self, n: int) -> int:
+        """Claim the next *n* sequence numbers at once; returns the first
+        (the same numbers *n* :meth:`take_seq` calls would claim)."""
+        seq = self._next_seq
+        self._next_seq += n
+        return seq
+
     def __len__(self) -> int:
         return max(0, len(self._heap) - self._cancelled_in_heap)
 

@@ -52,6 +52,17 @@ class PerformanceModel(abc.ABC):
         """Vector of predictions for a sequence of parameter mappings."""
         return np.asarray([self.predict(p, rng) for p in param_list], dtype=float)
 
+    def price_table(self, params: Mapping[str, float]) -> Optional[np.ndarray]:
+        """Every runtime ``predict(params, rng)`` can return, or ``None``.
+
+        Entry ``i`` is the prediction when the call's one draw,
+        ``rng.integers(0, len(table))``, returns ``i``; a one-entry table
+        draws nothing.  A simulator can then draw a whole run's noise as a
+        block.  ``None`` (the default) means the model's noise is not such
+        a draw.
+        """
+        return None
+
     def _check_params(self, params: Mapping[str, float]) -> None:
         missing = [n for n in self.param_names if n not in params]
         if missing:
@@ -71,6 +82,9 @@ class ConstantModel(PerformanceModel):
 
     def predict(self, params, rng=None) -> float:
         return self.value
+
+    def price_table(self, params) -> np.ndarray:
+        return np.array([self.value])
 
 
 class ScaledModel(PerformanceModel):
@@ -92,6 +106,10 @@ class ScaledModel(PerformanceModel):
 
     def predict(self, params, rng=None) -> float:
         return self.factor * self.inner.predict(params, rng)
+
+    def price_table(self, params) -> Optional[np.ndarray]:
+        table = self.inner.price_table(params)
+        return None if table is None else self.factor * table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScaledModel({self.factor} * {self.inner!r})"

@@ -74,11 +74,8 @@ class SymbolicRegressionModel(PerformanceModel):
         self._cache: dict[tuple, float] = {}
         self._sigma = float(np.sqrt(np.log1p(self.noise_rel_std**2)))
 
-    def predict(
-        self,
-        params: Mapping[str, float],
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
+    def _value(self, params: Mapping[str, float]) -> float:
+        """The expression at *params*: the prediction before noise and floor."""
         try:
             key = tuple(params[name] for name in self.param_names)
         except KeyError:
@@ -93,6 +90,14 @@ class SymbolicRegressionModel(PerformanceModel):
             value = float(self.expression.evaluate(env))
             if len(self._cache) < 65536:
                 self._cache[key] = value
+        return value
+
+    def predict(
+        self,
+        params: Mapping[str, float],
+        rng: Optional[np.random.Generator] = None,
+    ) -> float:
+        value = self._value(params)
         if rng is not None:
             if self.noise_factors is not None:
                 value *= float(
@@ -103,6 +108,18 @@ class SymbolicRegressionModel(PerformanceModel):
                     rng.lognormal(mean=-0.5 * self._sigma**2, sigma=self._sigma)
                 )
         return max(value, self.floor)
+
+    def price_table(self, params: Mapping[str, float]) -> Optional[np.ndarray]:
+        """``max(value * factor, floor)`` per noise factor.  Lognormal
+        noise is not a table draw: ``None``."""
+        if self.noise_factors is not None:
+            prices = self._value(params) * self.noise_factors
+        elif self.noise_rel_std > 0:
+            return None
+        else:
+            prices = np.array([self._value(params)])
+        # the comparison max() makes, so ties and NaN keep the same value
+        return np.where(self.floor > prices, self.floor, prices)
 
     # -- persistence ------------------------------------------------------------
 

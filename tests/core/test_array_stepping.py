@@ -1,0 +1,335 @@
+"""Array-stepped fault-free runs equal per-rank stepping.
+
+A fault-free run of one program on every rank steps each hook-free
+segment (no ``Checkpoint`` or ``Verify`` row, ending at a collective) for
+all ranks in one array operation.  A flight recorder is observational and
+makes a run step per rank, so it is the comparison arm: every result must
+be equal with and without one.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.apps.cmtbone import cmtbone_appbeo
+from repro.apps.iterative import iterative_solver_appbeo
+from repro.apps.lulesh import lulesh_appbeo
+from repro.core import (
+    AppBEO,
+    ArchBEO,
+    BESSTSimulator,
+    Checkpoint,
+    Collective,
+    Compute,
+    Exchange,
+    Marker,
+)
+from repro.core import simulator as simulator_mod
+from repro.core.fault_injection import FaultInjector, FaultModel
+from repro.core.ft import scenario_l1, scenario_l1_l2
+from repro.des.component import Component
+from repro.des.engine import SimulationError
+from repro.models import CallableModel, ConstantModel, ScaledModel, SymbolicRegressionModel
+from repro.network import Torus
+from repro.obs import EngineObs, FlightRecorder
+
+TIMESTEPS = 9
+
+
+def _sr(expr, factors):
+    return SymbolicRegressionModel(expr, ["ranks"], noise_factors=factors)
+
+
+def make_arch():
+    """One model per kernel of the swept apps; factor tables of mixed sizes."""
+    arch = ArchBEO("array", topology=Torus((4, 4, 4)), cores_per_node=2)
+    arch.bind("lulesh_timestep", _sr("0.02 + 0.0001 * ranks", [0.9, 1.0, 1.1, 1.4]))
+    arch.bind("cmtbone_timestep", _sr("0.03", [0.95, 1.0, 1.2]))
+    arch.bind("solve", _sr("0.01 + 0.001 * ranks", [0.8, 1.0, 1.0, 1.05, 1.3, 2.0]))
+    arch.bind("fti_l1", _sr("0.05", [1.0, 1.5]))
+    arch.bind("fti_l2", ScaledModel(_sr("0.04 + 0.0002 * ranks", [0.9, 1.1, 1.7]), 2.5))
+    arch.bind("abft_verify", ConstantModel(0.004))
+    return arch
+
+
+def same_program_builder(rank, nranks, params):
+    """Ignores *rank* but does not declare it: rows come out equal.  Has
+    leading and mid-batch markers, back-to-back collectives, a checkpoint
+    and a final collective."""
+    body = [Marker("start")]
+    for ts in range(1, TIMESTEPS + 1):
+        body += [
+            Compute.of("lulesh_timestep", ranks=nranks),
+            Marker(f"mid{ts}"),
+            Exchange(nbytes=2048, neighbors=4),
+            Compute.of("solve", ranks=nranks, n=ts % 3),
+            Collective("allreduce", nbytes=8),
+        ]
+        if ts % 3 == 0:
+            body.append(Collective("barrier"))
+        if ts % 4 == 0:
+            body.append(Checkpoint.of(1, "fti_l1", ranks=nranks))
+    body.append(Collective("barrier"))
+    return body
+
+
+APPS = {
+    "lulesh": lambda: lulesh_appbeo(TIMESTEPS, scenario_l1_l2(4)),
+    "lulesh_verify": lambda: lulesh_appbeo(TIMESTEPS, scenario_l1_l2(4).with_verification(2)),
+    "cmtbone": lambda: cmtbone_appbeo(TIMESTEPS),
+    "iterative": lambda: iterative_solver_appbeo(TIMESTEPS, scenario_l1(3)),
+    "same_program": lambda: AppBEO("same_program", same_program_builder),
+}
+
+
+def make_sim(app="lulesh", nranks=8, seed=0, arch=None, **kwargs):
+    return BESSTSimulator(APPS[app](), arch or make_arch(), nranks=nranks, seed=seed, **kwargs)
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """Every :meth:`_ArrayStepper.plan` outcome: a stepper or ``None``."""
+    outcomes = []
+    plan = simulator_mod._ArrayStepper.plan.__func__
+
+    def spy(cls, sim):
+        outcomes.append(plan(cls, sim))
+        return outcomes[-1]
+
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "plan", classmethod(spy))
+    return outcomes
+
+
+def traced_sim(flightrec=False, **kwargs):
+    """A simulator tracing its heap events, so seqs (which carry the
+    release order) are compared too."""
+    sim = make_sim(**kwargs)
+    sim.engine.trace = True
+    if flightrec:
+        sim.attach_flightrec(FlightRecorder())
+    return sim
+
+
+def run_both(planned, **kwargs):
+    """(array-stepped, per-rank) runs of one configuration."""
+    array_sim = traced_sim(**kwargs)
+    array_res = array_sim.run()
+    assert planned[-1] is not None
+    reference = traced_sim(flightrec=True, **kwargs)
+    ref_res = reference.run()
+    assert planned[-1] is None
+    assert array_sim.engine.trace_log == reference.engine.trace_log
+    assert array_sim.engine.queue.take_seq() == reference.engine.queue.take_seq()
+    assert array_sim.engine.rngs.state_digest() == reference.engine.rngs.state_digest()
+    assert rank_states(array_sim) == rank_states(reference)
+    return array_res, ref_res
+
+
+def rank_states(sim):
+    return [(r.pc, r.collective_calls, r.ckpt_seq, r.restart_history) for r in sim._ranks]
+
+
+#: seeded sweep: every app at every rank count, with timeline recording,
+#: Monte-Carlo pricing and seed drawn per case
+_pick = np.random.default_rng(2021)
+SWEEP = [
+    (
+        app,
+        nranks,
+        ("rank0", "all", "none")[int(_pick.integers(3))],
+        bool(_pick.integers(2)),
+        int(_pick.integers(1000)),
+    )
+    for app, nranks in itertools.product(APPS, (1, 8, 27, 64))
+]
+
+
+def test_sweep_covers_every_option():
+    assert {case[2] for case in SWEEP} == {"rank0", "all", "none"}
+    assert {case[3] for case in SWEEP} == {True, False}
+
+
+@pytest.mark.parametrize("app,nranks,record,monte_carlo,seed", SWEEP)
+def test_array_stepping_equals_per_rank_stepping(planned, app, nranks, record, monte_carlo, seed):
+    array_res, ref_res = run_both(
+        planned,
+        app=app,
+        nranks=nranks,
+        seed=seed,
+        record_timelines=record,
+        monte_carlo=monte_carlo,
+    )
+    assert array_res == ref_res
+    assert array_res.total_time.hex() == ref_res.total_time.hex()
+
+
+@pytest.mark.parametrize("record", ["rank0", "all", "none"])
+@pytest.mark.parametrize("monte_carlo", [True, False])
+def test_lulesh_64_ranks_every_option(planned, record, monte_carlo):
+    array_res, ref_res = run_both(
+        planned, app="lulesh_verify", nranks=64, record_timelines=record, monte_carlo=monte_carlo
+    )
+    assert array_res == ref_res
+
+
+def test_fig7_like_run_prices_per_rank_only_hooked_batches(monkeypatch):
+    """LULESH at 64 ranks with checkpoints: the hook-free segments are
+    array-stepped, so ``_price_batch`` prices only the batches with a
+    checkpoint (or the program's last), and no model is polled."""
+    batches = []
+    price_batch = simulator_mod._Rank._price_batch
+
+    def spy(rank):
+        dt, batch, hooked = price_batch(rank)
+        batches.append(hooked or rank.pc == len(rank.rows))
+        return dt, batch, hooked
+
+    def no_poll(*args, **kwargs):
+        raise AssertionError("Monte-Carlo prices are drawn at run start")
+
+    monkeypatch.setattr(simulator_mod._Rank, "_price_batch", spy)
+    monkeypatch.setattr(ArchBEO, "predict", no_poll)
+    app = lulesh_appbeo(40, scenario_l1_l2(10))
+    res = BESSTSimulator(app, make_arch(), nranks=64, seed=7).run()
+    # 4 checkpoint instants, each with an L1 batch and an L2 batch (which
+    # holds the next timestep's kernel, or ends the program)
+    assert all(batches) and len(batches) == 64 * 4 * 2
+    assert res.events_fired > 64 * 40
+
+
+# -- conditions that make a run step per rank ----------------------------------------
+
+
+def check_per_rank(planned, build):
+    """A run of ``build()`` steps per rank and equals a flight-recorder run."""
+    res = build().run()
+    assert planned[-1] is None
+    reference = build()
+    reference.attach_flightrec(FlightRecorder())
+    assert res == reference.run()
+    return res
+
+
+def test_fault_injector_steps_per_rank(planned):
+    def build():
+        injector = FaultInjector(FaultModel(node_mtbf_s=1e9), nnodes=4, seed=1)
+        return make_sim(fault_injector=injector)
+
+    res = check_per_rank(planned, build)
+    assert res.faults_injected == 0 and res == run_both(planned)[0]
+
+
+class Ticker(Component):
+    """A foreign component: its start event is not a rank's."""
+
+    def __init__(self, fired):
+        super().__init__("ticker")
+        self.fired = fired
+
+    def setup(self):
+        self.schedule(0.05, lambda ev: self.fired.append(ev.time))
+
+
+@pytest.mark.parametrize("source", ["queue", "component"])
+def test_foreign_event_steps_per_rank(planned, source):
+    fired = []
+
+    def build():
+        sim = make_sim()
+        if source == "queue":
+            sim.engine.schedule(0.05, lambda ev: fired.append(ev.time))
+        else:
+            sim.engine.register(Ticker(fired))
+        return sim
+
+    check_per_rank(planned, build)
+    assert fired == [0.05, 0.05]
+
+
+def test_obs_adapter_steps_per_rank(planned):
+    def build():
+        sim = make_sim()
+        sim.engine.attach_obs(EngineObs())
+        return sim
+
+    assert check_per_rank(planned, build) == run_both(planned)[0]
+
+
+def _arch_with(kernel, model):
+    arch = make_arch()
+    arch.bind(kernel, model)
+    return arch
+
+
+def test_stochastic_callable_model_steps_per_rank(planned):
+    model = CallableModel(lambda p, rng: 0.01 * rng.uniform(0.5, 1.5), stochastic=True)
+    check_per_rank(planned, lambda: make_sim(app="iterative", arch=_arch_with("solve", model)))
+
+
+def test_callable_model_steps_per_rank_even_when_deterministic(planned):
+    arch = _arch_with("solve", CallableModel(lambda p: 0.01))
+    check_per_rank(planned, lambda: make_sim(app="iterative", arch=arch, monte_carlo=False))
+
+
+def test_lognormal_noise_steps_per_rank(planned):
+    model = SymbolicRegressionModel("0.01", [], noise_rel_std=0.1)
+    check_per_rank(planned, lambda: make_sim(app="iterative", arch=_arch_with("solve", model)))
+
+
+def test_fault_injected_into_an_array_stepped_run_is_refused(planned):
+    sim = make_sim()
+    with pytest.raises(SimulationError):
+        sim.run(max_events=20)
+    assert planned[-1] is not None
+    with pytest.raises(RuntimeError, match="before run"):
+        sim.inject_fault(0)
+    assert sim.run() == make_sim().run()
+
+
+def test_max_events_crossing_stays_exact(planned):
+    """A ``max_events`` limit anywhere in a segment stops both arms at the
+    same event, and each then finishes to the same result."""
+    kwargs = dict(app="lulesh_verify", nranks=27, record_timelines="all")
+    full = make_sim(**kwargs).run()
+    middle = full.events_fired // 2
+    for budget in range(middle, middle + 30):
+        sims = [traced_sim(**kwargs), traced_sim(flightrec=True, **kwargs)]
+        stops = []
+        for sim in sims:
+            with pytest.raises(SimulationError, match="max_events"):
+                sim.run(max_events=budget)
+            stops.append((sim.engine.events_fired, sim.engine.now))
+        assert planned[-2] is not None and planned[-1] is None
+        assert stops[0] == stops[1]
+        assert sims[0].run() == sims[1].run() == full
+        assert sims[0].engine.trace_log == sims[1].engine.trace_log
+
+
+def _arrays(root, skip) -> set:
+    """Ids of the numpy arrays reachable from *root* through containers
+    and ``repro`` objects, not entering *skip*."""
+    seen, stack, arrays = set(), [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or any(obj is s for s in skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.add(id(obj))
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro") and hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
+def test_finished_simulator_holds_no_array_state(planned):
+    sim = make_sim(nranks=27)
+    skip = (sim.archbeo, sim.appbeo)  # models own their noise tables
+    before = _arrays(sim, skip)
+    sim.run()
+    assert planned[-1] is not None and sim._stepper is None
+    assert _arrays(sim, skip) <= before

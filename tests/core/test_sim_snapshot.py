@@ -24,7 +24,7 @@ from repro.core.campaign import (
 from repro.core.fault_injection import RecoveryPolicy
 from repro.des.engine import SimulationError
 from repro.des.snapshot import SnapshotStore
-from repro.models import ConstantModel
+from repro.models import ConstantModel, SymbolicRegressionModel
 from repro.network import FullyConnected
 
 
@@ -101,6 +101,28 @@ def test_sim_restore_twice_from_same_snapshot(tmp_path):
     sim_a = BESSTSimulator.restore(latest)
     sim_b = BESSTSimulator.restore(latest)
     assert result_key(sim_a.run()) == result_key(sim_b.run())
+
+
+def make_array_sim(seed=4):
+    """A fault-free Monte-Carlo run, so its hook-free segments are
+    stepped for all ranks at once."""
+    arch = ArchBEO("m", topology=FullyConnected(8), cores_per_node=2)
+    arch.bind("k", SymbolicRegressionModel("0.1", [], noise_factors=[0.8, 1.0, 1.3]))
+    arch.bind("ckpt", SymbolicRegressionModel("0.05", [], noise_factors=[1.0, 2.0]))
+    app = AppBEO("snap_array", SPMDBuilder(40, scenario_l1(5)))
+    return BESSTSimulator(app, arch, nranks=8, seed=seed, record_timelines="all")
+
+
+def test_array_stepped_sim_restores_mid_run_bit_identical(tmp_path):
+    ref = make_array_sim().run()
+    sim = make_array_sim()
+    sim.enable_snapshots(str(tmp_path), every_events=50)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=ref.events_fired // 2)
+    resumed = BESSTSimulator.restore(SnapshotStore(str(tmp_path)).latest())
+    assert resumed._stepper is not None  # captured while array-stepping
+    assert resumed.run() == ref
+    assert resumed._stepper is None
 
 
 def test_sim_snapshot_requires_picklable_builder(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.ft import NO_FT, scenario_l1
 from repro.exps.casestudy import CASE_EPRS, CASE_RANKS, case_scenarios, get_context
+from repro.models.symreg import GPConfig
 
 
 def test_constants_match_table2():
@@ -14,10 +15,11 @@ def test_constants_match_table2():
 
 
 def test_context_is_cached(ctx):
-    again = get_context(seed=1, samples_per_point=6, gp_config=None)
-    assert again is not ctx  # different options -> different context
     from tests.exps.conftest import _FAST_GP
 
+    tiny_gp = GPConfig(population_size=8, generations=1, n_genes=1)
+    again = get_context(seed=1, samples_per_point=6, gp_config=tiny_gp)
+    assert again is not ctx  # different options -> different context
     same = get_context(seed=1, samples_per_point=6, gp_config=_FAST_GP)
     assert same is ctx
 

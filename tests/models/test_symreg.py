@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import BenchmarkDataset
+from repro.models import BenchmarkDataset, CallableModel, ConstantModel, ScaledModel
 from repro.models.symreg import (
     Binary,
     Const,
@@ -377,6 +377,33 @@ def test_model_noise_draws():
 def test_model_floor():
     m = SymbolicRegressionModel("(x - 100)", ("x",), floor=0.5)
     assert m.predict({"x": 1}) == 0.5
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        SymbolicRegressionModel("(x - 2)", ("x",), noise_factors=[0.5, 1.0, 3.0, 0.0]),
+        SymbolicRegressionModel("(x - 2)", ("x",), noise_factors=[2.0], floor=0.25),
+        SymbolicRegressionModel("(3 * x)", ("x",)),
+        ScaledModel(SymbolicRegressionModel("x", ("x",), noise_factors=[0.9, 1.7]), 0.3),
+        ConstantModel(0.7),
+    ],
+)
+@pytest.mark.parametrize("x", [1.0, 2.5])
+def test_price_table_lists_what_predict_draws(model, x):
+    """``predict(p, rng)`` returns ``table[rng.integers(0, len(table))]``,
+    drawn from the same stream state (a one-entry table draws nothing)."""
+    table = model.price_table({"x": x})
+    scalar, block = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [model.predict({"x": x}, scalar) for _ in range(40)]
+    assert drawn == table[block.integers(0, np.full(40, len(table)))].tolist()
+    assert scalar.bit_generator.state == block.bit_generator.state
+
+
+def test_price_table_is_none_for_noise_that_is_no_table_draw():
+    assert SymbolicRegressionModel("x", ("x",), noise_rel_std=0.1).price_table({"x": 1}) is None
+    assert CallableModel(lambda p: 1.0).price_table({}) is None
+    assert ScaledModel(CallableModel(lambda p: 1.0), 2.0).price_table({}) is None
 
 
 def test_model_serialization_roundtrip():
