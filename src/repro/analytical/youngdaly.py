@@ -88,18 +88,6 @@ def expected_waste(
     return expected_runtime(work, interval, ckpt_cost, mtbf, restart_cost) - work
 
 
-def expected_waste_fraction(
-    work: float,
-    interval: float,
-    ckpt_cost: float,
-    mtbf: float,
-    restart_cost: float = 0.0,
-) -> float:
-    """Expected waste as a fraction of expected wall time."""
-    total = expected_runtime(work, interval, ckpt_cost, mtbf, restart_cost)
-    return (total - work) / total
-
-
 def optimal_expected_runtime(
     work: float,
     ckpt_cost: float,

@@ -43,30 +43,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-_EXPERIMENTS: dict[str, tuple[str, str]] = {
-    "fig1": ("Fig. 1", "CMT-bone on Vulcan benchmark-vs-sim DSE"),
-    "fig4": ("Fig. 4", "fault-assumption Cases 1-4 (fault injection)"),
-    "fig5": ("Fig. 5", "instance-model scaling vs problem size"),
-    "fig6": ("Fig. 6", "instance-model scaling vs ranks"),
-    "fig7": ("Fig. 7", "full-system runtime, 64 ranks"),
-    "fig8": ("Fig. 8", "full-system runtime, 1000 ranks"),
-    "fig9": ("Fig. 9", "overhead prediction matrix"),
-    "table3": ("Table III", "instance-model MAPE"),
-    "table4": ("Table IV", "full-system simulation MAPE"),
-    "ext1": ("extension", "all four FTI levels, full system"),
-    "ext2": ("extension", "checkpoint-level selection vs MTBF"),
-    "ext3": ("extension", "architectural DSE: fat tree vs dragonfly"),
-    "ext4": ("extension", "hardware DSE: NVRAM checkpoint storage"),
-    "ext5": ("extension", "simulated level DSE under mixed faults"),
-    "ext6": ("extension", "ABFT vs checkpoint-restart for SDC"),
-    "ext7": ("extension", "modeling granularity ablation"),
-    "ext8": ("extension", "SDC verification-interval x fault-mix DSE"),
-    "ext9": ("extension", "network fault DSE: link MTBF x checkpoint period"),
-    "abl1": ("ablation", "LUT vs symbolic regression"),
-    "abl2": ("ablation", "checkpoint period vs Young/Daly"),
-    "abl3": ("ablation", "analytical speedup baselines"),
-    "abl4": ("ablation", "sequential vs parallel DES engine"),
-}
+from repro.targets import TARGETS, run_target
 
 
 def _parse_fault_mix(pairs: "list[str]") -> "dict[str, float]":
@@ -177,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list all experiment targets")
 
-    for name, (artifact, desc) in _EXPERIMENTS.items():
-        p = sub.add_parser(name, help=f"{artifact}: {desc}")
+    for target in TARGETS.values():
+        p = sub.add_parser(target.name, help=f"{target.artifact}: {target.description}")
         p.add_argument("--seed", type=int, default=0, help="root seed")
         p.add_argument(
             "--reps", type=int, default=3, help="Monte-Carlo replicas"
@@ -486,105 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(name: str, seed: int, reps: int) -> str:
-    # Imports are local so `repro list --help` stays instant.
-    if name == "fig1":
-        from repro.exps.fig1 import cmtbone_dse, format_fig1
-
-        return format_fig1(cmtbone_dse(reps=max(reps, 3), seed=seed))
-    if name == "fig4":
-        from repro.exps.casestudy import get_context
-        from repro.exps.fig4 import fault_assumption_cases, format_fig4
-
-        return format_fig4(
-            fault_assumption_cases(get_context(seed=seed), reps=reps)
-        )
-    if name in ("fig5", "fig6"):
-        from repro.exps.casestudy import get_context
-        from repro.exps.fig5_6 import format_fig5, format_fig6, instance_scaling
-
-        rows = instance_scaling(get_context(seed=seed))
-        return format_fig5(rows) if name == "fig5" else format_fig6(rows)
-    if name in ("fig7", "fig8"):
-        from repro.exps.casestudy import get_context
-        from repro.exps.fig7_8 import format_fig7_8, full_system_curves
-
-        ranks = 64 if name == "fig7" else 1000
-        return format_fig7_8(
-            full_system_curves(ranks, ctx=get_context(seed=seed), reps=reps)
-        )
-    if name == "fig9":
-        from repro.exps.casestudy import get_context
-        from repro.exps.fig9 import format_fig9, overhead_prediction
-
-        return format_fig9(overhead_prediction(get_context(seed=seed), reps=reps))
-    if name == "table3":
-        from repro.exps.casestudy import get_context
-        from repro.exps.table3 import format_table3, instance_model_mape
-
-        return format_table3(instance_model_mape(get_context(seed=seed)))
-    if name == "table4":
-        from repro.exps.casestudy import get_context
-        from repro.exps.table4 import format_table4, full_system_mape
-
-        return format_table4(full_system_mape(get_context(seed=seed), reps=reps))
-    if name == "ext1":
-        from repro.exps.extensions import all_levels_full_system, format_ext1
-
-        return format_ext1(all_levels_full_system(reps=reps))
-    if name == "ext2":
-        from repro.exps.extensions import format_ext2, level_selection_sweep
-
-        return format_ext2(level_selection_sweep())
-    if name == "ext3":
-        from repro.exps.extensions import architectural_dse, format_ext3
-
-        return format_ext3(architectural_dse(reps=reps))
-    if name == "ext4":
-        from repro.exps.extensions import format_ext4, hardware_upgrade_dse
-
-        return format_ext4(hardware_upgrade_dse(reps=reps))
-    if name == "ext5":
-        from repro.exps.extensions import format_ext5, level_fault_dse
-
-        return format_ext5(level_fault_dse(reps=reps))
-    if name == "ext6":
-        from repro.exps.extensions import abft_vs_checkpointing, format_ext6
-
-        return format_ext6(abft_vs_checkpointing())
-    if name == "ext7":
-        from repro.exps.extensions import format_ext7, granularity_ablation
-
-        return format_ext7(granularity_ablation(reps=reps, seed=seed))
-    if name == "ext8":
-        from repro.exps.extensions import format_ext8, sdc_verification_dse
-
-        return format_ext8(sdc_verification_dse(reps=reps, seed=seed))
-    if name == "ext9":
-        from repro.exps.extensions import format_ext9, network_fault_dse
-
-        return format_ext9(network_fault_dse(reps=reps, seed=seed))
-    if name == "abl1":
-        from repro.exps.ablations import format_abl1, modeling_method_ablation
-        from repro.exps.casestudy import get_context
-
-        return format_abl1(modeling_method_ablation(get_context(seed=seed)))
-    if name == "abl2":
-        from repro.exps.ablations import format_abl2, youngdaly_ablation
-        from repro.exps.casestudy import get_context
-
-        return format_abl2(youngdaly_ablation(get_context(seed=seed), reps=reps))
-    if name == "abl3":
-        from repro.exps.ablations import analytical_baselines, format_abl3
-
-        return format_abl3(analytical_baselines())
-    if name == "abl4":
-        from repro.exps.ablations import engine_ablation, format_abl4
-
-        return format_abl4(engine_ablation())
-    raise ValueError(f"unknown experiment {name!r}")  # pragma: no cover
-
-
 def _run_campaign(args) -> tuple[str, int]:
     """Run the campaign; returns ``(stdout text, exit code)``."""
     from repro.core.campaign import CampaignSpec, ResilienceCampaign
@@ -850,8 +728,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (artifact, desc) in _EXPERIMENTS.items():
-            print(f"{name:<8s} {artifact:<10s} {desc}")
+        for t in TARGETS.values():
+            print(f"{t.name:<8s} {t.artifact:<10s} {t.description}")
         return 0
     if args.command == "campaign":
         from repro.guard.durable import JournalError
@@ -883,7 +761,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "show-models":
         print(_show_models(args.path))
         return 0
-    print(_run_experiment(args.command, args.seed, args.reps))
+    print(run_target(args.command, args.seed, args.reps))
     return 0
 
 

@@ -139,8 +139,13 @@ def simulate_design_point(
     base_seed: int = 0,
     fault_injector_factory=None,
     max_events: Optional[int] = None,
+    record_timelines: str = "rank0",
 ) -> MonteCarloResult:
-    """Monte-Carlo evaluation of one design point (Co-Design phase)."""
+    """Monte-Carlo evaluation of one design point (Co-Design phase).
+
+    Replica *i* runs with seed ``base_seed + i`` and, if given, the fault
+    injector ``fault_injector_factory(base_seed + i)``.
+    """
 
     def factory(seed: int) -> BESSTSimulator:
         fi = fault_injector_factory(seed) if fault_injector_factory else None
@@ -151,6 +156,7 @@ def simulate_design_point(
             params=params,
             seed=seed,
             fault_injector=fi,
+            record_timelines=record_timelines,
         )
 
     return MonteCarloRunner(reps=reps, base_seed=base_seed).run(

@@ -27,7 +27,6 @@ invariant that survives snapshot/restore.
 from repro.des.event import Event, EventQueue
 from repro.des.component import Component, Port
 from repro.des.link import Link
-from repro.des.clock import Clock
 from repro.des.engine import Engine, SimulationError
 from repro.des.parallel import ParallelEngine
 from repro.des.replay import (
@@ -52,7 +51,6 @@ __all__ = [
     "Component",
     "Port",
     "Link",
-    "Clock",
     "Engine",
     "SimulationError",
     "ParallelEngine",

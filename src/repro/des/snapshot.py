@@ -321,9 +321,6 @@ class AutoSnapshotPolicy:
     snapshots_taken: int = 0
     _events_at_last: int = field(default=0, repr=False)
     _wall_at_last: Optional[float] = field(default=None, repr=False)
-    _stretched: bool = field(default=False, repr=False)
-    _base_every_events: Optional[int] = field(default=None, repr=False)
-    _base_every_wall_s: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.every_events is None and self.every_wall_s is None:
@@ -368,29 +365,6 @@ class AutoSnapshotPolicy:
 
     def maybe_take(self, engine: "Engine") -> Optional[str]:
         return self.take(engine) if self.due(engine) else None
-
-    def stretch(self, factor: float) -> None:
-        """Degradation-ladder stage action: multiply the cadence by
-        *factor* (fewer snapshots → less disk churn).  Idempotent-safe:
-        the original cadence is remembered once, for
-        :meth:`restore_cadence` on ladder recovery."""
-        if factor <= 1.0:
-            raise ValueError(f"stretch factor must be > 1, got {factor}")
-        if not self._stretched:
-            self._stretched = True
-            self._base_every_events = self.every_events
-            self._base_every_wall_s = self.every_wall_s
-        if self.every_events is not None:
-            self.every_events = max(1, int(self.every_events * factor))
-        if self.every_wall_s is not None:
-            self.every_wall_s = self.every_wall_s * factor
-
-    def restore_cadence(self) -> None:
-        """Undo :meth:`stretch` (ladder stage exit)."""
-        if self._stretched:
-            self.every_events = self._base_every_events
-            self.every_wall_s = self._base_every_wall_s
-            self._stretched = False
 
     #: how often (in fired events) a wall-clock-only cadence is polled
     WALL_CHECK_STRIDE = 1024

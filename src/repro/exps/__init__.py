@@ -17,11 +17,19 @@ fig4      Fig. 4 — fault-assumption Cases 1-4 (incl. the
           paper's future-work fault injection)
 ablations ABL1-ABL4 — modeling method, Young/Daly, analytical
           baselines, DES engine equivalence
-extensions EXT1-EXT7 — all FTI levels, level selection,
+extensions EXT1-EXT9 — all FTI levels, level selection,
           architectural/hardware DSE, level-aware fault DSE,
-          ABFT vs C/R, modeling granularity
+          ABFT vs C/R, modeling granularity, SDC verification
+          interval DSE, network fault DSE
 report    the full markdown report (writes EXPERIMENTS.md)
 ========  ====================================================
+
+The targets that run these modules — ``repro <target>`` and the report's
+sections — are declared once, in :data:`repro.targets.TARGETS`.  Every
+Monte-Carlo design point is one
+:func:`~repro.core.workflow.simulate_design_point` call; EXT8 and EXT9
+seed their replicas through ``derive_seeds`` and run campaign simulators
+instead.
 """
 
 from repro.exps.casestudy import (

@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.analytical import (
     daly_interval,
     replication_speedup,
@@ -27,8 +25,7 @@ from repro.analytical import (
 )
 from repro.core.fault_injection import FaultInjector, FaultModel
 from repro.core.ft import scenario_l1
-from repro.core.montecarlo import MonteCarloRunner
-from repro.core.simulator import BESSTSimulator
+from repro.core.workflow import simulate_design_point
 from repro.models.calibration import CalibrationPipeline, dataset_mape
 from repro.apps.lulesh import lulesh_appbeo
 from repro.exps.casestudy import CaseStudyContext, get_context
@@ -102,21 +99,16 @@ def youngdaly_ablation(
 
     points: list[PeriodPoint] = []
     for period in periods:
-        app = lulesh_appbeo(timesteps=timesteps, scenario=scenario_l1(period))
-
-        def factory(seed, _app=app):
-            return BESSTSimulator(
-                _app,
-                arch,
-                nranks=ranks,
-                params={"epr": epr},
-                seed=seed,
-                fault_injector=FaultInjector(model, nnodes=nnodes, seed=seed + 5),
-                record_timelines="none",
-            )
-
-        mc = MonteCarloRunner(reps=reps, base_seed=7).run(
-            factory, max_events=50_000_000
+        mc = simulate_design_point(
+            lulesh_appbeo(timesteps=timesteps, scenario=scenario_l1(period)),
+            arch,
+            ranks,
+            {"epr": epr},
+            reps=reps,
+            base_seed=7,
+            fault_injector_factory=lambda s: FaultInjector(model, nnodes=nnodes, seed=s + 5),
+            max_events=50_000_000,
+            record_timelines="none",
         )
         points.append(
             PeriodPoint(

@@ -18,9 +18,13 @@ import numpy as np
 
 from repro.core.beo import ArchBEO
 from repro.core.ft import NO_FT, FTScenario, scenario_l1, scenario_l1_l2
-from repro.core.montecarlo import MonteCarloResult, MonteCarloRunner
-from repro.core.simulator import BESSTSimulator
-from repro.core.workflow import ModelDevelopment, ModelDevelopmentResult, build_archbeo
+from repro.core.montecarlo import MonteCarloResult
+from repro.core.workflow import (
+    ModelDevelopment,
+    ModelDevelopmentResult,
+    build_archbeo,
+    simulate_design_point,
+)
 from repro.apps.lulesh import lulesh_appbeo
 from repro.models.symreg import GPConfig
 from repro.testbed.machine import MeasuredRun, VirtualMachine, measure_application_run
@@ -68,19 +72,15 @@ class CaseStudyContext:
         hit = self._sim_cache.get(key)
         if hit is not None:
             return hit
-        app = lulesh_appbeo(timesteps=timesteps, scenario=scenario)
-
-        def factory(seed: int) -> BESSTSimulator:
-            return BESSTSimulator(
-                app,
-                self.archbeo,
-                nranks=ranks,
-                params={"epr": epr},
-                seed=seed,
-                record_timelines=record_timelines,
-            )
-
-        result = MonteCarloRunner(reps=reps, base_seed=self.seed + 1000).run(factory)
+        result = simulate_design_point(
+            lulesh_appbeo(timesteps=timesteps, scenario=scenario),
+            self.archbeo,
+            ranks,
+            {"epr": epr},
+            reps=reps,
+            base_seed=self.seed + 1000,
+            record_timelines=record_timelines,
+        )
         self._sim_cache[key] = result
         return result
 

@@ -26,9 +26,7 @@ from repro.analytical.levelselect import (
 )
 from repro.core.beo import ArchBEO
 from repro.core.ft import scenario_levels
-from repro.core.montecarlo import MonteCarloRunner
-from repro.core.simulator import BESSTSimulator
-from repro.core.workflow import ModelDevelopment, build_archbeo
+from repro.core.workflow import ModelDevelopment, build_archbeo, simulate_design_point
 from repro.apps.lulesh import lulesh_appbeo
 from repro.exps.casestudy import CKPT_PERIOD, CaseStudyContext, get_context
 from repro.network.commmodel import CollectiveCostModel, LogGPModel
@@ -211,19 +209,15 @@ def architectural_dse(
     for arch_name, arch in architectures.items():
         for levels in ([], [1], [1, 2]):
             scenario = scenario_levels(levels, period=period)
-            app = lulesh_appbeo(timesteps=timesteps, scenario=scenario)
-
-            def factory(seed, _app=app, _arch=arch):
-                return BESSTSimulator(
-                    _app,
-                    _arch,
-                    nranks=ranks,
-                    params={"epr": epr},
-                    seed=seed,
-                    record_timelines="none",
-                )
-
-            mc = MonteCarloRunner(reps=reps, base_seed=11).run(factory)
+            mc = simulate_design_point(
+                lulesh_appbeo(timesteps=timesteps, scenario=scenario),
+                arch,
+                ranks,
+                {"epr": epr},
+                reps=reps,
+                base_seed=11,
+                record_timelines="none",
+            )
             rows.append(
                 ArchDSERow(
                     architecture=arch_name,
@@ -292,18 +286,14 @@ def hardware_upgrade_dse(
     for name, arch in (("quartz", base), ("quartz+nvram", upgraded)):
         for levels in ([], [1], [1, 2]):
             scenario = scenario_levels(levels, period=period)
-            app = lulesh_appbeo(timesteps=timesteps, scenario=scenario)
-
-            def factory(seed, _app=app, _arch=arch):
-                return BESSTSimulator(
-                    _app,
-                    _arch,
-                    nranks=ranks,
-                    params={"epr": epr},
-                    seed=seed,
-                )
-
-            mc = MonteCarloRunner(reps=reps, base_seed=23).run(factory)
+            mc = simulate_design_point(
+                lulesh_appbeo(timesteps=timesteps, scenario=scenario),
+                arch,
+                ranks,
+                {"epr": epr},
+                reps=reps,
+                base_seed=23,
+            )
             rows.append(
                 HardwareDSERow(
                     machine=name,
@@ -374,31 +364,29 @@ def level_fault_dse(
     rows: list[LevelFaultRow] = []
     for level in (1, 2, 3, 4):
         scenario = scenario_levels([level], period=period)
-        app = lulesh_appbeo(timesteps=timesteps, scenario=scenario)
+        injectors: list[FaultInjector] = []
 
-        results = []
-        scratch = 0
-        for rep in range(reps):
-            fi = FaultInjector(model, nnodes=nnodes, seed=1000 + rep)
-            sim = BESSTSimulator(
-                app,
-                arch,
-                nranks=ranks,
-                params={"epr": epr},
-                seed=rep,
-                fault_injector=fi,
-                record_timelines="none",
-            )
-            res = sim.run(max_events=50_000_000)
-            results.append(res)
-            if level == 1:
-                scratch += fi.log.count_kind("node")
+        def fault_injector(seed: int) -> FaultInjector:
+            injectors.append(FaultInjector(model, nnodes=nnodes, seed=seed + 1000))
+            return injectors[-1]
+
+        mc = simulate_design_point(
+            lulesh_appbeo(timesteps=timesteps, scenario=scenario),
+            arch,
+            ranks,
+            {"epr": epr},
+            reps=reps,
+            fault_injector_factory=fault_injector,
+            max_events=50_000_000,
+            record_timelines="none",
+        )
+        scratch = sum(fi.log.count_kind("node") for fi in injectors)
         rows.append(
             LevelFaultRow(
                 level=level,
-                mean_total=float(np.mean([r.total_time for r in results])),
-                mean_rollbacks=float(np.mean([r.rollbacks for r in results])),
-                mean_wasted=float(np.mean([r.wasted_time for r in results])),
+                mean_total=mc.total_time.mean,
+                mean_rollbacks=mc.mean_rollbacks,
+                mean_wasted=float(np.mean([r.wasted_time for r in mc.results])),
                 scratch_restarts=scratch / reps if level == 1 else 0.0,
             )
         )
@@ -570,14 +558,9 @@ def granularity_ablation(
         dev = ModelDevelopment(machine, kernels, seed=seed).run()
         fit_seconds = _time.perf_counter() - t0
         arch = build_archbeo(machine, dev.models())
-
-        def factory(s, _app=app, _arch=arch):
-            return BESSTSimulator(
-                _app, _arch, nranks=ranks, params={"epr": epr}, seed=s,
-                record_timelines="none",
-            )
-
-        mc = MonteCarloRunner(reps=reps, base_seed=41).run(factory)
+        mc = simulate_design_point(
+            app, arch, ranks, {"epr": epr}, reps=reps, base_seed=41, record_timelines="none"
+        )
         rows.append(
             GranularityRow(
                 granularity=name,

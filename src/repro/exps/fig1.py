@@ -21,9 +21,7 @@ import numpy as np
 
 from repro.core.ft import NO_FT
 from repro.core.instructions import Collective, Exchange
-from repro.core.montecarlo import MonteCarloRunner
-from repro.core.simulator import BESSTSimulator
-from repro.core.workflow import ModelDevelopment, build_archbeo
+from repro.core.workflow import ModelDevelopment, build_archbeo, simulate_design_point
 from repro.apps.cmtbone import cmtbone_appbeo
 from repro.testbed.machine import measure_application_run
 from repro.testbed.vulcan import make_vulcan
@@ -124,19 +122,15 @@ def cmtbone_dse(
     points: list[Fig1Point] = []
     for es in elem_sizes:
         for r in validate_ranks:
-            params = {"elem_size": es, "elements": elements, "ranks": r}
-
-            def factory(s, _r=r, _es=es):
-                return BESSTSimulator(
-                    app,
-                    arch,
-                    nranks=_r,
-                    params={"elem_size": _es, "elements": elements},
-                    seed=s,
-                    record_timelines="none",
-                )
-
-            mc = MonteCarloRunner(reps=reps, base_seed=seed + 31).run(factory)
+            mc = simulate_design_point(
+                app,
+                arch,
+                r,
+                {"elem_size": es, "elements": elements},
+                reps=reps,
+                base_seed=seed + 31,
+                record_timelines="none",
+            )
             # job-level measurement: one-timestep runs whose duration is
             # the straggler max over ranks, matching what the simulated
             # totals represent

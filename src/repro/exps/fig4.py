@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.core.fault_injection import FaultInjector, FaultModel
 from repro.core.ft import NO_FT, scenario_l1
-from repro.core.montecarlo import MonteCarloRunner
-from repro.core.simulator import BESSTSimulator
+from repro.core.workflow import simulate_design_point
 from repro.apps.lulesh import lulesh_appbeo
 from repro.exps.casestudy import CaseStudyContext, get_context
 
@@ -71,27 +70,21 @@ def fault_assumption_cases(
         (3, "no faults, FT-aware", scenario_l1(ckpt_period), False),
         (4, "faults + FT", scenario_l1(ckpt_period), True),
     ]
+
+    def injector(seed: int) -> FaultInjector:
+        return FaultInjector(model, nnodes=nnodes, seed=seed + 777)
+
     out: list[CaseResult] = []
     for num, label, scenario, inject in cases:
-        app = lulesh_appbeo(timesteps=timesteps, scenario=scenario)
-
-        def factory(seed: int, _app=app, _inject=inject) -> BESSTSimulator:
-            fi = (
-                FaultInjector(model, nnodes=nnodes, seed=seed + 777)
-                if _inject
-                else None
-            )
-            return BESSTSimulator(
-                _app,
-                arch,
-                nranks=ranks,
-                params={"epr": epr},
-                seed=seed,
-                fault_injector=fi,
-            )
-
-        mc = MonteCarloRunner(reps=reps, base_seed=100).run(
-            factory, max_events=20_000_000
+        mc = simulate_design_point(
+            lulesh_appbeo(timesteps=timesteps, scenario=scenario),
+            arch,
+            ranks,
+            {"epr": epr},
+            reps=reps,
+            base_seed=100,
+            fault_injector_factory=injector if inject else None,
+            max_events=20_000_000,
         )
         out.append(
             CaseResult(

@@ -79,6 +79,14 @@ def test_simulate_design_point_monte_carlo():
     assert mc.total_time.samples.size == 3
     assert mc.total_time.mean > 0
     assert mc.checkpoint_time.mean > 0
+    assert all(list(r.timelines) == [0] for r in mc.results)  # the simulator's default
+
+    for record, ranks in (("none", []), ("all", list(range(8)))):
+        other = simulate_design_point(
+            app, arch, nranks=8, params={"n": 40}, reps=3, record_timelines=record
+        )
+        assert all(sorted(r.timelines) == ranks for r in other.results)
+        assert list(other.total_time.samples) == list(mc.total_time.samples)
 
 
 def test_simulate_design_point_with_faults():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Clock, Component, Engine, Link, SimulationError
+from repro.des import Component, Engine, Link, SimulationError
 from repro.des.link import connect
 
 
@@ -204,40 +204,6 @@ def test_rng_streams_independent_and_deterministic():
     assert a1 == a2 and b1 == b2
     assert a1 != b1
     assert a1 != a3
-
-
-def test_clock_ticks_and_stops():
-    eng = Engine()
-    r = eng.register(Recorder("r"))
-    ticks = []
-
-    def on_tick(cycle, time):
-        ticks.append((cycle, time))
-        return cycle >= 3  # stop after 3 ticks
-
-    Clock(r, period=2.0, handler=on_tick)
-    eng.run()
-    assert ticks == [(1, 2.0), (2, 4.0), (3, 6.0)]
-
-
-def test_clock_stop_cancels_pending():
-    eng = Engine()
-    r = eng.register(Recorder("r"))
-    ticks = []
-    clk = Clock(r, period=1.0, handler=lambda c, t: ticks.append(c))
-    eng.schedule(2.5, lambda ev: clk.stop())
-    eng.run()
-    assert ticks == [1, 2]
-
-
-def test_clock_custom_start_delay():
-    eng = Engine()
-    r = eng.register(Recorder("r"))
-    ticks = []
-    Clock(r, period=1.0, start_delay=0.0,
-          handler=lambda c, t: ticks.append(t) or (c >= 2))
-    eng.run()
-    assert ticks == [0.0, 1.0]
 
 
 def test_events_fired_counter_and_trace():

@@ -284,21 +284,6 @@ def test_shed_oldest_keeps_newest(tmp_path):
         store.shed_oldest(keep=0)
 
 
-def test_autosnapshot_stretch_and_restore_cadence(tmp_path):
-    store = SnapshotStore(str(tmp_path))
-    policy = AutoSnapshotPolicy(store=store, every_events=10, every_wall_s=2.0)
-    policy.stretch(4)
-    assert policy.every_events == 40 and policy.every_wall_s == 8.0
-    policy.stretch(4)  # stretches compound; restore returns to base
-    assert policy.every_events == 160
-    policy.restore_cadence()
-    assert policy.every_events == 10 and policy.every_wall_s == 2.0
-    policy.restore_cadence()  # no-op when already at base
-    assert policy.every_events == 10
-    with pytest.raises(ValueError):
-        policy.stretch(0.5)
-
-
 def test_engine_disables_autosnap_on_write_failure_and_completes(tmp_path):
     from repro.guard.fsfault import FsFaultConfig, injected
     from repro.obs.metrics import MetricsRegistry, set_registry

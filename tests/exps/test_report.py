@@ -1,16 +1,20 @@
 """Report generator (fast sections only)."""
 
-from repro.exps.report import _SECTIONS, generate_report
+import re
+
+from repro.cli import main
+from repro.exps.report import generate_report
 
 
-def test_sections_cover_all_artifacts():
-    ids = [s for s, _, _ in _SECTIONS]
-    for required in (
-        "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-        "table3", "table4", "ext1", "ext2", "ext3", "ext4",
-        "abl1", "abl2", "abl3", "abl4",
-    ):
-        assert required in ids
+def test_sections_cover_all_artifacts(monkeypatch, capsys):
+    import repro.exps.report as report_mod
+
+    assert main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    monkeypatch.setattr(report_mod, "run_target", lambda name, seed, reps: name)
+    text = generate_report(out_path=None, echo=False)
+    sections = re.findall(r"`python -m repro (\w+)`_", text)
+    assert sections == listed and "ext9" in listed
 
 
 def test_generate_report_subset(tmp_path):
@@ -29,13 +33,10 @@ def test_generate_report_subset(tmp_path):
 def test_generate_report_survives_failures(monkeypatch, tmp_path):
     import repro.exps.report as report_mod
 
-    def boom(section, seed, reps):
-        def inner():
-            raise RuntimeError("kaput")
+    def boom(name, seed, reps):
+        raise RuntimeError("kaput")
 
-        return inner
-
-    monkeypatch.setattr(report_mod, "_runner", boom)
+    monkeypatch.setattr(report_mod, "run_target", boom)
     text = generate_report(
         out_path=None, sections=["abl3"], echo=False
     )

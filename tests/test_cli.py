@@ -12,6 +12,29 @@ def test_list(capsys):
         assert target in out
 
 
+def test_importing_the_cli_loads_neither_numpy_nor_repro_exps():
+    # `repro list` and `--help` stay instant: experiment modules load when a target runs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('repro.exps')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent)),
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_abl3_runs(capsys):
     assert main(["abl3"]) == 0
     assert "Amdahl" in capsys.readouterr().out
