@@ -651,9 +651,9 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
 class _ArrayStepper:
     """Steps every rank through a hook-free segment in one array operation.
 
-    A run gets one when :meth:`plan` finds it fault-free and unobserved,
-    with one program shared by every rank and all noise drawn at run
-    start (:func:`_price_matrix`).  Its ranks move through the program in
+    A run gets one when :meth:`plan` finds it fault-free, with one
+    program shared by every rank and all noise drawn at run start
+    (:func:`_price_matrix`).  Its ranks move through the program in
     lockstep: each segment starts, for all of them, at a release (or at
     the last start event).  A hook-free segment (:func:`_segments`) is
     stepped here, for every rank at once, and the ranks' own ``pc`` and
@@ -664,9 +664,10 @@ class _ArrayStepper:
     An array step does what the per-rank lazy arrivals would: it reserves
     one seq per rank in release order, schedules the rendezvous with the
     largest ``(time, seq)`` arrival's key, whose handler counts the other
-    ranks' lazy events in ``events_fired``, and releases the ranks in
-    ``(time, seq)`` order.  Recorded ranks get their timeline rows at
-    once.
+    ranks' lazy events in ``events_fired`` (and samples a flight recorder
+    where they would), and releases the ranks in ``(time, seq)`` order.
+    Recorded ranks get their timeline rows at once.  An obs adapter
+    times heap events only, as without a stepper.
     """
 
     def __init__(self, sim: "BESSTSimulator", rows: list, prices: np.ndarray) -> None:
@@ -691,8 +692,6 @@ class _ArrayStepper:
             or engine.queue  # a foreign event, such as a scheduled fault
             or engine._lazy
             or len(engine.components) != sim.nranks  # one could schedule one
-            or engine._obs is not None
-            or engine._flightrec is not None
         ):
             return None
         rows = sim._ranks[0].rows
@@ -744,16 +743,26 @@ class _ArrayStepper:
             Event(
                 time=float(times[last]),
                 handler=sync._rendezvous,
-                payload=(order[perm], self.rows[end][1], self._commit, len(order) - 1),
+                payload=(order[perm], self.rows[end][1], self._commit, times[perm[:-1]]),
                 seq=engine.queue.take_seqs(len(order)) + last,
             )
         )
         self.pc = end + 1
         self.calls += 1
 
-    def _commit(self, _t: float, n: int) -> None:
-        """Count the *n* lazy arrivals that sort before the rendezvous."""
-        self.sim.engine.events_fired += n
+    def _commit(self, _t: float, times: np.ndarray) -> None:
+        """Count the lazy arrivals that sort before the rendezvous, at
+        their sorted *times*, and give a flight recorder the ticks they
+        would have (the rendezvous itself was counted already)."""
+        engine = self.sim.engine
+        base = engine.events_fired - 1
+        n = len(times)
+        engine.events_fired += n
+        flight = engine._flightrec
+        if flight is not None:
+            s = flight.tick_stride
+            for count in range(base - base % s + s, base + n + 1, s):
+                flight.tick(float(times[count - base - 1]), count)
 
     def _record(self, rank: _Rank, now: float, first: int, end: int, span: float) -> None:
         """*rank*'s marker and batch rows of the segment starting now,
@@ -1042,8 +1051,7 @@ class BESSTSimulator:
     def enable_snapshots(
         self,
         directory: str,
-        every_events: Optional[int] = None,
-        every_wall_s: Optional[float] = None,
+        every_events: int,
         keep: int = 2,
     ) -> AutoSnapshotPolicy:
         """Checkpoint the *whole simulator* periodically during :meth:`run`.
@@ -1055,7 +1063,6 @@ class BESSTSimulator:
         return self.engine.enable_autosnapshot(
             directory,
             every_events=every_events,
-            every_wall_s=every_wall_s,
             keep=keep,
             root=self,
         )

@@ -200,21 +200,18 @@ class Engine:
     def enable_autosnapshot(
         self,
         directory: str,
-        every_events: Optional[int] = None,
-        every_wall_s: Optional[float] = None,
+        every_events: int,
         keep: int = 2,
         root=None,
     ) -> AutoSnapshotPolicy:
-        """Snapshot periodically during :meth:`run` into *directory*.
-
-        Cadence is by fired-event count and/or wall-clock seconds; *root*
-        optionally widens the capture to an owning object (e.g. a
-        simulator) whose graph includes this engine.
+        """Snapshot into *directory* every *every_events* events fired
+        during :meth:`run`; *root* optionally widens the capture to an
+        owning object (e.g. a simulator) whose graph includes this
+        engine.
         """
         self._autosnap = AutoSnapshotPolicy(
             store=SnapshotStore(directory, keep=keep),
             every_events=every_events,
-            every_wall_s=every_wall_s,
             root=root,
         )
         return self._autosnap
@@ -308,11 +305,7 @@ class Engine:
             # needs a look (snapshotting at ~100k events/s rates must not
             # tax the hot loop with a method call per event).
             autosnap = self._autosnap
-            autosnap_check = (
-                autosnap.next_check_at(self.events_fired)
-                if autosnap is not None
-                else float("inf")
-            )
+            autosnap_check = autosnap.next_check_at() if autosnap is not None else float("inf")
             # Hoisted observability state: with obs attached the per-event
             # cost is two perf_counter reads and a dict update; without,
             # a single None test.
@@ -383,7 +376,7 @@ class Engine:
                             autosnap = None
                             autosnap_check = float("inf")
                             continue
-                        autosnap_check = autosnap.next_check_at(self.events_fired)
+                        autosnap_check = autosnap.next_check_at()
             finally:
                 # Metrics survive even a loop abort (e.g. the max_events
                 # livelock guard): partial runs are exactly when numbers

@@ -157,10 +157,3 @@ class EventQueue:
         :func:`len` accurate.
         """
         self._cancelled_in_heap += 1
-
-    def drain_until(self, horizon: float) -> list[Event]:
-        """Pop and return every live event with ``time < horizon``, ordered."""
-        out: list[Event] = []
-        while self and self.peek_time() < horizon:
-            out.append(self.pop())
-        return out

@@ -305,9 +305,7 @@ class AutoSnapshotPolicy:
     store:
         Destination :class:`SnapshotStore`.
     every_events:
-        Snapshot after this many fired events (``None`` disables).
-    every_wall_s:
-        Snapshot after this much wall-clock time (``None`` disables).
+        Snapshot after this many fired events.
     root:
         Object graph to capture; defaults to the engine itself.  A
         higher-level owner (e.g. a ``BESSTSimulator``) passes itself so
@@ -315,34 +313,17 @@ class AutoSnapshotPolicy:
     """
 
     store: SnapshotStore
-    every_events: Optional[int] = None
-    every_wall_s: Optional[float] = None
+    every_events: int
     root: object = None
     snapshots_taken: int = 0
     _events_at_last: int = field(default=0, repr=False)
-    _wall_at_last: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.every_events is None and self.every_wall_s is None:
-            raise ValueError("set every_events and/or every_wall_s")
-        if self.every_events is not None and self.every_events < 1:
+        if self.every_events < 1:
             raise ValueError(f"every_events must be >= 1, got {self.every_events}")
-        if self.every_wall_s is not None and self.every_wall_s <= 0:
-            raise ValueError(f"every_wall_s must be > 0, got {self.every_wall_s}")
 
     def due(self, engine: "Engine") -> bool:
-        if (
-            self.every_events is not None
-            and engine.events_fired - self._events_at_last >= self.every_events
-        ):
-            return True
-        if self.every_wall_s is not None:
-            now = time.monotonic()
-            if self._wall_at_last is None:
-                self._wall_at_last = now
-            elif now - self._wall_at_last >= self.every_wall_s:
-                return True
-        return False
+        return engine.events_fired - self._events_at_last >= self.every_events
 
     def take(self, engine: "Engine") -> str:
         """Capture and persist one snapshot; returns the written path."""
@@ -360,28 +341,13 @@ class AutoSnapshotPolicy:
         )
         self.snapshots_taken += 1
         self._events_at_last = engine.events_fired
-        self._wall_at_last = time.monotonic()
         return path
 
     def maybe_take(self, engine: "Engine") -> Optional[str]:
         return self.take(engine) if self.due(engine) else None
 
-    #: how often (in fired events) a wall-clock-only cadence is polled
-    WALL_CHECK_STRIDE = 1024
-
-    def next_check_at(self, events_fired: int) -> float:
+    def next_check_at(self) -> int:
         """Events-fired count at which the engine must next call
         :meth:`maybe_take` — lets the run loop reduce the cadence test
         to a single integer comparison per event."""
-        nxt = float("inf")
-        if self.every_events is not None:
-            nxt = self._events_at_last + self.every_events
-        if self.every_wall_s is not None:
-            nxt = min(nxt, events_fired + self.WALL_CHECK_STRIDE)
-        return nxt
-
-    def __getstate__(self) -> dict:
-        # Wall-clock anchors are meaningless in another process/epoch.
-        state = dict(self.__dict__)
-        state["_wall_at_last"] = None
-        return state
+        return self._events_at_last + self.every_events

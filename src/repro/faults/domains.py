@@ -17,7 +17,6 @@ core needs no edits (see README, "Adding a fault domain").
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.event import Event
@@ -117,26 +116,6 @@ class FaultDomain:
         """Publish :meth:`metrics_gauges` into the obs registry."""
         for name, (help, value) in self.metrics_gauges().items():
             self.ctx.emit_gauge(name, help, value)
-
-    # -- introspection -----------------------------------------------------------------
-
-    _STATE_EXCLUDE = ("sim", "ctx")
-
-    def snapshot_state(self) -> dict:
-        """Deep copy of this domain's mutable state (tests/debugging;
-        whole-simulator snapshots pickle the domain object itself)."""
-        return {
-            k: copy.deepcopy(v)
-            for k, v in self.__dict__.items()
-            if k not in self._STATE_EXCLUDE
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Load a :meth:`snapshot_state` dict back into this domain."""
-        for k, v in state.items():
-            if k in self._STATE_EXCLUDE:
-                raise ValueError(f"refusing to restore wiring attribute {k!r}")
-            setattr(self, k, v)
 
 
 class FailStopDomain(FaultDomain):

@@ -21,9 +21,10 @@ Three layers, one trace:
   span/metrics exchange directory worker processes dump into.
 
 Overhead budget: with observability attached, the engine pays ~2
-``perf_counter`` calls + one dict update per event (measured ≤ 1.1x on
-the Fig.-7 workload by ``benchmarks/bench_obs_overhead.py``); with it
-detached, one ``is None`` test.
+``perf_counter`` calls + one dict update per heap event (measured ≤ 1.1x
+on the Fig.-7 workload by the ``obs`` row of
+``benchmarks/bench_overhead.py``); with it detached, one ``is None``
+test.
 """
 
 from __future__ import annotations

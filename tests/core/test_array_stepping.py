@@ -2,9 +2,10 @@
 
 A fault-free run of one program on every rank steps each hook-free
 segment (no ``Checkpoint`` or ``Verify`` row, ending at a collective) for
-all ranks in one array operation.  A flight recorder is observational and
-makes a run step per rank, so it is the comparison arm: every result must
-be equal with and without one.
+all ranks in one array operation.  The comparison arm stubs
+:meth:`_ArrayStepper.plan` to return ``None``, so it steps per rank:
+every result must be equal, and so must the rings of the flight
+recorders both arms carry.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from repro.des.component import Component
 from repro.des.engine import SimulationError
 from repro.models import CallableModel, ConstantModel, ScaledModel, SymbolicRegressionModel
 from repro.network import Torus
-from repro.obs import EngineObs, FlightRecorder
+from repro.obs import EngineObs, FlightRecorder, MetricsRegistry, Tracer
 
 TIMESTEPS = 9
 
@@ -87,39 +88,55 @@ def make_sim(app="lulesh", nranks=8, seed=0, arch=None, **kwargs):
     return BESSTSimulator(APPS[app](), arch or make_arch(), nranks=nranks, seed=seed, **kwargs)
 
 
+class Plans(list):
+    """Every :meth:`_ArrayStepper.plan` outcome: a stepper or ``None``.
+    While ``per_rank`` is set, ``plan`` returns ``None``."""
+
+    per_rank = False
+
+
 @pytest.fixture
 def planned(monkeypatch):
-    """Every :meth:`_ArrayStepper.plan` outcome: a stepper or ``None``."""
-    outcomes = []
+    outcomes = Plans()
     plan = simulator_mod._ArrayStepper.plan.__func__
 
     def spy(cls, sim):
-        outcomes.append(plan(cls, sim))
+        outcomes.append(None if outcomes.per_rank else plan(cls, sim))
         return outcomes[-1]
 
     monkeypatch.setattr(simulator_mod._ArrayStepper, "plan", classmethod(spy))
     return outcomes
 
 
-def traced_sim(flightrec=False, **kwargs):
+def run_per_rank(planned, sim, **kwargs):
+    """``sim.run(**kwargs)`` with ``plan`` stubbed to ``None``."""
+    planned.per_rank = True
+    try:
+        return sim.run(**kwargs)
+    finally:
+        planned.per_rank = False
+
+
+def traced_sim(tick_stride=1, **kwargs):
     """A simulator tracing its heap events, so seqs (which carry the
-    release order) are compared too."""
+    release order) are compared too, with a flight recorder keeping
+    every tick."""
     sim = make_sim(**kwargs)
     sim.engine.trace = True
-    if flightrec:
-        sim.attach_flightrec(FlightRecorder())
+    sim.attach_flightrec(FlightRecorder(capacity=1 << 20, tick_stride=tick_stride))
     return sim
 
 
-def run_both(planned, **kwargs):
+def run_both(planned, tick_stride=1, **kwargs):
     """(array-stepped, per-rank) runs of one configuration."""
-    array_sim = traced_sim(**kwargs)
+    array_sim = traced_sim(tick_stride, **kwargs)
     array_res = array_sim.run()
     assert planned[-1] is not None
-    reference = traced_sim(flightrec=True, **kwargs)
-    ref_res = reference.run()
+    reference = traced_sim(tick_stride, **kwargs)
+    ref_res = run_per_rank(planned, reference)
     assert planned[-1] is None
     assert array_sim.engine.trace_log == reference.engine.trace_log
+    assert array_sim._flightrec.ring == reference._flightrec.ring
     assert array_sim.engine.queue.take_seq() == reference.engine.queue.take_seq()
     assert array_sim.engine.rngs.state_digest() == reference.engine.rngs.state_digest()
     assert rank_states(array_sim) == rank_states(reference)
@@ -173,6 +190,13 @@ def test_lulesh_64_ranks_every_option(planned, record, monte_carlo):
     assert array_res == ref_res
 
 
+@pytest.mark.parametrize("tick_stride", [1, 2, 64, 1024])
+def test_flight_ticks_equal_per_rank_stepping(planned, tick_stride):
+    """The lazy arrivals an array step counts at once get the ticks they
+    would get one by one, at every stride."""
+    run_both(planned, tick_stride, app="lulesh_verify", nranks=64, record_timelines="none")
+
+
 def test_fig7_like_run_prices_per_rank_only_hooked_batches(monkeypatch):
     """LULESH at 64 ranks with checkpoints: the hook-free segments are
     array-stepped, so ``_price_batch`` prices only the batches with a
@@ -202,7 +226,8 @@ def test_fig7_like_run_prices_per_rank_only_hooked_batches(monkeypatch):
 
 
 def check_per_rank(planned, build):
-    """A run of ``build()`` steps per rank and equals a flight-recorder run."""
+    """A run of ``build()`` steps per rank and equals one with a flight
+    recorder attached."""
     res = build().run()
     assert planned[-1] is None
     reference = build()
@@ -247,13 +272,15 @@ def test_foreign_event_steps_per_rank(planned, source):
     assert fired == [0.05, 0.05]
 
 
-def test_obs_adapter_steps_per_rank(planned):
-    def build():
-        sim = make_sim()
-        sim.engine.attach_obs(EngineObs())
-        return sim
-
-    assert check_per_rank(planned, build) == run_both(planned)[0]
+def test_observed_run_is_array_stepped(planned):
+    """An obs adapter is observational: an observed fault-free run is
+    array-stepped and equals the bare one."""
+    sim = make_sim()
+    obs = sim.engine.attach_obs(EngineObs(registry=MetricsRegistry(), tracer=Tracer()))
+    res = sim.run()
+    assert planned[-1] is not None
+    assert res == make_sim().run()
+    assert obs.registry.counter("engine_events_total").value == res.events_fired
 
 
 def _arch_with(kernel, model):
@@ -294,16 +321,17 @@ def test_max_events_crossing_stays_exact(planned):
     full = make_sim(**kwargs).run()
     middle = full.events_fired // 2
     for budget in range(middle, middle + 30):
-        sims = [traced_sim(**kwargs), traced_sim(flightrec=True, **kwargs)]
-        stops = []
-        for sim in sims:
-            with pytest.raises(SimulationError, match="max_events"):
-                sim.run(max_events=budget)
-            stops.append((sim.engine.events_fired, sim.engine.now))
+        sims = [traced_sim(**kwargs), traced_sim(**kwargs)]
+        with pytest.raises(SimulationError, match="max_events"):
+            sims[0].run(max_events=budget)
+        with pytest.raises(SimulationError, match="max_events"):
+            run_per_rank(planned, sims[1], max_events=budget)
         assert planned[-2] is not None and planned[-1] is None
+        stops = [(sim.engine.events_fired, sim.engine.now) for sim in sims]
         assert stops[0] == stops[1]
         assert sims[0].run() == sims[1].run() == full
         assert sims[0].engine.trace_log == sims[1].engine.trace_log
+        assert sims[0]._flightrec.ring == sims[1]._flightrec.ring
 
 
 def _arrays(root, skip) -> set:

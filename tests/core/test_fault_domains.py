@@ -133,26 +133,6 @@ def test_negative_weight_rejected():
 # -- FaultDomain protocol ----------------------------------------------------------
 
 
-def test_snapshot_restore_round_trip():
-    sim = _sim()
-    dom = sim._straggler_dom
-    dom.node_slowdown[1] = 3.0
-    dom.excess_s = 1.25
-    state = dom.snapshot_state()
-    assert "sim" not in state and "ctx" not in state
-    dom.node_slowdown.clear()
-    dom.excess_s = 0.0
-    dom.restore_state(state)
-    assert dom.node_slowdown == {1: 3.0}
-    assert dom.excess_s == 1.25
-
-
-def test_restore_state_rejects_wiring_attrs():
-    sim = _sim()
-    with pytest.raises(ValueError, match="wiring"):
-        sim._straggler_dom.restore_state({"sim": None})
-
-
 def test_unknown_kind_injection_message():
     sim = _sim()
     with pytest.raises(ValueError, match="unknown fault kind 'meteor'"):

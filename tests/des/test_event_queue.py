@@ -69,15 +69,6 @@ def test_cancel_without_note_still_skipped():
     assert q.pop() is keep
 
 
-def test_drain_until():
-    q = EventQueue()
-    for t in [0.1, 0.2, 0.3, 0.4]:
-        q.push(Event(time=t))
-    drained = q.drain_until(0.3)
-    assert [e.time for e in drained] == [0.1, 0.2]
-    assert len(q) == 2
-
-
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
 def test_pop_order_is_sorted(times):
     q = EventQueue()

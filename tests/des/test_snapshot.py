@@ -211,12 +211,10 @@ def test_autosnapshot_every_events(tmp_path):
 
 def test_autosnapshot_policy_validation(tmp_path):
     store = SnapshotStore(str(tmp_path))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         AutoSnapshotPolicy(store=store)
     with pytest.raises(ValueError):
         AutoSnapshotPolicy(store=store, every_events=0)
-    with pytest.raises(ValueError):
-        AutoSnapshotPolicy(store=store, every_wall_s=0.0)
     with pytest.raises(ValueError):
         SnapshotStore(str(tmp_path), keep=0)
 
