@@ -404,8 +404,9 @@ def _run_replica(task: ReplicaTask) -> dict:
     the original result bit-identically.  With a snapshot config the
     retry resumes from the replica's newest in-simulation snapshot
     rather than recomputing from scratch.  With an ``obs_ctx`` the
-    replica's spans and worker metrics land in the shared obs
-    directory; observability never touches the metrics dict beyond
+    replica's spans and worker metrics ride home in a transient
+    ``"obs"`` key, which the campaign pops before journaling;
+    observability never touches the metrics dict beyond that and
     adding ``events_fired``, so journals and reports stay bit-identical
     with it on or off.  With a ``flight_dir`` the replica records its
     fault/recovery timeline out-of-band (live spill + atomic final
@@ -840,9 +841,12 @@ class ResilienceCampaign(MonteCarloRunner):
         the full telemetry pipeline: campaign/point/task spans with ids
         propagated into replica worker processes, engine-level metrics,
         the live heartbeat, and the JSONL / Prometheus / Chrome-trace
-        exporters.  Observability data never enters replica results or
-        the journal (beyond the report-ignored ``events_fired`` key), so
-        runs are bit-identical with it on or off.
+        exporters.  Each replica result carries its spans and worker
+        metrics home in a transient ``"obs"`` key, popped and absorbed
+        before anything else sees the result, so observability data
+        never enters the journal or report (beyond the report-ignored
+        ``events_fired`` key) and runs are bit-identical with it on or
+        off.
     guard:
         Optional :class:`~repro.guard.resource.ResourceGuard`.  Polled
         from the supervision loop; its degradation ladder's stage
@@ -1098,9 +1102,12 @@ class ResilienceCampaign(MonteCarloRunner):
                 if obs is not None:
 
                     def on_result(key: str, result: dict) -> None:
-                        # WAL first: durability beats telemetry.
+                        # Popped so telemetry never reaches the journal
+                        # or the report; WAL first: durability beats it.
+                        telemetry = result.pop("obs")
                         if journal_result is not None:
                             journal_result(key, result)
+                        obs.absorb(telemetry)
                         obs.replica_done(result)
 
                 on_quarantine = None

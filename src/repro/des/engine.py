@@ -255,9 +255,8 @@ class Engine:
         """Attach (or with ``None`` detach) a flight recorder.
 
         While attached, :meth:`run` samples a progress tick into the
-        recorder every ``rec.tick_stride`` events (power-of-two mask,
-        same idiom as the obs queue-depth sampling).  Detached engines
-        pay one ``is None`` test per event.
+        recorder every ``rec.tick_stride`` events (power-of-two mask).
+        Detached engines pay one ``is None`` test per event.
         """
         self._flightrec = rec
         return rec
@@ -313,6 +312,10 @@ class Engine:
             obs_busy = obs.busy if obs is not None else None
             if obs is not None:
                 obs.run_started(self)
+                # Queue depth is sampled once per 64 fired events; a
+                # threshold, not a mask test, because lazy commits move
+                # events_fired past multiples of 64 between heap events.
+                depth_at = (self.events_fired | 63) + 1
             # Hoisted flight-recorder state: attached recorders pay a
             # mask test per event and one record per tick_stride events.
             flight = self._flightrec
@@ -358,8 +361,9 @@ class Engine:
                             obs_busy[_dst] = (
                                 obs_busy.get(_dst, 0.0) + perf_counter() - _t0
                             )
-                            if not (self.events_fired & 63):
+                            if self.events_fired >= depth_at:
                                 obs.queue_depth.observe(len(self.queue))
+                                depth_at = (self.events_fired | 63) + 1
                     if flight is not None and not (
                         self.events_fired & flight_mask
                     ):

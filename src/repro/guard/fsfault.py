@@ -3,10 +3,9 @@
 The writers in :mod:`repro.guard.durable` — the campaign WAL and the
 event journal, atomic writes of snapshots, flight dumps, reports and
 Prometheus snapshots, the flight spill — and the JSONL metric sink call
-:func:`fault_check` before touching the filesystem.  Three writers do
-not, because losing them costs forensics, not results: span dumps
-(``Tracer.dump_jsonl``), worker-metric dumps (``dump_worker_metrics``)
-and the supervisor failure log.
+:func:`fault_check` before touching the filesystem.  One writer does
+not, because losing it costs forensics, not results: the supervisor
+failure log.
 
 With no injector installed the call is one module-global read and an
 ``is None`` test; with one installed, each checked operation draws a

@@ -57,7 +57,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     derive_span_id,
-    load_spans,
     new_trace_id,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "get_registry",
     "load_flight_dir",
     "load_flight_dump",
-    "load_spans",
     "merge_records",
     "new_trace_id",
     "parse_prometheus_text",

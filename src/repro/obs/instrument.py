@@ -17,8 +17,8 @@ Three layers, one trace:
   the trace id and task key, which is exactly the id a worker process
   computes for its parent — the cross-process edge of the timeline.
 - :class:`CampaignObs` owns the root span, the exporters (JSONL sink,
-  Prometheus snapshot, merged Chrome trace), the heartbeat, and the
-  span/metrics exchange directory worker processes dump into.
+  Prometheus snapshot, merged Chrome trace) and the heartbeat, and
+  absorbs the spans and metrics each replica result carries home.
 
 Overhead budget: with observability attached, the engine pays ~2
 ``perf_counter`` calls + one dict update per heap event (measured ≤ 1.1x
@@ -30,23 +30,14 @@ test.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.export import JsonlSink, guarded_export, write_prometheus
 from repro.obs.heartbeat import CampaignHeartbeat
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracing import (
-    ObsContext,
-    Span,
-    Tracer,
-    derive_span_id,
-    load_spans,
-    spans_jsonl_path,
-)
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.tracing import ObsContext, Span, Tracer, derive_span_id
 
 #: queue-depth histogram bounds (events pending)
 QUEUE_DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
@@ -263,7 +254,6 @@ class ObsOptions:
     prom_out: Optional[str] = None          #: Prometheus snapshot path
     trace_out: Optional[str] = None         #: merged Chrome trace path
     heartbeat_s: Optional[float] = None     #: terminal heartbeat interval
-    obs_dir: Optional[str] = None           #: span/metrics exchange dir (temp if None)
 
     def __post_init__(self) -> None:
         if self.metrics_interval_s <= 0:
@@ -283,8 +273,9 @@ class CampaignObs:
 
     The campaign calls :meth:`begin_campaign` / :meth:`end_campaign`
     around the sweep, :meth:`point_started` / :meth:`point_finished`
-    around each grid point, and hands :meth:`worker_context` output to
-    replica payloads so worker processes join the same trace.  Uses the
+    around each grid point, hands :meth:`worker_context` output to
+    replica payloads so worker processes join the same trace, and
+    passes each accepted result's telemetry to :meth:`absorb`.  Uses the
     process-global registry by default so rare-path metrics recorded by
     :mod:`repro.des.snapshot` and :mod:`repro.fti.fti` land in the same
     export.
@@ -300,12 +291,8 @@ class CampaignObs:
         self.registry = registry if registry is not None else get_registry()
         self.tracer = Tracer()
         self.label = label
-        self._owns_obs_dir = self.options.obs_dir is None
-        self.obs_dir = (
-            tempfile.mkdtemp(prefix="repro-obs-")
-            if self._owns_obs_dir
-            else self.options.obs_dir
-        )
+        #: finished spans shipped home by replicas (see :meth:`absorb`)
+        self._worker_spans: list[Span] = []
         self.sink: Optional[JsonlSink] = None
         if self.options.metrics_out:
             self.sink = JsonlSink(
@@ -361,9 +348,16 @@ class CampaignObs:
         return ObsContext(
             trace_id=self.tracer.trace_id,
             parent_span_id=derive_span_id(self.tracer.trace_id, "task", task_key),
-            obs_dir=self.obs_dir,
             host_pid=os.getpid(),
         )
+
+    def absorb(self, telemetry: dict) -> None:
+        """Fold one replica result's ``"obs"`` payload in: its spans join
+        the merged timeline, its metrics (``None`` in-process, where the
+        replica recorded into this registry directly) this registry."""
+        self._worker_spans.extend(Span.from_dict(d) for d in telemetry["spans"])
+        if telemetry["metrics"] is not None:
+            self.registry.merge_records(telemetry["metrics"])
 
     # -- progress feed -------------------------------------------------------
 
@@ -410,14 +404,12 @@ class CampaignObs:
     # -- finalization --------------------------------------------------------
 
     def merged_spans(self) -> list[Span]:
-        """This process's spans merged with every worker dump."""
-        own = {s.span_id: s for s in self.tracer.finished_spans()}
-        for span in load_spans(self.obs_dir):
-            own.setdefault(span.span_id, span)
-        return sorted(own.values(), key=lambda s: (s.t_start, s.span_id))
+        """This process's finished spans plus every absorbed replica's."""
+        spans = self.tracer.finished_spans() + self._worker_spans
+        return sorted(spans, key=lambda s: (s.t_start, s.span_id))
 
     def end_campaign(self) -> None:
-        """Close the root span, merge worker metrics, run every exporter."""
+        """Close the root span and run every exporter."""
         if self._closed:
             return
         self._closed = True
@@ -427,12 +419,6 @@ class CampaignObs:
         if self._root is not None:
             self._root.end()
             self._root = None
-        # Fold worker registry dumps in (skipping this process's own pid:
-        # in-process replicas already wrote to this registry directly).
-        from repro.obs.tracing import load_worker_metrics
-
-        for records in load_worker_metrics(self.obs_dir, skip_pid=os.getpid()):
-            self.registry.merge_records(records)
         if self.heartbeat is not None:
             self.heartbeat.beat(force=True)
         if self.sink is not None:
@@ -454,8 +440,6 @@ class CampaignObs:
             guarded_export(
                 f"chrome-trace:{self.options.trace_out}", _write_trace, self.registry
             )
-        if self._owns_obs_dir:
-            shutil.rmtree(self.obs_dir, ignore_errors=True)
 
     def __enter__(self) -> "CampaignObs":
         return self
@@ -468,11 +452,16 @@ def replica_obs_begin(ctx: Optional[ObsContext], seed: int):
     """Worker-side setup: join the campaign trace, open the replica span.
 
     Returns ``(tracer, engine_obs, replica_span)`` — all ``None`` when
-    *ctx* is ``None`` (observability off).  Module-level so
-    ``_run_replica`` stays a thin pure function.
+    *ctx* is ``None`` (observability off).  In a worker process it
+    first installs a fresh global registry, so the metrics sent home
+    are this replica's alone (a forked worker inherits the campaign's
+    registry; sending that copy back would count it again).
+    Module-level so ``_run_replica`` stays a thin pure function.
     """
     if ctx is None:
         return None, None, None
+    if os.getpid() != ctx.host_pid:
+        set_registry(MetricsRegistry())
     tracer = Tracer(ctx.trace_id, default_parent_id=ctx.parent_span_id)
     span = tracer.start_span("replica", seed=seed, pid_label=os.getpid())
     engine_obs = EngineObs(registry=get_registry(), tracer=tracer)
@@ -480,29 +469,23 @@ def replica_obs_begin(ctx: Optional[ObsContext], seed: int):
 
 
 def replica_obs_end(ctx: Optional[ObsContext], tracer, span, result: dict) -> None:
-    """Worker-side teardown: close the span, dump spans + metrics.
+    """Worker-side teardown: close the span, attach the telemetry.
 
-    Span dumps append-and-drain (a pooled worker runs many replicas);
-    the metrics dump is the process's *cumulative* registry, atomically
-    overwritten each time, so the campaign merges the last snapshot per
-    worker pid.  In-process execution (pid == host pid) skips the
-    metrics dump — it already shares the campaign's registry.
+    Sets ``result["obs"]`` to the replica's finished spans (as dicts)
+    and, in a worker process, its registry records; in-process
+    execution sends ``None`` for metrics, having recorded into the
+    campaign's registry directly.  The campaign pops the key before
+    the result is journaled or aggregated.
     """
     if ctx is None:
         return
-    if span is not None:
-        span.end(
-            completed=bool(result.get("completed")),
-            events=int(result.get("events_fired") or 0),
-        )
-    guarded_export(
-        "worker-spans",
-        lambda: tracer.dump_jsonl(spans_jsonl_path(ctx.obs_dir), drain=True),
+    span.end(
+        completed=bool(result.get("completed")),
+        events=int(result.get("events_fired") or 0),
     )
-    if os.getpid() != ctx.host_pid:
-        from repro.obs.tracing import dump_worker_metrics
-
-        guarded_export(
-            "worker-metrics",
-            lambda: dump_worker_metrics(ctx.obs_dir, get_registry().collect()),
-        )
+    result["obs"] = {
+        "spans": [s.to_dict() for s in tracer.finished_spans()],
+        "metrics": (
+            get_registry().collect() if os.getpid() != ctx.host_pid else None
+        ),
+    }

@@ -401,7 +401,7 @@ class MetricsRegistry:
         return out
 
     def merge_records(self, records: Iterable[Mapping]) -> None:
-        """Fold exported *records* (e.g. from a worker dump) into this
+        """Fold exported *records* (e.g. a worker replica's) into this
         registry, creating any missing families/series."""
         for rec in records:
             kind = rec["kind"]

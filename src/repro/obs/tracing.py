@@ -13,26 +13,24 @@ Concretely: the campaign opens a root span, derives the span id for
 supervisor task ``"p0:3"`` as ``derive_span_id(trace_id, "task",
 "p0:3")``, and hands the worker an :class:`ObsContext` carrying the
 trace id and that derived id as ``parent_span_id``.  The worker's
-spans (replica body, engine run) parent onto it; both sides dump spans
-to JSONL files in a shared directory and :func:`load_spans` merges them
-into the single timeline `core.trace` renders for Perfetto.
+spans (replica body, engine run) parent onto it and travel home as
+:meth:`Span.to_dict` records inside the replica result, where the
+campaign merges them into the single timeline `core.trace` renders for
+Perfetto.
 
-Spans use epoch wall-clock (`time.time`) so files written by different
+Spans use epoch wall-clock (`time.time`) so spans recorded by different
 processes align on a common axis.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
-
-from repro.guard.durable import read_jsonl
+from typing import Optional
 
 
 def new_trace_id() -> str:
@@ -189,122 +187,19 @@ class Tracer:
     def finished_spans(self) -> list[Span]:
         return [s for s in self.spans if s.t_end is not None]
 
-    # -- persistence ---------------------------------------------------------
-
-    def dump_jsonl(self, path: str, append: bool = True, drain: bool = False) -> int:
-        """Write every *finished* span to *path* as JSON lines.
-
-        Returns the number of spans written.  Open spans are skipped —
-        dump again after closing them.  With ``drain=True`` the written
-        spans are removed from the tracer, so a long-lived worker that
-        dumps after every task appends each span exactly once.
-        """
-        spans = self.finished_spans()
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        mode = "a" if append else "w"
-        with open(path, mode, encoding="utf-8") as fh:
-            for span in spans:
-                fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        if drain:
-            written = {id(s) for s in spans}
-            with self._lock:
-                self.spans = [s for s in self.spans if id(s) not in written]
-        return len(spans)
-
-
-def load_spans(source: str) -> list[Span]:
-    """Load spans from a ``spans-*.jsonl`` directory or a single file.
-
-    Later records win on duplicate span ids (a process may dump its
-    cumulative span list more than once).  Malformed lines are skipped:
-    a worker killed mid-write must not poison the merged timeline.
-    """
-    if os.path.isdir(source):
-        paths = sorted(
-            os.path.join(source, n)
-            for n in os.listdir(source)
-            if n.startswith("spans-") and n.endswith(".jsonl")
-        )
-    else:
-        paths = [source]
-    by_id: dict[str, Span] = {}
-    for path in paths:
-        try:
-            records, _ = read_jsonl(path, skip_malformed=True)
-        except OSError:
-            continue
-        for rec in records:
-            try:
-                span = Span.from_dict(rec)
-            except (ValueError, KeyError, TypeError):
-                continue  # a foreign line
-            by_id[span.span_id] = span
-    return sorted(by_id.values(), key=lambda s: (s.t_start, s.span_id))
-
 
 @dataclass(frozen=True)
 class ObsContext:
     """Everything a worker process needs to join the campaign's trace.
 
     Carried inside the replica's ReplicaTask; the worker builds its own
-    :class:`Tracer` with ``default_parent_id=parent_span_id`` and dumps
-    spans/metrics into ``obs_dir`` for the campaign to merge.
-    ``host_pid`` lets in-process (sequential/degraded) execution skip
-    the metrics dump that would double-count the campaign's own
-    registry.
+    :class:`Tracer` with ``default_parent_id=parent_span_id`` and sends
+    its finished spans (and, in a worker process, its metrics) back in
+    the replica result's transient ``"obs"`` key.  ``host_pid`` tells a
+    worker process from in-process (sequential/degraded) execution,
+    which records straight into the campaign's registry.
     """
 
     trace_id: str
     parent_span_id: Optional[str]
-    obs_dir: str
     host_pid: int
-
-
-def spans_jsonl_path(obs_dir: str, pid: Optional[int] = None) -> str:
-    """Per-process span dump path inside *obs_dir*."""
-    return os.path.join(obs_dir, f"spans-{os.getpid() if pid is None else pid}.jsonl")
-
-
-def metrics_json_path(obs_dir: str, pid: Optional[int] = None) -> str:
-    """Per-process metrics dump path inside *obs_dir*."""
-    return os.path.join(obs_dir, f"metrics-{os.getpid() if pid is None else pid}.json")
-
-
-def dump_worker_metrics(obs_dir: str, records: Iterable[dict]) -> str:
-    """Atomically write this process's cumulative metric records."""
-    path = metrics_json_path(obs_dir)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    os.makedirs(obs_dir, exist_ok=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(list(records), fh)
-    os.replace(tmp, path)
-    return path
-
-
-def load_worker_metrics(obs_dir: str, skip_pid: Optional[int] = None) -> list[list[dict]]:
-    """Read every ``metrics-<pid>.json`` dump except *skip_pid*'s.
-
-    Each dump is a process's *cumulative* registry, so the last file per
-    pid (there is only one — dumps overwrite) is summed across pids by
-    the caller via :func:`repro.obs.metrics.merge_records`.
-    """
-    out: list[list[dict]] = []
-    if not os.path.isdir(obs_dir):
-        return out
-    for name in sorted(os.listdir(obs_dir)):
-        if not (name.startswith("metrics-") and name.endswith(".json")):
-            continue
-        try:
-            pid = int(name[len("metrics-") : -len(".json")])
-        except ValueError:
-            continue
-        if skip_pid is not None and pid == skip_pid:
-            continue
-        try:
-            with open(os.path.join(obs_dir, name), encoding="utf-8") as fh:
-                records = json.load(fh)
-        except (OSError, ValueError):
-            continue  # torn write from a killed worker
-        if isinstance(records, list):
-            out.append(records)
-    return out

@@ -81,25 +81,12 @@ def _failure_log(path):
     return _load_harness_log
 
 
-def _span_dump(path):
-    from repro.obs.tracing import Tracer, load_spans
-
-    tracer = Tracer()
-    with tracer.start_span("outer", n=1):
-        with tracer.start_span("inner"):
-            pass
-    tracer.start_span("detached", push=False).end(outcome="done")
-    tracer.dump_jsonl(path)
-    return lambda p: [span.to_dict() for span in load_spans(p)]
-
-
 ARTIFACTS = {
     "campaign_wal": _campaign_wal,
     "event_journal": _event_journal,
     "flight_spill": lambda path: _flight_recorder(path, dump=False),
     "flight_dump": lambda path: _flight_recorder(path, dump=True),
     "failure_log": _failure_log,
-    "span_dump": _span_dump,
 }
 
 

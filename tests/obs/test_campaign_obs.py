@@ -2,11 +2,10 @@
 
 import io
 import json
-import os
 
 import pytest
 
-from repro.core.campaign import ResilienceCampaign
+from repro.core.campaign import CampaignJournal, ResilienceCampaign
 from repro.obs.export import parse_prometheus_text
 from repro.obs.heartbeat import CampaignHeartbeat
 from repro.obs.instrument import CampaignObs, ObsOptions
@@ -141,10 +140,33 @@ def test_results_bit_identical_with_and_without_obs(tmp_path):
     assert observed.to_json() == plain.to_json()
 
 
-def test_obs_dir_cleanup_and_idempotent_close(tmp_path):
-    _, obs = _run_campaign(tmp_path, n_workers=1)
-    assert not os.path.exists(obs.obs_dir)  # scratch dir removed
-    obs.end_campaign()  # second close is a no-op
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_every_accepted_replica_counts_exactly_once(tmp_path, n_workers):
+    """Supervisor and engine totals match the journal at any worker count:
+    a forked worker's inherited copy of the campaign registry never
+    travels back, and the telemetry never reaches the journal."""
+    journal = str(tmp_path / "wal.jsonl")
+    obs = CampaignObs(_options(tmp_path))
+    camp = ResilienceCampaign(
+        reps=4, base_seed=0, n_workers=n_workers, journal_path=journal, obs=obs
+    )
+    try:
+        camp.run_grid([8.0, 16.0, 32.0], [5], timesteps=6)
+    finally:
+        camp.close()
+    _, _, replicas = CampaignJournal.read(journal)
+    results = [r for point in replicas.values() for r in point.values()]
+    assert len(results) == 12
+    assert not any("obs" in r for r in results)
+
+    fams = parse_prometheus_text((tmp_path / "m.prom").read_text())
+
+    def total(family):
+        return fams[family]["samples"][0][2]
+
+    assert total("supervisor_tasks_completed_total") == 12
+    assert total("engine_events_total") == sum(r["events_fired"] for r in results)
+    obs.end_campaign()  # a second close is a no-op
 
 
 def test_heartbeat_line_format():

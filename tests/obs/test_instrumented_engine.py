@@ -66,6 +66,23 @@ def test_results_identical_with_and_without_obs():
     assert bare.events_fired == observed.events_fired
 
 
+def test_queue_depth_sampled_every_64_events_with_lazy_events():
+    """Lazy commits move events_fired past multiples of 64 between heap
+    events; the depth histogram still gets one sample per 64 events."""
+    eng = Engine()
+
+    def tick(ev):
+        eng.defer(0.1)
+        eng.defer(0.2)
+
+    for t in range(200):
+        eng.schedule(float(t), tick)
+    obs = eng.attach_obs(EngineObs(registry=MetricsRegistry()))
+    eng.run()
+    assert eng.events_fired == 600  # 200 heap + 400 lazy
+    assert obs.queue_depth.count == eng.events_fired // 64
+
+
 def test_obs_spans_emitted_per_run():
     tracer = Tracer()
     eng = build()

@@ -1,19 +1,15 @@
-"""Span trees, deterministic cross-process IDs, JSONL persistence."""
+"""Span trees, deterministic cross-process IDs, picklable contexts."""
 
 import json
 import os
+import pickle
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     ObsContext,
     Span,
     Tracer,
     derive_span_id,
-    dump_worker_metrics,
-    load_spans,
-    load_worker_metrics,
     new_trace_id,
-    spans_jsonl_path,
 )
 
 
@@ -61,52 +57,11 @@ def test_span_round_trip():
     assert back.t_end == sp.t_end
 
 
-def test_dump_drain_appends_each_span_once(tmp_path):
-    tr = Tracer()
-    path = str(tmp_path / "spans.jsonl")
-    tr.start_span("one", push=False).end()
-    assert tr.dump_jsonl(path, drain=True) == 1
-    tr.start_span("two", push=False).end()
-    assert tr.dump_jsonl(path, drain=True) == 1
-    names = [s.name for s in load_spans(path)]
-    assert sorted(names) == ["one", "two"]
-
-
-def test_load_spans_dedupes_and_skips_garbage(tmp_path):
-    obs_dir = str(tmp_path)
-    tr = Tracer()
-    sp = tr.start_span("task", push=False)
-    sp.end()
-    p1 = spans_jsonl_path(obs_dir, pid=111)
-    p2 = spans_jsonl_path(obs_dir, pid=222)
-    for p in (p1, p2):  # same span written by two processes
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(sp.to_dict()) + "\n")
-    with open(p2, "a", encoding="utf-8") as fh:
-        fh.write('{"torn...\n')  # crash mid-write must not poison the load
-    spans = load_spans(obs_dir)
-    assert len(spans) == 1 and spans[0].span_id == sp.span_id
-
-
-def test_worker_metrics_round_trip(tmp_path):
-    obs_dir = str(tmp_path)
-    reg = MetricsRegistry()
-    reg.counter("n_total").inc(5)
-    dump_worker_metrics(obs_dir, reg.collect())
-    assert load_worker_metrics(obs_dir, skip_pid=os.getpid()) == []
-    loaded = load_worker_metrics(obs_dir)
-    assert len(loaded) == 1
-    assert loaded[0][0]["name"] == "n_total"
-    assert loaded[0][0]["data"]["value"] == 5.0
-
-
-def test_obs_context_paths_are_per_pid(tmp_path):
+def test_obs_context_pickles():
+    """The context rides inside the pickled replica payload."""
     ctx = ObsContext(
         trace_id=new_trace_id(),
-        parent_span_id=None,
-        obs_dir=str(tmp_path),
+        parent_span_id=derive_span_id("t", "task", "p:0"),
         host_pid=os.getpid(),
     )
-    assert spans_jsonl_path(ctx.obs_dir, pid=1) != spans_jsonl_path(
-        ctx.obs_dir, pid=2
-    )
+    assert pickle.loads(pickle.dumps(ctx)) == ctx

@@ -2,8 +2,8 @@
 
 A hand-rolled fsync, temp-file rename or torn-tail cut elsewhere in
 ``src/repro`` is a copy that can drift from the one the fault-injection
-tests cover, so this scan fails on any new one.  The listed exemption
-gives its reason.
+tests cover, so this scan fails on any new one.  An exemption would
+have to give its reason in ``EXEMPT``; there is none.
 """
 
 import ast
@@ -16,13 +16,9 @@ PACKAGE = Path(repro.__file__).resolve().parent
 #: the idioms that belong in guard/durable.py
 IDIOMS = ("os.fsync(", "tempfile.mkstemp(", "os.replace(", 'rfind(b"\\n")')
 
-#: (module path, function) -> why it may keep its own copy
-EXEMPT = {
-    ("obs/tracing.py", "dump_worker_metrics"): (
-        "a non-durable replace into a scratch directory; making it durable "
-        "would add fault_check ops and fsyncs in every worker"
-    ),
-}
+#: (module path, function) -> why it may keep its own copy; empty, so
+#: every copy outside guard/durable.py fails the scan
+EXEMPT: dict[tuple[str, str], str] = {}
 
 
 def _enclosing_functions(source: str) -> dict[int, str]:
