@@ -9,10 +9,13 @@ instructions are batched into a single event, which keeps a
 events.  A batch with no commit hook (``Checkpoint``/``Verify``) that ends
 at a collective is not even a heap event: its rank arrives at the
 rendezvous at once, as a lazy engine event (:meth:`Engine.defer`), and
-only the rendezvous itself goes on the heap.  A fault-free run of one
-program on every rank goes further (:class:`_ArrayStepper`): it draws all
-its model noise at run start and steps each such segment for every rank
-in one array operation.
+only the rendezvous itself goes on the heap.  A run of one program on
+every rank goes further (:class:`_ArrayStepper`): it prices every row at
+run start (drawing all its model noise then, if fault-free) and steps
+each such segment for every rank in one array operation whenever that
+is exact.  A deterministic fault run is array-stepped between its
+faults and steps per rank where a fault, a straggler or a degraded
+link is in play.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -95,10 +98,10 @@ from repro.core.instructions import (
 )
 from repro.des.component import Component
 from repro.des.engine import Engine
-from repro.des.event import Event
+from repro.des.event import PRIORITY_NORMAL, Event
 from repro.des.snapshot import AutoSnapshotPolicy, Snapshot, SnapshotError
 from repro.faults.context import RecoveryContext
-from repro.faults.domains import NetworkDomain, SdcDomain, build_domains
+from repro.faults.domains import FaultDomain, NetworkDomain, SdcDomain, build_domains
 from repro.faults.registry import MIN_LEVEL_FOR_KIND
 
 
@@ -138,6 +141,16 @@ class RankTimeline:
         """(time, completed instruction count) — runtime-vs-progress data
         for the full-application runtime figures."""
         return [(e.t_end, i + 1) for i, e in enumerate(self.entries)]
+
+    def __getstate__(self) -> dict:
+        # Entries pickle as plain tuples, about 4x faster than as
+        # objects: recorded timelines are most of a simulator snapshot.
+        rows = [(e.t_start, e.t_end, e.kind, e.label, e.level) for e in self.entries]
+        return {"rank": self.rank, "entries": rows}
+
+    def __setstate__(self, state: dict) -> None:
+        self.rank = state["rank"]
+        self.entries = [TimelineEntry(*row) for row in state["entries"]]
 
 
 @dataclass
@@ -385,9 +398,11 @@ class _Rank(Component):
         # Bound-method resume handler (not a lambda) so the whole rank —
         # pending events included — stays snapshot-picklable.
         stepper = self.sim._stepper
-        if stepper is None:
+        if stepper is None or self.sim.rollbacks:
+            # A rollback's resume steps per rank; the next release
+            # brings an array-stepped run back to lockstep.
             self.advance()
-        else:  # a start event (an array-stepped run has no rollbacks)
+        else:  # a start event
             stepper.start(self)
 
     # -- execution ---------------------------------------------------------------
@@ -439,7 +454,8 @@ class _Rank(Component):
         sim = self.sim
         arch = sim.archbeo
         rng = self.rng if sim.monte_carlo else None
-        # An array-stepped run drew every price at run start.
+        # An array-stepped run drew every price at run start
+        # (``prices[pc, rank]`` holds what ``predict`` would return).
         prices = sim._stepper.prices if sim._stepper is not None else None
         rows = self.rows
         n = len(rows)
@@ -460,7 +476,7 @@ class _Rank(Component):
                 if code:
                     hooked = True
                 if prices is not None:
-                    dt = float(prices[pc, self.rank])
+                    dt = slow * float(prices[pc, self.rank])
                 else:
                     dt = slow * arch.predict(kernel, dict(params), rng)
                 if code == _CHECKPOINT and level >= 2 and sim._net_dom.active:
@@ -615,10 +631,11 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
     run prices every priced row once per rank, in program order, so one
     ``rng.integers(0, bounds)`` per rank over the rows' table sizes draws
     the same values as the per-row ``predict`` calls and leaves the
-    rank's stream in the same state.
+    rank's stream in the same state.  Without noise every column is
+    equal, and the matrix is one column broadcast across the ranks.
     """
     arch = sim.archbeo
-    prices = np.zeros((len(rows), sim.nranks))
+    column = np.zeros(len(rows))
     pcs_of: dict[Instruction, list] = {}  # one model value per distinct row
     for pc, row in enumerate(rows):
         if row[0] <= _EXCHANGE:
@@ -627,7 +644,7 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
     for pcs in pcs_of.values():
         code, instr, kernel, params = rows[pcs[0]][:4]
         if code == _EXCHANGE:
-            prices[pcs] = arch.exchange_time(instr)
+            column[pcs] = arch.exchange_time(instr)
             continue
         table = arch.model(kernel).price_table(dict(params))
         if table is None:
@@ -635,8 +652,10 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
         if sim.monte_carlo:
             tables.append((pcs, table))
         else:
-            prices[pcs] = arch.predict(kernel, dict(params))
+            column[pcs] = arch.predict(kernel, dict(params))
+    prices = np.broadcast_to(column[:, None], (len(rows), sim.nranks))
     if tables:
+        prices = prices.copy()
         bound = np.zeros(len(rows), dtype=np.int64)
         for pcs, table in tables:
             bound[pcs] = len(table)
@@ -651,15 +670,26 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
 class _ArrayStepper:
     """Steps every rank through a hook-free segment in one array operation.
 
-    A run gets one when :meth:`plan` finds it fault-free, with one
-    program shared by every rank and all noise drawn at run start
-    (:func:`_price_matrix`).  Its ranks move through the program in
-    lockstep: each segment starts, for all of them, at a release (or at
-    the last start event).  A hook-free segment (:func:`_segments`) is
-    stepped here, for every rank at once, and the ranks' own ``pc`` and
-    ``collective_calls`` go stale; any other segment is stepped per rank,
-    as without a stepper, after writing them back.  (``_batch_span`` needs
-    no write-back: each per-rank batch sets it before it is read.)
+    A run gets one when :meth:`plan` finds one program shared by every
+    rank and every row's price known at run start (:func:`_price_matrix`:
+    all noise drawn then, or none).  Its ranks move through the program
+    in lockstep: each segment starts, for all of them, at a release (or
+    at the last start event).  :meth:`step` decides per segment: it steps
+    a hook-free segment (:func:`_segments`) here, for every rank at once,
+    when that is exact, and the ranks' own ``pc`` and
+    ``collective_calls`` go stale.  It steps any other segment per rank,
+    as without a stepper, after writing them back (:meth:`write_back`).
+    So does ``inject_fault``, before the fault touches a rank.
+    (``_batch_span`` needs no write-back: each per-rank batch sets it
+    before it is read.)
+
+    A Monte-Carlo run gets one only when it is fault-free, because a
+    rank re-executing rows after a rollback draws fresh noise.  A
+    deterministic run gets one with a fault injector or foreign events
+    too: between faults its ranks are in lockstep, and the next fault is
+    a heap event no array step passes.  A rollback's resume events step
+    per rank; the next release restores lockstep, because SPMD ranks
+    that pass collective *n* share a pc.
 
     An array step does what the per-rank lazy arrivals would: it reserves
     one seq per rank in release order, schedules the rendezvous with the
@@ -675,9 +705,19 @@ class _ArrayStepper:
         self.rows = rows
         self.prices = prices
         self.segments = _segments(rows)
+        #: start pcs of the segments with an ``Exchange`` row (priced at
+        #: run start on a healthy network)
+        self.exchanging = {
+            start
+            for start, (first, end) in self.segments.items()
+            if any(rows[pc][0] == _EXCHANGE for pc in range(first, end))
+        }
         #: the lockstep program counter and collective count
         self.pc = 0
         self.calls = 0
+        #: an array step left the ranks' own ``pc``, ``collective_calls``
+        #: and ``_pending`` behind (see :meth:`write_back`)
+        self.stale = False
         #: the ``events_fired`` count the run may reach (``max_events``)
         self.limit = float("inf")
         self.recorded = [rank for rank in sim._ranks if rank.record]
@@ -686,11 +726,11 @@ class _ArrayStepper:
     def plan(cls, sim: "BESSTSimulator") -> Optional["_ArrayStepper"]:
         """A stepper for *sim*'s run, or ``None`` to step it per rank."""
         engine = sim.engine
-        if (
+        if sim._ctx.faults_injected or engine._lazy:
+            return None
+        if sim.monte_carlo and (
             sim.fault_injector is not None
-            or sim._ctx.faults_injected
             or engine.queue  # a foreign event, such as a scheduled fault
-            or engine._lazy
             or len(engine.components) != sim.nranks  # one could schedule one
         ):
             return None
@@ -715,16 +755,33 @@ class _ArrayStepper:
 
     def step(self, order) -> None:
         """Step the segment at the lockstep pc; *order* is the release
-        order, as ranks (after a per-rank segment) or rank ids."""
+        order, as ranks (after a per-rank segment) or rank ids.
+
+        The segment is stepped for all ranks at once only when that is
+        exact: it is hook-free, it cannot cross ``max_events``, no
+        straggler slows a node, its exchanges cross a healthy network,
+        and its rendezvous is the next event (:meth:`_array_step`).
+        Otherwise it is stepped per rank."""
         sim = self.sim
         if isinstance(order, list):  # ranks hold the lockstep state
             self.pc, self.calls = order[0].pc, order[0].collective_calls
         segment = self.segments.get(self.pc)
-        if segment is None or sim.engine.events_fired + sim.nranks > self.limit:
-            # Hooked, or it could cross max_events: exact per rank.
+        engine = sim.engine
+        if (
+            segment is None
+            or engine.events_fired + sim.nranks > self.limit
+            or sim._straggler_dom.node_slowdown
+            or (sim._net_dom.active and self.pc in self.exchanging)
+            or not self._array_step(order, segment)
+        ):
             for rank in self._per_rank(order):
                 rank.advance()
-            return
+
+    def _array_step(self, order, segment: tuple) -> bool:
+        """Step *segment* for every rank at once, unless a pending event
+        (a fault, a repair) sorts before its rendezvous and so would fire
+        between the per-rank arrivals; return whether it did."""
+        sim = self.sim
         if isinstance(order, list):
             order = np.array([rank.rank for rank in order])
         first, end = segment
@@ -733,22 +790,29 @@ class _ArrayStepper:
         span = np.zeros(sim.nranks)
         for pc in range(first, end):
             span += self.prices[pc]
-        for rank in self.recorded:
-            self._record(rank, now, first, end, float(span[rank.rank]))
         times = (now + span)[order]
         perm = np.argsort(times, kind="stable")
         last = int(perm[-1])
+        t_last = float(times[last])
+        queue = engine.queue
+        if queue.peek_time() <= t_last:  # the next event may sort first
+            if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + last):
+                return False
+        for rank in self.recorded:
+            self._record(rank, now, first, end, float(span[rank.rank]))
         sync = sim.sync
         sync._pending = engine.schedule_event(
             Event(
-                time=float(times[last]),
+                time=t_last,
                 handler=sync._rendezvous,
                 payload=(order[perm], self.rows[end][1], self._commit, times[perm[:-1]]),
-                seq=engine.queue.take_seqs(len(order)) + last,
+                seq=queue.take_seqs(len(order)) + last,
             )
         )
         self.pc = end + 1
         self.calls += 1
+        self.stale = True
+        return True
 
     def _commit(self, _t: float, times: np.ndarray) -> None:
         """Count the lazy arrivals that sort before the rendezvous, at
@@ -782,13 +846,33 @@ class _ArrayStepper:
             off += dt
 
     def _per_rank(self, order) -> list:
-        """The ranks in release *order*, their own state written back."""
+        """The ranks in release *order*, holding their own state."""
         if isinstance(order, list):
             return order
+        self.write_back()
         ranks = self.sim._ranks
-        for rank in ranks:
-            rank.pc, rank.collective_calls = self.pc, self.calls
         return [ranks[r] for r in order.tolist()]
+
+    def write_back(self) -> None:
+        """Give the ranks the state per-rank stepping would have left
+        them in, if an array step left theirs stale: past its
+        collective, with no event pending."""
+        if self.stale:
+            self.stale = False
+            for rank in self.sim._ranks:
+                rank.pc, rank.collective_calls, rank._pending = self.pc, self.calls, None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if not self.prices.strides[1]:  # equal columns: pickle one
+            state["prices"] = (self.prices[:, 0], self.prices.shape)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if isinstance(state["prices"], tuple):
+            column, shape = state["prices"]
+            state["prices"] = np.broadcast_to(column[:, None], shape)
+        self.__dict__.update(state)
 
 
 class BESSTSimulator:
@@ -875,6 +959,9 @@ class BESSTSimulator:
         # hot-path shortcuts (batch pricing reads these every event)
         self._straggler_dom = by_name["straggler"]
         self._net_dom = by_name["network"]
+        #: the domains the commit and verify hooks go to
+        self._commit_domains = self._defining("on_checkpoint_commit")
+        self._verify_domains = self._defining("on_verify_point")
         #: instruction -> compiled row, shared by every rank's program
         self._rows: dict[Instruction, tuple] = {}
 
@@ -970,14 +1057,21 @@ class BESSTSimulator:
     # components call (batch pricing reads the straggler and network
     # domains directly).
 
+    def _defining(self, hook: str) -> list:
+        """The domains whose class overrides :class:`FaultDomain`'s no-op
+        *hook*, in registry order.  Callers look the method up per call,
+        so a patch of the class still sees every call."""
+        default = getattr(FaultDomain, hook)
+        return [d for d in self._domains if getattr(type(d), hook) is not default]
+
     def _on_checkpoint_commit(self, rank: "_Rank", seq: int) -> bool:
-        for domain in self._domains:
+        for domain in self._commit_domains:
             if domain.on_checkpoint_commit(rank, seq):
                 return True
         return False
 
     def _on_verify_point(self, rank: "_Rank") -> bool:
-        for domain in self._domains:
+        for domain in self._verify_domains:
             if domain.on_verify_point(rank):
                 return True
         return False
@@ -1008,11 +1102,15 @@ class BESSTSimulator:
         ctx = self._ctx
         if ctx.aborted or self._finished == self.nranks:
             return
-        if self._stepper is not None:
-            raise RuntimeError(
-                "cannot inject a fault into a run stepped for all ranks at once; "
-                "schedule it (or attach a fault injector) before run() starts"
-            )
+        stepper = self._stepper
+        if stepper is not None:
+            if self.monte_carlo:
+                raise RuntimeError(
+                    "cannot inject a fault into a Monte-Carlo run stepped for all "
+                    "ranks at once; schedule it (or attach a fault injector) "
+                    "before run() starts"
+                )
+            stepper.write_back()
         if kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {kind!r}; expected "

@@ -100,6 +100,11 @@ class EventQueue:
         self._next_seq += n
         return seq
 
+    @property
+    def next_seq(self) -> int:
+        """The sequence number the next :meth:`take_seq` will claim."""
+        return self._next_seq
+
     def __len__(self) -> int:
         return max(0, len(self._heap) - self._cancelled_in_heap)
 

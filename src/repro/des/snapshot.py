@@ -58,7 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: entries and simulator ranks carry compiled instruction rows.
 #: Version 3: engines carry lazy events and the simulator's rendezvous
 #: state is per-phase (collective-phase stepping).
-SNAPSHOT_VERSION = 3
+#: Version 4: array steppers (also in deterministic fault runs) carry
+#: the stale-rank flag and pickle a deterministic price matrix as one
+#: column.
+SNAPSHOT_VERSION = 4
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

@@ -36,7 +36,7 @@ from typing import Optional
 
 from repro.obs.export import JsonlSink, guarded_export, write_prometheus
 from repro.obs.heartbeat import CampaignHeartbeat
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import Counter, MetricsRegistry, get_registry, set_registry
 from repro.obs.tracing import ObsContext, Span, Tracer, derive_span_id
 
 #: queue-depth histogram bounds (events pending)
@@ -82,6 +82,10 @@ class EngineObs:
             buckets=QUEUE_DEPTH_BUCKETS,
         )
         self.runs = 0
+        #: component -> its ``engine_component_busy_seconds_total``
+        #: series, while that family is the one in ``_busy_family``
+        self._busy_family = None
+        self._busy_series: dict[str, Counter] = {}
         self._span: Optional[Span] = None
         self._t0 = 0.0
         self._events0 = 0
@@ -114,14 +118,24 @@ class EngineObs:
             "engine_events_per_second", help="Throughput of the last run."
         ).set(fired / wall if wall > 0 else 0.0)
         # Drain per-component busy time into counters + the utilization
-        # tracker (the engine feeds it; components never do).
+        # tracker (the engine feeds it; components never do).  The
+        # family is resolved once per run, and each series is looked up,
+        # and its label checked, once per adapter (again after a
+        # registry reset).
+        family = reg.family(
+            "engine_component_busy_seconds_total",
+            "counter",
+            "Wall seconds spent in event handlers, per component.",
+        )
+        if family is not self._busy_family:
+            self._busy_family, self._busy_series = family, {}
+        series = self._busy_series
         for component, seconds in self.busy.items():
             name = component or "_engine"
-            reg.counter(
-                "engine_component_busy_seconds_total",
-                help="Wall seconds spent in event handlers, per component.",
-                component=name,
-            ).inc(seconds)
+            counter = series.get(name)
+            if counter is None:
+                counter = series[name] = family.get({"component": name})
+            counter.inc(seconds)
             self.utilization.add_busy(name, seconds)
         self.busy.clear()
         windows = getattr(engine, "windows_executed", None)

@@ -337,7 +337,10 @@ class MetricsRegistry:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
-    def _family(self, name: str, kind: str, help_text: str, **ctor_kwargs) -> _Family:
+    def family(self, name: str, kind: str, help_text: str, **ctor_kwargs) -> _Family:
+        """The family *name* of instrument *kind*, created if new; its
+        ``get(labels)`` returns one series.  Resolve it once to look up
+        many series of one name."""
         _check_name(name)
         with self._lock:
             fam = self._families.get(name)
@@ -351,10 +354,10 @@ class MetricsRegistry:
             return fam
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        return self._family(name, "counter", help).get(labels)
+        return self.family(name, "counter", help).get(labels)
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._family(name, "gauge", help).get(labels)
+        return self.family(name, "gauge", help).get(labels)
 
     def histogram(
         self,
@@ -363,7 +366,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        return self._family(name, "histogram", help, buckets=buckets).get(labels)
+        return self.family(name, "histogram", help, buckets=buckets).get(labels)
 
     def quantile(
         self,
@@ -372,7 +375,7 @@ class MetricsRegistry:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         **labels: str,
     ) -> StreamingQuantile:
-        return self._family(name, "quantile", help, quantiles=quantiles).get(labels)
+        return self.family(name, "quantile", help, quantiles=quantiles).get(labels)
 
     # -- export / merge ------------------------------------------------------
 
@@ -415,7 +418,7 @@ class MetricsRegistry:
                 ctor_kwargs["quantiles"] = tuple(
                     float(q) for q in sorted(rec["data"]["quantiles"], key=float)
                 )
-            fam = self._family(rec["name"], kind, rec.get("help", ""), **ctor_kwargs)
+            fam = self.family(rec["name"], kind, rec.get("help", ""), **ctor_kwargs)
             fam.get(rec.get("labels") or {}).merge(rec["data"])
 
     def reset(self) -> None:

@@ -1,14 +1,16 @@
-"""Array-stepped fault-free runs equal per-rank stepping.
+"""Array-stepped runs equal per-rank stepping.
 
-A fault-free run of one program on every rank steps each hook-free
-segment (no ``Checkpoint`` or ``Verify`` row, ending at a collective) for
-all ranks in one array operation.  The comparison arm stubs
-:meth:`_ArrayStepper.plan` to return ``None``, so it steps per rank:
-every result must be equal, and so must the rings of the flight
-recorders both arms carry.
+A fault-free run of one program on every rank, and a deterministic fault
+run between its faults, steps each hook-free segment (no ``Checkpoint``
+or ``Verify`` row, ending at a collective) for all ranks in one array
+operation.  The comparison arm stubs :meth:`_ArrayStepper.plan` to
+return ``None``, so it steps per rank: every result must be equal, and
+so must the rings of the flight recorders both arms carry.
 """
 
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -27,10 +29,12 @@ from repro.core import (
     Marker,
 )
 from repro.core import simulator as simulator_mod
-from repro.core.fault_injection import FaultInjector, FaultModel
+from repro.core.campaign import CampaignSpec, build_campaign_app
+from repro.core.fault_injection import FaultInjector, FaultModel, RecoveryPolicy
 from repro.core.ft import scenario_l1, scenario_l1_l2
 from repro.des.component import Component
 from repro.des.engine import SimulationError
+from repro.des.snapshot import SnapshotStore
 from repro.models import CallableModel, ConstantModel, ScaledModel, SymbolicRegressionModel
 from repro.network import Torus
 from repro.obs import EngineObs, FlightRecorder, MetricsRegistry, Tracer
@@ -361,3 +365,226 @@ def test_finished_simulator_holds_no_array_state(planned):
     sim.run()
     assert planned[-1] is not None and sim._stepper is None
     assert _arrays(sim, skip) <= before
+
+
+# -- deterministic fault runs ---------------------------------------------------------
+
+#: kind mixes; between them, every kind whose domain changes a price,
+#: cuts the fabric or rolls the job back
+MIXES = (
+    {"software": 0.4, "link": 0.2, "netdeg": 0.4},
+    {"switch": 0.2, "straggler": 0.4, "sdc": 0.4},
+    {"burst": 0.25, "node": 0.25, "netdeg": 0.25, "straggler": 0.25},
+    {"software": 0.2, "sdc": 0.2, "straggler": 0.2, "link": 0.2, "burst": 0.2},
+)
+POLICIES = {"legacy": RecoveryPolicy.legacy, "default": RecoveryPolicy}
+#: swept apps and the rank counts each may take: the campaign workload,
+#: a program with ``Exchange`` rows, and one with ``Verify`` rows
+FAULT_APPS = {"campaign": (8, 16), "same_program": (6, 8, 12), "lulesh_verify": (8, 27)}
+
+
+def fault_app(app, nranks, period):
+    """``(appbeo, arch)`` of a swept fault run; *period* is the
+    checkpoint period in timesteps (``same_program`` keeps its own)."""
+    if app == "campaign":
+        spec = CampaignSpec(
+            node_mtbf_s=1.0,
+            ckpt_period=period,
+            nranks=nranks,
+            nnodes=nranks // 2,
+            timesteps=24,
+            verify_period=3,
+            net_topology="torus",
+        )
+        arch = ArchBEO("campaign", topology=spec.build_topology(), cores_per_node=2)
+        arch.bind("work", ConstantModel(spec.compute_s))
+        arch.bind("ckpt", ConstantModel(spec.ckpt_cost_s))
+        arch.bind("verify", ConstantModel(spec.verify_cost_s))
+        return build_campaign_app(spec), arch
+    if app == "lulesh_verify":
+        scenario = scenario_l1_l2(period).with_verification(2)
+        return lulesh_appbeo(TIMESTEPS, scenario), make_arch()
+    return APPS[app](), make_arch()
+
+
+@functools.lru_cache(maxsize=None)
+def fault_free(app, nranks, period):
+    """The deterministic fault-free run the fault rates are scaled to."""
+    appbeo, arch = fault_app(app, nranks, period)
+    return BESSTSimulator(appbeo, arch, nranks=nranks, monte_carlo=False).run()
+
+
+def fault_sim(case):
+    """A deterministic run of *case* under its fault mix: about three
+    faults per fault-free run time, ten at most, with repairs and
+    recovery downtime short against that time."""
+    app, nranks, mix, policy, period, record, stride, _stop, seed = case
+    appbeo, arch = fault_app(app, nranks, period)
+    span = fault_free(app, nranks, period).total_time
+    arch.recovery_time_s = span / 10
+    model = FaultModel(
+        node_mtbf_s=nranks // 2 * span / 3,
+        kind_weights=MIXES[mix],
+        straggler_repair_s=span / 4,
+        net_repair_s=span / 4,
+        burst_size=2,
+    )
+    sim = BESSTSimulator(
+        appbeo,
+        arch,
+        nranks=nranks,
+        seed=seed,
+        monte_carlo=False,
+        record_timelines=record,
+        fault_injector=FaultInjector(model, nnodes=nranks // 2, seed=seed + 1, max_faults=10),
+        recovery_policy=POLICIES[policy](),
+    )
+    sim.engine.trace = True
+    sim.attach_flightrec(FlightRecorder(capacity=1 << 20, tick_stride=stride))
+    return sim
+
+
+_draw = random.Random(26)
+#: seeded sweep: each app under each mix, the rest drawn per case; a
+#: ``max_events`` stop (a share of the fault-free event count) is
+#: followed by a resume
+FAULT_SWEEP = [
+    (
+        app,
+        _draw.choice(FAULT_APPS[app]),
+        mix,
+        _draw.choice(sorted(POLICIES)),
+        _draw.choice((2, 3, 5)),
+        _draw.choice(("all", "rank0")),
+        _draw.choice((1, 4, 64)),
+        _draw.choice((0.0, 0.2, 0.5)),
+        _draw.randrange(1000),
+    )
+    for app, mix in itertools.product(FAULT_APPS, range(len(MIXES)))
+]
+
+
+def test_fault_sweep_covers_every_option():
+    kinds = {kind for case in FAULT_SWEEP for kind in MIXES[case[2]]}
+    assert {"link", "switch", "netdeg", "straggler", "burst", "sdc"} <= kinds
+    for i, options in ((3, set(POLICIES)), (5, {"all", "rank0"}), (6, {1, 4, 64})):
+        assert {case[i] for case in FAULT_SWEEP} == options
+    assert {bool(case[7]) for case in FAULT_SWEEP} == {True, False}
+
+
+@pytest.mark.parametrize("case", FAULT_SWEEP, ids=str)
+def test_deterministic_fault_run_equals_per_rank_stepping(planned, case):
+    app, nranks, _mix, _policy, period, _record, _stride, stop, _seed = case
+    budget = int(stop * fault_free(app, nranks, period).events_fired)
+    sims, stops, depths = [], [], []
+    for per_rank in (False, True):
+        sim = fault_sim(case)
+        obs = sim.engine.attach_obs(EngineObs(registry=MetricsRegistry()))
+        depths.append(obs.queue_depth)
+        planned.per_rank = per_rank
+        try:
+            if budget:
+                with pytest.raises(SimulationError, match="max_events"):
+                    sim.run(max_events=budget)
+                stops.append((sim.engine.events_fired, sim.engine.now, len(sim.engine.queue)))
+            sim.run()
+        finally:
+            planned.per_rank = False
+        sims.append(sim)
+    assert planned[-2] is not None and planned[-1] is None
+    array_sim, reference = sims
+    assert stops[:1] == stops[1:]
+    array_res, ref_res = array_sim.run(), reference.run()
+    assert array_res.faults_injected > 0
+    assert array_res == ref_res
+    assert array_res.total_time.hex() == ref_res.total_time.hex()
+    assert array_sim.engine.queue.next_seq == reference.engine.queue.next_seq
+    assert depths[0].snapshot() == depths[1].snapshot()
+    assert array_sim.engine.trace_log == reference.engine.trace_log
+    assert array_sim._flightrec.ring == reference._flightrec.ring
+    assert array_sim.fault_injector.log.entries == reference.fault_injector.log.entries
+    assert array_sim.engine.rngs.state_digest() == reference.engine.rngs.state_digest()
+    assert rank_states(array_sim) == rank_states(reference)
+
+
+def test_deterministic_fault_injector_run_is_array_stepped(planned):
+    """The deterministic counterpart of
+    :func:`test_fault_injector_steps_per_rank`."""
+
+    def build():
+        injector = FaultInjector(FaultModel(node_mtbf_s=1e9), nnodes=4, seed=1)
+        return make_sim(fault_injector=injector, monte_carlo=False)
+
+    res = build().run()
+    assert planned[-1] is not None
+    assert res == run_per_rank(planned, build())
+    assert res.faults_injected == 0 and res == run_both(planned, monte_carlo=False)[0]
+
+
+@pytest.mark.parametrize("source", ["queue", "component"])
+def test_deterministic_foreign_event_run_is_array_stepped(planned, source):
+    """The deterministic counterpart of :func:`test_foreign_event_steps_per_rank`:
+    the segment the event lands in is stepped per rank, and the event
+    sees the same ``events_fired``."""
+    fired = []
+
+    def build():
+        sim = make_sim(monte_carlo=False)
+        engine = sim.engine
+
+        def note(t, _payload=None):
+            fired.append((t, engine.events_fired))
+
+        if source == "queue":
+            engine.schedule(0.05, lambda ev: note(ev.time))
+        else:
+            engine.register(Ticker(fired))
+        return sim
+
+    res = build().run()
+    assert planned[-1] is not None
+    assert res == run_per_rank(planned, build())
+    assert len(fired) == 2 and fired[0] == fired[1]
+
+
+def test_fault_injected_into_a_deterministic_array_stepped_run(planned):
+    """The deterministic counterpart of
+    :func:`test_fault_injected_into_an_array_stepped_run_is_refused`:
+    the ranks' state is written back, and the run equals a per-rank one
+    with the same fault."""
+    sims = [make_sim(monte_carlo=False), make_sim(monte_carlo=False)]
+    for sim, per_rank in zip(sims, (False, True)):
+        planned.per_rank = per_rank
+        try:
+            with pytest.raises(SimulationError):
+                sim.run(max_events=16)
+        finally:
+            planned.per_rank = False
+    assert planned[-2] is not None and planned[-1] is None
+    # stopped between the first array rendezvous and its release
+    assert sims[0]._stepper.stale
+    assert sims[0].sync._pending.handler == sims[0].sync._release_all
+    for sim in sims:
+        sim.inject_fault(0)
+    assert rank_states(sims[0]) == rank_states(sims[1])
+    assert len(sims[0].engine.queue) == len(sims[1].engine.queue)
+    assert sims[0].run() == sims[1].run()
+
+
+def test_autosnapshot_of_stale_ranks_restores_bit_identical(planned, tmp_path):
+    """A snapshot taken between an array rendezvous and its release,
+    while the ranks' own state is stale, resumes to the same result."""
+    case = FAULT_SWEEP[0]
+    ref = fault_sim(case).run()
+    sim = fault_sim(case)
+    sim.enable_snapshots(str(tmp_path), every_events=1, keep=1 << 20)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=ref.events_fired // 2)
+    for path in SnapshotStore(str(tmp_path)).paths():
+        resumed = BESSTSimulator.restore(path)
+        if resumed._stepper.stale and resumed.sync._pending.handler == resumed.sync._release_all:
+            break
+    else:
+        pytest.fail("no snapshot caught stale ranks before a release")
+    res = resumed.run()
+    assert res == ref and res.faults_injected > 0

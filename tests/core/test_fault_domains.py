@@ -87,6 +87,25 @@ def test_simulator_dispatch_table_matches_registry():
         assert sim._domain_by_kind[kind].wants(kind)
 
 
+def test_commit_and_verify_hooks_reach_only_the_domains_defining_them(monkeypatch):
+    """Only the SDC domain defines the commit and verify hooks, so only
+    it is called; the method is looked up per call, so a patch of the
+    class made after the simulator was built still sees every call."""
+    sim = _sim(verify_period=2)
+    assert [d.name for d in sim._commit_domains] == ["sdc"]
+    assert [d.name for d in sim._verify_domains] == ["sdc"]
+    calls = []
+    for hook in ("on_checkpoint_commit", "on_verify_point"):
+        original = getattr(SdcDomain, hook)
+        monkeypatch.setattr(
+            SdcDomain, hook, lambda self, *a, _h=hook, _f=original: calls.append(_h) or _f(self, *a)
+        )
+    sim.run()
+    # 4 ranks: 2 checkpoints and 5 verify points each
+    assert calls.count("on_checkpoint_commit") == 4 * 2
+    assert calls.count("on_verify_point") == 4 * 5
+
+
 # -- FaultModel.kind_weights edges -------------------------------------------------
 
 

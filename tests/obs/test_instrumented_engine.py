@@ -8,7 +8,7 @@ from repro.des import Component, Engine
 from repro.des.link import connect
 from repro.des.parallel import ParallelEngine
 from repro.obs.instrument import EngineObs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, _Family
 from repro.obs.tracing import Tracer
 
 
@@ -54,6 +54,31 @@ def test_engine_feeds_utilization_and_counters():
     assert recs[("engine_run_seconds_total", ())]["value"] > 0
     busy = [k for k in recs if k[0] == "engine_component_busy_seconds_total"]
     assert (("component", "a"),) in [k[1] for k in busy]
+
+
+def test_busy_series_resolved_once_per_adapter(monkeypatch):
+    """Each component's busy-seconds series is looked up on the first
+    run only, later runs add to it, and a registry reset is seen."""
+    eng = build(count=50)
+    reg = MetricsRegistry()
+    eng.attach_obs(EngineObs(registry=reg))
+    with pytest.raises(Exception):
+        eng.run(max_events=10)
+    busy = reg.counter("engine_component_busy_seconds_total", component="a")
+    first = busy.value
+    created = []
+    get = _Family.get
+    monkeypatch.setattr(
+        _Family, "get", lambda self, labels: created.append(labels) or get(self, labels)
+    )
+    with pytest.raises(Exception):
+        eng.run(max_events=10)
+    assert {"component": "a"} not in created
+    assert busy.value > first
+    reg.reset()
+    eng.run()
+    assert {"component": "a"} in created
+    assert reg.counter("engine_component_busy_seconds_total", component="a").value > 0
 
 
 def test_results_identical_with_and_without_obs():
