@@ -246,17 +246,17 @@ SUPERVISOR_MTBFS = [8.0, 32.0]
 
 
 def supervisor_arms(_ctx, _tmp):
-    """A bare ProcessPoolExecutor.map per grid point vs the supervised
-    scheduler (per-task submit, timeouts, retry bookkeeping) on a
-    fault-free 2-point x 8-rep grid."""
+    """A bare ProcessPoolExecutor.map vs the supervised scheduler
+    (per-task submit, timeouts, retry bookkeeping) on a fault-free
+    2-point x 8-rep grid; each arm starts one pool for the grid."""
     policy = RecoveryPolicy()
 
     def pool_map() -> float:
         t0 = time.perf_counter()
-        for mtbf in SUPERVISOR_MTBFS:
-            spec = CampaignSpec(node_mtbf_s=mtbf, ckpt_period=5, timesteps=40)
-            tasks = [ReplicaTask(spec, policy, s) for s in derive_seeds(0, SUPERVISOR_REPS)]
-            with ProcessPoolExecutor(max_workers=SUPERVISOR_WORKERS) as pool:
+        with ProcessPoolExecutor(max_workers=SUPERVISOR_WORKERS) as pool:
+            for mtbf in SUPERVISOR_MTBFS:
+                spec = CampaignSpec(node_mtbf_s=mtbf, ckpt_period=5, timesteps=40)
+                tasks = [ReplicaTask(spec, policy, s) for s in derive_seeds(0, SUPERVISOR_REPS)]
                 list(pool.map(_run_replica, tasks))
         return time.perf_counter() - t0
 

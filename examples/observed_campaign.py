@@ -7,7 +7,7 @@ Runs a small resilience sweep across *worker processes* with the full
 * the metrics registry streams JSONL snapshots while the campaign runs,
 * the final Prometheus snapshot survives a strict text-format parse,
 * the Chrome trace holds campaign, supervisor-task, replica and
-  ``engine.run`` spans from three layers (and two processes) with an
+  ``engine.run`` spans from three layers (host and workers) with an
   intact parent/child chain — load it in https://ui.perfetto.dev,
 * a single observed :class:`BESSTSimulator` run can merge its obs spans
   into the simulated-time trace with :func:`merge_obs_spans`.

@@ -820,7 +820,10 @@ class ResilienceCampaign(MonteCarloRunner):
     n_workers:
         Worker processes; 1 (default) runs in-process.  Both paths
         produce byte-identical reports (replicas are pure functions of
-        ``(spec, policy, seed)``).
+        ``(spec, policy, seed)``).  With more than one, every grid point
+        runs on one worker pool, started by the first point that needs
+        it and stopped by :meth:`close` or when :meth:`run_specs`
+        returns; a crashed or hung worker replaces it.
     retry:
         Supervisor :class:`RetryPolicy` (timeouts, backoff, quarantine).
     journal_path:
@@ -906,6 +909,7 @@ class ResilienceCampaign(MonteCarloRunner):
         #: ``stretch_cadence`` stage (applied to new replica tasks)
         self._cadence_factor = 1
         self._journal: Optional[CampaignJournal] = None
+        self._supervisor: Optional[TaskSupervisor] = None
         #: accumulated supervisor telemetry (kept out of report JSON so
         #: resumed and uninterrupted runs stay bit-identical)
         self.harness_stats = SupervisorStats()
@@ -1058,6 +1062,57 @@ class ResilienceCampaign(MonteCarloRunner):
             )
         return self._journal
 
+    def _get_supervisor(self) -> TaskSupervisor:
+        """The supervisor every grid point runs on, and with it the one
+        worker pool of the campaign (until :meth:`close`).  Built on
+        first use, so options set after construction still apply."""
+        if self._supervisor is None:
+            self._supervisor = TaskSupervisor(
+                _run_replica,
+                n_workers=self.n_workers,
+                retry=self.retry,
+                validate=_is_replica_result,
+                on_result=self._record_replica,
+                on_quarantine=self._discard_replica_snapshots,
+                fault_injector=self.fault_injector,
+                seed=self.base_seed,
+                guard=self.guard,
+                # harness failures (crashes, hangs, quarantines) land
+                # next to the flight dumps so `repro analyze` can
+                # explain replicas that never produced a journal row
+                failure_log_path=(
+                    os.path.join(self.flight_dir, "harness-failures.jsonl")
+                    if self.flight_dir is not None
+                    else None
+                ),
+            )
+        return self._supervisor
+
+    def _stop_workers(self) -> None:
+        if self._supervisor is not None:
+            self._supervisor.close()
+            self._supervisor = None
+
+    def _record_replica(self, key: str, result: dict) -> None:
+        """The supervisor's write-ahead hook, once per fresh replica."""
+        # Popped so telemetry never reaches the journal or the report;
+        # WAL first: durability beats it.
+        telemetry = result.pop("obs") if self.obs is not None else None
+        if self._journal is not None:
+            spec_key, idx = key.rsplit(":", 1)
+            self._journal.record_replica(spec_key, int(idx), result["seed"], result)
+        if self.obs is not None:
+            self.obs.absorb(telemetry)
+            self.obs.replica_done(result)
+
+    def _discard_replica_snapshots(self, key: str, failures) -> None:
+        # A poisoned replica never completes; its snapshots must not
+        # seed a future resume of the same key.
+        if self.sim_snapshot_dir is None:
+            return
+        spec_key, idx = key.rsplit(":", 1)
+        shutil.rmtree(self._replica_snapshot_dir(spec_key, idx), ignore_errors=True)
+
     def _run_replicas(self, spec: CampaignSpec) -> list[dict]:
         seeds = derive_seeds(self.base_seed, self.reps)
         spec_key = campaign_spec_key(spec, self.policy)
@@ -1091,60 +1146,11 @@ class ResilienceCampaign(MonteCarloRunner):
             ]
             fresh: dict[int, dict] = {}
             if tasks:
-                journal_result = None
-                if journal is not None:
-
-                    def journal_result(key: str, result: dict) -> None:
-                        idx = int(key.rsplit(":", 1)[1])
-                        journal.record_replica(spec_key, idx, seeds[idx], result)
-
-                on_result = journal_result
-                if obs is not None:
-
-                    def on_result(key: str, result: dict) -> None:
-                        # Popped so telemetry never reaches the journal
-                        # or the report; WAL first: durability beats it.
-                        telemetry = result.pop("obs")
-                        if journal_result is not None:
-                            journal_result(key, result)
-                        obs.absorb(telemetry)
-                        obs.replica_done(result)
-
-                on_quarantine = None
-                if self.sim_snapshot_dir is not None:
-
-                    def on_quarantine(key: str, failures) -> None:
-                        # A poisoned replica never completes; its snapshots
-                        # must not seed a future resume of the same key.
-                        shutil.rmtree(
-                            self._replica_snapshot_dir(spec_key, key.rsplit(":", 1)[1]),
-                            ignore_errors=True,
-                        )
-
-                sup_obs = obs.supervisor_obs() if obs is not None else None
-                supervisor = TaskSupervisor(
-                    _run_replica,
-                    n_workers=self.n_workers,
-                    retry=self.retry,
-                    validate=_is_replica_result,
-                    on_result=on_result,
-                    on_quarantine=on_quarantine,
-                    fault_injector=self.fault_injector,
-                    seed=self.base_seed,
-                    obs=sup_obs,
-                    guard=self.guard,
-                    # harness failures (crashes, hangs, quarantines) land
-                    # next to the flight dumps so `repro analyze` can
-                    # explain replicas that never produced a journal row
-                    failure_log_path=(
-                        os.path.join(self.flight_dir, "harness-failures.jsonl")
-                        if self.flight_dir is not None
-                        else None
-                    ),
-                )
+                supervisor = self._get_supervisor()
+                supervisor.obs = obs.supervisor_obs() if obs is not None else None
                 out = supervisor.run(tasks)
-                if sup_obs is not None:
-                    sup_obs.close()
+                if supervisor.obs is not None:
+                    supervisor.obs.close()
                 if out.stats.aborted:
                     self.aborted = True
                     if not self.abort_reason:
@@ -1190,12 +1196,13 @@ class ResilienceCampaign(MonteCarloRunner):
         )
 
     def run_specs(self, specs: Sequence[CampaignSpec]) -> CampaignReport:
-        """Run every grid point in *specs*, in order.
+        """Run every grid point in *specs*, in order, on one worker pool.
 
-        On a resource-guard abort the sweep stops early: already-run
-        points are reported (``partial`` set), every journaled replica
-        is durable, and :meth:`resume` completes the grid bit-identically
-        once resources recover.
+        The pool is stopped when this returns.  On a resource-guard abort
+        the sweep stops early: already-run points are reported
+        (``partial`` set), every journaled replica is durable, and
+        :meth:`resume` completes the grid bit-identically once resources
+        recover.
         """
         if self.obs is not None:
             self.obs.begin_campaign(len(specs) * self.reps, points=len(specs))
@@ -1206,6 +1213,7 @@ class ResilienceCampaign(MonteCarloRunner):
                 if self.aborted:
                     break
         finally:
+            self._stop_workers()
             if self.obs is not None:
                 # Exporters run even on a failed sweep: a partial trace
                 # and metrics snapshot are the debugging artifacts.
@@ -1218,7 +1226,9 @@ class ResilienceCampaign(MonteCarloRunner):
         )
 
     def close(self) -> None:
-        """Release the journal file handle (safe to call repeatedly)."""
+        """Stop the worker pool and release the journal file handle (safe
+        to call repeatedly)."""
+        self._stop_workers()
         if self._journal is not None:
             self._journal.close()
             self._journal = None

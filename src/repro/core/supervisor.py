@@ -6,6 +6,9 @@ harness that a single OOM-killed or hung worker could take down (one
 multi-hour sweep).  It schedules tasks individually with
 ``submit``/``wait``, and supervises them:
 
+* **one pool across runs** — the worker pool is started by the first
+  task that needs one and reused by every later :meth:`TaskSupervisor.run`
+  until :meth:`TaskSupervisor.close`; only an unclean run kills it;
 * **per-task timeouts** — a hung worker is detected, its pool is killed
   and rebuilt, and the task retried;
 * **retry with exponential backoff + deterministic jitter**
@@ -266,6 +269,7 @@ class SupervisorStats:
     completed: int = 0
     retries: int = 0
     pool_rebuilds: int = 0
+    pool_starts: int = 0        #: pools forked: first start, rebuilds, replacements
     degraded: bool = False
     aborted: bool = False       #: clean resumable abort (resource guard / ENOSPC)
     abort_reason: str = ""
@@ -279,6 +283,7 @@ class SupervisorStats:
         self.completed += other.completed
         self.retries += other.retries
         self.pool_rebuilds += other.pool_rebuilds
+        self.pool_starts += other.pool_starts
         self.degraded = self.degraded or other.degraded
         self.aborted = self.aborted or other.aborted
         if not self.abort_reason:
@@ -292,7 +297,8 @@ class SupervisorStats:
         kinds = ", ".join(f"{k}={n}" for k, n in self.by_kind.items() if n)
         return (
             f"completed={self.completed} retries={self.retries} "
-            f"rebuilds={self.pool_rebuilds} degraded={self.degraded} "
+            f"rebuilds={self.pool_rebuilds} pool_starts={self.pool_starts} "
+            f"degraded={self.degraded} "
             f"quarantined={len(self.quarantined)}"
             + (f" aborted={self.abort_reason!r}" if self.aborted else "")
             + (f" [{kinds}]" if kinds else "")
@@ -326,24 +332,18 @@ class _Task:
     deadline: float = float("inf")
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool, reaping hung/dead workers."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.kill()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-
-
 # -- the supervisor --------------------------------------------------------------
 
 
 class TaskSupervisor:
     """Run ``worker_fn`` over keyed payloads, surviving worker failure.
+
+    The worker pool outlives :meth:`run`: the first task submitted
+    starts it, later runs reuse its warm workers, and :meth:`close`
+    shuts it down.  It is killed (SIGKILL) and replaced only when it
+    breaks — a worker crash or a hung task — and killed when a run ends
+    unclean (resource-guard abort, degradation to sequential, or an
+    exception), so no run hands busy or hung workers to the next.
 
     Parameters
     ----------
@@ -369,7 +369,7 @@ class TaskSupervisor:
         Optional :class:`HarnessFaultInjector` exported to workers for
         the duration of the run (chaos testing).
     seed:
-        Seeds the deterministic backoff jitter.
+        Seeds the deterministic backoff jitter (one stream across runs).
     obs:
         Optional observability hook (duck-typed; canonically a
         :class:`repro.obs.instrument.SupervisorObs`).  Receives the task
@@ -378,7 +378,8 @@ class TaskSupervisor:
         supervision-loop iteration for heartbeat/flush driving.  Hook
         exceptions are deliberately not swallowed here; the canonical
         implementation only mutates in-process counters/spans and
-        guards its own I/O.
+        guards its own I/O.  Read at each use, so it may be swapped
+        between runs (a campaign gives each grid point its own).
     """
 
     def __init__(
@@ -412,6 +413,9 @@ class TaskSupervisor:
         self.failure_log_path = failure_log_path
         self._failure_log: Optional[LineAppender] = None
         self._rng = random.Random(seed)
+        #: the worker pool; ``None`` until a task needs it, and again
+        #: after a kill (the next submit starts a fresh one)
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- public entrypoint -----------------------------------------------------
 
@@ -421,7 +425,8 @@ class TaskSupervisor:
         A resource-guard abort (or an ``OSError`` from the ``on_result``
         durable-write hook) does not raise: the run stops cleanly with
         ``stats.aborted`` set and every already-journaled result intact,
-        so the caller can surface a *resumable* exit.
+        so the caller can surface a *resumable* exit.  A clean run leaves
+        the worker pool up for the next run; see :meth:`close`.
         """
         stats = SupervisorStats()
         results: dict = {}
@@ -444,6 +449,31 @@ class TaskSupervisor:
             self._close_failure_log()
         return SupervisorResult(results, stats)
 
+    def close(self) -> None:
+        """Stop the worker pool (safe to call repeatedly).
+
+        A run that returned left no task in flight, so the workers are
+        idle: they are shut down and reaped, not killed.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _kill(self) -> None:
+        """Hard-stop the pool, reaping hung/dead workers."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            try:
+                proc.kill()
+            except Exception:
+                pass
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+
     def _guard_poll(self) -> None:
         """Tick the resource guard; unwind when its ladder says abort."""
         if self.guard is None:
@@ -462,7 +492,6 @@ class TaskSupervisor:
     # -- supervised (process-pool) path ----------------------------------------
 
     def _run_supervised(self, queue, results, stats) -> None:
-        pool = ProcessPoolExecutor(max_workers=self.n_workers)
         inflight: dict = {}
         strikes = 0  # consecutive rebuilds without a completed task
         try:
@@ -480,7 +509,7 @@ class TaskSupervisor:
                         time.sleep(0.05)
                         continue
                 else:
-                    broken = not self._submit_ready(pool, queue, inflight, now)
+                    broken = not self._submit_ready(queue, inflight, now, stats)
                 if not broken:
                     if not inflight:
                         self._sleep_until_ready(queue, now)
@@ -501,26 +530,33 @@ class TaskSupervisor:
                             self._charge(task, kind, detail, queue, stats)
                     broken = self._reap_overdue(inflight, queue, stats) or broken
                 if broken:
-                    pool = self._rebuild(pool, inflight, queue, stats)
+                    self._rebuild(inflight, queue, stats)
                     strikes += 1
                     if strikes >= self.retry.degrade_after:
                         stats.degraded = True
                         if self.obs is not None:
                             self.obs.degraded()
                         break
-        finally:
-            _kill_pool(pool)
+        except BaseException:
+            # An abort or an error may leave tasks in flight: the next
+            # run must not inherit busy or hung workers.
+            self._kill()
+            raise
         if queue:  # degraded: finish in-process, where workers can't die
             self._run_sequential(queue, results, stats)
 
-    def _submit_ready(self, pool, queue, inflight, now) -> bool:
-        """Top up the pool; returns False when the pool is broken."""
+    def _submit_ready(self, queue, inflight, now, stats) -> bool:
+        """Top up the pool, starting it if needed; returns False when the
+        pool is broken (a pool found broken between runs included)."""
         while len(inflight) < self.n_workers and queue:
             task = self._pop_ready(queue, now)
             if task is None:
                 break
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+                stats.pool_starts += 1
             try:
-                fut = pool.submit(
+                fut = self._pool.submit(
                     _invoke, self.worker_fn, task.key, task.attempts + 1,
                     task.payload,
                 )
@@ -587,19 +623,19 @@ class TaskSupervisor:
             )
         return bool(overdue)
 
-    def _rebuild(self, pool, inflight, queue, stats) -> ProcessPoolExecutor:
-        """Kill the pool, requeue in-flight tasks uncharged, start fresh."""
+    def _rebuild(self, inflight, queue, stats) -> None:
+        """Kill the pool and requeue in-flight tasks uncharged; the next
+        submit starts a fresh pool."""
         now = time.monotonic()
         for fut in list(inflight):
             task = inflight.pop(fut)
             task.not_before = now
             task.deadline = float("inf")
             queue.append(task)
-        _kill_pool(pool)
+        self._kill()
         stats.pool_rebuilds += 1
         if self.obs is not None:
             self.obs.pool_rebuilt()
-        return ProcessPoolExecutor(max_workers=self.n_workers)
 
     # -- sequential (in-process) path ------------------------------------------
 

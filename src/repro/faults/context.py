@@ -271,16 +271,20 @@ class RecoveryContext:
         ranks = self.sim._ranks
         min_level = MIN_LEVEL_FOR_KIND[kind]
         seq_star = min(r.ckpt_seq for r in ranks)
+        # A seq committed on every rank is in rank 0's short history
+        # window, so only those keys (newest first) are candidates.
+        history = ranks[0].restart_history
         committed: list[tuple[int, int]] = []
-        for seq in range(seq_star, 0, -1):
+        for seq in sorted(history, reverse=True):
+            if seq > seq_star or seq == 0:
+                continue
             if seq in self.invalid_seqs:
                 continue
             if avoid_corrupt and seq in self.corrupt_seqs:
                 continue
-            entries = [r.restart_history.get(seq) for r in ranks]
-            if any(e is None for e in entries):
+            if not all(seq in r.restart_history for r in ranks):
                 continue
-            committed.append((seq, entries[0][4]))
+            committed.append((seq, history[seq][4]))
         ladder: list[int] = []
         for tier in (1, 2, 4):
             if tier < min_level:

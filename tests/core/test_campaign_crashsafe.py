@@ -11,6 +11,7 @@ The acceptance properties pinned here:
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -247,3 +248,149 @@ def test_chaos_campaign_loses_and_duplicates_nothing(tmp_path):
     assert not stats.quarantined
     # the chaos actually bit: at least one injected failure was survived
     assert sum(stats.by_kind[k] for k in ("crash", "timeout")) >= 1
+
+
+# -- one worker pool per campaign -------------------------------------------------
+
+GRID = dict(mtbfs=[8.0, 32.0], periods=[5, 10], timesteps=10)
+
+
+def _workers_since(before):
+    """Live child processes started after the *before* snapshot."""
+    return [p for p in multiprocessing.active_children() if p.pid not in before]
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _grid_specs():
+    return [
+        CampaignSpec(node_mtbf_s=m, ckpt_period=p, timesteps=GRID["timesteps"])
+        for m in GRID["mtbfs"]
+        for p in GRID["periods"]
+    ]
+
+
+def test_clean_campaign_starts_one_pool_and_matches_sequential():
+    before = _children()
+    camp = ResilienceCampaign(reps=3, base_seed=0, n_workers=2)
+    report = camp.run_grid(**GRID)
+    assert camp.harness_stats.pool_starts == 1
+    assert camp.harness_stats.pool_rebuilds == 0
+    assert "pool_starts=1" in camp.harness_stats.summary()
+    assert _workers_since(before) == []  # run_specs stopped the pool
+    camp.close()
+    camp.close()
+    baseline = ResilienceCampaign(reps=3, base_seed=0, n_workers=1).run_grid(**GRID)
+    assert report.to_json() == baseline.to_json()
+
+
+def test_pool_outlives_points_until_close():
+    before = _children()
+    camp = ResilienceCampaign(reps=2, base_seed=0, n_workers=2)
+    first, second = _grid_specs()[:2]
+    camp.run_point(first)
+    workers = {p.pid for p in _workers_since(before)}
+    assert len(workers) == 2
+    camp.run_point(second)
+    assert {p.pid for p in _workers_since(before)} == workers
+    assert camp.harness_stats.pool_starts == 1
+    camp.close()
+    assert _workers_since(before) == []
+    camp.close()  # a second close is a no-op
+
+
+def _recording_pools(monkeypatch):
+    """Record every pool the supervisor starts and the keys submitted to it."""
+    import concurrent.futures
+
+    import repro.core.supervisor as supervisor_mod
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.keys = []
+            pools.append(self)
+
+        def submit(self, fn, *args, **kwargs):
+            self.keys.append(args[1])  # _invoke(worker_fn, key, attempt, payload)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_crash_on_a_points_last_replica_hands_the_next_point_a_new_pool(tmp_path, monkeypatch):
+    reps = 3
+    specs = _grid_specs()[:2]
+    keys = [
+        f"{campaign_spec_key(spec, RecoveryPolicy())}:{i}"
+        for spec in specs
+        for i in range(reps)
+    ]
+    last = keys[reps - 1]  # the first point's last replica
+    injector = None
+    for seed in range(5000):
+        cand = HarnessFaultInjector(crash_prob=0.1, seed=seed)
+        if all(
+            cand.decide(key, attempt) == ("crash" if (key, attempt) == (last, 1) else None)
+            for key in keys
+            for attempt in (1, 2, 3)
+        ):
+            injector = cand
+            break
+    assert injector is not None
+    pools = _recording_pools(monkeypatch)
+    before = _children()
+    journal = str(tmp_path / "wal.jsonl")
+    camp = ResilienceCampaign(
+        reps=reps,
+        base_seed=0,
+        n_workers=2,
+        retry=RetryPolicy(max_retries=5, backoff_base_s=0.01, backoff_max_s=0.05),
+        journal_path=journal,
+        fault_injector=injector,
+    )
+    report = camp.run_specs(specs)
+    camp.close()
+
+    stats = camp.harness_stats
+    assert stats.by_kind["crash"] >= 1 and not stats.quarantined
+    assert stats.pool_rebuilds == 1 and stats.pool_starts == 2
+    broken, replacement = pools
+    assert last in broken.keys
+    second_point = set(keys[reps:])
+    assert second_point <= set(replacement.keys)
+    assert not second_point & set(broken.keys)
+
+    records = _journal_replica_records(journal)
+    assert sorted(f"{r['spec_key']}:{r['replica']}" for r in records) == sorted(keys)
+    baseline = ResilienceCampaign(reps=reps, base_seed=0).run_specs(specs)
+    assert report.to_json() == baseline.to_json()
+    assert _workers_since(before) == []
+
+
+def test_pool_broken_between_points_is_replaced():
+    before = _children()
+    camp = ResilienceCampaign(
+        reps=2,
+        base_seed=0,
+        n_workers=2,
+        retry=RetryPolicy(max_retries=5, backoff_base_s=0.01, backoff_max_s=0.05),
+    )
+    first, second = _grid_specs()[:2]
+    points = [camp.run_point(first)]
+    victim = _workers_since(before)[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10)
+    assert not victim.is_alive()
+    points.append(camp.run_point(second))
+    camp.close()
+    assert camp.harness_stats.pool_starts == 2
+    assert _workers_since(before) == []
+    baseline = ResilienceCampaign(reps=2, base_seed=0)
+    expected = [baseline.run_point(spec).to_dict() for spec in (first, second)]
+    assert [p.to_dict() for p in points] == expected

@@ -84,6 +84,21 @@ def test_clean_supervised_path():
     assert out.stats.pool_rebuilds == 0 and not out.stats.degraded
 
 
+def test_pool_is_reused_across_runs_until_close():
+    sup = TaskSupervisor(_double, n_workers=2)
+    first = sup.run([(f"a{i}", i) for i in range(4)])
+    second = sup.run([(f"b{i}", i) for i in range(4)])
+    assert second.results == {f"b{i}": 2 * i for i in range(4)}
+    assert (first.stats.pool_starts, second.stats.pool_starts) == (1, 0)
+    workers = list(sup._pool._processes.values())
+    assert workers and all(p.is_alive() for p in workers)
+    sup.close()
+    assert not any(p.is_alive() for p in workers)
+    sup.close()
+    assert sup.run([("c", 1)]).stats.pool_starts == 1  # a fresh pool after close
+    sup.close()
+
+
 def test_empty_task_list():
     out = TaskSupervisor(_double, n_workers=2).run([])
     assert out.results == {} and out.stats.completed == 0
