@@ -66,6 +66,13 @@ from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
 
+def _sorted_weights(weights) -> tuple:
+    """A ``{kind: weight}`` mapping or ``(kind, weight)`` pairs as sorted
+    ``(str, float)`` pairs: the frozen, hashable form ``asdict`` sees."""
+    pairs = weights.items() if isinstance(weights, Mapping) else weights
+    return tuple(sorted((str(k), float(v)) for k, v in pairs))
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """One grid point: a workload under one fault/checkpoint regime."""
@@ -142,34 +149,8 @@ class CampaignSpec:
             raise ValueError(
                 f"verify_period must be >= 0, got {self.verify_period}"
             )
-        if isinstance(self.fault_mix, Mapping):
-            object.__setattr__(
-                self,
-                "fault_mix",
-                tuple(sorted((str(k), float(v)) for k, v in self.fault_mix.items())),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "fault_mix",
-                tuple(sorted((str(k), float(v)) for k, v in self.fault_mix)),
-            )
-        if isinstance(self.net_fault_split, Mapping):
-            object.__setattr__(
-                self,
-                "net_fault_split",
-                tuple(
-                    sorted(
-                        (str(k), float(v)) for k, v in self.net_fault_split.items()
-                    )
-                ),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "net_fault_split",
-                tuple(sorted((str(k), float(v)) for k, v in self.net_fault_split)),
-            )
+        for name in ("fault_mix", "net_fault_split"):
+            object.__setattr__(self, name, _sorted_weights(getattr(self, name)))
         if not self.net_link_mtbf_s >= 0:
             raise ValueError(
                 f"net_link_mtbf_s must be >= 0, got {self.net_link_mtbf_s}"

@@ -81,24 +81,3 @@ def overhead_matrix(
     if base <= 0:
         raise ValueError(f"baseline time must be > 0, got {base}")
     return {k: 100.0 * v / base for k, v in times.items()}
-
-
-def format_overhead_tables(
-    pct: Mapping[tuple, float],
-    eprs: Iterable[int],
-    ranks: Iterable[int],
-    scenario_names: Iterable[str],
-) -> str:
-    """Render Fig. 9's two tables (one per rank count) as text."""
-    eprs = list(eprs)
-    lines = []
-    for r in ranks:
-        lines.append(f"{r} Ranks    " + "  ".join(f"{e:>6d}" for e in eprs))
-        for s in scenario_names:
-            cells = []
-            for e in eprs:
-                v = pct.get((e, r, s))
-                cells.append(f"{v:5.0f}%" if v is not None else "   n/a")
-            lines.append(f"  {s:<9s}" + "  ".join(cells))
-        lines.append("")
-    return "\n".join(lines)

@@ -52,7 +52,6 @@ import numpy as np
 from repro.faults.registry import FAULT_KINDS as _REGISTRY_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analytical.sparenodes import SpareNodeModel
     from repro.network.topology import Topology
 
 #: every fault kind the taxonomy knows, in canonical draw order — owned
@@ -458,17 +457,6 @@ class RecoveryPolicy:
             l1_inplace_writes=False,
             max_requeues=0,
         )
-
-    @classmethod
-    def from_spare_model(cls, spare: "SpareNodeModel", **overrides) -> "RecoveryPolicy":
-        """Derive the spare-pool parameters from an analytical
-        :class:`~repro.analytical.sparenodes.SpareNodeModel`."""
-        policy = cls(
-            n_spares=spare.n_spare,
-            spare_swap_s=spare.swap_cost,
-            spare_rebuild_s=spare.rebuild_cost,
-        )
-        return replace(policy, **overrides) if overrides else policy
 
 
 #: stable field order of :meth:`FaultEvent.to_list` rows — the contract

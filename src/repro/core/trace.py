@@ -1,9 +1,8 @@
-"""Timeline export: Chrome trace-event format and text Gantt rendering.
+"""Timeline export: Chrome trace-event format.
 
 Rank timelines from :class:`~repro.core.simulator.SimulationResult` can
 be inspected in ``chrome://tracing`` / Perfetto (each rank a row, each
-instruction a duration event, checkpoints flagged) or rendered as a
-quick terminal Gantt chart.
+instruction a duration event, checkpoints flagged).
 
 Observability spans (:mod:`repro.obs.tracing`) export to the same
 format: :func:`spans_to_trace_events` lays each process's spans out on
@@ -19,9 +18,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable
 
-from repro.core.simulator import RankTimeline, SimulationResult
+from repro.core.simulator import SimulationResult
 
 #: trace colours by instruction kind (Chrome trace colour names)
 _COLORS = {
@@ -177,47 +176,3 @@ def merge_obs_spans(trace: dict, spans: Iterable, time_unit_us: float = 1e6) -> 
 def save_spans_chrome_trace(spans: Iterable, path) -> None:
     """Write a standalone span trace JSON to *path*."""
     Path(path).write_text(json.dumps(spans_to_chrome_trace(spans)))
-
-
-def render_gantt(
-    timeline: RankTimeline,
-    width: int = 80,
-    t_end: Optional[float] = None,
-    symbols: Optional[Mapping[str, str]] = None,
-) -> str:
-    """A one-line-per-kind ASCII Gantt chart of one rank's timeline.
-
-    Each row shows where time went: ``#`` compute, ``=`` exchange,
-    ``~`` collective, ``C`` checkpoint, ``!`` rollback.
-    """
-    if width < 10:
-        raise ValueError(f"width must be >= 10, got {width}")
-    if not timeline.entries:
-        return "(empty timeline)"
-    sym = {
-        "compute": "#",
-        "exchange": "=",
-        "collective": "~",
-        "checkpoint": "C",
-        "rollback": "!",
-    }
-    if symbols:
-        sym.update(symbols)
-    horizon = t_end if t_end is not None else max(e.t_end for e in timeline.entries)
-    if horizon <= 0:
-        return "(zero-length timeline)"
-    rows = {}
-    for kind, ch in sym.items():
-        rows[kind] = [" "] * width
-    for e in timeline.entries:
-        if e.kind not in rows:
-            continue
-        lo = int(e.t_start / horizon * (width - 1))
-        hi = max(int(e.t_end / horizon * (width - 1)), lo)
-        for i in range(lo, min(hi + 1, width)):
-            rows[e.kind][i] = sym[e.kind]
-    lines = [f"rank {timeline.rank}, horizon {horizon:.4g}s"]
-    for kind in ("compute", "exchange", "collective", "checkpoint", "rollback"):
-        if any(c != " " for c in rows[kind]):
-            lines.append(f"{kind:>11s} |{''.join(rows[kind])}|")
-    return "\n".join(lines)

@@ -259,24 +259,6 @@ def test_requeue_draws_from_spare_pool_then_degrades():
     assert no_spare.waste_requeue == pytest.approx(2.0 + 40.0)
 
 
-def test_policy_from_spare_model():
-    """The spare pool parameters come straight from the analytical
-    spare-node model."""
-    from repro.analytical.sparenodes import SpareNodeModel
-
-    spare = SpareNodeModel(
-        n_active=16, n_spare=3, node_mtbf=1e4, repair_time=600.0,
-        swap_cost=7.0, rebuild_cost=90.0,
-    )
-    policy = RecoveryPolicy.from_spare_model(spare)
-    assert policy.n_spares == 3
-    assert policy.spare_swap_s == 7.0
-    assert policy.spare_rebuild_s == 90.0
-    tweaked = RecoveryPolicy.from_spare_model(spare, max_requeues=2)
-    assert tweaked.max_requeues == 2
-    assert tweaked.n_spares == 3
-
-
 # -- legacy equivalence ---------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Chrome-trace export, obs-span merging and ASCII Gantt rendering."""
+"""Chrome-trace export and obs-span merging."""
 
 import json
 
@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.core.trace import (
     merge_obs_spans,
-    render_gantt,
     save_chrome_trace,
     save_spans_chrome_trace,
     spans_to_chrome_trace,
@@ -185,18 +184,3 @@ def test_save_spans_chrome_trace(tmp_path):
     save_spans_chrome_trace(spans, path)
     assert json.loads(path.read_text()) == spans_to_chrome_trace(spans)
 
-
-def test_gantt_renders_rows():
-    res = run_sim()
-    text = render_gantt(res.timelines[0], width=40)
-    assert "compute" in text and "checkpoint" in text
-    assert "#" in text and "C" in text
-
-
-def test_gantt_validation_and_edges():
-    res = run_sim()
-    with pytest.raises(ValueError):
-        render_gantt(res.timelines[0], width=5)
-    from repro.core.simulator import RankTimeline
-
-    assert render_gantt(RankTimeline(0)) == "(empty timeline)"

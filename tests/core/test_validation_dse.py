@@ -11,7 +11,6 @@ from repro.core import (
     sweep,
     validate_simulation,
 )
-from repro.core.dse import format_overhead_tables
 
 
 # -- ValidationReport ----------------------------------------------------------
@@ -88,13 +87,6 @@ def test_overhead_matrix_default_baseline_and_errors():
         overhead_matrix({})
     with pytest.raises(ValueError):
         overhead_matrix({(1, 1, "a"): 0.0})
-
-
-def test_format_overhead_tables():
-    out = sweep(fake_eval, [5, 10], [8], [NO_FT, scenario_l1()])
-    pct = overhead_matrix(out, baseline_key=(5, 8, "no_ft"))
-    text = format_overhead_tables(pct, [5, 10], [8], ["no_ft", "l1"])
-    assert "8 Ranks" in text and "100%" in text
 
 
 def test_design_point_key():
