@@ -13,6 +13,10 @@ the full degradation story end to end:
 * "space is freed" (the fake probe turns healthy) and a resumed
   campaign completes, bit-identical to a run that never saw pressure.
 
+The script fails (non-zero exit) unless the pressured run entered the
+five stages in ladder order and aborted, and the resumed report equals
+the calm one.
+
 Run:  python examples/degraded_campaign.py        (seconds)
 """
 
@@ -20,8 +24,7 @@ import os
 import tempfile
 
 from repro.core.campaign import ResilienceCampaign
-from repro.guard.ladder import DegradationLadder
-from repro.guard.resource import ResourceGuard, ResourceLimits
+from repro.guard.resource import STAGES, ResourceGuard, ResourceLimits
 from repro.obs.instrument import CampaignObs, ObsOptions
 
 MTBFS = [8.0, 32.0]
@@ -48,8 +51,8 @@ def make_guard(disk_probe) -> ResourceGuard:
     return ResourceGuard(
         watch_path=".",
         limits=ResourceLimits(min_disk_free_bytes=256 * MiB),
-        ladder=DegradationLadder(polls_per_stage=2, max_pause_s=0.2),
         poll_interval_s=0.0,  # poll every supervisor tick (demo pacing)
+        max_pause_s=0.2,
         disk_probe=disk_probe,
         rss_probe=lambda: None,
         fd_probe=lambda: None,
@@ -74,8 +77,11 @@ def main() -> None:
     print(f"partial report covers {sum(p.replicas_done for p in pressured.points)} "
           f"journaled replicas")
     print("\nladder transitions, in order:")
-    for frm, to, reason in guard.ladder.transitions:
+    for frm, to, reason in guard.transitions:
         print(f"  {frm:>18s} -> {to:<18s} ({reason})")
+    entered = [to for _, to, _ in guard.transitions]
+    if not (camp.aborted and entered == list(STAGES[1:])):
+        raise SystemExit(f"pressured run must climb {STAGES[1:]} in order and abort")
 
     print("\n== Space freed: resume completes the sweep ==")
     resumed = ResilienceCampaign.resume(journal)
@@ -88,8 +94,10 @@ def main() -> None:
     calm_camp = ResilienceCampaign(reps=REPS, base_seed=0, guard=calm_guard)
     calm = calm_camp.run_grid(MTBFS, PERIODS, timesteps=TIMESTEPS)
     print(f"guard stayed at stage: {calm_guard.stage!r}")
-    print(f"resumed report bit-identical to calm run: "
-          f"{report.to_json() == calm.to_json()}")
+    identical = report.to_json() == calm.to_json()
+    print(f"resumed report bit-identical to calm run: {identical}")
+    if not identical:
+        raise SystemExit("resumed report must equal the calm run's")
     print(f"\njournal: {journal}")
 
 

@@ -147,9 +147,6 @@ class MiniLulesh:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def total_internal_energy(self) -> float:
-        return float(np.sum(self.rho * self.e) * self.dx**3)
-
     def total_mass(self) -> float:
         return float(np.sum(self.rho) * self.dx**3)
 

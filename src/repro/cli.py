@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -463,6 +464,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mib_bytes(flag: str, mib: Optional[float]) -> Optional[int]:
+    """A ``--guard-*-mb`` value in bytes; NaN, infinite or negative fail."""
+    if mib is None:
+        return None
+    if not 0 <= mib < math.inf:
+        raise ValueError(f"{flag} must be finite and >= 0, got {mib}")
+    return int(mib * 1024**2)
+
+
+def _campaign_guard(args):
+    """The resource guard the ``--guard*`` flags describe."""
+    from repro.guard import ResourceGuard, ResourceLimits
+
+    watch = os.path.dirname(os.path.abspath(args.journal)) if args.journal else os.getcwd()
+    return ResourceGuard(
+        watch_path=watch,
+        limits=ResourceLimits(
+            min_disk_free_bytes=_mib_bytes("--guard-min-disk-mb", args.guard_min_disk_mb),
+            max_rss_bytes=_mib_bytes("--guard-max-rss-mb", args.guard_max_rss_mb),
+            max_open_fds=args.guard_max_fds,
+        ),
+        poll_interval_s=args.guard_poll,
+        max_pause_s=args.guard_max_pause,
+    )
+
+
 def _run_campaign(args) -> tuple[str, int]:
     """Run the campaign; returns ``(stdout text, exit code)``."""
     from repro.core.campaign import CampaignSpec, ResilienceCampaign
@@ -492,6 +519,7 @@ def _run_campaign(args) -> tuple[str, int]:
             for m in args.mtbf
             for p in args.periods
         ]
+        guard = _campaign_guard(args) if args.guard else None
     except ValueError as exc:
         print(f"repro campaign: error: {exc}", file=sys.stderr)
         return "", 2
@@ -534,30 +562,6 @@ def _run_campaign(args) -> tuple[str, int]:
             )
         )
         host_shim_installed = True
-    guard = None
-    if args.guard:
-        from repro.guard import ResourceGuard, ResourceLimits
-        from repro.guard.ladder import DegradationLadder
-
-        watch = (
-            os.path.dirname(os.path.abspath(args.journal))
-            if args.journal
-            else os.getcwd()
-        )
-        guard = ResourceGuard(
-            watch_path=watch,
-            limits=ResourceLimits(
-                min_disk_free_bytes=int(args.guard_min_disk_mb * 1024**2),
-                max_rss_bytes=(
-                    int(args.guard_max_rss_mb * 1024**2)
-                    if args.guard_max_rss_mb is not None
-                    else None
-                ),
-                max_open_fds=args.guard_max_fds,
-            ),
-            ladder=DegradationLadder(max_pause_s=args.guard_max_pause),
-            poll_interval_s=args.guard_poll,
-        )
     snapshot_kwargs = dict(
         sim_snapshot_dir=args.sim_snapshot_dir,
         sim_snapshot_every=args.sim_snapshot_every,

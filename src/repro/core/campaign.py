@@ -62,6 +62,12 @@ from repro.core.supervisor import (
 from repro.des.snapshot import SnapshotStore
 from repro.faults.domains import NetworkDomain, SdcDomain
 from repro.guard.durable import JournalError, WriteAheadJournal
+from repro.guard.resource import (
+    STAGE_SHED_SNAPSHOTS,
+    STAGE_STRETCH_CADENCE,
+    STAGE_SUSPEND_EXPORTERS,
+    STAGES,
+)
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
@@ -833,10 +839,10 @@ class ResilienceCampaign(MonteCarloRunner):
         off.
     guard:
         Optional :class:`~repro.guard.resource.ResourceGuard`.  Polled
-        from the supervision loop; its degradation ladder's stage
-        actions are wired to this campaign — shed oldest replica
-        snapshots, stretch the snapshot cadence, suspend the metric
-        exporters, pause task submission, and finally a clean resumable
+        from the supervision loop; its ``on_stage`` hook is set to apply
+        the degradation ladder's stages to this campaign — shed oldest
+        replica snapshots, stretch the snapshot cadence, suspend the
+        metric exporters, pause task submission, and finally a clean resumable
         abort (``self.aborted`` / ``self.abort_reason``) that leaves the
         journal valid for :meth:`resume`.  With the guard attached but
         no resource pressure, reports and journals are bit-identical to
@@ -886,8 +892,8 @@ class ResilienceCampaign(MonteCarloRunner):
         #: sweep bit-identically once the pressure clears
         self.aborted = False
         self.abort_reason = ""
-        #: snapshot-cadence multiplier driven by the ladder's
-        #: ``stretch_cadence`` stage (applied to new replica tasks)
+        #: snapshot-cadence multiplier: 4 while the guard is at
+        #: ``stretch_cadence`` or above (applied to new replica tasks)
         self._cadence_factor = 1
         self._journal: Optional[CampaignJournal] = None
         self._supervisor: Optional[TaskSupervisor] = None
@@ -895,7 +901,7 @@ class ResilienceCampaign(MonteCarloRunner):
         #: resumed and uninterrupted runs stay bit-identical)
         self.harness_stats = SupervisorStats()
         if guard is not None:
-            self._wire_guard()
+            guard.on_stage = self._on_stage
 
     @classmethod
     def resume(
@@ -957,30 +963,32 @@ class ResilienceCampaign(MonteCarloRunner):
             partial=any(p.partial for p in reports),
         )
 
-    # -- degradation-ladder wiring ------------------------------------------------
+    # -- degradation-ladder stage actions ----------------------------------------
 
-    def _wire_guard(self) -> None:
-        """Bind the guard's ladder stages to this campaign's resources."""
-        ladder = getattr(self.guard, "ladder", None)
-        if ladder is None:
-            return
-        from repro.guard.ladder import (
-            STAGE_SHED_SNAPSHOTS,
-            STAGE_STRETCH_CADENCE,
-            STAGE_SUSPEND_EXPORTERS,
-        )
-
-        ladder.on_enter(STAGE_SHED_SNAPSHOTS, self._shed_snapshots)
-        ladder.on_enter(STAGE_STRETCH_CADENCE, self._stretch_cadence)
-        ladder.on_exit(STAGE_STRETCH_CADENCE, self._restore_cadence)
-        ladder.on_enter(STAGE_SUSPEND_EXPORTERS, self._suspend_exporters)
-        ladder.on_exit(STAGE_SUSPEND_EXPORTERS, self._resume_exporters)
-        if self.obs is not None:
-            ladder.on_transition(self.obs.stage_changed)
+    def _on_stage(self, frm: str, to: str, reason: str) -> None:
+        """The guard's stage hook: apply (climbing) or undo (recovering)
+        this campaign's stage actions, one rung at a time."""
+        rung = STAGES.index(to)
+        up = rung > STAGES.index(frm)
+        heartbeat = self.obs.heartbeat if self.obs is not None else None
+        if heartbeat is not None:
+            heartbeat.set_stage(to)
+            heartbeat.beat(force=True)
+        if up and to == STAGE_SHED_SNAPSHOTS:
+            self._shed_snapshots()
+        # Snapshot 4x less often while stretched: less disk churn, more
+        # recompute for a killed replica on resume.
+        self._cadence_factor = 4 if rung >= STAGES.index(STAGE_STRETCH_CADENCE) else 1
+        sink = self.obs.sink if self.obs is not None else None
+        if sink is not None:
+            if up and to == STAGE_SUSPEND_EXPORTERS:
+                sink.breaker.force_open()
+            elif not up and frm == STAGE_SUSPEND_EXPORTERS:
+                sink.breaker.reset()
 
     def _shed_snapshots(self) -> None:
-        """Ladder stage: free disk by keeping only each replica's newest
-        snapshot (costs resume granularity, never correctness)."""
+        """Free disk by keeping only each replica's newest snapshot
+        (costs resume granularity, never correctness)."""
         root = self.sim_snapshot_dir
         if root is None or not os.path.isdir(root):
             return
@@ -988,22 +996,6 @@ class ResilienceCampaign(MonteCarloRunner):
             sub = os.path.join(root, name)
             if os.path.isdir(sub):
                 SnapshotStore(sub, keep=1).shed_oldest(keep=1)
-
-    def _stretch_cadence(self) -> None:
-        """Ladder stage: snapshot 4x less often (less disk churn; a
-        killed replica recomputes more on resume)."""
-        self._cadence_factor *= 4
-
-    def _restore_cadence(self) -> None:
-        self._cadence_factor = max(1, self._cadence_factor // 4)
-
-    def _suspend_exporters(self) -> None:
-        if self.obs is not None:
-            self.obs.suspend_exporters()
-
-    def _resume_exporters(self) -> None:
-        if self.obs is not None:
-            self.obs.resume_exporters()
 
     # -- execution ---------------------------------------------------------------
 

@@ -61,11 +61,6 @@ class FTScenario:
             raise ValueError(f"timestep must be >= 1, got {timestep}")
         return self.verify_period > 0 and timestep % self.verify_period == 0
 
-    def verification_count(self, total_timesteps: int) -> int:
-        if self.verify_period <= 0:
-            return 0
-        return total_timesteps // self.verify_period
-
     def checkpoint_count(self, total_timesteps: int, level: int) -> int:
         """How many instances of *level* occur in a run of
         *total_timesteps*."""

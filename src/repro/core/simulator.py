@@ -137,11 +137,6 @@ class RankTimeline:
     def time_in(self, kind: str) -> float:
         return sum(e.duration for e in self.entries if e.kind == kind)
 
-    def cumulative_curve(self) -> list[tuple[float, int]]:
-        """(time, completed instruction count) — runtime-vs-progress data
-        for the full-application runtime figures."""
-        return [(e.t_end, i + 1) for i, e in enumerate(self.entries)]
-
     def __getstate__(self) -> dict:
         # Entries pickle as plain tuples, about 4x faster than as
         # objects: recorded timelines are most of a simulator snapshot.

@@ -308,7 +308,7 @@ class SupervisorStats:
 class _SupervisorAbort(RuntimeError):
     """Internal: unwind the supervision loops for a clean resumable abort.
 
-    Raised when the resource guard's ladder reaches its abort stage, or
+    Raised when the resource guard reaches its ``abort`` stage, or
     when a durable write (``on_result``) fails with an :class:`OSError`
     — every journaled record is already fsynced, so stopping *now*
     leaves a valid journal that ``--resume`` can complete from.
@@ -475,12 +475,10 @@ class TaskSupervisor:
             pass
 
     def _guard_poll(self) -> None:
-        """Tick the resource guard; unwind when its ladder says abort."""
+        """Tick the resource guard; unwind when it reaches ``abort``."""
         if self.guard is None:
             return
-        tick = getattr(self.guard, "tick", None)
-        if tick is not None:
-            tick()
+        self.guard.tick()
         if self.guard.abort_requested:
             raise _SupervisorAbort(
                 self.guard.abort_reason or "resource guard requested abort"

@@ -51,9 +51,6 @@ class EventCounter:
             raise ValueError("engine was not constructed with trace=True")
         self.engine = engine
 
-    def by_source(self) -> Counter:
-        return Counter(src for _, _, _, src, _ in self.engine.trace_log)
-
     def by_destination(self) -> Counter:
         return Counter(dst for _, _, _, _, dst in self.engine.trace_log)
 

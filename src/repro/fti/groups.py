@@ -61,11 +61,6 @@ class GroupLayout:
             for offset in range(1, self.config.partner_copies + 1)
         ]
 
-    def index_in_group(self, node: int) -> int:
-        """Position of *node* within its group (0..group_size-1)."""
-        group = self.group_of_node(node)
-        return self.nodes_of_group(group).index(node)
-
     # -- validation ---------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:

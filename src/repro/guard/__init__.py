@@ -1,17 +1,17 @@
 """repro.guard — resource-exhaustion resilience for the durability stack.
 
-Four pieces:
+Three pieces:
 
 * :mod:`repro.guard.durable` — how a file is made durable (atomic
   write, :func:`fsync_dir`, the write-ahead journal) and how a torn one
   is read.
 * :mod:`repro.guard.fsfault` — deterministic, injectable filesystem
   faults (``ENOSPC``/``EIO``/``EMFILE``/slow I/O) at every durable write.
-* :mod:`repro.guard.resource` — the :class:`ResourceGuard` watchdog
-  (disk headroom, RSS, open fds) polled at supervisor cadence.
-* :mod:`repro.guard.ladder` — the :class:`DegradationLadder` of ordered,
-  observable, reversible stages, from shedding old snapshots all the way
-  to a checkpoint-and-clean-abort that leaves a resumable journal.
+* :mod:`repro.guard.resource` — the :class:`ResourceGuard`: polled at
+  supervisor cadence, it probes disk headroom, RSS and open fds and
+  walks the degradation ladder of ordered, observable, reversible
+  :data:`STAGES`, from shedding old snapshots all the way to a clean
+  abort that leaves a resumable journal.
 
 :mod:`repro.guard.circuit` provides the :class:`CircuitBreaker` used for
 exporter suspension and half-open recovery probes.
@@ -29,8 +29,8 @@ from repro.guard.fsfault import (
     install,
     uninstall,
 )
-from repro.guard.ladder import STAGES, DegradationLadder
 from repro.guard.resource import (
+    STAGES,
     ResourceGuard,
     ResourceLimits,
     ResourceSample,
@@ -43,7 +43,6 @@ __all__ = [
     "FS_FAULT_KINDS",
     "STAGES",
     "CircuitBreaker",
-    "DegradationLadder",
     "FsFaultConfig",
     "FsFaultInjector",
     "ResourceGuard",

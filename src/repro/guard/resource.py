@@ -1,4 +1,4 @@
-"""Resource watchdog: probe disk/RSS/fds, feed the degradation ladder.
+"""Resource guard: probe disk/RSS/fds, walk the degradation ladder.
 
 The :class:`ResourceGuard` is polled from the supervisor loop at
 heartbeat cadence.  Each (throttled) tick it samples
@@ -8,10 +8,36 @@ heartbeat cadence.  Each (throttled) tick it samples
 * this process's open file-descriptor count (``/proc/self/fd``),
 
 publishes the sample to the ``guard_disk_free_bytes`` /
-``guard_rss_bytes`` / ``guard_open_fds`` gauges, compares it against
-:class:`ResourceLimits`, and tells the ladder whether this poll was
-healthy or pressured.  The ladder owns all escalation/recovery policy;
-the guard only measures.
+``guard_rss_bytes`` / ``guard_open_fds`` gauges and compares it against
+:class:`ResourceLimits`.  Sustained pressure climbs the degradation
+ladder one rung at a time, sacrificing the cheapest capability first:
+
+====================  ========================================================
+stage                 what is sacrificed
+====================  ========================================================
+``normal``            nothing
+``shed_snapshots``    old replica snapshots (disk) — resume granularity
+``stretch_cadence``   snapshot frequency — more recompute after a kill
+``suspend_exporters`` metric sinks (circuit-breaker opened) — telemetry lag
+``pause_submission``  new task launches (bounded backpressure) — throughput
+``abort``             the run itself — but *resumably*: journal stays valid
+====================  ========================================================
+
+Pacing: the first pressured poll escalates at once (normal never
+absorbs pressure); each further rung takes :data:`POLLS_PER_STAGE`
+consecutive pressured polls, and each rung back down
+:data:`RECOVER_POLLS` consecutive healthy ones.  A pressured poll at
+least ``max_pause_s`` after entering ``pause_submission`` escalates to
+``abort`` ("backpressure bound exceeded").  The streak escalates too, so
+sustained pressure aborts two polls after the pause began: the bound
+only binds when it is shorter than two poll intervals.
+
+Every transition is logged, appended to :attr:`ResourceGuard.transitions`,
+counted in ``guard_ladder_transitions_total{direction,stage}``, mirrored
+into the ``guard_ladder_stage`` gauge and reported to the one
+``on_stage(frm, to, reason)`` hook, where the campaign applies the stage
+actions.  A hook that raises is counted in ``guard_action_errors_total``
+and never propagates: it must not take down the run the guard protects.
 
 Probes are injectable (``disk_probe=...`` etc.) so tests can simulate
 a filling disk without actually filling one; on platforms without
@@ -21,13 +47,37 @@ never trip.
 
 from __future__ import annotations
 
+import logging
+import math
 import os
 import shutil
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.guard.ladder import DegradationLadder
+log = logging.getLogger("repro.guard")
+
+STAGE_NORMAL = "normal"
+STAGE_SHED_SNAPSHOTS = "shed_snapshots"
+STAGE_STRETCH_CADENCE = "stretch_cadence"
+STAGE_SUSPEND_EXPORTERS = "suspend_exporters"
+STAGE_PAUSE_SUBMISSION = "pause_submission"
+STAGE_ABORT = "abort"
+
+#: The ladder, mildest first.  Index into this tuple is the severity.
+STAGES = (
+    STAGE_NORMAL,
+    STAGE_SHED_SNAPSHOTS,
+    STAGE_STRETCH_CADENCE,
+    STAGE_SUSPEND_EXPORTERS,
+    STAGE_PAUSE_SUBMISSION,
+    STAGE_ABORT,
+)
+
+#: consecutive pressured polls per rung climbed (after the first)
+POLLS_PER_STAGE = 2
+#: consecutive healthy polls per rung stepped back down
+RECOVER_POLLS = 3
 
 
 def disk_free_bytes(path: str) -> Optional[int]:
@@ -74,7 +124,7 @@ class ResourceLimits:
     def __post_init__(self) -> None:
         for name in ("min_disk_free_bytes", "max_rss_bytes", "max_open_fds"):
             val = getattr(self, name)
-            if val is not None and val < 0:
+            if val is not None and not val >= 0:
                 raise ValueError(f"{name} must be >= 0, got {val}")
 
 
@@ -112,26 +162,31 @@ class ResourceSample:
 
 
 class ResourceGuard:
-    """Polls resource probes and drives a :class:`DegradationLadder`."""
+    """Polls resource probes and walks the degradation ladder."""
 
     def __init__(
         self,
         watch_path: str = ".",
         limits: Optional[ResourceLimits] = None,
-        ladder: Optional[DegradationLadder] = None,
         poll_interval_s: float = 1.0,
+        max_pause_s: float = 30.0,
         registry=None,
         clock: Callable[[], float] = time.monotonic,
         disk_probe: Optional[Callable[[str], Optional[int]]] = None,
         rss_probe: Optional[Callable[[], Optional[int]]] = None,
         fd_probe: Optional[Callable[[], Optional[int]]] = None,
     ) -> None:
-        if poll_interval_s < 0:
-            raise ValueError(f"poll_interval_s must be >= 0, got {poll_interval_s}")
+        # Written so that NaN fails them too.
+        if not 0 <= poll_interval_s < math.inf:
+            raise ValueError(
+                f"poll_interval_s must be finite and >= 0, got {poll_interval_s}"
+            )
+        if not 0 < max_pause_s < math.inf:
+            raise ValueError(f"max_pause_s must be finite and > 0, got {max_pause_s}")
         self.watch_path = str(watch_path)
         self.limits = limits or ResourceLimits()
-        self.ladder = ladder or DegradationLadder(registry=registry, clock=clock)
         self.poll_interval_s = float(poll_interval_s)
+        self.max_pause_s = float(max_pause_s)
         self.registry = registry
         self._clock = clock
         self._disk_probe = disk_probe or disk_free_bytes
@@ -140,26 +195,35 @@ class ResourceGuard:
         self._next_poll_at = 0.0  # first tick always polls
         self.polls = 0
         self.last_sample: Optional[ResourceSample] = None
+        #: called as ``on_stage(frm, to, reason)`` after each transition
+        self.on_stage: Optional[Callable[[str, str, str], None]] = None
+        #: chronological ``(from, to, reason)`` record of every transition
+        self.transitions: list[tuple[str, str, str]] = []
+        self.action_errors = 0
+        self._stage_i = 0
+        self._unhealthy_streak = 0
+        self._healthy_streak = 0
+        self._pause_entered_at: Optional[float] = None
 
-    # Convenience pass-throughs so callers hold one object, not two.
     @property
     def stage(self) -> str:
-        return self.ladder.stage
+        return STAGES[self._stage_i]
 
     @property
     def paused(self) -> bool:
-        return self.ladder.paused
+        """Task submission should be held back (pause or abort stage)."""
+        return self._stage_i >= STAGES.index(STAGE_PAUSE_SUBMISSION)
 
     @property
     def abort_requested(self) -> bool:
-        return self.ladder.abort_requested
+        return self.stage == STAGE_ABORT
 
     @property
     def abort_reason(self) -> str:
-        return self.ladder.abort_reason
+        return self.transitions[-1][2] if self.abort_requested else ""
 
     def sample(self) -> ResourceSample:
-        """Probe now, unconditionally (no throttle, no ladder feed)."""
+        """Probe now, unconditionally (no throttle, no stage change)."""
         return ResourceSample(
             disk_free=self._disk_probe(self.watch_path),
             rss=self._rss_probe(),
@@ -167,7 +231,7 @@ class ResourceGuard:
         )
 
     def tick(self, force: bool = False) -> Optional[ResourceSample]:
-        """Throttled poll: probe, publish gauges, feed the ladder.
+        """Throttled poll: probe, publish gauges, maybe change stage.
 
         Returns the sample when a poll ran, else ``None``.
         """
@@ -181,17 +245,82 @@ class ResourceGuard:
         self._publish(samp)
         reasons = samp.pressure_reasons(self.limits)
         if reasons:
-            self.ladder.note_pressure(reasons)
+            self._note_pressure(", ".join(reasons))
         else:
-            self.ladder.note_healthy()
+            self._note_healthy()
         return samp
 
-    def _publish(self, samp: ResourceSample) -> None:
-        reg = self.registry
-        if reg is None:
-            from repro.obs.metrics import get_registry
+    def _note_pressure(self, reason: str) -> None:
+        self._healthy_streak = 0
+        self._unhealthy_streak += 1
+        if (
+            self.stage == STAGE_PAUSE_SUBMISSION
+            and self._clock() - self._pause_entered_at >= self.max_pause_s
+        ):
+            reason = f"backpressure bound exceeded ({self.max_pause_s}s paused; {reason})"
+        elif self._stage_i > 0 and self._unhealthy_streak < POLLS_PER_STAGE:
+            return
+        self._unhealthy_streak = 0
+        if self.stage != STAGE_ABORT:
+            self._move(+1, reason)
 
-            reg = get_registry()
+    def _note_healthy(self) -> None:
+        self._unhealthy_streak = 0
+        if self._stage_i == 0:
+            return
+        self._healthy_streak += 1
+        if self._healthy_streak >= RECOVER_POLLS:
+            self._healthy_streak = 0
+            self._move(-1, "pressure cleared")
+
+    def _move(self, step: int, reason: str) -> None:
+        """One rung up (``step=+1``) or down (``-1``): record, report."""
+        frm = self.stage
+        self._stage_i += step
+        to = self.stage
+        direction = "up" if step > 0 else "down"
+        if step > 0 and to == STAGE_PAUSE_SUBMISSION:
+            self._pause_entered_at = self._clock()
+        elif step < 0 and frm == STAGE_PAUSE_SUBMISSION:
+            self._pause_entered_at = None
+        self.transitions.append((frm, to, reason))
+        log.warning("[guard] degradation ladder %s: %s -> %s (%s)", direction, frm, to, reason)
+        reg = self._registry()
+        reg.counter(
+            "guard_ladder_transitions_total",
+            help="Degradation-ladder stage transitions.",
+            direction=direction,
+            stage=to,
+        ).inc()
+        reg.gauge(
+            "guard_ladder_stage",
+            help="Current degradation-ladder stage index (0 = normal).",
+        ).set(self._stage_i)
+        if self.on_stage is None:
+            return
+        try:
+            self.on_stage(frm, to, reason)
+        except Exception:
+            # An upward move runs the entered stage's actions, a downward
+            # one undoes the left stage's; the error is counted under it.
+            stage, kind = (to, "enter") if step > 0 else (frm, "exit")
+            self.action_errors += 1
+            reg.counter(
+                "guard_action_errors_total",
+                help="Ladder stage actions that raised.",
+                stage=stage,
+            ).inc()
+            log.exception("ladder %s action for %s failed", kind, stage)
+
+    def _registry(self):
+        if self.registry is not None:
+            return self.registry
+        from repro.obs.metrics import get_registry
+
+        return get_registry()
+
+    def _publish(self, samp: ResourceSample) -> None:
+        reg = self._registry()
         if samp.disk_free is not None:
             reg.gauge(
                 "guard_disk_free_bytes",

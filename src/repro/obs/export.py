@@ -71,11 +71,11 @@ class JsonlSink:
     line is ``{"ts": <epoch seconds>, "metrics": registry.collect()}``.
 
     A :class:`~repro.guard.circuit.CircuitBreaker` guards the sink: a
-    failed write (or a degradation-ladder :meth:`suspend`) opens the
-    circuit and flushes are *skipped* — counted in
+    failed write (or the degradation ladder's ``breaker.force_open()``)
+    opens the circuit and flushes are *skipped* — counted in
     ``obs_export_suspended_total``, never fatal — until the breaker's
-    half-open probe (or a ladder :meth:`resume`) lets a write through
-    again.
+    half-open probe (or the ladder's ``breaker.reset()``) lets a write
+    through again.
     """
 
     def __init__(
@@ -94,14 +94,6 @@ class JsonlSink:
         self.suspended_skips = 0
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._last_flush: Optional[float] = None
-
-    def suspend(self) -> None:
-        """Ladder stage action: stop flushing until :meth:`resume`."""
-        self.breaker.force_open()
-
-    def resume(self) -> None:
-        """Ladder stage exit: reclose the breaker immediately."""
-        self.breaker.reset()
 
     def maybe_flush(self, force: bool = False) -> bool:
         now = time.monotonic()

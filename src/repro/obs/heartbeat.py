@@ -72,9 +72,6 @@ class CampaignHeartbeat:
     def set_total(self, total: int) -> None:
         self.total = total
 
-    def add_total(self, more: int) -> None:
-        self.total += more
-
     def replica_done(self, events_fired: int = 0, from_journal: bool = False) -> None:
         self.done += 1
         self.events += int(events_fired)

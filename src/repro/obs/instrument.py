@@ -391,24 +391,6 @@ class CampaignObs:
         if self.heartbeat is not None:
             self.heartbeat.replica_quarantined()
 
-    # -- degradation-ladder hooks --------------------------------------------
-
-    def suspend_exporters(self) -> None:
-        """Ladder stage action: open the sink breaker (skipped, counted)."""
-        if self.sink is not None:
-            self.sink.suspend()
-
-    def resume_exporters(self) -> None:
-        """Ladder stage exit: reclose the sink breaker."""
-        if self.sink is not None:
-            self.sink.resume()
-
-    def stage_changed(self, frm: str, to: str, reason: str) -> None:
-        """Ladder transition observer: surface the stage in the heartbeat."""
-        if self.heartbeat is not None:
-            self.heartbeat.set_stage(to)
-            self.heartbeat.beat(force=True)
-
     def tick(self) -> None:
         if self.sink is not None:
             self.sink.maybe_flush()

@@ -15,23 +15,26 @@ The acceptance properties pinned here:
   never clears, ends in a clean resumable abort.
 """
 
+import io
 import json
 import os
 
 import pytest
 
-from repro.core.campaign import ResilienceCampaign
+from repro.core.campaign import CampaignSpec, ResilienceCampaign
 from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
 from repro.guard import fsfault
 from repro.guard.fsfault import FsFaultConfig, FsFaultInjector, injected
-from repro.guard.ladder import (
+from repro.guard.resource import (
     STAGE_ABORT,
     STAGE_SHED_SNAPSHOTS,
     STAGE_STRETCH_CADENCE,
     STAGE_SUSPEND_EXPORTERS,
-    DegradationLadder,
+    STAGES,
+    ResourceGuard,
+    ResourceLimits,
 )
-from repro.guard.resource import ResourceGuard, ResourceLimits
+from repro.obs.instrument import CampaignObs, ObsOptions
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 GRID_KW = dict(timesteps=15)
@@ -60,15 +63,13 @@ def run_calm(tmp_path, name="calm.wal", reps=3, **kw):
     return camp, report, journal
 
 
-def make_pressured_guard(disk_free=1, polls_per_stage=1, max_pause_s=0.01):
+def make_pressured_guard(disk_free=1, max_pause_s=0.01):
     """A guard whose fake probes always report a nearly-full disk."""
     return ResourceGuard(
         watch_path=".",
         limits=ResourceLimits(min_disk_free_bytes=1024),
-        ladder=DegradationLadder(
-            polls_per_stage=polls_per_stage, max_pause_s=max_pause_s
-        ),
         poll_interval_s=0.0,
+        max_pause_s=max_pause_s,
         disk_probe=lambda path: disk_free,
         rss_probe=lambda: None,
         fd_probe=lambda: None,
@@ -235,7 +236,7 @@ def test_sustained_pressure_walks_ladder_to_resumable_abort(tmp_path):
     assert camp.aborted
     assert report.partial
     assert guard.stage == STAGE_ABORT
-    stages_entered = [to for _, to, _ in guard.ladder.transitions]
+    stages_entered = [to for _, to, _ in guard.transitions]
     assert stages_entered[:3] == [
         STAGE_SHED_SNAPSHOTS,
         STAGE_STRETCH_CADENCE,
@@ -253,14 +254,18 @@ def test_sustained_pressure_walks_ladder_to_resumable_abort(tmp_path):
     assert resumed_report.to_json() == calm_report.to_json()
 
 
-def test_stage_actions_shed_snapshots_and_stretch_cadence(tmp_path):
-    """The campaign's ladder wiring: stage actions touch real state."""
-    snap_root = tmp_path / "snaps"
-    for replica in ("r0", "r1"):
+def make_snapshot_dirs(snap_root, replicas=("r0", "r1")):
+    for replica in replicas:
         d = snap_root / replica
         d.mkdir(parents=True)
         for i in range(3):  # three fake snapshot files, oldest first
             (d / f"snap-{i:08d}.snap").write_text("placeholder")
+
+
+def test_stage_actions_shed_snapshots_and_stretch_cadence(tmp_path):
+    """The campaign's stage hook: stage actions touch real state."""
+    snap_root = tmp_path / "snaps"
+    make_snapshot_dirs(snap_root)
     guard = make_pressured_guard()
     camp = ResilienceCampaign(
         reps=1,
@@ -270,12 +275,86 @@ def test_stage_actions_shed_snapshots_and_stretch_cadence(tmp_path):
         sim_snapshot_every=10,
     )
     assert camp._cadence_factor == 1
-    guard.ladder.escalate("disk low")  # -> shed_snapshots
+    guard.tick()  # -> shed_snapshots
     for replica in ("r0", "r1"):
         remaining = sorted(os.listdir(snap_root / replica))
         assert remaining == ["snap-00000002.snap"]  # only the newest survives
-    guard.ladder.escalate("disk low")  # -> stretch_cadence
+    guard.tick()
+    guard.tick()  # -> stretch_cadence
     assert camp._cadence_factor == 4
-    guard.ladder.recover("space freed")  # exit stretch_cadence
+    guard.limits = ResourceLimits(min_disk_free_bytes=0)  # space freed
+    for _ in range(3):
+        guard.tick()  # -> back to shed_snapshots
+    assert guard.stage == STAGE_SHED_SNAPSHOTS
     assert camp._cadence_factor == 1
-    assert guard.ladder.action_errors == 0
+    assert guard.action_errors == 0
+
+
+class FakeClock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+def test_campaign_follows_the_guard_up_and_down_the_ladder(tmp_path):
+    """A full climb to ``abort`` and a full recovery to ``normal``, one
+    poll at a time: at every stage the replica-task snapshot cadence,
+    the metrics sink's breaker and the heartbeat stage match it, and the
+    climb shed all but each replica's newest snapshot."""
+    snap_root = tmp_path / "snaps"
+    make_snapshot_dirs(snap_root)
+    disk = {"free": 1}
+    clock = FakeClock()
+    reg = MetricsRegistry()
+    guard = ResourceGuard(
+        limits=ResourceLimits(min_disk_free_bytes=1024),
+        registry=reg,
+        clock=clock,
+        disk_probe=lambda path: disk["free"],
+        rss_probe=lambda: None,
+        fd_probe=lambda: None,
+    )
+    obs = CampaignObs(
+        ObsOptions(metrics_out=str(tmp_path / "m.jsonl"), heartbeat_s=1.0),
+        registry=reg,
+    )
+    obs.heartbeat.stream = io.StringIO()
+    camp = ResilienceCampaign(
+        reps=1,
+        base_seed=0,
+        guard=guard,
+        obs=obs,
+        sim_snapshot_dir=str(snap_root),
+        sim_snapshot_every=10,
+    )
+    spec = CampaignSpec(node_mtbf_s=8.0, ckpt_period=5)
+
+    def observed():
+        task = camp._replica_task(spec, "k", [0], 0)
+        return (
+            guard.stage,
+            task.snapshot.every_events // 10,
+            obs.sink.breaker.suspended,
+            obs.heartbeat.stage,
+        )
+
+    def poll_into(stage):
+        for _ in range(3):  # a rung takes at most three polls
+            if guard.stage == stage:
+                break
+            clock.t += 1.0
+            guard.tick()
+        cadence = 4 if stage in STAGES[2:] else 1
+        assert observed() == (stage, cadence, stage in STAGES[3:], stage)
+
+    for stage in STAGES[1:]:
+        poll_into(stage)
+    for replica in ("r0", "r1"):
+        assert os.listdir(snap_root / replica) == ["snap-00000002.snap"]
+    disk["free"] = 1 << 30
+    for stage in STAGES[-2::-1]:
+        poll_into(stage)
+    assert len(guard.transitions) == 10 and guard.action_errors == 0
+    obs.sink.close()

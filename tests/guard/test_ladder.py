@@ -1,9 +1,11 @@
-"""Degradation ladder: hysteresis, callbacks, backpressure bound, recovery."""
+"""Degradation ladder of the ResourceGuard: pacing, the stage hook,
+backpressure bound, recovery."""
+
+import math
 
 import pytest
 
-from repro.guard.circuit import CircuitBreaker
-from repro.guard.ladder import (
+from repro.guard.resource import (
     STAGE_ABORT,
     STAGE_NORMAL,
     STAGE_PAUSE_SUBMISSION,
@@ -11,9 +13,14 @@ from repro.guard.ladder import (
     STAGE_STRETCH_CADENCE,
     STAGE_SUSPEND_EXPORTERS,
     STAGES,
-    DegradationLadder,
+    ResourceGuard,
+    ResourceLimits,
 )
 from repro.obs.metrics import MetricsRegistry
+
+FLOOR = 100
+LOW, HIGH = 50, 500  # disk-free readings below and above FLOOR
+PRESSURE = f"disk free {LOW} < floor {FLOOR}"
 
 
 class FakeClock:
@@ -27,10 +34,35 @@ class FakeClock:
         self.t += dt
 
 
-def make_ladder(**kw):
+class Disk:
+    """Fake disk probe whose reading the test sets between polls."""
+
+    def __init__(self, free=HIGH):
+        self.free = free
+
+    def __call__(self, path):
+        return self.free
+
+
+def make_guard(**kw):
     kw.setdefault("registry", MetricsRegistry())
     kw.setdefault("clock", FakeClock())
-    return DegradationLadder(**kw)
+    return ResourceGuard(
+        watch_path=".",
+        limits=ResourceLimits(min_disk_free_bytes=FLOOR),
+        poll_interval_s=1.0,
+        disk_probe=kw.pop("disk", None) or Disk(LOW),
+        rss_probe=lambda: None,
+        fd_probe=lambda: None,
+        **kw,
+    )
+
+
+def poll(guard, free, n=1):
+    """*n* forced polls reading *free* disk bytes."""
+    guard._disk_probe = Disk(free)
+    for _ in range(n):
+        guard.tick(force=True)
 
 
 def test_stage_order_is_the_documented_ladder():
@@ -45,124 +77,116 @@ def test_stage_order_is_the_documented_ladder():
 
 
 def test_invalid_knobs_rejected():
-    with pytest.raises(ValueError):
-        make_ladder(polls_per_stage=0)
-    with pytest.raises(ValueError):
-        make_ladder(recover_polls=0)
-    with pytest.raises(ValueError):
-        make_ladder(max_pause_s=0)
-    with pytest.raises(ValueError):
-        make_ladder().on_enter("no_such_stage", lambda: None)
+    for bad in (0, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_pause_s"):
+            make_guard(max_pause_s=bad)
+    for bad in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="poll_interval_s"):
+            ResourceGuard(poll_interval_s=bad)
 
 
 def test_first_pressure_escalates_immediately_then_needs_streak():
-    ladder = make_ladder(polls_per_stage=3)
-    ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_SHED_SNAPSHOTS  # normal never absorbs
-    ladder.note_pressure(["disk low"])
-    ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_SHED_SNAPSHOTS  # streak of 2 < 3
-    ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_STRETCH_CADENCE
+    guard = make_guard()
+    poll(guard, LOW)
+    assert guard.stage == STAGE_SHED_SNAPSHOTS  # normal never absorbs
+    poll(guard, LOW)
+    assert guard.stage == STAGE_SHED_SNAPSHOTS  # streak of 1 < 2
+    poll(guard, LOW)
+    assert guard.stage == STAGE_STRETCH_CADENCE
 
 
 def test_healthy_poll_resets_unhealthy_streak():
-    ladder = make_ladder(polls_per_stage=2, recover_polls=100)
-    ladder.note_pressure(["x"])  # -> shed_snapshots
-    ladder.note_pressure(["x"])  # streak 1
-    ladder.note_healthy()  # streak resets
-    ladder.note_pressure(["x"])  # streak 1 again
-    assert ladder.stage == STAGE_SHED_SNAPSHOTS
-    ladder.note_pressure(["x"])  # streak 2 -> escalate
-    assert ladder.stage == STAGE_STRETCH_CADENCE
+    guard = make_guard()
+    poll(guard, LOW)  # -> shed_snapshots
+    poll(guard, LOW)  # streak 1
+    poll(guard, HIGH)  # streak resets (1 healthy poll does not recover)
+    poll(guard, LOW)  # streak 1 again
+    assert guard.stage == STAGE_SHED_SNAPSHOTS
+    poll(guard, LOW)  # streak 2 -> escalate
+    assert guard.stage == STAGE_STRETCH_CADENCE
 
 
 def test_full_climb_and_full_recovery_with_callbacks():
-    ladder = make_ladder(polls_per_stage=1, recover_polls=2)
-    fired = []
-    for stage in STAGES[1:]:
-        ladder.on_enter(stage, lambda s=stage: fired.append(("enter", s)))
-        ladder.on_exit(stage, lambda s=stage: fired.append(("exit", s)))
-    for _ in range(5):
-        ladder.note_pressure(["pressure"])
-    assert ladder.stage == STAGE_ABORT and ladder.abort_requested
-    assert [f for f in fired if f[0] == "enter"] == [
-        ("enter", s) for s in STAGES[1:]
-    ]
-    fired.clear()
-    for _ in range(2 * 5):
-        ladder.note_healthy()
-    assert ladder.stage == STAGE_NORMAL
-    assert [f for f in fired if f[0] == "exit"] == [
-        ("exit", s) for s in reversed(STAGES[1:])
-    ]
+    guard = make_guard()
+    seen = []
+    guard.on_stage = lambda frm, to, why: seen.append((frm, to))
+    poll(guard, LOW, 9)
+    assert guard.stage == STAGE_ABORT and guard.abort_requested
+    assert seen == list(zip(STAGES, STAGES[1:]))
+    seen.clear()
+    poll(guard, HIGH, 3 * 5)
+    assert guard.stage == STAGE_NORMAL
+    assert seen == list(zip(STAGES[::-1], STAGES[-2::-1]))
 
 
 def test_paused_at_pause_and_abort_stages():
-    ladder = make_ladder(polls_per_stage=1)
-    assert not ladder.paused
-    for _ in range(4):
-        ladder.note_pressure(["p"])
-    assert ladder.stage == STAGE_PAUSE_SUBMISSION and ladder.paused
-    ladder.note_pressure(["p"])
-    assert ladder.stage == STAGE_ABORT and ladder.paused
+    guard = make_guard()
+    assert not guard.paused
+    poll(guard, LOW, 7)
+    assert guard.stage == STAGE_PAUSE_SUBMISSION and guard.paused
+    poll(guard, LOW, 2)
+    assert guard.stage == STAGE_ABORT and guard.paused
 
 
 def test_backpressure_bound_forces_abort():
     clock = FakeClock()
-    ladder = make_ladder(polls_per_stage=100, max_pause_s=10.0, clock=clock)
-    for _ in range(4):
-        ladder._unhealthy_streak = 99  # reach pause quickly despite hysteresis
-        ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_PAUSE_SUBMISSION
+    guard = make_guard(clock=clock, max_pause_s=10.0)
+    poll(guard, LOW, 7)
+    assert guard.stage == STAGE_PAUSE_SUBMISSION
     clock.advance(9.0)
-    ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_PAUSE_SUBMISSION  # bound not yet hit
+    poll(guard, LOW)  # streak 1
+    assert guard.stage == STAGE_PAUSE_SUBMISSION  # bound not yet hit
+    poll(guard, HIGH)  # resets the streak, too short to recover
     clock.advance(1.5)
-    ladder.note_pressure(["disk low"])
-    assert ladder.stage == STAGE_ABORT
-    assert "backpressure bound exceeded" in ladder.abort_reason
+    poll(guard, LOW)  # streak 1 again, but paused 10.5 s >= 10 s
+    assert guard.stage == STAGE_ABORT
+    assert guard.abort_reason == (
+        f"backpressure bound exceeded (10.0s paused; {PRESSURE})"
+    )
 
 
 def test_escalate_idempotent_at_abort_and_recover_noop_at_normal():
-    ladder = make_ladder()
-    assert ladder.recover("nothing") == STAGE_NORMAL
-    for _ in range(10):
-        ladder.escalate("boom")
-    assert ladder.stage == STAGE_ABORT
-    assert len(ladder.transitions) == len(STAGES) - 1
+    guard = make_guard()
+    poll(guard, HIGH, 5)
+    assert guard.stage == STAGE_NORMAL and guard.transitions == []
+    poll(guard, LOW, 20)
+    assert guard.stage == STAGE_ABORT
+    assert len(guard.transitions) == len(STAGES) - 1
 
 
 def test_action_errors_are_counted_never_propagated():
     reg = MetricsRegistry()
-    ladder = make_ladder(registry=reg)
+    guard = make_guard(registry=reg)
 
-    def bad_action():
+    def bad_action(frm, to, why):
         raise RuntimeError("buggy stage action")
 
-    ladder.on_enter(STAGE_SHED_SNAPSHOTS, bad_action)
-    ladder.escalate("disk low")  # must not raise
-    assert ladder.action_errors == 1
-    assert (
-        reg.counter(
-            "guard_action_errors_total", stage=STAGE_SHED_SNAPSHOTS
-        ).value
-        == 1
-    )
+    guard.on_stage = bad_action
+    poll(guard, LOW)  # enter shed_snapshots: must not raise
+    poll(guard, HIGH, 3)  # leave shed_snapshots: must not raise
+    assert guard.stage == STAGE_NORMAL
+    assert guard.action_errors == 2
+    # counted under the stage entered (climbing) or left (recovering)
+    assert reg.counter("guard_action_errors_total", stage=STAGE_SHED_SNAPSHOTS).value == 2
 
 
-def test_transitions_are_observable_in_metrics_and_log_list():
+def test_transitions_are_observable_in_metrics_and_log_list(caplog):
     reg = MetricsRegistry()
-    ladder = make_ladder(registry=reg)
+    guard = make_guard(registry=reg)
     seen = []
-    ladder.on_transition(lambda frm, to, why: seen.append((frm, to, why)))
-    ladder.escalate("disk low")
-    ladder.recover("space freed")
+    guard.on_stage = lambda frm, to, why: seen.append((frm, to, why))
+    with caplog.at_level("WARNING", logger="repro.guard"):
+        poll(guard, LOW)
+        poll(guard, HIGH, 3)
     assert seen == [
-        (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, "disk low"),
-        (STAGE_SHED_SNAPSHOTS, STAGE_NORMAL, "space freed"),
+        (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE),
+        (STAGE_SHED_SNAPSHOTS, STAGE_NORMAL, "pressure cleared"),
     ]
-    assert ladder.transitions == seen
+    assert guard.transitions == seen
+    assert caplog.messages == [
+        f"[guard] degradation ladder up: normal -> shed_snapshots ({PRESSURE})",
+        "[guard] degradation ladder down: shed_snapshots -> normal (pressure cleared)",
+    ]
     assert (
         reg.counter(
             "guard_ladder_transitions_total",
@@ -183,26 +207,76 @@ def test_transitions_are_observable_in_metrics_and_log_list():
 
 
 def test_observer_exception_does_not_break_transition():
-    ladder = make_ladder()
+    guard = make_guard()
 
     def bad_observer(frm, to, why):
         raise RuntimeError("observer bug")
 
-    ladder.on_transition(bad_observer)
-    assert ladder.escalate("p") == STAGE_SHED_SNAPSHOTS
+    guard.on_stage = bad_observer
+    poll(guard, LOW, 3)
+    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert [to for _, to, _ in guard.transitions] == list(STAGES[1:3])
 
 
-def test_suspend_exporters_round_trip_with_circuit_breaker():
-    """The ladder stage wiring the campaign uses: force-open on enter,
-    reset on exit, so recovery re-enables the sink."""
-    breaker = CircuitBreaker()
-    ladder = make_ladder(polls_per_stage=1, recover_polls=1)
-    ladder.on_enter(STAGE_SUSPEND_EXPORTERS, breaker.force_open)
-    ladder.on_exit(STAGE_SUSPEND_EXPORTERS, breaker.reset)
-    for _ in range(3):
-        ladder.note_pressure(["p"])
-    assert ladder.stage == STAGE_SUSPEND_EXPORTERS
-    assert breaker.suspended
-    ladder.note_healthy()
-    assert ladder.stage == STAGE_STRETCH_CADENCE
-    assert not breaker.suspended
+def test_suspend_exporters_round_trip_with_circuit_breaker(tmp_path):
+    """Through a campaign's stage hook, the metrics sink skips flushes
+    while the guard is at ``suspend_exporters`` and flushes again once
+    the guard has stepped back below it."""
+    from repro.core.campaign import ResilienceCampaign
+    from repro.obs.instrument import CampaignObs, ObsOptions
+
+    reg = MetricsRegistry()
+    obs = CampaignObs(ObsOptions(metrics_out=str(tmp_path / "m.jsonl")), registry=reg)
+    guard = make_guard(registry=reg)
+    ResilienceCampaign(reps=1, base_seed=0, obs=obs, guard=guard)
+    poll(guard, LOW, 5)
+    assert guard.stage == STAGE_SUSPEND_EXPORTERS
+    assert not obs.sink.maybe_flush(force=True)
+    assert obs.sink.suspended_skips == 1
+    poll(guard, HIGH, 3)
+    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert obs.sink.maybe_flush(force=True)
+    obs.sink.close()
+
+
+# Recorded with the two-class ladder this guard replaced
+# (polls_per_stage=2, recover_polls=3): (poll, (from, to, reason)).
+SUSTAINED_PRESSURE = [
+    (1, (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE)),
+    (3, (STAGE_SHED_SNAPSHOTS, STAGE_STRETCH_CADENCE, PRESSURE)),
+    (5, (STAGE_STRETCH_CADENCE, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
+    (7, (STAGE_SUSPEND_EXPORTERS, STAGE_PAUSE_SUBMISSION, PRESSURE)),
+    (9, (STAGE_PAUSE_SUBMISSION, STAGE_ABORT, PRESSURE)),
+]
+CLIMB_THEN_CLEAR = [
+    (1, (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE)),
+    (3, (STAGE_SHED_SNAPSHOTS, STAGE_STRETCH_CADENCE, PRESSURE)),
+    (5, (STAGE_STRETCH_CADENCE, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
+    (9, (STAGE_SUSPEND_EXPORTERS, STAGE_STRETCH_CADENCE, "pressure cleared")),
+    (12, (STAGE_STRETCH_CADENCE, STAGE_SHED_SNAPSHOTS, "pressure cleared")),
+]
+
+
+@pytest.mark.parametrize(
+    "readings, expected",
+    [
+        ([LOW] * 12, SUSTAINED_PRESSURE),
+        ([LOW] * 6 + [HIGH] * 7, CLIMB_THEN_CLEAR),
+    ],
+    ids=["sustained-pressure", "climb-then-clear"],
+)
+def test_same_readings_give_the_recorded_transitions(readings, expected):
+    """Polled at 1 s with the default 30 s pause bound, sustained
+    pressure aborts on the 9th poll through the two-poll streak (the
+    bound never binds); recovery steps down one rung per 3 healthy
+    polls."""
+    clock = FakeClock()
+    it = iter(readings)
+    guard = make_guard(clock=clock, disk=lambda path: next(it))
+    got = []
+    for n in range(1, len(readings) + 1):
+        before = len(guard.transitions)
+        assert guard.tick() is not None
+        got += [(n, tr) for tr in guard.transitions[before:]]
+        clock.advance(1.0)
+    assert got == expected

@@ -1,14 +1,11 @@
-"""Resource watchdog: probes, limits, throttled ticks, ladder feed."""
+"""Resource guard: probes, limits, throttled ticks, stage changes."""
 
 import pytest
 
-from repro.guard.ladder import (
+from repro.guard.resource import (
     STAGE_NORMAL,
     STAGE_SHED_SNAPSHOTS,
     STAGE_STRETCH_CADENCE,
-    DegradationLadder,
-)
-from repro.guard.resource import (
     ResourceGuard,
     ResourceLimits,
     ResourceSample,
@@ -57,6 +54,8 @@ def test_rss_and_fd_probes_plausible_or_none():
 def test_limits_reject_negative():
     with pytest.raises(ValueError):
         ResourceLimits(min_disk_free_bytes=-1)
+    with pytest.raises(ValueError):
+        ResourceLimits(max_rss_bytes=float("nan"))
 
 
 def test_pressure_reasons_floor_and_ceilings():
@@ -92,7 +91,7 @@ def test_disabled_limit_never_trips():
 # -- guard ticks ---------------------------------------------------------------
 
 
-def make_guard(free_values, clock=None, **kw):
+def make_guard(free_values, clock=None):
     """Guard whose disk probe replays *free_values* (last value sticks)."""
     clock = clock or FakeClock()
     reg = MetricsRegistry()
@@ -106,12 +105,6 @@ def make_guard(free_values, clock=None, **kw):
             pass
         return state["last"]
 
-    kw.setdefault(
-        "ladder",
-        DegradationLadder(
-            registry=reg, clock=clock, polls_per_stage=1, recover_polls=1
-        ),
-    )
     guard = ResourceGuard(
         watch_path=".",
         limits=ResourceLimits(min_disk_free_bytes=100),
@@ -121,7 +114,6 @@ def make_guard(free_values, clock=None, **kw):
         disk_probe=disk_probe,
         rss_probe=lambda: None,
         fd_probe=lambda: None,
-        **kw,
     )
     return guard, reg, clock
 
@@ -142,21 +134,25 @@ def test_force_tick_bypasses_throttle():
 
 
 def test_pressure_escalates_and_recovery_steps_down():
-    guard, _, clock = make_guard([500, 50, 50, 500, 500])
-    guard.tick()
-    assert guard.stage == STAGE_NORMAL
-    clock.advance(1.1)
-    guard.tick()  # 50: pressure -> shed
-    assert guard.stage == STAGE_SHED_SNAPSHOTS
-    clock.advance(1.1)
-    guard.tick()  # 50: streak -> stretch
-    assert guard.stage == STAGE_STRETCH_CADENCE
-    clock.advance(1.1)
-    guard.tick()  # 500: healthy -> recover one rung
-    assert guard.stage == STAGE_SHED_SNAPSHOTS
-    clock.advance(1.1)
-    guard.tick()
-    assert guard.stage == STAGE_NORMAL
+    readings = [500, 50, 50, 50] + [500] * 6
+    guard, _, clock = make_guard(readings)
+    stages = []
+    for _ in readings:
+        guard.tick()
+        stages.append(guard.stage)
+        clock.advance(1.1)
+    assert stages == [
+        STAGE_NORMAL,
+        STAGE_SHED_SNAPSHOTS,  # 50: first pressure escalates at once
+        STAGE_SHED_SNAPSHOTS,  # 50: streak 1
+        STAGE_STRETCH_CADENCE,  # 50: streak 2
+        STAGE_STRETCH_CADENCE,
+        STAGE_STRETCH_CADENCE,
+        STAGE_SHED_SNAPSHOTS,  # third healthy poll: one rung down
+        STAGE_SHED_SNAPSHOTS,
+        STAGE_SHED_SNAPSHOTS,
+        STAGE_NORMAL,
+    ]
     assert not guard.paused and not guard.abort_requested
 
 
@@ -169,7 +165,7 @@ def test_gauges_published_each_poll():
 
 def test_abort_reason_passthrough():
     guard, _, clock = make_guard([50] * 10)
-    for _ in range(6):
+    for _ in range(9):
         guard.tick(force=True)
     assert guard.abort_requested
     assert "disk free" in guard.abort_reason

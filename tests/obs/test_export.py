@@ -178,10 +178,10 @@ def test_jsonl_sink_breaker_suspend_resume(tmp_path):
     path = tmp_path / "m.jsonl"
     sink = JsonlSink(str(path), reg, interval_s=0.001)
     assert sink.maybe_flush(force=True)
-    sink.suspend()
+    sink.breaker.force_open()
     assert not sink.maybe_flush(force=True)  # suspended: skipped, not fatal
     assert sink.suspended_skips == 1
-    sink.resume()
+    sink.breaker.reset()
     assert sink.maybe_flush(force=True)
     sink.close()
 

@@ -104,7 +104,7 @@ _NET_MIX = (
     " --net-topology torus --net-repair-time 1"
 )
 _HARNESS_CHAOS = (
-    "--workers 2 --retries 20 --timeout 30"
+    "--workers 2 --retries 20 --timeout 5"
     " --chaos-crash 0.2 --chaos-hang 0.05 --chaos-seed 1"
 )
 

@@ -459,6 +459,11 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--straggler-repair", "nan"],
         ["--verify-cost", "-1", "--verify-period", "2"],
         ["--verify-cost", "nan", "--verify-period", "2"],
+        ["--guard", "--guard-min-disk-mb", "nan"],
+        ["--guard", "--guard-max-rss-mb", "-1"],
+        ["--guard", "--guard-max-fds", "-3"],
+        ["--guard", "--guard-poll", "nan"],
+        ["--guard", "--guard-max-pause", "inf"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
