@@ -19,20 +19,29 @@ multi-parameter performance-modeling approach of Chenna et al. [19]):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from repro.models.symreg.expr import (
+    BINARY_OPS,
     DEFAULT_BINARY,
     DEFAULT_UNARY,
+    UNARY_OPS,
     Binary,
     Const,
     Expression,
     Unary,
     Var,
 )
+
+#: numpy's stacked least-squares gufunc, the one ``np.linalg.lstsq`` calls:
+#: ``(a, b, rcond) -> (x, residuals, rank, singular values)``, one ``gelsd``
+#: per matrix of a ``(..., m, n)`` stack
+_lstsq = _umath_linalg.lstsq
 
 
 @dataclass
@@ -84,6 +93,23 @@ class GPConfig:
             raise ValueError("n_genes must be >= 1")
         if self.fitness not in ("nrmse", "relative"):
             raise ValueError(f"unknown fitness {self.fitness!r}")
+        if not 0 <= self.elitism < self.population_size:
+            raise ValueError(f"elitism must be >= 0 and < population_size, got {self.elitism!r}")
+        if not self.max_depth >= 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth!r}")
+        if not (math.isfinite(self.parsimony) and self.parsimony >= 0):
+            raise ValueError(f"parsimony must be finite and >= 0, got {self.parsimony!r}")
+        if not self.early_stop_nrmse >= 0:
+            raise ValueError(f"early_stop_nrmse must be >= 0, got {self.early_stop_nrmse!r}")
+        lo, hi = self.const_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"const_range must be finite with lo <= hi, got {self.const_range!r}")
+        if not self.binary_ops:
+            raise ValueError("binary_ops must be non-empty")
+        for ops, known in ((self.unary_ops, UNARY_OPS), (self.binary_ops, BINARY_OPS)):
+            for op in ops:
+                if op not in known:
+                    raise ValueError(f"unknown operator {op!r}; known: {sorted(known)}")
 
 
 @dataclass
@@ -129,18 +155,23 @@ class _Split:
         self.w = w
         self.columns: dict[str, np.ndarray] = {}
 
-    def design_matrix(self, genes: list[Expression]) -> np.ndarray:
-        n = self.y.shape[0]
-        cols = [np.ones(n)]
-        for g in genes:
-            key = str(g)
-            col = self.columns.get(key)
-            if col is None:
-                col = np.broadcast_to(np.asarray(g.evaluate(self.env), dtype=float), (n,))
-                col = np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30)
-                self.columns[key] = col
-            cols.append(col)
-        return np.column_stack(cols)
+    def column(self, gene: Expression) -> np.ndarray:
+        key = str(gene)
+        col = self.columns.get(key)
+        if col is None:
+            n = self.y.shape[0]
+            col = np.broadcast_to(np.asarray(gene.evaluate(self.env), dtype=float), (n,))
+            col = self.columns[key] = np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30)
+        return col
+
+    def design_matrices(self, gene_lists: list[list[Expression]]) -> np.ndarray:
+        """The ``(b, n, k + 1)`` stack of design matrices ``[1, g1(X), ..., gk(X)]``
+        of *gene_lists*, ``b`` lists of ``k`` genes each."""
+        cols = np.array([[self.column(g) for g in genes] for genes in gene_lists])
+        A = np.empty((cols.shape[0], cols.shape[2], cols.shape[1] + 1))
+        A[:, :, 0] = 1.0
+        A[:, :, 1:] = cols.transpose(0, 2, 1)
+        return A
 
 
 class SymbolicRegressor:
@@ -179,16 +210,16 @@ class SymbolicRegressor:
 
     def _random_leaf(self) -> Expression:
         if self.rng.random() < 0.75:
-            return Var(str(self.rng.choice(self.param_names)))
+            return Var(self._pick(self.param_names))
         return self._random_const()
 
     def _random_tree(self, depth: int, full: bool) -> Expression:
         if depth <= 1 or (not full and self.rng.random() < 0.3):
             return self._random_leaf()
         if self.config.unary_ops and self.rng.random() < 0.25:
-            op = str(self.rng.choice(list(self.config.unary_ops)))
+            op = self._pick(self.config.unary_ops)
             return Unary(op, self._random_tree(depth - 1, full))
-        op = str(self.rng.choice(list(self.config.binary_ops)))
+        op = self._pick(self.config.binary_ops)
         return Binary(
             op,
             self._random_tree(depth - 1, full),
@@ -207,6 +238,26 @@ class SymbolicRegressor:
 
     # -- fitness --------------------------------------------------------------------
 
+    def _check_split(self, name: str, X: np.ndarray, y: np.ndarray) -> None:
+        if X.shape[0] != y.shape[0]:
+            raise ValueError(f"{name} split: X rows {X.shape[0]} != y rows {y.shape[0]}")
+        if X.shape[1] != len(self.param_names):
+            raise ValueError(
+                f"{name} split: X has {X.shape[1]} columns for "
+                f"{len(self.param_names)} parameters"
+            )
+        if y.shape[0] == 0:
+            raise ValueError(f"{name} split is empty")
+        # An infinite X is legal input: the protected operators and the
+        # nan_to_num of every column keep the design matrices finite.  A NaN
+        # X is missing data, and a non-finite y poisons every solve.
+        bad_x = int(np.count_nonzero(np.isnan(X)))
+        if bad_x:
+            raise ValueError(f"{name} split: {bad_x} NaN entries in X")
+        bad_y = int(np.count_nonzero(~np.isfinite(y)))
+        if bad_y:
+            raise ValueError(f"{name} split: {bad_y} non-finite entries in y")
+
     def _split(self, X: np.ndarray, y: np.ndarray) -> _Split:
         env = {name: X[:, j] for j, name in enumerate(self.param_names)}
         if self.config.fitness == "relative":
@@ -215,50 +266,64 @@ class SymbolicRegressor:
             w = np.ones_like(y)
         return _Split(env, y, w)
 
-    def _evaluate(self, ind: _Individual, train: _Split, scores: dict) -> None:
-        """Solve the gene coefficients by weighted least squares and score.
+    def _evaluate_all(self, inds: list[_Individual], train: _Split, scores: dict) -> None:
+        """Solve each individual's gene coefficients by weighted least squares
+        and score it.
 
         *scores* memoises ``(coeffs, error, fitness)`` by the genes' strings:
         an individual whose gene list was seen before gets the same result
-        without another solve.
+        without another solve.  The unseen gene lists are solved with one
+        call of the stacked ``lstsq`` gufunc per gene count.  The gufunc
+        runs the same ``gelsd`` on each matrix as ``np.linalg.lstsq(rcond=None)``
+        does on that matrix alone, and a matrix that fails comes back as NaN
+        without touching its neighbours.
         """
-        key = tuple(str(g) for g in ind.genes)
-        hit = scores.get(key)
-        if hit is None:
-            hit = scores[key] = self._solve(ind, train)
-        ind.coeffs, ind.error, ind.fitness = hit
-
-    def _solve(self, ind: _Individual, train: _Split) -> tuple:
-        A = train.design_matrix(ind.genes)
+        keys = [tuple(str(g) for g in ind.genes) for ind in inds]
+        unseen: dict[int, dict[tuple[str, ...], _Individual]] = {}
+        for key, ind in zip(keys, inds):
+            if key not in scores:
+                unseen.setdefault(len(key), {}).setdefault(key, ind)
         y, w = train.y, train.w
-        Aw = A * w[:, None]
-        try:
-            coeffs, *_ = np.linalg.lstsq(Aw, y * w, rcond=None)
-        except np.linalg.LinAlgError:  # pragma: no cover - lstsq rarely fails
-            return None, 1e30, 1e30
-        if not np.all(np.isfinite(coeffs)):
-            return None, 1e30, 1e30
-        coeffs.setflags(write=False)  # shared by every individual with this key
-        resid = (A @ coeffs - y) * w
-        err = float(np.sqrt(np.mean(resid**2)))
-        error = err if np.isfinite(err) else 1e30
-        return coeffs, error, error + self.config.parsimony * ind.size()
+        for k, group in unseen.items():
+            A = train.design_matrices([ind.genes for ind in group.values()])
+            rcond = np.finfo(float).eps * max(A.shape[1], k + 1)
+            with np.errstate(all="ignore"):
+                x = _lstsq(A * w[None, :, None], (y * w)[:, None], rcond, signature="ddd->ddid")[0]
+            finite = np.isfinite(x).all(axis=(1, 2))
+            for i, (key, ind) in enumerate(group.items()):
+                if not finite[i]:
+                    scores[key] = (None, 1e30, 1e30)
+                    continue
+                coeffs = x[i, :, 0].copy()
+                coeffs.setflags(write=False)  # shared by every individual with this key
+                resid = (A[i] @ coeffs - y) * w
+                err = float(np.sqrt((resid**2).mean()))
+                error = err if np.isfinite(err) else 1e30
+                scores[key] = (coeffs, error, error + self.config.parsimony * ind.size())
+        for key, ind in zip(keys, inds):
+            ind.coeffs, ind.error, ind.fitness = scores[key]
 
     @staticmethod
     def _score_on(ind: _Individual, split: _Split) -> float:
         """Error of an already-fitted individual on another split."""
         if ind.coeffs is None:
             return 1e30
-        A = split.design_matrix(ind.genes)
+        A = split.design_matrices([ind.genes])[0]
         resid = (A @ ind.coeffs - split.y) * split.w
         err = float(np.sqrt(np.mean(resid**2)))
         return err if np.isfinite(err) else 1e30
 
     # -- genetic operators -------------------------------------------------------------
 
-    def _tournament(self, pop: list[_Individual]) -> _Individual:
+    def _tournament(self, pop: list[_Individual], fit: np.ndarray) -> _Individual:
+        """The fittest of ``tournament_k`` draws from *pop*, whose fitness is
+        *fit*; a tie goes to the first drawn, as ``min`` would pick."""
         idx = self.rng.integers(0, len(pop), size=self.config.tournament_k)
-        return min((pop[int(i)] for i in idx), key=lambda ind: ind.fitness)
+        return pop[int(idx[fit[idx].argmin()])]
+
+    def _pick(self, seq: Sequence):
+        """``rng.choice(seq)``: the same ``integers`` draw, without the overhead."""
+        return seq[int(self.rng.integers(0, len(seq)))]
 
     def _random_node_index(self, expr: Expression) -> int:
         return int(self.rng.integers(0, expr.size()))
@@ -306,10 +371,10 @@ class SymbolicRegressor:
         idx = self._random_node_index(gene)
         target = list(gene.walk())[idx]
         if isinstance(target, Binary):
-            op = str(self.rng.choice(list(self.config.binary_ops)))
+            op = self._pick(self.config.binary_ops)
             child.genes[gi] = gene.replace(idx, Binary(op, target.left, target.right))
         elif isinstance(target, Unary) and self.config.unary_ops:
-            op = str(self.rng.choice(list(self.config.unary_ops)))
+            op = self._pick(self.config.unary_ops)
             child.genes[gi] = gene.replace(idx, Unary(op, target.child))
         else:
             child.genes[gi] = gene.replace(idx, self._random_leaf())
@@ -360,29 +425,27 @@ class SymbolicRegressor:
         ``X`` has one column per entry of :attr:`param_names`.  When a
         test split is supplied the returned champion is the hall-of-fame
         individual with the best *test* error, which is how the paper's
-        tool selects its model each iteration.
+        tool selects its model each iteration.  An empty split, a NaN in an
+        ``X``, a non-finite ``y`` or half a test split raises ``ValueError``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X rows {X.shape[0]} != y rows {y.shape[0]}")
-        if X.shape[1] != len(self.param_names):
-            raise ValueError(
-                f"X has {X.shape[1]} columns for {len(self.param_names)} parameters"
-            )
+        self._check_split("train", X, y)
         # The memos live only as long as this call.
         train = self._split(X, y)
+        if (X_test is None) != (y_test is None):
+            raise ValueError("X_test and y_test must be given together")
         test = None
-        if X_test is not None and y_test is not None:
+        if X_test is not None:
             X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
             y_test = np.asarray(y_test, dtype=float).ravel()
+            self._check_split("test", X_test, y_test)
             test = self._split(X_test, y_test)
         scores: dict[tuple[str, ...], tuple] = {}
 
         cfg = self.config
         pop = [self._random_individual(i) for i in range(cfg.population_size)]
-        for ind in pop:
-            self._evaluate(ind, train, scores)
+        self._evaluate_all(pop, train, scores)
 
         hof_ind: Optional[_Individual] = None
         hof_score = float("inf")
@@ -404,12 +467,16 @@ class SymbolicRegressor:
             if pop[0].error < cfg.early_stop_nrmse:
                 break
 
-            next_pop: list[_Individual] = pop[: cfg.elitism]
-            while len(next_pop) < cfg.population_size:
+            # A child's draws read only this generation's fitness, never a
+            # sibling's, so the children are built first and scored together.
+            fit = np.array([ind.fitness for ind in pop])
+            elite = pop[: cfg.elitism]
+            children: list[_Individual] = []
+            for _ in range(cfg.population_size - len(elite)):
                 r = self.rng.random()
-                parent = self._tournament(pop)
+                parent = self._tournament(pop, fit)
                 if r < cfg.p_crossover:
-                    child = self._crossover(parent, self._tournament(pop))
+                    child = self._crossover(parent, self._tournament(pop, fit))
                 elif r < cfg.p_crossover + cfg.p_subtree_mutation:
                     child = self._subtree_mutation(parent)
                 elif r < cfg.p_crossover + cfg.p_subtree_mutation + cfg.p_point_mutation:
@@ -423,9 +490,9 @@ class SymbolicRegressor:
                     child = self._const_jitter(parent)
                 else:
                     child = self._clone(parent)
-                self._evaluate(child, train, scores)
-                next_pop.append(child)
-            pop = next_pop
+                children.append(child)
+            self._evaluate_all(children, train, scores)
+            pop = elite + children
 
         if hof_ind is None:  # no generations ran
             hof_ind = min(pop, key=lambda ind: ind.fitness)

@@ -148,9 +148,9 @@ def test_fit_leaves_every_evaluated_gene_unchanged():
     seen = []
 
     class Recording(SymbolicRegressor):
-        def _evaluate(self, ind, train, scores):
-            seen.extend((g, _render(g)) for g in ind.genes)
-            super()._evaluate(ind, train, scores)
+        def _evaluate_all(self, inds, train, scores):
+            seen.extend((g, _render(g)) for ind in inds for g in ind.genes)
+            super()._evaluate_all(inds, train, scores)
 
     rng = np.random.default_rng(6)
     X = rng.uniform(1, 5, size=(20, 2))
@@ -317,6 +317,94 @@ def test_gp_config_validation():
             GPConfig(init_depth=depth)
     # boundary values stay accepted
     GPConfig(tournament_k=1, init_depth=(2, 2), p_crossover=0.0, p_const_jitter=0.25)
+
+
+BAD_GP_SETTINGS = [
+    ("elitism", -1, "elitism"),
+    ("elitism", 300, "elitism"),
+    ("max_depth", 0, "max_depth"),
+    ("parsimony", float("nan"), "parsimony"),
+    ("parsimony", -1e-4, "parsimony"),
+    ("early_stop_nrmse", float("nan"), "early_stop_nrmse"),
+    ("early_stop_nrmse", -1.0, "early_stop_nrmse"),
+    ("const_range", (5.0, -5.0), "const_range"),
+    ("const_range", (-5.0, float("inf")), "const_range"),
+    ("binary_ops", (), "binary_ops"),
+    ("unary_ops", ("cube",), "'cube'"),
+    ("binary_ops", ("+", "^"), r"'\^'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,value,match", BAD_GP_SETTINGS, ids=[f"{n}={v}" for n, v, _ in BAD_GP_SETTINGS]
+)
+def test_gp_config_rejects_settings_that_fail_or_mislead_mid_fit(name, value, match):
+    with pytest.raises(ValueError, match=match):
+        GPConfig(**{name: value})
+
+
+def test_gp_config_boundary_settings_still_fit():
+    cfg = quick_config(
+        population_size=8,
+        generations=2,
+        elitism=0,
+        max_depth=1,
+        parsimony=0.0,
+        early_stop_nrmse=0.0,
+        const_range=(1.0, 1.0),
+        unary_ops=(),
+        binary_ops=("pow",),
+    )
+    X = np.arange(1, 6, dtype=float).reshape(-1, 1)
+    res = SymbolicRegressor(("x",), config=cfg, seed=0).fit(X, 2 * X[:, 0])
+    assert res.generations_run == 2
+
+
+@pytest.mark.parametrize(
+    "split,field,value,match",
+    [
+        ("train", "y", np.nan, "train split: 1 non-finite entries in y"),
+        ("train", "y", -np.inf, "train split: 1 non-finite entries in y"),
+        ("train", "X", np.nan, "train split: 1 NaN entries in X"),
+        ("test", "y", np.inf, "test split: 1 non-finite entries in y"),
+        ("test", "X", np.nan, "test split: 1 NaN entries in X"),
+    ],
+    ids=["train-y-nan", "train-y-inf", "train-X-nan", "test-y-inf", "test-X-nan"],
+)
+def test_gp_fit_rejects_non_finite_data(split, field, value, match):
+    X = np.arange(1, 11, dtype=float).reshape(-1, 1)
+    data = {"train": {"X": X, "y": X[:, 0] + 1}, "test": {"X": X[:4].copy(), "y": X[:4, 0] + 1}}
+    data[split][field] = data[split][field].copy()
+    data[split][field][2] = value  # X[2] is a 1-element row
+    reg = SymbolicRegressor(("x",), config=quick_config())
+    with pytest.raises(ValueError, match=match):
+        reg.fit(data["train"]["X"], data["train"]["y"], data["test"]["X"], data["test"]["y"])
+
+
+def test_gp_fit_rejects_empty_data():
+    reg = SymbolicRegressor(("x", "y"), config=quick_config())
+    with pytest.raises(ValueError, match="train split is empty"):
+        reg.fit(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="test split is empty"):
+        reg.fit(np.ones((3, 2)), np.ones(3), np.empty((0, 2)), np.empty(0))
+
+
+def test_gp_fit_rejects_half_a_test_split():
+    X = np.arange(1, 11, dtype=float).reshape(-1, 1)
+    reg = SymbolicRegressor(("x",), config=quick_config())
+    with pytest.raises(ValueError, match="given together"):
+        reg.fit(X, X[:, 0], X_test=X[:3])
+    with pytest.raises(ValueError, match="given together"):
+        reg.fit(X, X[:, 0], y_test=X[:3, 0])
+
+
+def test_gp_fit_accepts_an_infinite_x():
+    # the protected operators and nan_to_num keep every column finite
+    X = np.vstack([np.arange(1, 10, dtype=float).reshape(-1, 1), [[np.inf]]])
+    y = np.arange(1, 11, dtype=float)
+    cfg = quick_config(population_size=20, generations=3)
+    res = SymbolicRegressor(("x",), config=cfg, seed=0).fit(X, y)
+    assert np.isfinite(res.train_nrmse)
 
 
 def test_gp_early_stop_on_exact_fit():
