@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from repro.network.topology import Topology
 
 #: default split of the network fault rate across kinds (mirrors
@@ -61,6 +59,8 @@ def single_link_stretch(topology: Topology) -> float:
     exact one-failure counterpart of the ``1 + 2/L`` aggregate bound —
     small topologies only (O(L · n²) Dijkstra work).
     """
+    import networkx as nx
+
     g = topology.to_networkx()
     base = dict(nx.all_pairs_dijkstra_path_length(g, weight="weight"))
     pairs = [

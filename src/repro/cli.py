@@ -357,10 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seconds between resource-guard polls",
     )
     camp.add_argument(
-        "--guard-max-pause", type=float, default=30.0,
-        help="max seconds in pause_submission before a resumable abort",
-    )
-    camp.add_argument(
         "--sim-snapshot-dir",
         help="directory for per-replica in-simulation snapshots; a "
         "retried/killed replica resumes mid-simulation from its newest "
@@ -486,7 +482,6 @@ def _campaign_guard(args):
             max_open_fds=args.guard_max_fds,
         ),
         poll_interval_s=args.guard_poll,
-        max_pause_s=args.guard_max_pause,
     )
 
 

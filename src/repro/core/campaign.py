@@ -62,12 +62,7 @@ from repro.core.supervisor import (
 from repro.des.snapshot import SnapshotStore
 from repro.faults.domains import NetworkDomain, SdcDomain
 from repro.guard.durable import JournalError, WriteAheadJournal
-from repro.guard.resource import (
-    STAGE_SHED_SNAPSHOTS,
-    STAGE_STRETCH_CADENCE,
-    STAGE_SUSPEND_EXPORTERS,
-    STAGES,
-)
+from repro.guard.resource import STAGE_SUSPEND_EXPORTERS, STAGES
 from repro.models import ConstantModel
 from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
 
@@ -840,13 +835,12 @@ class ResilienceCampaign(MonteCarloRunner):
     guard:
         Optional :class:`~repro.guard.resource.ResourceGuard`.  Polled
         from the supervision loop; its ``on_stage`` hook is set to apply
-        the degradation ladder's stages to this campaign — shed oldest
-        replica snapshots, stretch the snapshot cadence, suspend the
-        metric exporters, pause task submission, and finally a clean resumable
-        abort (``self.aborted`` / ``self.abort_reason``) that leaves the
-        journal valid for :meth:`resume`.  With the guard attached but
-        no resource pressure, reports and journals are bit-identical to
-        an unguarded run.
+        the degradation ladder's stages to this campaign — suspend the
+        metric exporters, pause task submission, and finally a clean
+        resumable abort (``self.aborted`` / ``self.abort_reason``) that
+        leaves the journal valid for :meth:`resume`.  With the guard
+        attached but no resource pressure, reports and journals are
+        bit-identical to an unguarded run.
     """
 
     def __init__(
@@ -892,9 +886,6 @@ class ResilienceCampaign(MonteCarloRunner):
         #: sweep bit-identically once the pressure clears
         self.aborted = False
         self.abort_reason = ""
-        #: snapshot-cadence multiplier: 4 while the guard is at
-        #: ``stretch_cadence`` or above (applied to new replica tasks)
-        self._cadence_factor = 1
         self._journal: Optional[CampaignJournal] = None
         self._supervisor: Optional[TaskSupervisor] = None
         #: accumulated supervisor telemetry (kept out of report JSON so
@@ -968,34 +959,17 @@ class ResilienceCampaign(MonteCarloRunner):
     def _on_stage(self, frm: str, to: str, reason: str) -> None:
         """The guard's stage hook: apply (climbing) or undo (recovering)
         this campaign's stage actions, one rung at a time."""
-        rung = STAGES.index(to)
-        up = rung > STAGES.index(frm)
+        up = STAGES.index(to) > STAGES.index(frm)
         heartbeat = self.obs.heartbeat if self.obs is not None else None
         if heartbeat is not None:
             heartbeat.set_stage(to)
             heartbeat.beat(force=True)
-        if up and to == STAGE_SHED_SNAPSHOTS:
-            self._shed_snapshots()
-        # Snapshot 4x less often while stretched: less disk churn, more
-        # recompute for a killed replica on resume.
-        self._cadence_factor = 4 if rung >= STAGES.index(STAGE_STRETCH_CADENCE) else 1
         sink = self.obs.sink if self.obs is not None else None
         if sink is not None:
             if up and to == STAGE_SUSPEND_EXPORTERS:
                 sink.breaker.force_open()
             elif not up and frm == STAGE_SUSPEND_EXPORTERS:
                 sink.breaker.reset()
-
-    def _shed_snapshots(self) -> None:
-        """Free disk by keeping only each replica's newest snapshot
-        (costs resume granularity, never correctness)."""
-        root = self.sim_snapshot_dir
-        if root is None or not os.path.isdir(root):
-            return
-        for name in sorted(os.listdir(root)):
-            sub = os.path.join(root, name)
-            if os.path.isdir(sub):
-                SnapshotStore(sub, keep=1).shed_oldest(keep=1)
 
     # -- execution ---------------------------------------------------------------
 
@@ -1009,10 +983,7 @@ class ResilienceCampaign(MonteCarloRunner):
         if self.sim_snapshot_dir is not None:
             snap_cfg = ReplicaSnapshotConfig(
                 directory=self._replica_snapshot_dir(spec_key, i),
-                # Stretched by the ladder under resource pressure; the
-                # cadence only affects resume granularity, never the
-                # replica's (pure-function) results.
-                every_events=self.sim_snapshot_every * self._cadence_factor,
+                every_events=self.sim_snapshot_every,
             )
         return ReplicaTask(
             spec,
@@ -1040,6 +1011,11 @@ class ResilienceCampaign(MonteCarloRunner):
         worker pool of the campaign (until :meth:`close`).  Built on
         first use, so options set after construction still apply."""
         if self._supervisor is None:
+            if self.n_workers > 1:
+                # Network faults route with networkx.  Load it before the
+                # pool forks, so workers inherit it instead of each
+                # importing it again.
+                import networkx  # noqa: F401
             self._supervisor = TaskSupervisor(
                 _run_replica,
                 n_workers=self.n_workers,

@@ -500,8 +500,9 @@ class TaskSupervisor:
                 now = time.monotonic()
                 if self._paused():
                     # Backpressure: stop launching, keep harvesting.  The
-                    # ladder bounds total pause time (then escalates to
-                    # abort), so this cannot livelock.
+                    # guard leaves the pause within a few polls (down once
+                    # pressure clears, else up to abort), so this cannot
+                    # livelock.
                     broken = False
                     if not inflight:
                         time.sleep(0.05)

@@ -276,20 +276,6 @@ class SnapshotStore:
         path = self.latest()
         return Snapshot.load(path) if path is not None else None
 
-    def shed_oldest(self, keep: int = 1) -> int:
-        """Degradation-ladder stage action: free disk by deleting all but
-        the newest *keep* snapshots.  Returns how many were removed."""
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        shed = 0
-        for path in self.paths()[:-keep]:
-            try:
-                os.unlink(path)
-                shed += 1
-            except OSError:  # pragma: no cover - concurrent prune
-                pass
-        return shed
-
     def clear(self) -> None:
         """Delete every snapshot in the store (e.g. after completion)."""
         for path in self.paths():

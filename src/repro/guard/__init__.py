@@ -10,8 +10,8 @@ Three pieces:
 * :mod:`repro.guard.resource` — the :class:`ResourceGuard`: polled at
   supervisor cadence, it probes disk headroom, RSS and open fds and
   walks the degradation ladder of ordered, observable, reversible
-  :data:`STAGES`, from shedding old snapshots all the way to a clean
-  abort that leaves a resumable journal.
+  :data:`STAGES`, from suspending the metric exporters through pausing
+  task submission to a clean abort that leaves a resumable journal.
 
 :mod:`repro.guard.circuit` provides the :class:`CircuitBreaker` used for
 exporter suspension and half-open recovery probes.

@@ -16,21 +16,20 @@ ladder one rung at a time, sacrificing the cheapest capability first:
 stage                 what is sacrificed
 ====================  ========================================================
 ``normal``            nothing
-``shed_snapshots``    old replica snapshots (disk) — resume granularity
-``stretch_cadence``   snapshot frequency — more recompute after a kill
 ``suspend_exporters`` metric sinks (circuit-breaker opened) — telemetry lag
-``pause_submission``  new task launches (bounded backpressure) — throughput
+``pause_submission``  new task launches (backpressure) — throughput
 ``abort``             the run itself — but *resumably*: journal stays valid
 ====================  ========================================================
 
 Pacing: the first pressured poll escalates at once (normal never
 absorbs pressure); each further rung takes :data:`POLLS_PER_STAGE`
 consecutive pressured polls, and each rung back down
-:data:`RECOVER_POLLS` consecutive healthy ones.  A pressured poll at
-least ``max_pause_s`` after entering ``pause_submission`` escalates to
-``abort`` ("backpressure bound exceeded").  The streak escalates too, so
-sustained pressure aborts two polls after the pause began: the bound
-only binds when it is shorter than two poll intervals.
+:data:`RECOVER_POLLS` consecutive healthy ones.  So sustained pressure
+aborts on the fifth poll, with the pressure reason.  At
+``pause_submission`` the pressured polls need not be consecutive: a
+healthy poll does not reset their count, so pressure that flaps too fast
+to recover still ends the pause in ``abort``, within
+``POLLS_PER_STAGE * RECOVER_POLLS`` polls.
 
 Every transition is logged, appended to :attr:`ResourceGuard.transitions`,
 counted in ``guard_ladder_transitions_total{direction,stage}``, mirrored
@@ -58,8 +57,6 @@ from typing import Callable, Optional
 log = logging.getLogger("repro.guard")
 
 STAGE_NORMAL = "normal"
-STAGE_SHED_SNAPSHOTS = "shed_snapshots"
-STAGE_STRETCH_CADENCE = "stretch_cadence"
 STAGE_SUSPEND_EXPORTERS = "suspend_exporters"
 STAGE_PAUSE_SUBMISSION = "pause_submission"
 STAGE_ABORT = "abort"
@@ -67,8 +64,6 @@ STAGE_ABORT = "abort"
 #: The ladder, mildest first.  Index into this tuple is the severity.
 STAGES = (
     STAGE_NORMAL,
-    STAGE_SHED_SNAPSHOTS,
-    STAGE_STRETCH_CADENCE,
     STAGE_SUSPEND_EXPORTERS,
     STAGE_PAUSE_SUBMISSION,
     STAGE_ABORT,
@@ -169,7 +164,6 @@ class ResourceGuard:
         watch_path: str = ".",
         limits: Optional[ResourceLimits] = None,
         poll_interval_s: float = 1.0,
-        max_pause_s: float = 30.0,
         registry=None,
         clock: Callable[[], float] = time.monotonic,
         disk_probe: Optional[Callable[[str], Optional[int]]] = None,
@@ -181,12 +175,9 @@ class ResourceGuard:
             raise ValueError(
                 f"poll_interval_s must be finite and >= 0, got {poll_interval_s}"
             )
-        if not 0 < max_pause_s < math.inf:
-            raise ValueError(f"max_pause_s must be finite and > 0, got {max_pause_s}")
         self.watch_path = str(watch_path)
         self.limits = limits or ResourceLimits()
         self.poll_interval_s = float(poll_interval_s)
-        self.max_pause_s = float(max_pause_s)
         self.registry = registry
         self._clock = clock
         self._disk_probe = disk_probe or disk_free_bytes
@@ -201,9 +192,10 @@ class ResourceGuard:
         self.transitions: list[tuple[str, str, str]] = []
         self.action_errors = 0
         self._stage_i = 0
-        self._unhealthy_streak = 0
+        #: pressured polls on this rung: consecutive ones, except at
+        #: ``pause_submission``, where healthy polls do not reset it
+        self._pressured_polls = 0
         self._healthy_streak = 0
-        self._pause_entered_at: Optional[float] = None
 
     @property
     def stage(self) -> str:
@@ -252,25 +244,25 @@ class ResourceGuard:
 
     def _note_pressure(self, reason: str) -> None:
         self._healthy_streak = 0
-        self._unhealthy_streak += 1
-        if (
-            self.stage == STAGE_PAUSE_SUBMISSION
-            and self._clock() - self._pause_entered_at >= self.max_pause_s
-        ):
-            reason = f"backpressure bound exceeded ({self.max_pause_s}s paused; {reason})"
-        elif self._stage_i > 0 and self._unhealthy_streak < POLLS_PER_STAGE:
+        self._pressured_polls += 1
+        if self._stage_i > 0 and self._pressured_polls < POLLS_PER_STAGE:
             return
-        self._unhealthy_streak = 0
+        self._pressured_polls = 0
         if self.stage != STAGE_ABORT:
             self._move(+1, reason)
 
     def _note_healthy(self) -> None:
-        self._unhealthy_streak = 0
+        # While paused, pressured polls add up until the stage moves, so
+        # pressure that flaps faster than RECOVER_POLLS cannot hold
+        # submission back forever: it climbs to abort instead.
+        if self.stage != STAGE_PAUSE_SUBMISSION:
+            self._pressured_polls = 0
         if self._stage_i == 0:
             return
         self._healthy_streak += 1
         if self._healthy_streak >= RECOVER_POLLS:
             self._healthy_streak = 0
+            self._pressured_polls = 0
             self._move(-1, "pressure cleared")
 
     def _move(self, step: int, reason: str) -> None:
@@ -279,10 +271,6 @@ class ResourceGuard:
         self._stage_i += step
         to = self.stage
         direction = "up" if step > 0 else "down"
-        if step > 0 and to == STAGE_PAUSE_SUBMISSION:
-            self._pause_entered_at = self._clock()
-        elif step < 0 and frm == STAGE_PAUSE_SUBMISSION:
-            self._pause_entered_at = None
         self.transitions.append((frm, to, reason))
         log.warning("[guard] degradation ladder %s: %s -> %s (%s)", direction, frm, to, reason)
         reg = self._registry()

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.network.topology import Topology
 
 
@@ -144,6 +144,8 @@ class NetworkHealth:
 
     def _baseline_components(self) -> dict[int, int]:
         if self._baseline_comp is None:
+            import networkx as nx
+
             comp: dict[int, int] = {}
             for i, members in enumerate(nx.connected_components(self._graph)):
                 for n in members:
@@ -168,6 +170,8 @@ class NetworkHealth:
 
     def _surviving_graph(self) -> nx.Graph:
         if self._surviving is None:
+            import networkx as nx
+
             self._surviving = nx.restricted_view(
                 self._graph,
                 nodes=list(self.failed_nodes),
@@ -184,6 +188,8 @@ class NetworkHealth:
         if key in self._route_cache:
             path = self._route_cache[key]
         else:
+            import networkx as nx
+
             try:
                 path = nx.shortest_path(
                     self._surviving_graph(), key[0], key[1], weight="weight"
@@ -251,6 +257,8 @@ class NetworkHealth:
         by_comp: dict[int, list[int]] = {}
         for n in members:
             by_comp.setdefault(baseline[n], []).append(n)
+        import networkx as nx
+
         g = self._surviving_graph()
         for comp_members in by_comp.values():
             if len(comp_members) < 2:

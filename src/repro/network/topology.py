@@ -10,9 +10,9 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.network.health import NetworkHealth
 
 
@@ -74,6 +74,8 @@ class Topology(abc.ABC):
     def to_networkx(self) -> nx.Graph:
         """Endpoint-level graph with ``weight`` = hop count, for analysis
         and partitioning.  Only includes neighbour edges."""
+        import networkx as nx  # only fault routing and analysis need it
+
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
         for a in range(self.num_nodes):

@@ -159,17 +159,26 @@ def test_load_rejects_truncation_and_corruption(tmp_path):
 # -- store / retention --------------------------------------------------------
 
 
-def test_store_retention_and_latest(tmp_path):
-    store = SnapshotStore(str(tmp_path), keep=2)
+def check_retention(directory, keep, older=0):
+    """*older* placeholder files already on disk, then three writes: each
+    write leaves the newest *keep* snapshots, and latest() is the last."""
+    for i in range(older):
+        (directory / f"snap-{i:012d}.snap").write_text("placeholder")
+    store = SnapshotStore(str(directory), keep=keep)
     paths = []
     for budget in (3, 5, 8):
         eng = Engine(seed=0)
         build_pair(eng)
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError):
             eng.run(max_events=budget)
         paths.append(store.write(eng.snapshot()))
-    assert len(store.paths()) == 2  # pruned to keep=2
+        assert store.paths() == paths[-keep:]
+    assert os.path.basename(paths[-1]) == "snap-000000000008.snap"
     assert store.latest() == paths[-1]
+
+
+def test_store_retention_and_latest(tmp_path):
+    check_retention(tmp_path, keep=2)
 
 
 def test_store_latest_skips_corrupt(tmp_path):
@@ -271,15 +280,8 @@ def test_version_1_snapshot_is_refused_and_skipped(tmp_path):
 
 
 def test_shed_oldest_keeps_newest(tmp_path):
-    store = SnapshotStore(str(tmp_path), keep=10)
-    for i in range(4):  # four snapshot files, oldest first
-        (tmp_path / f"snap-{i:08d}.snap").write_text("placeholder")
-    newest = store.paths()[-1]
-    assert store.shed_oldest(keep=1) == 3
-    assert store.paths() == [newest]
-    assert store.shed_oldest(keep=1) == 0  # idempotent
-    with pytest.raises(ValueError):
-        store.shed_oldest(keep=0)
+    # keep=1 also prunes older files that were on disk before the store
+    check_retention(tmp_path, keep=1, older=3)
 
 
 def test_engine_disables_autosnap_on_write_failure_and_completes(tmp_path):

@@ -24,12 +24,9 @@ import pytest
 from repro.core.campaign import CampaignSpec, ResilienceCampaign
 from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
 from repro.guard import fsfault
-from repro.guard.fsfault import FsFaultConfig, FsFaultInjector, injected
+from repro.guard.fsfault import FsFaultConfig, injected
 from repro.guard.resource import (
     STAGE_ABORT,
-    STAGE_SHED_SNAPSHOTS,
-    STAGE_STRETCH_CADENCE,
-    STAGE_SUSPEND_EXPORTERS,
     STAGES,
     ResourceGuard,
     ResourceLimits,
@@ -63,13 +60,12 @@ def run_calm(tmp_path, name="calm.wal", reps=3, **kw):
     return camp, report, journal
 
 
-def make_pressured_guard(disk_free=1, max_pause_s=0.01):
+def make_pressured_guard(disk_free=1):
     """A guard whose fake probes always report a nearly-full disk."""
     return ResourceGuard(
         watch_path=".",
         limits=ResourceLimits(min_disk_free_bytes=1024),
         poll_interval_s=0.0,
-        max_pause_s=max_pause_s,
         disk_probe=lambda path: disk_free,
         rss_probe=lambda: None,
         fd_probe=lambda: None,
@@ -225,7 +221,7 @@ def test_sustained_pressure_walks_ladder_to_resumable_abort(tmp_path):
     guard = make_pressured_guard()
     journal = str(tmp_path / "pressured.wal")
     # Enough replicas that the per-iteration guard polls can walk all
-    # five rungs before the task list drains.
+    # three rungs before the task list drains.
     camp = ResilienceCampaign(
         reps=8, base_seed=0, journal_path=journal, guard=guard
     )
@@ -236,13 +232,7 @@ def test_sustained_pressure_walks_ladder_to_resumable_abort(tmp_path):
     assert camp.aborted
     assert report.partial
     assert guard.stage == STAGE_ABORT
-    stages_entered = [to for _, to, _ in guard.transitions]
-    assert stages_entered[:3] == [
-        STAGE_SHED_SNAPSHOTS,
-        STAGE_STRETCH_CADENCE,
-        STAGE_SUSPEND_EXPORTERS,
-    ]
-    assert stages_entered[-1] == STAGE_ABORT
+    assert [to for _, to, _ in guard.transitions] == list(STAGES[1:])
 
     # Pressure cleared: a guard-free resume completes and matches calm.
     _, calm_report, _ = run_calm(tmp_path, "calm.wal", reps=8)
@@ -263,9 +253,12 @@ def make_snapshot_dirs(snap_root, replicas=("r0", "r1")):
 
 
 def test_stage_actions_shed_snapshots_and_stretch_cadence(tmp_path):
-    """The campaign's stage hook: stage actions touch real state."""
+    """No stage touches in-simulation snapshots: at every stage, up and
+    down, a new replica task keeps the base cadence and every snapshot
+    file on disk stays."""
     snap_root = tmp_path / "snaps"
     make_snapshot_dirs(snap_root)
+    before = {r: sorted(os.listdir(snap_root / r)) for r in ("r0", "r1")}
     guard = make_pressured_guard()
     camp = ResilienceCampaign(
         reps=1,
@@ -274,19 +267,17 @@ def test_stage_actions_shed_snapshots_and_stretch_cadence(tmp_path):
         sim_snapshot_dir=str(snap_root),
         sim_snapshot_every=10,
     )
-    assert camp._cadence_factor == 1
-    guard.tick()  # -> shed_snapshots
-    for replica in ("r0", "r1"):
-        remaining = sorted(os.listdir(snap_root / replica))
-        assert remaining == ["snap-00000002.snap"]  # only the newest survives
-    guard.tick()
-    guard.tick()  # -> stretch_cadence
-    assert camp._cadence_factor == 4
-    guard.limits = ResourceLimits(min_disk_free_bytes=0)  # space freed
-    for _ in range(3):
-        guard.tick()  # -> back to shed_snapshots
-    assert guard.stage == STAGE_SHED_SNAPSHOTS
-    assert camp._cadence_factor == 1
+    spec = CampaignSpec(node_mtbf_s=8.0, ckpt_period=5)
+    seen = []
+    for limit in (1024, 0):  # pressured until abort, then space freed
+        guard.limits = ResourceLimits(min_disk_free_bytes=limit)
+        for _ in range(9):
+            guard.tick()
+            task = camp._replica_task(spec, "k", [0], 0)
+            assert task.snapshot.every_events == 10
+            assert {r: sorted(os.listdir(snap_root / r)) for r in before} == before
+            seen.append(guard.stage)
+    assert set(seen) == set(STAGES)
     assert guard.action_errors == 0
 
 
@@ -300,11 +291,9 @@ class FakeClock:
 
 def test_campaign_follows_the_guard_up_and_down_the_ladder(tmp_path):
     """A full climb to ``abort`` and a full recovery to ``normal``, one
-    poll at a time: at every stage the replica-task snapshot cadence,
-    the metrics sink's breaker and the heartbeat stage match it, and the
-    climb shed all but each replica's newest snapshot."""
-    snap_root = tmp_path / "snaps"
-    make_snapshot_dirs(snap_root)
+    poll at a time: at every stage the metrics sink's breaker and the
+    heartbeat stage match it (breaker open at ``suspend_exporters`` and
+    above)."""
     disk = {"free": 1}
     clock = FakeClock()
     reg = MetricsRegistry()
@@ -321,24 +310,7 @@ def test_campaign_follows_the_guard_up_and_down_the_ladder(tmp_path):
         registry=reg,
     )
     obs.heartbeat.stream = io.StringIO()
-    camp = ResilienceCampaign(
-        reps=1,
-        base_seed=0,
-        guard=guard,
-        obs=obs,
-        sim_snapshot_dir=str(snap_root),
-        sim_snapshot_every=10,
-    )
-    spec = CampaignSpec(node_mtbf_s=8.0, ckpt_period=5)
-
-    def observed():
-        task = camp._replica_task(spec, "k", [0], 0)
-        return (
-            guard.stage,
-            task.snapshot.every_events // 10,
-            obs.sink.breaker.suspended,
-            obs.heartbeat.stage,
-        )
+    ResilienceCampaign(reps=1, base_seed=0, guard=guard, obs=obs)
 
     def poll_into(stage):
         for _ in range(3):  # a rung takes at most three polls
@@ -346,15 +318,13 @@ def test_campaign_follows_the_guard_up_and_down_the_ladder(tmp_path):
                 break
             clock.t += 1.0
             guard.tick()
-        cadence = 4 if stage in STAGES[2:] else 1
-        assert observed() == (stage, cadence, stage in STAGES[3:], stage)
+        observed = (guard.stage, obs.sink.breaker.suspended, obs.heartbeat.stage)
+        assert observed == (stage, stage in STAGES[1:], stage)
 
     for stage in STAGES[1:]:
         poll_into(stage)
-    for replica in ("r0", "r1"):
-        assert os.listdir(snap_root / replica) == ["snap-00000002.snap"]
     disk["free"] = 1 << 30
     for stage in STAGES[-2::-1]:
         poll_into(stage)
-    assert len(guard.transitions) == 10 and guard.action_errors == 0
+    assert len(guard.transitions) == 6 and guard.action_errors == 0
     obs.sink.close()

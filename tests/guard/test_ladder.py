@@ -1,16 +1,16 @@
 """Degradation ladder of the ResourceGuard: pacing, the stage hook,
-backpressure bound, recovery."""
+abort, recovery."""
 
 import math
 
 import pytest
 
 from repro.guard.resource import (
+    POLLS_PER_STAGE,
+    RECOVER_POLLS,
     STAGE_ABORT,
     STAGE_NORMAL,
     STAGE_PAUSE_SUBMISSION,
-    STAGE_SHED_SNAPSHOTS,
-    STAGE_STRETCH_CADENCE,
     STAGE_SUSPEND_EXPORTERS,
     STAGES,
     ResourceGuard,
@@ -68,8 +68,6 @@ def poll(guard, free, n=1):
 def test_stage_order_is_the_documented_ladder():
     assert STAGES == (
         STAGE_NORMAL,
-        STAGE_SHED_SNAPSHOTS,
-        STAGE_STRETCH_CADENCE,
         STAGE_SUSPEND_EXPORTERS,
         STAGE_PAUSE_SUBMISSION,
         STAGE_ABORT,
@@ -77,9 +75,6 @@ def test_stage_order_is_the_documented_ladder():
 
 
 def test_invalid_knobs_rejected():
-    for bad in (0, -1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="max_pause_s"):
-            make_guard(max_pause_s=bad)
     for bad in (-1, math.nan, math.inf):
         with pytest.raises(ValueError, match="poll_interval_s"):
             ResourceGuard(poll_interval_s=bad)
@@ -88,33 +83,33 @@ def test_invalid_knobs_rejected():
 def test_first_pressure_escalates_immediately_then_needs_streak():
     guard = make_guard()
     poll(guard, LOW)
-    assert guard.stage == STAGE_SHED_SNAPSHOTS  # normal never absorbs
+    assert guard.stage == STAGE_SUSPEND_EXPORTERS  # normal never absorbs
     poll(guard, LOW)
-    assert guard.stage == STAGE_SHED_SNAPSHOTS  # streak of 1 < 2
+    assert guard.stage == STAGE_SUSPEND_EXPORTERS  # streak of 1 < 2
     poll(guard, LOW)
-    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert guard.stage == STAGE_PAUSE_SUBMISSION
 
 
 def test_healthy_poll_resets_unhealthy_streak():
     guard = make_guard()
-    poll(guard, LOW)  # -> shed_snapshots
+    poll(guard, LOW)  # -> suspend_exporters
     poll(guard, LOW)  # streak 1
     poll(guard, HIGH)  # streak resets (1 healthy poll does not recover)
     poll(guard, LOW)  # streak 1 again
-    assert guard.stage == STAGE_SHED_SNAPSHOTS
+    assert guard.stage == STAGE_SUSPEND_EXPORTERS
     poll(guard, LOW)  # streak 2 -> escalate
-    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert guard.stage == STAGE_PAUSE_SUBMISSION
 
 
 def test_full_climb_and_full_recovery_with_callbacks():
     guard = make_guard()
     seen = []
     guard.on_stage = lambda frm, to, why: seen.append((frm, to))
-    poll(guard, LOW, 9)
+    poll(guard, LOW, 5)
     assert guard.stage == STAGE_ABORT and guard.abort_requested
     assert seen == list(zip(STAGES, STAGES[1:]))
     seen.clear()
-    poll(guard, HIGH, 3 * 5)
+    poll(guard, HIGH, 3 * 3)
     assert guard.stage == STAGE_NORMAL
     assert seen == list(zip(STAGES[::-1], STAGES[-2::-1]))
 
@@ -122,27 +117,29 @@ def test_full_climb_and_full_recovery_with_callbacks():
 def test_paused_at_pause_and_abort_stages():
     guard = make_guard()
     assert not guard.paused
-    poll(guard, LOW, 7)
+    poll(guard, LOW, 3)
     assert guard.stage == STAGE_PAUSE_SUBMISSION and guard.paused
     poll(guard, LOW, 2)
     assert guard.stage == STAGE_ABORT and guard.paused
 
 
 def test_backpressure_bound_forces_abort():
-    clock = FakeClock()
-    guard = make_guard(clock=clock, max_pause_s=10.0)
-    poll(guard, LOW, 7)
+    """Pressure that flaps too fast to recover still ends the pause in
+    abort: at pause_submission a healthy poll does not reset the count of
+    pressured polls, so the pause lasts POLLS_PER_STAGE * RECOVER_POLLS
+    polls at most, and the abort names the pressure."""
+    guard = make_guard()
+    poll(guard, LOW, 3)
     assert guard.stage == STAGE_PAUSE_SUBMISSION
-    clock.advance(9.0)
-    poll(guard, LOW)  # streak 1
-    assert guard.stage == STAGE_PAUSE_SUBMISSION  # bound not yet hit
-    poll(guard, HIGH)  # resets the streak, too short to recover
-    clock.advance(1.5)
-    poll(guard, LOW)  # streak 1 again, but paused 10.5 s >= 10 s
+    for _ in range(POLLS_PER_STAGE - 1):
+        poll(guard, HIGH, RECOVER_POLLS - 1)  # too short to recover
+        poll(guard, LOW)
+        assert guard.stage == STAGE_PAUSE_SUBMISSION
+    poll(guard, HIGH, RECOVER_POLLS - 1)
+    poll(guard, LOW)
     assert guard.stage == STAGE_ABORT
-    assert guard.abort_reason == (
-        f"backpressure bound exceeded (10.0s paused; {PRESSURE})"
-    )
+    assert guard.polls == 3 + POLLS_PER_STAGE * RECOVER_POLLS
+    assert guard.abort_reason == PRESSURE
 
 
 def test_escalate_idempotent_at_abort_and_recover_noop_at_normal():
@@ -162,12 +159,12 @@ def test_action_errors_are_counted_never_propagated():
         raise RuntimeError("buggy stage action")
 
     guard.on_stage = bad_action
-    poll(guard, LOW)  # enter shed_snapshots: must not raise
-    poll(guard, HIGH, 3)  # leave shed_snapshots: must not raise
+    poll(guard, LOW)  # enter suspend_exporters: must not raise
+    poll(guard, HIGH, 3)  # leave suspend_exporters: must not raise
     assert guard.stage == STAGE_NORMAL
     assert guard.action_errors == 2
     # counted under the stage entered (climbing) or left (recovering)
-    assert reg.counter("guard_action_errors_total", stage=STAGE_SHED_SNAPSHOTS).value == 2
+    assert reg.counter("guard_action_errors_total", stage=STAGE_SUSPEND_EXPORTERS).value == 2
 
 
 def test_transitions_are_observable_in_metrics_and_log_list(caplog):
@@ -179,19 +176,19 @@ def test_transitions_are_observable_in_metrics_and_log_list(caplog):
         poll(guard, LOW)
         poll(guard, HIGH, 3)
     assert seen == [
-        (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE),
-        (STAGE_SHED_SNAPSHOTS, STAGE_NORMAL, "pressure cleared"),
+        (STAGE_NORMAL, STAGE_SUSPEND_EXPORTERS, PRESSURE),
+        (STAGE_SUSPEND_EXPORTERS, STAGE_NORMAL, "pressure cleared"),
     ]
     assert guard.transitions == seen
     assert caplog.messages == [
-        f"[guard] degradation ladder up: normal -> shed_snapshots ({PRESSURE})",
-        "[guard] degradation ladder down: shed_snapshots -> normal (pressure cleared)",
+        f"[guard] degradation ladder up: normal -> suspend_exporters ({PRESSURE})",
+        "[guard] degradation ladder down: suspend_exporters -> normal (pressure cleared)",
     ]
     assert (
         reg.counter(
             "guard_ladder_transitions_total",
             direction="up",
-            stage=STAGE_SHED_SNAPSHOTS,
+            stage=STAGE_SUSPEND_EXPORTERS,
         ).value
         == 1
     )
@@ -214,7 +211,7 @@ def test_observer_exception_does_not_break_transition():
 
     guard.on_stage = bad_observer
     poll(guard, LOW, 3)
-    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert guard.stage == STAGE_PAUSE_SUBMISSION
     assert [to for _, to, _ in guard.transitions] == list(STAGES[1:3])
 
 
@@ -229,31 +226,28 @@ def test_suspend_exporters_round_trip_with_circuit_breaker(tmp_path):
     obs = CampaignObs(ObsOptions(metrics_out=str(tmp_path / "m.jsonl")), registry=reg)
     guard = make_guard(registry=reg)
     ResilienceCampaign(reps=1, base_seed=0, obs=obs, guard=guard)
-    poll(guard, LOW, 5)
+    poll(guard, LOW)
     assert guard.stage == STAGE_SUSPEND_EXPORTERS
     assert not obs.sink.maybe_flush(force=True)
     assert obs.sink.suspended_skips == 1
     poll(guard, HIGH, 3)
-    assert guard.stage == STAGE_STRETCH_CADENCE
+    assert guard.stage == STAGE_NORMAL
     assert obs.sink.maybe_flush(force=True)
     obs.sink.close()
 
 
-# Recorded with the two-class ladder this guard replaced
-# (polls_per_stage=2, recover_polls=3): (poll, (from, to, reason)).
+# (poll, (from, to, reason)) at POLLS_PER_STAGE=2, RECOVER_POLLS=3.
 SUSTAINED_PRESSURE = [
-    (1, (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE)),
-    (3, (STAGE_SHED_SNAPSHOTS, STAGE_STRETCH_CADENCE, PRESSURE)),
-    (5, (STAGE_STRETCH_CADENCE, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
-    (7, (STAGE_SUSPEND_EXPORTERS, STAGE_PAUSE_SUBMISSION, PRESSURE)),
-    (9, (STAGE_PAUSE_SUBMISSION, STAGE_ABORT, PRESSURE)),
+    (1, (STAGE_NORMAL, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
+    (3, (STAGE_SUSPEND_EXPORTERS, STAGE_PAUSE_SUBMISSION, PRESSURE)),
+    (5, (STAGE_PAUSE_SUBMISSION, STAGE_ABORT, PRESSURE)),
 ]
 CLIMB_THEN_CLEAR = [
-    (1, (STAGE_NORMAL, STAGE_SHED_SNAPSHOTS, PRESSURE)),
-    (3, (STAGE_SHED_SNAPSHOTS, STAGE_STRETCH_CADENCE, PRESSURE)),
-    (5, (STAGE_STRETCH_CADENCE, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
-    (9, (STAGE_SUSPEND_EXPORTERS, STAGE_STRETCH_CADENCE, "pressure cleared")),
-    (12, (STAGE_STRETCH_CADENCE, STAGE_SHED_SNAPSHOTS, "pressure cleared")),
+    (1, (STAGE_NORMAL, STAGE_SUSPEND_EXPORTERS, PRESSURE)),
+    (3, (STAGE_SUSPEND_EXPORTERS, STAGE_PAUSE_SUBMISSION, PRESSURE)),
+    (5, (STAGE_PAUSE_SUBMISSION, STAGE_ABORT, PRESSURE)),
+    (9, (STAGE_ABORT, STAGE_PAUSE_SUBMISSION, "pressure cleared")),
+    (12, (STAGE_PAUSE_SUBMISSION, STAGE_SUSPEND_EXPORTERS, "pressure cleared")),
 ]
 
 
@@ -266,9 +260,8 @@ CLIMB_THEN_CLEAR = [
     ids=["sustained-pressure", "climb-then-clear"],
 )
 def test_same_readings_give_the_recorded_transitions(readings, expected):
-    """Polled at 1 s with the default 30 s pause bound, sustained
-    pressure aborts on the 9th poll through the two-poll streak (the
-    bound never binds); recovery steps down one rung per 3 healthy
+    """Polled at 1 s, sustained pressure aborts on the 5th poll through
+    the two-poll streak; recovery steps down one rung per 3 healthy
     polls."""
     clock = FakeClock()
     it = iter(readings)

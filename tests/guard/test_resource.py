@@ -4,8 +4,8 @@ import pytest
 
 from repro.guard.resource import (
     STAGE_NORMAL,
-    STAGE_SHED_SNAPSHOTS,
-    STAGE_STRETCH_CADENCE,
+    STAGE_PAUSE_SUBMISSION,
+    STAGE_SUSPEND_EXPORTERS,
     ResourceGuard,
     ResourceLimits,
     ResourceSample,
@@ -143,14 +143,14 @@ def test_pressure_escalates_and_recovery_steps_down():
         clock.advance(1.1)
     assert stages == [
         STAGE_NORMAL,
-        STAGE_SHED_SNAPSHOTS,  # 50: first pressure escalates at once
-        STAGE_SHED_SNAPSHOTS,  # 50: streak 1
-        STAGE_STRETCH_CADENCE,  # 50: streak 2
-        STAGE_STRETCH_CADENCE,
-        STAGE_STRETCH_CADENCE,
-        STAGE_SHED_SNAPSHOTS,  # third healthy poll: one rung down
-        STAGE_SHED_SNAPSHOTS,
-        STAGE_SHED_SNAPSHOTS,
+        STAGE_SUSPEND_EXPORTERS,  # 50: first pressure escalates at once
+        STAGE_SUSPEND_EXPORTERS,  # 50: streak 1
+        STAGE_PAUSE_SUBMISSION,  # 50: streak 2
+        STAGE_PAUSE_SUBMISSION,
+        STAGE_PAUSE_SUBMISSION,
+        STAGE_SUSPEND_EXPORTERS,  # third healthy poll: one rung down
+        STAGE_SUSPEND_EXPORTERS,
+        STAGE_SUSPEND_EXPORTERS,
         STAGE_NORMAL,
     ]
     assert not guard.paused and not guard.abort_requested
@@ -165,7 +165,7 @@ def test_gauges_published_each_poll():
 
 def test_abort_reason_passthrough():
     guard, _, clock = make_guard([50] * 10)
-    for _ in range(9):
+    for _ in range(5):
         guard.tick(force=True)
     assert guard.abort_requested
     assert "disk free" in guard.abort_reason

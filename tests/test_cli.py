@@ -463,7 +463,7 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--guard", "--guard-max-rss-mb", "-1"],
         ["--guard", "--guard-max-fds", "-3"],
         ["--guard", "--guard-poll", "nan"],
-        ["--guard", "--guard-max-pause", "inf"],
+        ["--guard", "--guard-poll", "inf"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):

@@ -46,3 +46,17 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     with ThreadPoolExecutor(max_workers=4) as pool:
         errors = dict(zip(modules, pool.map(_import_error, modules)))
     assert {name: err for name, err in errors.items() if err} == {}
+
+
+def test_repro_core_does_not_import_networkx():
+    """networkx serves only fault routing and the analytical cross-checks,
+    so the simulator's own import path must not pay for loading it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.core; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
