@@ -59,8 +59,11 @@ def make_guard(disk_probe) -> ResourceGuard:
 
 
 def main() -> None:
-    journal = os.path.join(tempfile.mkdtemp(prefix="repro-wal-"), "wal.jsonl")
+    with tempfile.TemporaryDirectory(prefix="repro-wal-") as workdir:
+        demo(os.path.join(workdir, "wal.jsonl"))
 
+
+def demo(journal: str) -> None:
     print("== Pressured run: the disk 'fills' while the sweep executes ==")
     guard = make_guard(ShrinkingDisk())
     camp = ResilienceCampaign(
@@ -97,7 +100,6 @@ def main() -> None:
     print(f"resumed report bit-identical to calm run: {identical}")
     if not identical:
         raise SystemExit("resumed report must equal the calm run's")
-    print(f"\njournal: {journal}")
 
 
 if __name__ == "__main__":

@@ -118,8 +118,11 @@ def build_ring(engine, n=8, laps=5, latency=0.5):
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="repro-selfheal-")
+    with tempfile.TemporaryDirectory(prefix="repro-selfheal-") as workdir:
+        demo(workdir)
 
+
+def demo(workdir: str) -> None:
     print("== 1. Reference run (uninterrupted, faults active) ==")
     ref = make_sim().run()
     print(result_line(ref))

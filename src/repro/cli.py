@@ -491,6 +491,7 @@ def _run_campaign(args) -> tuple[str, int]:
     from repro.core.fault_injection import RecoveryPolicy
     from repro.core.supervisor import HarnessFaultInjector, RetryPolicy
     from repro.guard.durable import atomic_write
+    from repro.guard.fsfault import FsFaultConfig, FsFaultInjector, install, uninstall
     from repro.obs.instrument import CampaignObs, ObsOptions
 
     # Build (and so validate) every grid point and the harness settings
@@ -515,48 +516,41 @@ def _run_campaign(args) -> tuple[str, int]:
             for p in args.periods
         ]
         guard = _campaign_guard(args) if args.guard else None
+        worker_fs = None
+        if args.chaos_enospc or args.chaos_eio or args.chaos_slow_io:
+            worker_fs = FsFaultConfig(
+                enospc_prob=args.chaos_enospc,
+                eio_prob=args.chaos_eio,
+                slow_prob=args.chaos_slow_io,
+                after_ops=args.chaos_fs_after,
+                path_substring=args.chaos_fs_path,
+                seed=args.chaos_seed,
+            )
+        injector = None
+        if args.chaos_crash or args.chaos_hang or args.chaos_garbage or worker_fs is not None:
+            injector = HarnessFaultInjector(
+                crash_prob=args.chaos_crash,
+                hang_prob=args.chaos_hang,
+                garbage_prob=args.chaos_garbage,
+                seed=args.chaos_seed,
+                fs=worker_fs,
+            )
+        host_fs = None
+        if args.chaos_enospc_after is not None:
+            host_fs = FsFaultConfig(
+                enospc_prob=1.0,
+                after_ops=args.chaos_enospc_after,
+                path_substring=args.chaos_fs_path,
+                seed=args.chaos_seed,
+            )
     except ValueError as exc:
         print(f"repro campaign: error: {exc}", file=sys.stderr)
         return "", 2
     if args.partial_report:
         return ResilienceCampaign.report_from_journal(args.journal).format(), 0
 
-    fs_dict = None
-    if args.chaos_enospc or args.chaos_eio or args.chaos_slow_io:
-        from repro.guard.fsfault import FsFaultConfig
-
-        fs_dict = FsFaultConfig(
-            enospc_prob=args.chaos_enospc,
-            eio_prob=args.chaos_eio,
-            slow_prob=args.chaos_slow_io,
-            after_ops=args.chaos_fs_after,
-            path_substring=args.chaos_fs_path,
-            seed=args.chaos_seed,
-        ).to_dict()
-    injector = None
-    if args.chaos_crash or args.chaos_hang or args.chaos_garbage or fs_dict:
-        injector = HarnessFaultInjector(
-            crash_prob=args.chaos_crash,
-            hang_prob=args.chaos_hang,
-            garbage_prob=args.chaos_garbage,
-            seed=args.chaos_seed,
-            fs=fs_dict,
-        )
-    host_shim_installed = False
-    if args.chaos_enospc_after is not None:
-        from repro.guard.fsfault import FsFaultConfig, FsFaultInjector, install
-
-        install(
-            FsFaultInjector(
-                FsFaultConfig(
-                    enospc_prob=1.0,
-                    after_ops=args.chaos_enospc_after,
-                    path_substring=args.chaos_fs_path,
-                    seed=args.chaos_seed,
-                )
-            )
-        )
-        host_shim_installed = True
+    if host_fs is not None:
+        install(FsFaultInjector(host_fs))
     snapshot_kwargs = dict(
         sim_snapshot_dir=args.sim_snapshot_dir,
         sim_snapshot_every=args.sim_snapshot_every,
@@ -603,9 +597,7 @@ def _run_campaign(args) -> tuple[str, int]:
         report = camp.run_specs(grid)
     finally:
         camp.close()
-        if host_shim_installed:
-            from repro.guard.fsfault import uninstall
-
+        if host_fs is not None:
             uninstall()
     if args.json_out:
         atomic_write(args.json_out, report.to_json(), "report.json")

@@ -51,7 +51,7 @@ from repro.core.fault_injection import (
     fold_link_rate,
 )
 from repro.core.instructions import Checkpoint, Collective, Compute, Verify
-from repro.core.montecarlo import MonteCarloRunner, derive_seeds
+from repro.core.montecarlo import derive_seeds
 from repro.core.simulator import BESSTSimulator
 from repro.core.supervisor import (
     HarnessFaultInjector,
@@ -788,14 +788,14 @@ def aggregate_point(
 # -- the campaign runner ---------------------------------------------------------
 
 
-class ResilienceCampaign(MonteCarloRunner):
+class ResilienceCampaign:
     """Crash-safe, process-parallel Monte-Carlo sweep of fault survivability.
 
     Parameters
     ----------
     reps / base_seed:
-        As in :class:`MonteCarloRunner`; replica *i* of every grid point
-        runs with an independent seed explicitly derived from
+        Replicas per grid point (at least 1); replica *i* of every grid
+        point runs with an independent seed explicitly derived from
         ``base_seed`` (:func:`repro.core.montecarlo.derive_seeds`).
     policy:
         The :class:`RecoveryPolicy` applied to every replica.
@@ -858,13 +858,16 @@ class ResilienceCampaign(MonteCarloRunner):
         guard=None,
         flight_dir: Optional[str] = None,
     ) -> None:
-        super().__init__(reps=reps, base_seed=base_seed)
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if (sim_snapshot_dir is None) != (sim_snapshot_every is None):
             raise ValueError(
                 "sim_snapshot_dir and sim_snapshot_every must be set together"
             )
+        self.reps = reps
+        self.base_seed = base_seed
         self.policy = policy or RecoveryPolicy()
         self.n_workers = n_workers
         self.retry = retry or RetryPolicy()

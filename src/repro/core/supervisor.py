@@ -31,11 +31,13 @@ makes campaign ``--resume`` after a SIGKILL bit-identical to an
 uninterrupted run.
 
 To test the harness honestly, :class:`HarnessFaultInjector` makes
-workers crash, hang, or return garbage with configured probability.  It
-is env-triggered (the config rides :data:`FAULT_ENV_VAR` into forked
-workers) and keyed by ``(seed, task key, attempt)`` so chaos runs are
-reproducible; it never fires in the supervisor's own process, so
-degraded in-process execution is always safe.
+workers crash, hang, or return garbage with configured probability.
+The pool initializer (:func:`_init_worker`) hands it to each worker
+process once, together with its optional filesystem-fault config, and
+its draws are keyed by ``(seed, task key, attempt)`` so chaos runs are
+reproducible.  The supervisor's own process never runs the
+initializer, so in-process and degraded sequential execution never
+inject.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.guard import fsfault
 from repro.guard.durable import LineAppender
 
 # Re-exported: the journal persists this supervisor's results, and
@@ -60,10 +63,6 @@ from repro.guard.durable import JournalError, WriteAheadJournal  # noqa: F401
 #: The failure taxonomy.  ``poisoned`` is terminal (quarantine); the
 #: others are retried under the :class:`RetryPolicy`.
 FAILURE_KINDS = ("crash", "timeout", "oom", "error", "poisoned")
-
-#: Environment variable carrying the serialized fault-injector config
-#: into worker processes.
-FAULT_ENV_VAR = "REPRO_HARNESS_FAULTS"
 
 #: Sentinel a sabotaged worker returns instead of a real result; the
 #: supervisor rejects it even when no validator is configured.
@@ -83,9 +82,9 @@ class HarnessFaultInjector:
     same way — chaos tests are exactly reproducible — while retries
     (a new ``attempt``) draw fresh.
 
-    Injection is disabled in the process that created the injector
-    (``host_pid``): in-process execution — the ``n_workers=1`` path and
-    the degraded sequential fallback — must never sabotage itself.
+    Only pool workers hold an injector (:func:`_init_worker`), so
+    in-process execution — the ``n_workers=1`` path and the degraded
+    sequential fallback — never sabotages itself.
     """
 
     crash_prob: float = 0.0     #: worker dies via ``os._exit`` (SIGKILL-like)
@@ -95,64 +94,23 @@ class HarnessFaultInjector:
     garbage_prob: float = 0.0   #: worker returns :data:`GARBAGE`
     hang_s: float = 3600.0
     seed: int = 0
-    host_pid: int = 0
-    #: Optional filesystem-fault config for worker processes, as the
-    #: dict form of :class:`repro.guard.fsfault.FsFaultConfig` (kept as
-    #: a plain dict so the whole injector stays JSON-round-trippable
-    #: through :data:`FAULT_ENV_VAR`).  Workers install the fsfault shim
-    #: from it on first invocation; the supervisor process never does.
-    fs: Optional[dict] = None
+    #: Optional filesystem faults for worker processes: each worker
+    #: installs its own shim from it once, in :func:`_init_worker`.
+    fs: Optional[fsfault.FsFaultConfig] = None
 
     def __post_init__(self) -> None:
-        total = (
-            self.crash_prob
-            + self.hang_prob
-            + self.oom_prob
-            + self.error_prob
-            + self.garbage_prob
+        probs = (
+            self.crash_prob,
+            self.hang_prob,
+            self.oom_prob,
+            self.error_prob,
+            self.garbage_prob,
         )
-        if not 0.0 <= total <= 1.0:
-            raise ValueError(f"fault probabilities must sum to <= 1, got {total}")
-
-    def with_host_pid(self) -> "HarnessFaultInjector":
-        """Bind the injector to the current (supervisor) process."""
-        d = asdict(self)
-        d["host_pid"] = os.getpid()
-        return HarnessFaultInjector(**d)
-
-    # -- env round-trip (how the config reaches forked workers) ----------------
-
-    def to_env(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_env(cls) -> Optional["HarnessFaultInjector"]:
-        raw = os.environ.get(FAULT_ENV_VAR)
-        if not raw:
-            return None
-        try:
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                return None
-            # Ignore unknown keys so an older worker can parse a config
-            # written by a newer supervisor (and vice versa).
-            known = {f.name for f in fields(cls)}
-            return cls(**{k: v for k, v in data.items() if k in known})
-        except (ValueError, TypeError):
-            return None
-
-    def fs_config(self):
-        """The worker-side :class:`FsFaultConfig`, or ``None``."""
-        if not self.fs:
-            return None
-        from repro.guard.fsfault import FsFaultConfig
-
-        try:
-            return FsFaultConfig.from_dict(self.fs)
-        except (ValueError, TypeError):
-            return None
-
-    # -- the injection itself --------------------------------------------------
+        for prob in probs:
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"fault probabilities must lie in [0, 1], got {prob}")
+        if sum(probs) > 1.0:
+            raise ValueError(f"fault probabilities must sum to <= 1, got {sum(probs)}")
 
     def draw(self, key: str, attempt: int) -> float:
         digest = hashlib.sha256(f"{self.seed}:{key}:{attempt}".encode()).digest()
@@ -176,8 +134,6 @@ class HarnessFaultInjector:
 
     def maybe_fail(self, key: str, attempt: int) -> Optional[str]:
         """Act out the drawn fault; returns ``"garbage"`` for the caller."""
-        if os.getpid() == self.host_pid:
-            return None
         mode = self.decide(key, attempt)
         if mode == "crash":
             os._exit(139)
@@ -190,31 +146,31 @@ class HarnessFaultInjector:
         return mode  # "garbage" or None
 
 
-def _ensure_worker_fs_faults(injector: "HarnessFaultInjector") -> None:
-    """Install the fsfault shim in a *worker* process, exactly once.
+#: This worker process's injector, set once by :func:`_init_worker`;
+#: ``None`` in the supervisor, which never runs the initializer.
+_worker_injector: Optional[HarnessFaultInjector] = None
 
-    Pooled workers run many tasks; keeping one injector alive across
-    them preserves the deterministic op-index stream (and its
-    counters).  The supervisor's own process is excluded by the same
-    ``host_pid`` guard that protects it from harness faults.
+
+def _init_worker(injector: Optional[HarnessFaultInjector]) -> None:
+    """Pool initializer: set one worker process up for its whole life.
+
+    Drops any fsfault shim the worker inherited from the supervisor (a
+    forked worker copies ``--chaos-enospc-after``'s) and installs the
+    injector's own, so each worker keeps one deterministic op-index
+    stream across all its tasks.
     """
-    if not injector.fs or os.getpid() == injector.host_pid:
-        return
-    from repro.guard import fsfault
-
-    if fsfault.active() is None:
-        cfg = injector.fs_config()
-        if cfg is not None:
-            fsfault.install(fsfault.FsFaultInjector(cfg))
+    global _worker_injector
+    _worker_injector = injector
+    fsfault.uninstall()
+    if injector is not None and injector.fs is not None:
+        fsfault.install(fsfault.FsFaultInjector(injector.fs))
 
 
 def _invoke(worker_fn: Callable, key: str, attempt: int, payload: Any) -> Any:
     """Worker-side entrypoint: run the harness fault gate, then the task."""
-    injector = HarnessFaultInjector.from_env()
-    if injector is not None:
-        _ensure_worker_fs_faults(injector)
-        if injector.maybe_fail(key, attempt) == "garbage":
-            return GARBAGE
+    injector = _worker_injector
+    if injector is not None and injector.maybe_fail(key, attempt) == "garbage":
+        return GARBAGE
     return worker_fn(payload)
 
 
@@ -366,8 +322,8 @@ class TaskSupervisor:
         records — the cleanup hook (e.g. discard the task's partial
         snapshots so they cannot seed a future resume).
     fault_injector:
-        Optional :class:`HarnessFaultInjector` exported to workers for
-        the duration of the run (chaos testing).
+        Optional :class:`HarnessFaultInjector` each pool worker gets
+        from the pool initializer (chaos testing).
     seed:
         Seeds the deterministic backoff jitter (one stream across runs).
     obs:
@@ -437,11 +393,7 @@ class TaskSupervisor:
             if self.n_workers == 1:
                 self._run_sequential(queue, results, stats)
             else:
-                saved = self._install_fault_env()
-                try:
-                    self._run_supervised(queue, results, stats)
-                finally:
-                    self._restore_fault_env(saved)
+                self._run_supervised(queue, results, stats)
         except _SupervisorAbort as exc:
             stats.aborted = True
             stats.abort_reason = str(exc)
@@ -552,7 +504,11 @@ class TaskSupervisor:
             if task is None:
                 break
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    initializer=_init_worker,
+                    initargs=(self.fault_injector,),
+                )
                 stats.pool_starts += 1
             try:
                 fut = self._pool.submit(
@@ -751,20 +707,3 @@ class TaskSupervisor:
         if self._failure_log is not None and not self._failure_log.failed:
             self._failure_log.close()
             self._failure_log = None
-
-    # -- chaos env plumbing ----------------------------------------------------
-
-    def _install_fault_env(self) -> Optional[str]:
-        if self.fault_injector is None:
-            return None
-        saved = os.environ.get(FAULT_ENV_VAR)
-        os.environ[FAULT_ENV_VAR] = self.fault_injector.with_host_pid().to_env()
-        return saved if saved is not None else ""
-
-    def _restore_fault_env(self, saved: Optional[str]) -> None:
-        if self.fault_injector is None:
-            return
-        if saved:
-            os.environ[FAULT_ENV_VAR] = saved
-        else:
-            os.environ.pop(FAULT_ENV_VAR, None)

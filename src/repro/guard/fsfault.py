@@ -15,10 +15,11 @@ full disk, dying device or fd-exhausted host would.
 
 Determinism is the point: a given :class:`FsFaultConfig` produces the
 same fault at the same operation index every run, so a chaos test that
-kills the Nth WAL append can assert byte-exact resume behaviour.  The
-config is a plain dict-round-trippable dataclass so it can ride the
-:data:`repro.core.supervisor.FAULT_ENV_VAR` environment variable into
-worker processes (see ``HarnessFaultInjector.fs``).
+kills the Nth WAL append can assert byte-exact resume behaviour.  An
+installed shim covers one process only: campaign workers get theirs
+from ``HarnessFaultInjector.fs``, installed once per worker by the
+supervisor's pool initializer (:func:`repro.core.supervisor._init_worker`),
+which also drops any shim a forked worker inherited from its parent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import hashlib
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 #: Fault kinds the shim can inject, in threshold-stacking order.
@@ -50,7 +51,7 @@ class FsFaultConfig:
     enospc_prob / eio_prob / emfile_prob:
         Per-checked-operation probability of raising the corresponding
         :class:`OSError` (stacked thresholds over one uniform draw, so
-        they must sum to <= 1 together with ``slow_prob``).
+        each lies in [0, 1] and they sum to <= 1 with ``slow_prob``).
     slow_prob / slow_s:
         Probability of stalling the operation by ``slow_s`` seconds
         instead of failing it (a congested or thrashing device).
@@ -85,9 +86,12 @@ class FsFaultConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        total = self.enospc_prob + self.eio_prob + self.emfile_prob + self.slow_prob
-        if not 0.0 <= total <= 1.0:
-            raise ValueError(f"fs fault probabilities must sum to <= 1, got {total}")
+        probs = (self.enospc_prob, self.eio_prob, self.emfile_prob, self.slow_prob)
+        for prob in probs:
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"fs fault probabilities must lie in [0, 1], got {prob}")
+        if sum(probs) > 1.0:
+            raise ValueError(f"fs fault probabilities must sum to <= 1, got {sum(probs)}")
         if self.after_ops < 0:
             raise ValueError(f"after_ops must be >= 0, got {self.after_ops}")
         if self.max_faults is not None and self.max_faults < 0:
@@ -95,20 +99,8 @@ class FsFaultConfig:
         if self.slow_s < 0:
             raise ValueError(f"slow_s must be >= 0, got {self.slow_s}")
         if self.ops is not None and not isinstance(self.ops, tuple):
-            # JSON round-trips lists; normalize so asdict/equality behave.
+            # Normalize a list so the frozen config compares and hashes.
             object.__setattr__(self, "ops", tuple(self.ops))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["ops"] is not None:
-            d["ops"] = list(d["ops"])
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FsFaultConfig":
-        """Build from a dict, ignoring unknown keys (forward compat)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in dict(data).items() if k in known})
 
 
 class FsFaultInjector:

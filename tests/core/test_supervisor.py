@@ -1,14 +1,12 @@
 """TaskSupervisor: retries, taxonomy, pool resurrection, WAL journal."""
 
 import json
-import os
 import random
 
 import pytest
 
 from repro.core.supervisor import (
     FAILURE_KINDS,
-    FAULT_ENV_VAR,
     GARBAGE,
     HarnessFaultInjector,
     JournalError,
@@ -206,11 +204,47 @@ def test_degrades_to_sequential_when_workers_keep_dying():
     assert out.stats.pool_rebuilds >= 2
 
 
-def test_fault_env_restored_after_run():
-    assert FAULT_ENV_VAR not in os.environ
-    inj = HarnessFaultInjector(crash_prob=0.0, garbage_prob=0.0, seed=1)
-    TaskSupervisor(_double, n_workers=2, fault_injector=inj).run([("a", 1)])
-    assert FAULT_ENV_VAR not in os.environ
+def test_in_process_run_never_injects():
+    """``n_workers=1`` runs in the supervisor's own process, which never
+    holds an injector: a certain error draws nothing."""
+    inj = HarnessFaultInjector(error_prob=1.0, seed=0)
+    sup = TaskSupervisor(_double, n_workers=1, fault_injector=inj)
+    out = sup.run([(f"t{i}", i) for i in range(3)])
+    assert out.results == {f"t{i}": 2 * i for i in range(3)}
+    assert not out.stats.failures
+
+
+def _worker_fs_seed(_):
+    from repro.guard import fsfault
+
+    shim = fsfault.active()
+    return None if shim is None else shim.config.seed
+
+
+def test_workers_install_the_injectors_fs_shim():
+    from repro.guard.fsfault import FsFaultConfig
+
+    inj = HarnessFaultInjector(fs=FsFaultConfig(path_substring="nowhere", seed=11))
+    sup = TaskSupervisor(_worker_fs_seed, n_workers=2, fault_injector=inj)
+    try:
+        out = sup.run([(f"t{i}", i) for i in range(4)])
+    finally:
+        sup.close()
+    assert out.results == {f"t{i}": 11 for i in range(4)}
+
+
+def test_workers_do_not_inherit_the_hosts_fs_shim():
+    """A shim installed in the supervisor (``--chaos-enospc-after``) stays
+    there: forked workers drop it in the pool initializer."""
+    from repro.guard.fsfault import FsFaultConfig, injected
+
+    with injected(FsFaultConfig(enospc_prob=1.0, path_substring="nowhere", seed=7)):
+        sup = TaskSupervisor(_worker_fs_seed, n_workers=2)
+        try:
+            out = sup.run([(f"t{i}", i) for i in range(4)])
+        finally:
+            sup.close()
+    assert out.results == {f"t{i}": None for i in range(4)}
 
 
 # -- injector ---------------------------------------------------------------------
@@ -225,90 +259,22 @@ def test_injector_is_deterministic_per_key_and_attempt():
     assert modes  # 40 draws at 40% total fault probability must hit some
 
 
-def test_injector_env_roundtrip_and_host_pid_guard():
-    inj = HarnessFaultInjector(crash_prob=0.5, oom_prob=0.5, seed=4)
-    os.environ[FAULT_ENV_VAR] = inj.with_host_pid().to_env()
-    try:
-        loaded = HarnessFaultInjector.from_env()
-        assert loaded.crash_prob == 0.5 and loaded.host_pid == os.getpid()
-        # in the host process the injector must never fire
-        for i in range(50):
-            assert loaded.maybe_fail(f"k{i}", 1) is None
-    finally:
-        del os.environ[FAULT_ENV_VAR]
-    assert HarnessFaultInjector.from_env() is None
-
-
 def test_injector_rejects_probabilities_over_one():
     with pytest.raises(ValueError):
         HarnessFaultInjector(crash_prob=0.7, hang_prob=0.7)
 
 
-def test_from_env_tolerates_absent_empty_and_garbage_values():
-    assert FAULT_ENV_VAR not in os.environ
-    assert HarnessFaultInjector.from_env() is None
-    for raw in ("", "not json", "[1, 2]", '"a string"', "null", "3.5"):
-        os.environ[FAULT_ENV_VAR] = raw
-        try:
-            assert HarnessFaultInjector.from_env() is None, raw
-        finally:
-            del os.environ[FAULT_ENV_VAR]
-
-
-def test_from_env_ignores_unknown_keys():
-    os.environ[FAULT_ENV_VAR] = json.dumps(
-        {"crash_prob": 0.25, "seed": 7, "future_knob": True, "other": [1]}
-    )
-    try:
-        loaded = HarnessFaultInjector.from_env()
-    finally:
-        del os.environ[FAULT_ENV_VAR]
-    assert loaded is not None
-    assert loaded.crash_prob == 0.25 and loaded.seed == 7
-
-
-def test_from_env_rejects_invalid_probabilities():
-    os.environ[FAULT_ENV_VAR] = json.dumps({"crash_prob": 0.9, "hang_prob": 0.9})
-    try:
-        assert HarnessFaultInjector.from_env() is None
-    finally:
-        del os.environ[FAULT_ENV_VAR]
-
-
-def test_fs_config_round_trips_and_tolerates_garbage():
-    from repro.guard.fsfault import FsFaultConfig
-
-    fs = FsFaultConfig(eio_prob=0.5, path_substring="wal", seed=11)
-    inj = HarnessFaultInjector(fs=fs.to_dict())
-    os.environ[FAULT_ENV_VAR] = inj.to_env()
-    try:
-        loaded = HarnessFaultInjector.from_env()
-    finally:
-        del os.environ[FAULT_ENV_VAR]
-    assert loaded.fs_config() == fs
-    assert HarnessFaultInjector().fs_config() is None
-    assert HarnessFaultInjector(fs={"enospc_prob": 7.0}).fs_config() is None
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_host_pid_guard_stops_at_the_fork_boundary():
-    """``with_host_pid`` binds the *supervisor* pid: the same config that
-    is inert in the host must fire in a forked child."""
-    inj = HarnessFaultInjector(error_prob=1.0, seed=0).with_host_pid()
-    assert inj.maybe_fail("k", 1) is None  # inert in the host process
-    pid = os.fork()
-    if pid == 0:  # child: the guard no longer matches this pid
-        try:
-            fired = False
-            try:
-                inj.maybe_fail("k", 1)
-            except RuntimeError:
-                fired = True
-            os._exit(0 if fired else 1)
-        except BaseException:
-            os._exit(2)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+@pytest.mark.parametrize(
+    "probs",
+    [
+        {"crash_prob": -0.5, "hang_prob": 0.6},
+        {"garbage_prob": 1.5},
+        {"error_prob": float("nan")},
+    ],
+)
+def test_injector_rejects_each_probability_outside_unit_interval(probs):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        HarnessFaultInjector(**probs)
 
 
 # -- retry policy -----------------------------------------------------------------

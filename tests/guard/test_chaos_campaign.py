@@ -185,7 +185,7 @@ def test_worker_snapshot_enospc_degrades_without_corrupting_results(tmp_path):
 
     # Same campaign, but every worker snapshot write hits ENOSPC.
     injector = HarnessFaultInjector(
-        fs=FsFaultConfig(enospc_prob=1.0, ops=("snapshot.write",)).to_dict()
+        fs=FsFaultConfig(enospc_prob=1.0, ops=("snapshot.write",))
     )
     camp, chaos_report, _ = run_calm(
         tmp_path,
@@ -199,19 +199,6 @@ def test_worker_snapshot_enospc_degrades_without_corrupting_results(tmp_path):
     )
     assert not camp.aborted
     assert chaos_report.to_json() == calm_report.to_json()
-
-
-def test_worker_fs_config_survives_env_round_trip():
-    fs = FsFaultConfig(eio_prob=0.25, path_substring="wal", seed=3)
-    injector = HarnessFaultInjector(crash_prob=0.1, fs=fs.to_dict())
-    os.environ["REPRO_HARNESS_FAULTS"] = injector.with_host_pid().to_env()
-    try:
-        parsed = HarnessFaultInjector.from_env()
-    finally:
-        del os.environ["REPRO_HARNESS_FAULTS"]
-    assert parsed is not None
-    assert parsed.fs_config() == fs
-    assert parsed.host_pid == os.getpid()
 
 
 # -- sustained pressure: the ladder drives the campaign --------------------------

@@ -51,25 +51,17 @@ def test_config_normalizes_ops_list_to_tuple():
     assert cfg.ops == ("wal.append",)
 
 
-def test_config_dict_round_trip():
-    cfg = FsFaultConfig(
-        enospc_prob=0.25,
-        slow_prob=0.1,
-        slow_s=0.5,
-        after_ops=3,
-        max_faults=7,
-        path_substring="wal",
-        ops=("wal.append", "snapshot.write"),
-        seed=42,
-    )
-    assert FsFaultConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_from_dict_ignores_unknown_keys():
-    cfg = FsFaultConfig.from_dict(
-        {"enospc_prob": 1.0, "future_knob": "whatever", "other": 1}
-    )
-    assert cfg.enospc_prob == 1.0
+@pytest.mark.parametrize(
+    "probs",
+    [
+        {"enospc_prob": -1.0, "eio_prob": 1.5},
+        {"slow_prob": -0.1},
+        {"emfile_prob": float("nan")},
+    ],
+)
+def test_config_rejects_each_probability_outside_unit_interval(probs):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        FsFaultConfig(**probs)
 
 
 # -- deterministic draws --------------------------------------------------------

@@ -113,7 +113,13 @@ SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         name="snapshot",
         argv="--reps 2 --mtbf 16 --periods 5 --timesteps 10",
-        variants=("--sim-snapshot-dir ci-snaps --sim-snapshot-every 500",),
+        variants=(
+            "--sim-snapshot-dir ci-snaps --sim-snapshot-every 500",
+            # every worker snapshot write fails ENOSPC: snapshots degrade,
+            # the report does not move
+            "--workers 2 --sim-snapshot-dir ci-snaps --sim-snapshot-every 50"
+            " --chaos-enospc 1 --chaos-fs-path ci-snaps",
+        ),
     ),
     # the pinned all-kinds campaign, killed mid-sweep, resumes to the
     # committed golden report

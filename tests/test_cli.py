@@ -464,6 +464,10 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--guard", "--guard-max-fds", "-3"],
         ["--guard", "--guard-poll", "nan"],
         ["--guard", "--guard-poll", "inf"],
+        ["--chaos-crash", "0.7", "--chaos-hang", "0.7"],
+        ["--chaos-crash", "-0.5", "--chaos-hang", "0.6"],
+        ["--chaos-enospc", "-1", "--chaos-eio", "1.5"],
+        ["--chaos-enospc-after", "-1"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
