@@ -26,8 +26,11 @@ TIMESTEPS = 20
 
 
 def main() -> None:
-    journal = os.path.join(tempfile.mkdtemp(prefix="repro-wal-"), "wal.jsonl")
+    with tempfile.TemporaryDirectory(prefix="repro-wal-") as workdir:
+        demo(os.path.join(workdir, "wal.jsonl"))
 
+
+def demo(journal: str) -> None:
     print("== Chaos run: 20% of worker attempts crash or hang ==")
     camp = ResilienceCampaign(
         reps=8,
@@ -59,7 +62,6 @@ def main() -> None:
 
     print("\n== Partial report straight from the journal ==")
     print(ResilienceCampaign.report_from_journal(journal).format())
-    print(f"\njournal: {journal}")
 
 
 if __name__ == "__main__":

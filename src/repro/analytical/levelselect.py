@@ -68,11 +68,6 @@ class LevelChoice:
     interval: float
     waste: float
 
-    @property
-    def efficiency(self) -> float:
-        """Useful-work fraction, ``1 / (1 + waste)``."""
-        return 1.0 / (1.0 + self.waste)
-
 
 def evaluate_level(
     profile: LevelProfile,

@@ -90,7 +90,3 @@ class SpareNodeModel:
             raise ValueError(f"runtime must be > 0, got {runtime}")
         failures = runtime * self.failure_rate
         return failures * self.expected_stall_per_failure()
-
-    def effective_runtime(self, runtime: float) -> float:
-        """Job runtime inflated by expected failure handling."""
-        return runtime + self.expected_overhead(runtime)

@@ -80,11 +80,6 @@ class CMTBoneKernel:
             rms = self.step()
         return rms
 
-    def flops_per_step(self) -> int:
-        """Leading-order multiply-adds: 3 axes x elements x n^4 x 2."""
-        n = self.elem_size
-        return 3 * self.elements * n**4 * 2
-
     def state_bytes(self) -> int:
         return self.u.nbytes
 

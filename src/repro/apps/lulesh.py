@@ -145,14 +145,6 @@ class MiniLulesh:
             self.step()
         return self.t
 
-    # -- diagnostics -------------------------------------------------------------
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.rho) * self.dx**3)
-
-    def max_velocity(self) -> float:
-        return float(np.abs(self.u).max())
-
     # -- checkpointing ------------------------------------------------------------
 
     def serialize(self) -> bytes:

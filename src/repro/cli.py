@@ -72,7 +72,7 @@ def _parse_fault_mix(pairs: "list[str]") -> "dict[str, float]":
 
 def _load_fault_config(path: str) -> dict:
     """Read a structured fault-config file into flat campaign kwargs."""
-    from repro.faults.registry import campaign_kwargs_from_config
+    from repro.faults.domains import campaign_kwargs_from_config
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,11 +110,11 @@ def _campaign_spec_kwargs(args) -> dict:
 
 
 def _format_faults_list() -> str:
-    """`repro faults list`: the registry's taxonomy, one domain per block."""
+    """`repro faults list`: the fault taxonomy, one domain per block."""
     from dataclasses import fields
 
     from repro.core.campaign import CampaignSpec
-    from repro.faults.registry import FAULT_KINDS, REGISTRY
+    from repro.faults.domains import DOMAINS, FAULT_KINDS
 
     defaults = {f.name: f.default for f in fields(CampaignSpec)}
     lines = [
@@ -123,17 +123,18 @@ def _format_faults_list() -> str:
         + ")",
         "",
     ]
-    for info in REGISTRY:
-        kinds = " ".join(info.kinds) if info.kinds else "(no injectable kinds)"
-        lines.append(f"{info.name:<10s} {kinds}")
-        lines.append(f"    {info.summary}")
-        if info.config:
+    for cls in DOMAINS:
+        kinds = " ".join(cls.kinds) if cls.kinds else "(no injectable kinds)"
+        lines.append(f"{cls.name:<10s} {kinds}")
+        lines.append(f"    {cls.summary}")
+        if cls.config:
             knobs = ", ".join(
-                f"{key}={defaults[dest]!r}" for key, dest in info.config.items()
+                f"{key}={defaults[dest]!r}" for key, dest in cls.config.items()
             )
             lines.append(f"    config: {knobs}")
-        if info.hooks:
-            lines.append(f"    hooks:  {', '.join(info.hooks)}")
+        hooks = cls.hooks()
+        if hooks:
+            lines.append(f"    hooks:  {', '.join(hooks)}")
         lines.append("")
     lines.append(
         "configure per-domain fields via `repro campaign --fault-config "
@@ -425,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     faults = sub.add_parser(
-        "faults", help="introspect the pluggable fault-domain registry"
+        "faults", help="introspect the pluggable fault domains"
     )
     faults_sub = faults.add_subparsers(dest="faults_command", required=True)
     faults_sub.add_parser(
@@ -565,17 +566,17 @@ def _run_campaign(args) -> tuple[str, int]:
     )
     if obs_opts.enabled:
         obs = CampaignObs(obs_opts)
+    options = dict(
+        n_workers=args.workers,
+        retry=retry,
+        fault_injector=injector,
+        obs=obs,
+        guard=guard,
+        flight_dir=args.flight_dir,
+        **snapshot_kwargs,
+    )
     if args.resume:
-        camp = ResilienceCampaign.resume(
-            args.journal,
-            n_workers=args.workers,
-            retry=retry,
-            fault_injector=injector,
-            obs=obs,
-            guard=guard,
-            flight_dir=args.flight_dir,
-            **snapshot_kwargs,
-        )
+        camp = ResilienceCampaign.resume(args.journal, **options)
     else:
         policy = (
             RecoveryPolicy.legacy() if args.legacy_policy else RecoveryPolicy()
@@ -584,14 +585,8 @@ def _run_campaign(args) -> tuple[str, int]:
             reps=args.reps,
             base_seed=args.seed,
             policy=policy,
-            n_workers=args.workers,
-            retry=retry,
             journal_path=args.journal,
-            fault_injector=injector,
-            obs=obs,
-            guard=guard,
-            flight_dir=args.flight_dir,
-            **snapshot_kwargs,
+            **options,
         )
     try:
         report = camp.run_specs(grid)

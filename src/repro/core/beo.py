@@ -208,7 +208,3 @@ class ArchBEO:
     def node_of_rank(self, rank: int, ranks_per_node: Optional[int] = None) -> int:
         rpn = ranks_per_node or self.cores_per_node
         return rank // rpn
-
-    def nodes_for(self, nranks: int, ranks_per_node: Optional[int] = None) -> int:
-        rpn = ranks_per_node or self.cores_per_node
-        return -(-nranks // rpn)

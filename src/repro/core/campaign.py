@@ -96,8 +96,8 @@ class CampaignSpec:
     # -- per-domain fault knobs --------------------------------------------------------
     # These fields are the one definition of each knob and its default:
     # the ``campaign`` flags default to None and fall through to them,
-    # and ``repro.faults.registry`` maps the ``--fault-config`` file
-    # layout onto them.
+    # and each fault domain's ``config`` map (``repro.faults.domains``)
+    # maps its ``--fault-config`` file section onto them.
     verify_period: int = 0          #: ABFT verification cadence (0 = off)
     verify_cost_s: float = 0.01     #: modeled verification-kernel cost
     sdc_coverage: float = 0.95      #: P(SDC strike is ABFT-detectable)
@@ -898,20 +898,11 @@ class ResilienceCampaign:
             guard.on_stage = self._on_stage
 
     @classmethod
-    def resume(
-        cls,
-        journal_path: str,
-        n_workers: int = 1,
-        retry: Optional[RetryPolicy] = None,
-        fault_injector: Optional[HarnessFaultInjector] = None,
-        sim_snapshot_dir: Optional[str] = None,
-        sim_snapshot_every: Optional[int] = None,
-        obs=None,
-        guard=None,
-        flight_dir: Optional[str] = None,
-    ) -> "ResilienceCampaign":
+    def resume(cls, journal_path: str, **options) -> "ResilienceCampaign":
         """Rebuild a campaign from a journal's header (reps/seed/policy).
 
+        *options* are the other ``__init__`` parameters (workers, retry,
+        harness faults, snapshots, obs, guard, flight directory).
         Calling :meth:`run_grid` with the original grid then recomputes
         only the replicas the journal is missing — and, with the
         ``sim_snapshot_*`` options, resumes each unfinished replica from
@@ -922,15 +913,8 @@ class ResilienceCampaign:
             reps=meta["reps"],
             base_seed=meta["base_seed"],
             policy=RecoveryPolicy(**meta["policy"]),
-            n_workers=n_workers,
-            retry=retry,
             journal_path=journal_path,
-            fault_injector=fault_injector,
-            sim_snapshot_dir=sim_snapshot_dir,
-            sim_snapshot_every=sim_snapshot_every,
-            obs=obs,
-            guard=guard,
-            flight_dir=flight_dir,
+            **options,
         )
 
     @staticmethod

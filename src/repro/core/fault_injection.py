@@ -49,17 +49,14 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
-from repro.faults.registry import FAULT_KINDS as _REGISTRY_KINDS
+# FAULT_KINDS (every kind, in canonical draw order) is defined next to
+# the fault domains that own the kinds.  Its order fixes the
+# cumulative-weight walk of FaultModel.draw_kind, so new kinds append
+# at the END and existing mixes keep their draw streams.
+from repro.faults.domains import FAULT_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-
-#: every fault kind the taxonomy knows, in canonical draw order — owned
-#: by the fault-domain registry (``repro.faults.registry``): the order
-#: fixes the cumulative-weight walk of :meth:`FaultModel.draw_kind`,
-#: keeping draws deterministic under any input ordering of the mapping;
-#: new kinds append at the END so existing mixes keep their draw streams
-FAULT_KINDS = _REGISTRY_KINDS
 
 #: how a folded-in network failure rate splits across the network kinds:
 #: mostly link failures, occasional switch deaths, a steady trickle of
@@ -489,12 +486,6 @@ class FaultEvent:
     slowdown: float = 1.0
     detected_time: Optional[float] = None
     outcome: str = ""
-
-    @property
-    def detection_latency_s(self) -> Optional[float]:
-        if self.detected_time is None:
-            return None
-        return self.detected_time - self.time
 
     def to_list(self) -> list:
         """JSON-friendly row (stable field order, journal/report safe)."""

@@ -34,13 +34,13 @@ from typing import Optional
 
 from repro.analytical.youngdaly import expected_waste, two_error_waste_fraction
 from repro.core.fault_injection import FAULT_ROW_FIELDS
-from repro.faults.registry import FAILSTOP_KINDS, domain_for_kind
+from repro.faults.domains import FAILSTOP_KINDS, StragglerDomain
 
 #: FAILSTOP_KINDS (the kinds whose episodes the Young/Daly fail-stop
-#: model prices) comes from the fault-domain registry: forensics
-#: classifies kinds through ``domain_for_kind`` rather than its own
-#: copy of the taxonomy, so a new domain automatically flows through
-#: attribution.
+#: model prices) and the straggler kinds come from the fault domains
+#: that own them, not from a copy of the taxonomy here.  A kind no
+#: domain owns (a journal written by a build with extra kinds) still
+#: gets a chain, with no straggler share.
 
 #: outlier threshold: |z| of a replica's waste vs its point's distribution
 OUTLIER_Z = 2.0
@@ -119,7 +119,7 @@ def reconstruct_chains(result: dict) -> list[FaultChain]:
     }
     strag_by_node: dict[int, list[int]] = {}
     for f in faults:
-        if domain_for_kind(f["kind"], None) == "straggler":
+        if f["kind"] in StragglerDomain.kinds:
             strag_by_node.setdefault(int(f["node"]), []).append(f["id"])
     chains = []
     for f in faults:
@@ -145,7 +145,7 @@ def reconstruct_chains(result: dict) -> list[FaultChain]:
                     chain.outcome = ep["outcome"]
             else:
                 chain.contributes_to = ep["id"]
-        if domain_for_kind(f["kind"], None) == "straggler":
+        if f["kind"] in StragglerDomain.kinds:
             siblings = strag_by_node[int(f["node"])]
             excess = excess_by_node.get(int(f["node"]), 0.0)
             chain.waste["straggler_s"] = excess / len(siblings)

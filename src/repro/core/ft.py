@@ -45,10 +45,6 @@ class FTScenario:
                 f"verify_period must be >= 0, got {self.verify_period}"
             )
 
-    @property
-    def is_ft_aware(self) -> bool:
-        return bool(self.levels)
-
     def checkpoints_due(self, timestep: int) -> list[int]:
         """Levels that checkpoint at the end of 1-based *timestep*."""
         if timestep < 1:
@@ -60,14 +56,6 @@ class FTScenario:
         if timestep < 1:
             raise ValueError(f"timestep must be >= 1, got {timestep}")
         return self.verify_period > 0 and timestep % self.verify_period == 0
-
-    def checkpoint_count(self, total_timesteps: int, level: int) -> int:
-        """How many instances of *level* occur in a run of
-        *total_timesteps*."""
-        for lvl, period in self.levels:
-            if lvl == level:
-                return total_timesteps // period
-        return 0
 
     def kernel_for(self, level: int) -> str:
         """Name of the performance model for a level's checkpoint kernel."""

@@ -101,8 +101,7 @@ from repro.des.engine import Engine
 from repro.des.event import PRIORITY_NORMAL, Event
 from repro.des.snapshot import AutoSnapshotPolicy, Snapshot, SnapshotError
 from repro.faults.context import RecoveryContext
-from repro.faults.domains import FaultDomain, NetworkDomain, SdcDomain, build_domains
-from repro.faults.registry import MIN_LEVEL_FOR_KIND
+from repro.faults.domains import DOMAINS, NetworkDomain, SdcDomain
 
 
 @dataclass
@@ -940,12 +939,12 @@ class BESSTSimulator:
         self._flightrec = None
         # Pluggable fault machinery: the shared recovery context owns the
         # lifecycle (ladder walk, episodes, waste buckets, metric/forensic
-        # plumbing); one domain object per registered fault family owns
+        # plumbing); one domain object per fault family (DOMAINS) owns
         # the kind-specific state and behaviour (repro.faults).  Named RNG
         # streams are keyed by name, not creation order, so the domains'
         # draw streams are identical to the pre-refactor monolith.
         self._ctx = RecoveryContext(self)
-        self._domains = build_domains(self, self._ctx)
+        self._domains = tuple(cls(self, self._ctx) for cls in DOMAINS)
         self._ctx.domains = self._domains
         self._domain_by_kind = {
             kind: domain for domain in self._domains for kind in domain.kinds
@@ -993,10 +992,6 @@ class BESSTSimulator:
         self._finished += 1
         if self._finished == self.nranks and self.fault_injector is not None:
             self.fault_injector.detach()
-
-    #: per-kind minimum recovery checkpoint level (see
-    #: ``repro.faults.registry`` for the rationale table)
-    MIN_LEVEL_FOR_KIND = MIN_LEVEL_FOR_KIND
 
     @property
     def wasted_time(self) -> float:
@@ -1047,17 +1042,16 @@ class BESSTSimulator:
     # -- fault lifecycle ---------------------------------------------------------------
     #
     # The lifecycle itself lives in repro.faults (RecoveryContext + one
-    # domain per fault family).  What remains here is the registry
+    # domain per fault family).  What remains here is the kind
     # dispatch in inject_fault plus the commit/verify hooks the rank
     # components call (batch pricing reads the straggler and network
     # domains directly).
 
     def _defining(self, hook: str) -> list:
-        """The domains whose class overrides :class:`FaultDomain`'s no-op
-        *hook*, in registry order.  Callers look the method up per call,
-        so a patch of the class still sees every call."""
-        default = getattr(FaultDomain, hook)
-        return [d for d in self._domains if getattr(type(d), hook) is not default]
+        """The domains whose class overrides the no-op *hook*, in
+        ``DOMAINS`` order.  Callers look the method up per call, so a
+        patch of the class still sees every call."""
+        return [d for d in self._domains if hook in type(d).hooks()]
 
     def _on_checkpoint_commit(self, rank: "_Rank", seq: int) -> bool:
         for domain in self._commit_domains:
@@ -1081,7 +1075,7 @@ class BESSTSimulator:
         """Coordinated, level-aware, lifecycle-realistic failure handling.
 
         The simulator core only dispatches: the kind is resolved to its
-        registered :class:`~repro.faults.domains.FaultDomain`, which owns
+        owning :class:`~repro.faults.domains.FaultDomain`, which owns
         the semantics (see ``repro.faults``).  Fail-stop kinds
         (``software``/``node``/``burst``) start (or re-enter, for nested
         faults) a recovery episode walking the escalation ladder; ``sdc``
@@ -1213,7 +1207,7 @@ class BESSTSimulator:
                 )
         tl0 = self._ranks[0].timeline
         # Lifecycle counters come from the recovery context; each fault
-        # domain contributes its result block (in registry order, which
+        # domain contributes its result block (in ``DOMAINS`` order, which
         # also fixes the order of end-of-run metric emission).
         fields = ctx.result_fields()
         for domain in self._domains:

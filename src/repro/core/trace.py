@@ -93,11 +93,6 @@ def to_chrome_trace(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def save_chrome_trace(result: SimulationResult, path) -> None:
-    """Write the Chrome trace JSON to *path*."""
-    Path(path).write_text(json.dumps(to_chrome_trace(result)))
-
-
 # -- observability span export -----------------------------------------------
 
 

@@ -272,10 +272,6 @@ class SnapshotStore:
             "failed integrity checks.",
         ).inc()
 
-    def load_latest(self) -> Optional[Snapshot]:
-        path = self.latest()
-        return Snapshot.load(path) if path is not None else None
-
     def clear(self) -> None:
         """Delete every snapshot in the store (e.g. after completion)."""
         for path in self.paths():

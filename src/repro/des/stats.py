@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.des.engine import Engine
 
@@ -54,17 +54,8 @@ class EventCounter:
     def by_destination(self) -> Counter:
         return Counter(dst for _, _, _, _, dst in self.engine.trace_log)
 
-    def by_pair(self) -> Counter:
-        return Counter(
-            (src, dst) for _, _, _, src, dst in self.engine.trace_log
-        )
-
     def total(self) -> int:
         return len(self.engine.trace_log)
-
-    def busiest(self, n: int = 5) -> list[tuple[Optional[str], int]]:
-        """The *n* components receiving the most events."""
-        return self.by_destination().most_common(n)
 
 
 class UtilizationTracker:

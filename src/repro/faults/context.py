@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.event import Event
-from repro.faults.registry import KIND_SEVERITY, MIN_LEVEL_FOR_KIND
+from repro.faults.domains import KIND_SEVERITY, MIN_LEVEL_FOR_KIND
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import BESSTSimulator
@@ -306,8 +306,6 @@ class RecoveryContext:
             self.requeue_or_abort()
             return
         self.recovery_attempts += 1
-        for domain in self.domains:
-            domain.on_recovery_attempt(episode)
         seq = episode.ladder[min(episode.rung, len(episode.ladder) - 1)]
         delay = sim.archbeo.recovery_time_s + self.policy.retry_extra_delay(
             episode.attempts

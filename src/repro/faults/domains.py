@@ -1,18 +1,31 @@
-"""Concrete fault domains: the pluggable behaviour behind each kind.
+"""Fault domains: one class per fault family, and the taxonomy they share.
 
-Each :class:`FaultDomain` owns the state and mechanics of one fault
-family (fail-stop, SDC, straggler, network, torn-checkpoint) and talks
+Each :class:`FaultDomain` subclass is the one definition of its domain.
+Its class attributes name it, list the fault kinds it owns, summarise
+it, and map its section of a ``--fault-config`` file onto
+:class:`~repro.core.campaign.CampaignSpec` fields (which hold the
+defaults).  Its methods own the state and mechanics of the family
+(fail-stop, SDC, straggler, network, torn-checkpoint).  A domain talks
 to the rest of the system only through the shared
-:class:`~repro.faults.context.RecoveryContext` — never to another
-domain directly.  The bodies are moved verbatim from the pre-refactor
-``BESSTSimulator`` ``_apply_*``/``_sdc_*``/``_net_*``/``_straggler_*``
-method families; every RNG draw site and its order is unchanged, so
-identical seeds produce byte-identical output across the refactor.
+:class:`~repro.faults.context.RecoveryContext`, never to another domain
+directly.  :data:`DOMAINS` lists the classes; the simulator builds one
+object of each per run, and ``repro faults list`` prints them, with the
+hooks each class overrides.
 
-Adding a new domain means: subclass :class:`FaultDomain`, register its
-metadata in :mod:`repro.faults.registry` (APPENDING new kinds to
-``FAULT_KINDS``), and add it to :func:`build_domains` — the simulator
-core needs no edits (see README, "Adding a fault domain").
+Draw-stream stability
+---------------------
+``FAULT_KINDS`` is the *cumulative-weight walk order* of
+:meth:`repro.core.fault_injection.FaultModel.draw_kind`: a single
+uniform draw is compared against the running sum of per-kind weights in
+exactly this tuple order.  The order is therefore a frozen contract:
+reordering it (or inserting a kind anywhere but the end) silently
+reshuffles which kinds historical seeds produce.  New kinds must be
+APPENDED, and an import-time check asserts that every kind is owned by
+exactly one class of :data:`DOMAINS`.
+
+Adding a domain means: append its kinds to ``FAULT_KINDS``, subclass
+:class:`FaultDomain`, and add the class to :data:`DOMAINS`; the
+simulator core needs no edits (see README, "Adding a fault domain").
 """
 
 from __future__ import annotations
@@ -20,12 +33,53 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.des.event import Event
-from repro.faults.registry import REGISTRY, kinds_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.fault_injection import FaultDetail, FaultEvent
     from repro.core.simulator import BESSTSimulator, _Rank
-    from repro.faults.context import RecoveryContext, RecoveryEpisode
+    from repro.faults.context import RecoveryContext
+
+#: canonical fault-kind order: the FaultModel draw-stream contract
+#: (append-only; see module docstring)
+FAULT_KINDS: tuple[str, ...] = (
+    "software",
+    "node",
+    "sdc",
+    "straggler",
+    "burst",
+    "link",
+    "switch",
+    "netdeg",
+)
+
+#: fault-kind severity ordering for nested-fault merging (network kinds
+#: leave node storage intact, so they rank with the mild kinds)
+KIND_SEVERITY: dict[str, int] = {
+    "software": 0,
+    "netdeg": 0,
+    "sdc": 1,
+    "link": 1,
+    "switch": 1,
+    "node": 2,
+    "burst": 3,
+}
+
+#: minimum checkpoint level whose protection domain covers each fault
+#: kind: software/transient crashes leave node storage intact (any
+#: level), node losses and correlated bursts need partner/RS/PFS
+#: protection (Table I); detected SDC restores from any level: the
+#: data on disk is intact, it just has to be a *clean* version.
+#: Network faults never touch storage, so any level recovers once
+#: connectivity is back.
+MIN_LEVEL_FOR_KIND: dict[str, int] = {
+    "software": 1,
+    "sdc": 1,
+    "node": 2,
+    "burst": 2,
+    "link": 1,
+    "switch": 1,
+    "netdeg": 1,
+}
 
 
 class FaultDomain:
@@ -37,20 +91,42 @@ class FaultDomain:
     caring which domains participate.
     """
 
-    #: registry name (must match a ``DomainInfo`` entry)
+    #: domain name: the ``repro faults list`` heading and the
+    #: ``--fault-config`` section
     name: str = ""
     #: fault kinds this domain owns (canonical order)
     kinds: tuple[str, ...] = ()
+    #: one-line description for ``repro faults list``
+    summary: str = ""
+    #: this domain's section of a fault-config file: file field -> the
+    #: ``CampaignSpec`` field it sets (which holds the default)
+    config: dict[str, str] = {}
+    #: the lifecycle hooks, in the order ``repro faults list`` prints them
+    HOOKS = (
+        "on_checkpoint_commit",
+        "on_verify_point",
+        "on_failstop_strike",
+        "on_rewind",
+        "blocks_resume",
+        "on_resume_blocked",
+        "reset",
+    )
 
     def __init__(self, sim: "BESSTSimulator", ctx: "RecoveryContext") -> None:
         self.sim = sim
         self.ctx = ctx
 
-    # -- dispatch ----------------------------------------------------------------------
+    @classmethod
+    def hooks(cls) -> tuple[str, ...]:
+        """The lifecycle hooks this class overrides.  The attributes are
+        read on each call, so a patch of either class is seen."""
+        return tuple(
+            hook
+            for hook in cls.HOOKS
+            if getattr(cls, hook) is not getattr(FaultDomain, hook)
+        )
 
-    def wants(self, kind: str) -> bool:
-        """True when this domain owns *kind*."""
-        return kind in self.kinds
+    # -- dispatch ----------------------------------------------------------------------
 
     def default_detail(self, kind: str, node: int) -> FaultDetail:
         """Kind-specific parameters applied when ``inject_fault`` is
@@ -82,9 +158,6 @@ class FaultDomain:
         hook started a recovery episode."""
         return False
 
-    def on_recovery_attempt(self, episode: "RecoveryEpisode") -> None:
-        """One recovery attempt is starting (observational)."""
-
     def on_failstop_strike(self, now: float, node: int) -> None:
         """A fail-stop fault struck *node* at *now*."""
 
@@ -108,25 +181,18 @@ class FaultDomain:
         record unchanged."""
         return {}
 
-    def metrics_gauges(self) -> dict:
-        """Current gauge values: ``name -> (help, value)``."""
-        return {}
-
-    def push_gauges(self) -> None:
-        """Publish :meth:`metrics_gauges` into the obs registry."""
-        for name, (help, value) in self.metrics_gauges().items():
-            self.ctx.emit_gauge(name, help, value)
-
 
 class FailStopDomain(FaultDomain):
     """Fail-stop crashes: software faults, node losses, correlated bursts.
 
-    The strike broadcast lets the torn-checkpoint domain invalidate
-    in-progress writes before the context enters the escalation ladder.
+    The context's strike broadcast lets the torn-checkpoint domain
+    invalidate in-progress writes before it enters the escalation ladder.
     """
 
     name = "failstop"
-    kinds = kinds_of("failstop")
+    kinds = ("software", "node", "burst")
+    summary = "Fail-stop crashes: coordinated rollback along the escalation ladder."
+    config = {"burst_size": "burst_size"}
 
     def apply(self, kind, node, detail, event, fid=-1):
         now = self.sim.engine.now
@@ -139,7 +205,7 @@ class TornCheckpointDomain(FaultDomain):
     """Torn-checkpoint semantics, triggered by fail-stop strikes."""
 
     name = "torn"
-    kinds = ()
+    summary = "Torn-checkpoint invalidation on fail-stop strikes."
 
     def on_failstop_strike(self, now: float, node: int) -> None:
         """Invalidate checkpoints torn by a fault at *now*.
@@ -172,7 +238,9 @@ class SdcDomain(FaultDomain):
     """Silent data corruption: latent strikes and their detection points."""
 
     name = "sdc"
-    kinds = kinds_of("sdc")
+    kinds = ("sdc",)
+    summary = "Silent data corruption: latent strikes, ABFT/validation detection."
+    config = {"coverage": "sdc_coverage", "correct_prob": "sdc_correct_prob"}
     #: the ``sdc`` result block's keys in report order, with typed zeros
     #: (the campaign sums replica blocks starting from it)
     ZERO_BLOCK = {
@@ -368,7 +436,9 @@ class StragglerDomain(FaultDomain):
     """Degraded compute clocks with token-guarded repairs."""
 
     name = "straggler"
-    kinds = kinds_of("straggler")
+    kinds = ("straggler",)
+    summary = "Degraded compute clocks with token-guarded repairs."
+    config = {"slowdown": "straggler_slowdown", "repair_s": "straggler_repair_s"}
 
     def __init__(self, sim, ctx):
         super().__init__(sim, ctx)
@@ -434,7 +504,16 @@ class NetworkDomain(FaultDomain):
     """Network fault family: health-overlay mutations and partitions."""
 
     name = "network"
-    kinds = kinds_of("network")
+    kinds = ("link", "switch", "netdeg")
+    summary = "Topology health overlay: failed/degraded links, partitions."
+    config = {
+        "link_mtbf_s": "net_link_mtbf_s",
+        "repair_s": "net_repair_s",
+        "degrade_factor": "net_degrade_factor",
+        "loss_prob": "net_loss_prob",
+        "topology": "net_topology",
+        "fault_split": "net_fault_split",
+    }
     #: the ``net`` result block's keys in report order, with typed zeros
     #: (the campaign sums replica blocks starting from it)
     ZERO_BLOCK = {
@@ -557,7 +636,7 @@ class NetworkDomain(FaultDomain):
                 sim.engine.schedule(
                     detail.repair_s, self._repaired, payload=(victim, token)
                 )
-        self.push_gauges()
+        self._push_gauges()
         # Degradations never partition; hard failures may cut the
         # participant set in two — then the job cannot rendezvous and
         # the existing escalation ladder takes over.
@@ -583,7 +662,7 @@ class NetworkDomain(FaultDomain):
         self.repairs += 1
         if h.healthy:
             self.active = False
-        self.push_gauges()
+        self._push_gauges()
 
     def blocks_resume(self) -> bool:
         """True while the participant set cannot rendezvous (resuming
@@ -652,27 +731,22 @@ class NetworkDomain(FaultDomain):
         h = self.sim.archbeo.topology._health
         if h is not None and not h.healthy:
             h.reset()
-            self.push_gauges()
+            self._push_gauges()
 
-    def metrics_gauges(self) -> dict:
+    def _push_gauges(self) -> None:
+        """Publish the overlay's current gauge values into the obs registry."""
         h = self.sim.archbeo.topology._health
         if h is None:
-            return {}
+            return
         _stretch, derate, _loss = h.aggregate_penalty()
-        return {
-            "net_links_failed": (
-                "Links currently out of service.",
-                float(len(h.failed_links)),
-            ),
-            "net_links_degraded": (
-                "Links currently de-rated or lossy.",
-                float(len(h.degraded)),
-            ),
-            "net_bandwidth_derate": (
-                "Worst active bandwidth de-rate factor (1 = full speed).",
-                float(derate),
-            ),
-        }
+        emit = self.ctx.emit_gauge
+        emit("net_links_failed", "Links currently out of service.", float(len(h.failed_links)))
+        emit("net_links_degraded", "Links currently de-rated or lossy.", float(len(h.degraded)))
+        emit(
+            "net_bandwidth_derate",
+            "Worst active bandwidth de-rate factor (1 = full speed).",
+            float(derate),
+        )
 
     def result_fields(self) -> dict:
         # LogGP reroute/retransmit accounting: the model may be shared
@@ -710,22 +784,110 @@ class NetworkDomain(FaultDomain):
         }
 
 
-#: registry name -> implementation class (one per ``DomainInfo`` entry)
-DOMAIN_CLASSES: dict[str, type] = {
-    cls.name: cls
-    for cls in (
-        FailStopDomain,
-        SdcDomain,
-        StragglerDomain,
-        NetworkDomain,
-        TornCheckpointDomain,
-    )
-}
+#: every fault domain, in ``repro faults list`` order; the simulator
+#: builds one object of each per run
+DOMAINS: tuple[type[FaultDomain], ...] = (
+    FailStopDomain,
+    SdcDomain,
+    StragglerDomain,
+    NetworkDomain,
+    TornCheckpointDomain,
+)
+
+#: kinds whose recovery semantics are fail-stop (coordinated rollback)
+FAILSTOP_KINDS: frozenset = frozenset(FailStopDomain.kinds)
 
 
-def build_domains(sim, ctx) -> tuple:
-    """Instantiate every registered domain in registry order."""
-    missing = [info.name for info in REGISTRY if info.name not in DOMAIN_CLASSES]
-    if missing:
-        raise RuntimeError(f"registered fault domains without implementation: {missing}")
-    return tuple(DOMAIN_CLASSES[info.name](sim, ctx) for info in REGISTRY)
+def _check_domains() -> None:
+    seen: dict[str, str] = {}
+    for cls in DOMAINS:
+        for kind in cls.kinds:
+            if kind in seen:
+                raise AssertionError(
+                    f"fault kind {kind!r} claimed by both {seen[kind]!r} "
+                    f"and {cls.name!r}"
+                )
+            seen[kind] = cls.name
+    missing = [k for k in FAULT_KINDS if k not in seen]
+    extra = [k for k in seen if k not in FAULT_KINDS]
+    if missing or extra:
+        raise AssertionError(
+            f"domain/kind mismatch: missing={missing} extra={extra}"
+        )
+
+
+_check_domains()
+
+
+# -- structured fault-config files -----------------------------------------------------
+
+
+def campaign_kwargs_from_config(cfg: dict) -> dict:
+    """Map a structured fault-config document onto flat campaign kwargs.
+
+    The document has one section per domain plus an optional top-level
+    ``"mix"`` (kind -> weight).  Unknown sections or fields raise
+    ``ValueError`` naming the offender: a config file that silently
+    ignored a typo would be worse than no file.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"fault config must be a JSON object, got {type(cfg).__name__}")
+    by_name = {cls.name: cls for cls in DOMAINS}
+    out: dict = {}
+    for section, value in cfg.items():
+        if section == "mix":
+            if not isinstance(value, dict):
+                raise ValueError("fault config 'mix' must map kind -> weight")
+            unknown = sorted(set(value) - set(FAULT_KINDS))
+            if unknown:
+                raise ValueError(f"unknown fault kinds in mix: {unknown}")
+            out["fault_mix"] = {
+                str(k): _config_number(f"mix.{k}", v) for k, v in value.items()
+            }
+            continue
+        if section not in by_name:
+            raise ValueError(
+                f"unknown fault-config section {section!r}; expected one of "
+                f"{sorted([*by_name, 'mix'])}"
+            )
+        field_map = by_name[section].config
+        if not isinstance(value, dict):
+            raise ValueError(f"fault-config section {section!r} must be an object")
+        for key, raw in value.items():
+            dest = field_map.get(key)
+            if dest is None:
+                raise ValueError(
+                    f"unknown field {key!r} in fault-config section {section!r}; "
+                    f"expected one of {sorted(field_map)}"
+                )
+            if dest == "net_fault_split":
+                if not isinstance(raw, dict):
+                    raise ValueError("network.fault_split must map kind -> share")
+                raw = tuple(sorted(
+                    (str(k), _config_number(f"{section}.{key}.{k}", v))
+                    for k, v in raw.items()
+                ))
+            elif dest == "net_topology":
+                raw = str(raw)
+            else:
+                raw = _config_number(
+                    f"{section}.{key}", raw, integral=dest == "burst_size"
+                )
+            out[dest] = raw
+    return out
+
+
+def _config_number(where: str, raw, integral: bool = False):
+    """A fault-config number as its ``CampaignSpec`` type.
+
+    JSON ``1`` and ``1.0`` build byte-identical spec records.  Bools and
+    strings are rejected rather than coerced, and so are non-integral
+    values of an *integral* field, which ``int()`` would truncate.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"fault-config {where} must be a number, got {raw!r}")
+    if not integral:
+        return float(raw)
+    if not float(raw).is_integer():
+        raise ValueError(f"fault-config {where} must be an integer, got {raw!r}")
+    return int(raw)

@@ -92,8 +92,3 @@ class FTIConfig:
                 f"FTI requires ranks ({nranks}) to be a positive multiple of "
                 f"group_size*node_size = {self.ranks_multiple}"
             )
-
-    @property
-    def rs_tolerance(self) -> int:
-        """Concurrent node losses per group tolerated at L3."""
-        return self.group_size // 2

@@ -72,10 +72,6 @@ class CheckpointReceipt:
     per_node_bytes: dict = field(default_factory=dict)
 
     @property
-    def total_network_bytes(self) -> int:
-        return self.bytes_partner + self.bytes_encoded
-
-    @property
     def total_bytes(self) -> int:
         return self.bytes_local + self.bytes_partner + self.bytes_encoded + self.bytes_pfs
 

@@ -40,9 +40,6 @@ class GroupLayout:
         self._check_node(node)
         return node // self.config.group_size
 
-    def group_of_rank(self, rank: int) -> int:
-        return self.group_of_node(self.node_of_rank(rank))
-
     def nodes_of_group(self, group: int) -> list[int]:
         if not 0 <= group < self.ngroups:
             raise IndexError(f"group {group} out of range [0, {self.ngroups})")

@@ -97,10 +97,6 @@ class ModelRegistry:
     def kernels(self) -> list[str]:
         return sorted(self._models)
 
-    def as_dict(self) -> dict[str, PerformanceModel]:
-        """The plain ``{kernel: model}`` mapping ArchBEOs consume."""
-        return dict(self._models)
-
     # -- persistence ------------------------------------------------------------
 
     def to_json(self) -> str:

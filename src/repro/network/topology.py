@@ -8,7 +8,7 @@ communication models layered on top.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -64,12 +64,6 @@ class Topology(abc.ABC):
             for a in range(self.num_nodes)
             for b in range(self.num_nodes)
         )
-
-    def average_hops(self, pairs: Iterable[tuple[int, int]]) -> float:
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("no pairs given")
-        return sum(self.hop_count(a, b) for a, b in pairs) / len(pairs)
 
     def to_networkx(self) -> nx.Graph:
         """Endpoint-level graph with ``weight`` = hop count, for analysis

@@ -85,11 +85,6 @@ class FlightRecorder:
             self._spill = LineAppender(spill_path, op="flight.spill")
             self._spill.open(truncate=True)
 
-    @property
-    def spill_failed(self) -> bool:
-        """Whether a spill I/O error stopped the live spill."""
-        return self._spill is not None and self._spill.failed
-
     # -- recording ---------------------------------------------------------------
 
     def record(self, kind: str, t_sim: float, /, **data) -> None:

@@ -105,9 +105,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def snapshot(self) -> dict:
         return {"value": self.value}
 

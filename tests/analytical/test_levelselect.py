@@ -39,7 +39,6 @@ def test_evaluate_level_uses_young_interval():
     choice = evaluate_level(p, system_mtbf=100.0, fallback_penalty=0.0)
     assert choice.interval == pytest.approx((2 * 0.01 * 100.0) ** 0.5)
     assert 0 < choice.waste < 1
-    assert 0 < choice.efficiency < 1
 
 
 def test_evaluate_level_validation():

@@ -50,12 +50,6 @@ def test_deterministic_given_seed():
     assert a.run(10) == b.run(10)
 
 
-def test_flops_scale_as_elem_size_fourth_power():
-    base = CMTBoneKernel(5, 16).flops_per_step()
-    double = CMTBoneKernel(10, 16).flops_per_step()
-    assert double == base * 16  # (2x edge)^4
-
-
 def test_state_bytes():
     k = CMTBoneKernel(5, 16)
     assert k.state_bytes() == 16 * 125 * 8

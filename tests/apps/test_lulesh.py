@@ -82,7 +82,7 @@ def test_step_advances_time_and_shock_expands():
     assert sim.cycles == 30
     assert sim.t > 0
     # blast wave should have moved energy off the origin cell
-    assert sim.max_velocity() > 0
+    assert np.abs(sim.u).max() > 0
     assert sim.e[2, 2, 2] > 1e-6  # energy reached interior cells
 
 
@@ -96,10 +96,10 @@ def test_positivity_preserved():
 
 def test_mass_roughly_conserved():
     sim = MiniLulesh(epr=8)
-    m0 = sim.total_mass()
+    m0 = np.sum(sim.rho) * sim.dx**3
     sim.run(30)
     # simple non-conservative scheme: allow modest drift
-    assert sim.total_mass() == pytest.approx(m0, rel=0.2)
+    assert np.sum(sim.rho) * sim.dx**3 == pytest.approx(m0, rel=0.2)
 
 
 def test_step_rejects_bad_dt():

@@ -13,7 +13,7 @@ import random
 from repro.core.campaign import CampaignSpec, build_campaign_simulator
 from repro.core.fault_injection import RecoveryPolicy
 from repro.faults.context import RecoveryContext
-from repro.faults.registry import MIN_LEVEL_FOR_KIND
+from repro.faults.domains import MIN_LEVEL_FOR_KIND
 
 
 def reference_ladder(ctx, kind, avoid_corrupt=False):

@@ -1,7 +1,7 @@
-"""The pluggable fault-domain subsystem: registry, protocol, config.
+"""The pluggable fault-domain subsystem: domain classes, protocol, config.
 
-Covers the ``repro.faults`` extraction: registry consistency (every
-kind owned by exactly one domain, canonical draw order preserved),
+Covers ``repro.faults``: taxonomy consistency (every kind owned by
+exactly one domain class, canonical draw order preserved),
 ``FaultModel.kind_weights`` validation edges (single-kind mixes, the
 1e-6 sum tolerance at its exact boundary, unknown-kind messages),
 the :class:`FaultDomain` protocol (dispatch, state snapshot/restore,
@@ -28,13 +28,12 @@ from repro.core.campaign import (
     build_campaign_simulator,
 )
 from repro.core.fault_injection import FAULT_KINDS, FaultModel
-from repro.faults.domains import NetworkDomain, SdcDomain
-from repro.faults.registry import (
-    KIND_TO_DOMAIN,
-    REGISTRY,
+from repro.faults.domains import (
+    DOMAINS,
+    FaultDomain,
+    NetworkDomain,
+    SdcDomain,
     campaign_kwargs_from_config,
-    domain_for_kind,
-    kinds_of,
 )
 from repro.network.topology import NodeRangeError
 
@@ -54,37 +53,28 @@ def _sim(**kw):
     return build_campaign_simulator(spec, 0, policy, inject=False)
 
 
-# -- registry consistency ----------------------------------------------------------
+# -- taxonomy consistency ----------------------------------------------------------
+
+
+def _owner(kind):
+    (cls,) = [cls for cls in DOMAINS if kind in cls.kinds]
+    return cls
 
 
 def test_every_kind_owned_by_exactly_one_domain():
-    seen = {}
-    for info in REGISTRY:
-        for kind in info.kinds:
-            assert kind not in seen, f"{kind} owned by {seen[kind]} and {info.name}"
-            seen[kind] = info.name
-    assert set(seen) == set(FAULT_KINDS)
-    assert seen == dict(KIND_TO_DOMAIN)
-
-
-def test_kinds_of_preserves_draw_order():
-    for info in REGISTRY:
-        ordered = kinds_of(info.name)
-        assert ordered == tuple(k for k in FAULT_KINDS if k in info.kinds)
-
-
-def test_domain_for_kind_default():
-    assert domain_for_kind("sdc") == "sdc"
-    assert domain_for_kind("no-such-kind", None) is None
-    with pytest.raises(KeyError):
-        domain_for_kind("no-such-kind")
+    for kind in FAULT_KINDS:
+        _owner(kind)  # exactly one class claims it
+    for cls in DOMAINS:
+        # each class lists its kinds in canonical draw order
+        assert cls.kinds == tuple(k for k in FAULT_KINDS if k in cls.kinds)
+    assert len({cls.name for cls in DOMAINS}) == len(DOMAINS)
 
 
 def test_simulator_dispatch_table_matches_registry():
     sim = _sim()
+    assert [type(d) for d in sim._domains] == list(DOMAINS)
     for kind in FAULT_KINDS:
-        assert sim._domain_by_kind[kind].name == domain_for_kind(kind)
-        assert sim._domain_by_kind[kind].wants(kind)
+        assert type(sim._domain_by_kind[kind]) is _owner(kind)
 
 
 def test_commit_and_verify_hooks_reach_only_the_domains_defining_them(monkeypatch):
@@ -293,10 +283,35 @@ def test_faults_list_cli(capsys):
 
     assert main(["faults", "list"]) == 0
     out = capsys.readouterr().out
-    for info in REGISTRY:
-        assert info.name in out
+    for cls in DOMAINS:
+        assert cls.name in out
     for kind in FAULT_KINDS:
         assert kind in out
+
+
+def test_faults_list_hooks_are_the_overridden_ones(capsys):
+    """Each domain's ``hooks:`` line names exactly the lifecycle hooks
+    its class overrides (no line when it overrides none)."""
+    from repro.cli import main
+
+    assert main(["faults", "list"]) == 0
+    printed, domain = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        head = line.split(" ", 1)[0]
+        if head in {cls.name for cls in DOMAINS}:
+            domain = head
+            printed[domain] = ()
+        elif line.strip().startswith("hooks:"):
+            printed[domain] = tuple(line.split("hooks:", 1)[1].strip().split(", "))
+    for cls in DOMAINS:
+        overridden = tuple(
+            hook
+            for hook in FaultDomain.HOOKS
+            if getattr(cls, hook) is not getattr(FaultDomain, hook)
+        )
+        assert printed[cls.name] == overridden, cls.name
+    assert printed["failstop"] == ()
+    assert printed["torn"] == ("on_failstop_strike",)
 
 
 #: a valid file value for the config fields that are not plain numbers
@@ -308,7 +323,7 @@ def _printed_config(out: str) -> dict:
     printed, domain = {}, None
     for line in out.splitlines():
         head = line.split(" ", 1)[0]
-        if head in {info.name for info in REGISTRY}:
+        if head in {cls.name for cls in DOMAINS}:
             domain = head
             printed[domain] = {}
         elif line.strip().startswith("config:"):
@@ -327,17 +342,17 @@ def test_faults_list_prints_the_defaults_campaign_uses(capsys):
     assert main(["faults", "list"]) == 0
     printed = _printed_config(capsys.readouterr().out)
     defaults = {f.name: f.default for f in fields(CampaignSpec)}
-    for info in REGISTRY:
-        shown = printed[info.name]
+    for cls in DOMAINS:
+        shown = printed[cls.name]
         # every field the parser accepts, read from its own rejection message
         with pytest.raises(ValueError, match="expected one of") as exc:
-            campaign_kwargs_from_config({info.name: {"no_such_field": 1}})
+            campaign_kwargs_from_config({cls.name: {"no_such_field": 1}})
         accepted = ast.literal_eval(str(exc.value).rsplit("expected one of ", 1)[1])
-        assert sorted(shown) == accepted, info.name
+        assert sorted(shown) == accepted, cls.name
         for key, value in shown.items():
-            sample = {info.name: {key: _SAMPLE.get(key, 1)}}
+            sample = {cls.name: {key: _SAMPLE.get(key, 1)}}
             (dest,) = campaign_kwargs_from_config(sample)
-            assert value == repr(defaults[dest]), f"{info.name}.{key}"
+            assert value == repr(defaults[dest]), f"{cls.name}.{key}"
     assert printed["failstop"]["burst_size"] == "2"
     assert printed["straggler"]["repair_s"] == "5.0"
     assert printed["network"]["repair_s"] == "5.0"

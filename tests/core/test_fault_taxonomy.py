@@ -141,9 +141,6 @@ def test_event_log_kind_counts_and_rows():
     assert log.kind_counts() == {"burst": 1, "sdc": 1, "software": 1}
     assert log.count_kind("sdc") == 1
     assert ev.to_list() == [3.0, 2, "burst", [2, 3, 4], 1.0, None, ""]
-    assert ev.detection_latency_s is None
-    ev.detected_time = 3.5
-    assert ev.detection_latency_s == pytest.approx(0.5)
 
 
 # -- simulator harness -------------------------------------------------------------

@@ -5,12 +5,7 @@ import os
 
 import pytest
 
-from repro.core.campaign import (
-    CampaignJournal,
-    CampaignSpec,
-    ResilienceCampaign,
-    build_campaign_simulator,
-)
+from repro.core.campaign import CampaignSpec, ResilienceCampaign
 from repro.core.fault_injection import FAULT_ROW_FIELDS, RecoveryPolicy
 from repro.core.forensics import (
     analyze_journal,
@@ -97,6 +92,22 @@ def test_straggler_excess_split_across_node_stragglers():
         c.waste.get("straggler_s", 0.0) for c in chains if c.kind == "straggler"
     )
     assert strag_total == pytest.approx(a["straggler_excess_s"])
+
+
+def test_unknown_kind_gets_a_chain_and_no_straggler_waste():
+    """A journal written by a build with an extra kind still classifies:
+    the unknown row gets a chain, and no share of the straggler excess."""
+    spec = _mixed_spec(
+        node_mtbf_s=4.0, fault_mix=(("straggler", 1.0),), verify_period=0
+    )
+    r = _replica_result(spec, 0)
+    assert len(r["fault_log"]) > 1
+    r["fault_log"][0][FAULT_ROW_FIELDS.index("kind")] = "thermal"
+    chains = reconstruct_chains(r)
+    assert [c.fault_id for c in chains] == list(range(len(r["fault_log"])))
+    assert chains[0].kind == "thermal"
+    assert "straggler_s" not in chains[0].waste
+    assert all("straggler_s" in c.waste for c in chains[1:])
 
 
 def test_legacy_journal_without_forensics_key_is_tolerated():

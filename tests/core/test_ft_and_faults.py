@@ -27,24 +27,18 @@ from repro.network import FullyConnected
 
 
 def test_no_ft_scenario():
-    assert not NO_FT.is_ft_aware
     assert NO_FT.checkpoints_due(40) == []
-    assert NO_FT.checkpoint_count(200, 1) == 0
 
 
 def test_scenario_l1_periodic():
     s = scenario_l1(40)
-    assert s.is_ft_aware
     assert s.checkpoints_due(40) == [1]
     assert s.checkpoints_due(39) == []
-    assert s.checkpoint_count(200, 1) == 5
-    assert s.checkpoint_count(200, 2) == 0
 
 
 def test_scenario_l1_l2():
     s = scenario_l1_l2(40)
     assert s.checkpoints_due(80) == [1, 2]
-    assert s.checkpoint_count(200, 2) == 5
     assert s.kernel_for(2) == "fti_l2"
 
 

@@ -122,7 +122,7 @@ def test_fault_config_report_bit_identical(tmp_path):
 
 def test_golden_covers_every_fault_kind():
     """The fixture config must keep exercising the whole taxonomy."""
-    from repro.faults.registry import FAULT_KINDS
+    from repro.faults.domains import FAULT_KINDS
 
     report = json.loads((GOLDEN / "report.json").read_text())
     seen = set()

@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.core.trace import (
     merge_obs_spans,
-    save_chrome_trace,
     save_spans_chrome_trace,
     spans_to_chrome_trace,
     spans_to_trace_events,
@@ -71,14 +70,6 @@ def test_chrome_trace_requires_timelines():
     res = run_sim(record="none")
     with pytest.raises(ValueError):
         to_chrome_trace(res)
-
-
-def test_save_chrome_trace(tmp_path):
-    res = run_sim()
-    path = tmp_path / "trace.json"
-    save_chrome_trace(res, path)
-    data = json.loads(path.read_text())
-    assert "traceEvents" in data and len(data["traceEvents"]) > 3
 
 
 def test_chrome_trace_empty_timeline_rank():

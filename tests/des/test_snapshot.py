@@ -196,7 +196,6 @@ def test_store_latest_skips_corrupt(tmp_path):
     with open(bad, "r+b") as fh:  # tear the newer snapshot
         fh.truncate(os.path.getsize(bad) - 20)
     assert store.latest() == good
-    assert store.load_latest() is not None
     store.clear()
     assert store.paths() == []
 

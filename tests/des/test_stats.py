@@ -37,9 +37,6 @@ def test_event_counter_counts():
     by_dst = counter.by_destination()
     # a self-schedules 3 + receives 1; b self-schedules 1 + receives 3
     assert by_dst["a"] == 4 and by_dst["b"] == 4
-    assert counter.by_pair()[("a", "b")] == 3
-    busiest = counter.busiest(1)
-    assert busiest[0][1] == 4
 
 
 def test_event_counter_requires_trace():

@@ -88,4 +88,3 @@ def test_unknown_type_rejected():
 def test_from_fitted_accepts_bare_models():
     reg = ModelRegistry.from_fitted({"k": ConstantModel(2.0)}, machine="m")
     assert reg.get("k").predict({}) == 2.0
-    assert reg.as_dict()["k"] is reg.get("k")

@@ -184,8 +184,6 @@ def test_node_id_equal_to_num_nodes_rejected(topo):
     n = topo.num_nodes
     with pytest.raises(IndexError, match=rf"node {n} out of range \[0, {n}\)"):
         topo.hop_count(0, n)
-    with pytest.raises(IndexError, match=rf"node {n} out of range"):
-        topo.average_hops([(0, n)])
 
 
 def test_node_range_error_is_both_index_and_value_error():

@@ -105,7 +105,7 @@ def test_spill_failure_is_nonfatal(tmp_path):
     rec._spill._fh.close()  # break the handle: next write hits ValueError/OSError
     unwritable = rec._spill._fh = open(os.devnull, "r")
     rec.record("tick", 0.0)
-    assert rec.spill_failed is True
+    assert rec._spill.failed is True
     with pytest.raises(Exception):
         unwritable.write("x")  # sanity: the handle really is unwritable
     rec.close()
@@ -113,7 +113,7 @@ def test_spill_failure_is_nonfatal(tmp_path):
 
 def test_unwritable_spill_dir_disables_spill():
     rec = FlightRecorder(spill_path="/proc/definitely/not/writable/f.jsonl")
-    assert rec.spill_failed is True
+    assert rec._spill.failed is True
     rec.record("tick", 0.0)  # memory ring still works
     assert len(rec.ring) == 1
 

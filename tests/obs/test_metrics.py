@@ -34,7 +34,7 @@ def test_gauge_set_inc_dec():
     g = Gauge()
     g.set(10.0)
     g.inc(2)
-    g.dec(4)
+    g.inc(-4)
     assert g.value == 8.0
 
 
