@@ -12,10 +12,11 @@ rendezvous at once, as a lazy engine event (:meth:`Engine.defer`), and
 only the rendezvous itself goes on the heap.  A run of one program on
 every rank goes further (:class:`_ArrayStepper`): it prices every row at
 run start (drawing all its model noise then, if fault-free) and steps
-each such segment for every rank in one array operation whenever that
-is exact.  A deterministic fault run is array-stepped between its
-faults and steps per rank where a fault, a straggler or a degraded
-link is in play.
+each segment that ends at a collective, commit hooks or not, for every
+rank in one array operation whenever that is exact.  A deterministic
+fault run is array-stepped between its faults and steps per rank where
+a fault, a latent corruption, a straggler or a degraded link is in
+play.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -580,9 +581,8 @@ class _Rank(Component):
         ev = self._pending
         if ev is None or ev.cancelled or not isinstance(ev.payload, list):
             return None
-        batch = ev.payload
-        start = ev.time - sum(d for _, _, d in batch)
-        for instr, off, dt in batch:
+        start = ev.time - self._batch_span
+        for instr, off, dt in ev.payload:
             if (
                 isinstance(instr, Checkpoint)
                 and dt > 0
@@ -596,10 +596,11 @@ class _Rank(Component):
 
 
 def _segments(rows: list) -> dict:
-    """``start pc -> (first batch pc, collective pc)`` of each hook-free
-    segment of *rows*.  A segment starts at 0 or after a collective; after
-    its leading markers comes a batch with no ``Checkpoint`` or ``Verify``
-    row, which ends at a collective."""
+    """``start pc -> (first batch pc, collective pc)`` of each segment of
+    *rows* that an array step can take.  A segment starts at 0 or after a
+    collective; after its leading markers comes a batch, which ends at a
+    collective.  Its ``Checkpoint`` and ``Verify`` rows (commit hooks)
+    are the stepper's to replay (:attr:`_ArrayStepper.hooks`)."""
     n = len(rows)
     starts = [0] + [pc + 1 for pc, row in enumerate(rows) if row[0] == _COLLECTIVE]
     segments = {}
@@ -608,9 +609,9 @@ def _segments(rows: list) -> dict:
         while first < n and rows[first][0] == _MARKER:
             first += 1
         end = first
-        while end < n and rows[end][0] not in (_CHECKPOINT, _VERIFY, _COLLECTIVE):
+        while end < n and rows[end][0] != _COLLECTIVE:
             end += 1
-        if first < end < n and rows[end][0] == _COLLECTIVE:
+        if first < end < n:
             segments[start] = (first, end)
     return segments
 
@@ -662,20 +663,19 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
 
 
 class _ArrayStepper:
-    """Steps every rank through a hook-free segment in one array operation.
+    """Steps every rank through a segment in one array operation.
 
     A run gets one when :meth:`plan` finds one program shared by every
     rank and every row's price known at run start (:func:`_price_matrix`:
     all noise drawn then, or none).  Its ranks move through the program
     in lockstep: each segment starts, for all of them, at a release (or
     at the last start event).  :meth:`step` decides per segment: it steps
-    a hook-free segment (:func:`_segments`) here, for every rank at once,
-    when that is exact, and the ranks' own ``pc`` and
-    ``collective_calls`` go stale.  It steps any other segment per rank,
-    as without a stepper, after writing them back (:meth:`write_back`).
-    So does ``inject_fault``, before the fault touches a rank.
-    (``_batch_span`` needs no write-back: each per-rank batch sets it
-    before it is read.)
+    a segment (:func:`_segments`) here, for every rank at once, when that
+    is exact, and the ranks' own ``pc`` and ``collective_calls`` go
+    stale.  It steps any other segment per rank, as without a stepper,
+    after writing them back (:meth:`write_back`).  So does
+    ``inject_fault``, before the fault touches a rank.  (``_batch_span``
+    needs no write-back: each per-rank batch sets it before it is read.)
 
     A Monte-Carlo run gets one only when it is fault-free, because a
     rank re-executing rows after a rollback draws fresh noise.  A
@@ -685,13 +685,19 @@ class _ArrayStepper:
     per rank; the next release restores lockstep, because SPMD ranks
     that pass collective *n* share a pc.
 
-    An array step does what the per-rank lazy arrivals would: it reserves
-    one seq per rank in release order, schedules the rendezvous with the
-    largest ``(time, seq)`` arrival's key, whose handler counts the other
-    ranks' lazy events in ``events_fired`` (and samples a flight recorder
-    where they would), and releases the ranks in ``(time, seq)`` order.
-    Recorded ranks get their timeline rows at once.  An obs adapter
-    times heap events only, as without a stepper.
+    An array step reserves one seq per rank in release order, as the
+    per-rank batches would, and schedules one rendezvous event.  For a
+    hook-free segment it does what the per-rank lazy arrivals would: the
+    rendezvous takes the largest ``(time, seq)`` arrival's key, and its
+    handler counts the other ranks' lazy events in ``events_fired`` (and
+    samples a flight recorder where they would).  A segment with commit
+    hooks (:attr:`hooks`) stands for one heap batch event per rank, so
+    its rendezvous takes the smallest key, and its handler
+    (:meth:`_commit_hooked`) fires the others in ``(time, seq)`` order:
+    it traces them, commits each rank's checkpoints and calls its hooks.
+    Either way the ranks are released in ``(time, seq)`` order, and
+    recorded ranks get their timeline rows at once.  An obs adapter
+    times and counts heap events only, as it does for lazy ones.
     """
 
     def __init__(self, sim: "BESSTSimulator", rows: list, prices: np.ndarray) -> None:
@@ -699,13 +705,23 @@ class _ArrayStepper:
         self.rows = rows
         self.prices = prices
         self.segments = _segments(rows)
-        #: start pcs of the segments with an ``Exchange`` row (priced at
-        #: run start on a healthy network)
-        self.exchanging = {
-            start
-            for start, (first, end) in self.segments.items()
-            if any(rows[pc][0] == _EXCHANGE for pc in range(first, end))
-        }
+        #: start pc -> ``(pc, kind code, level)`` of each ``Checkpoint``
+        #: and ``Verify`` row of the segment, for the segments with any
+        self.hooks = {}
+        #: start pcs of the segments whose prices assume a healthy
+        #: network: an ``Exchange`` row (priced at run start) or an L2+
+        #: ``Checkpoint`` row (its partner copy crosses the fabric)
+        self.net_bound = set()
+        for start, (first, end) in self.segments.items():
+            batch = [(pc, rows[pc][0], rows[pc][6]) for pc in range(first, end)]
+            hooks = tuple(row for row in batch if row[1] in (_CHECKPOINT, _VERIFY))
+            if hooks:
+                self.hooks[start] = hooks
+            if any(
+                code == _EXCHANGE or (code == _CHECKPOINT and level >= 2)
+                for _, code, level in batch
+            ):
+                self.net_bound.add(start)
         #: the lockstep program counter and collective count
         self.pc = 0
         self.calls = 0
@@ -752,38 +768,47 @@ class _ArrayStepper:
         order, as ranks (after a per-rank segment) or rank ids.
 
         The segment is stepped for all ranks at once only when that is
-        exact: it is hook-free, it cannot cross ``max_events``, no
-        straggler slows a node, its exchanges cross a healthy network,
-        and its rendezvous is the next event (:meth:`_array_step`).
-        Otherwise it is stepped per rank."""
+        exact: it cannot cross ``max_events``; no straggler slows a node;
+        its exchanges and L2+ checkpoints cross a healthy network; no
+        latent corruption waits for its commit hooks, which are then
+        no-ops; and its rendezvous is the next event
+        (:meth:`_array_step`).  Otherwise it is stepped per rank."""
         sim = self.sim
         if isinstance(order, list):  # ranks hold the lockstep state
             self.pc, self.calls = order[0].pc, order[0].collective_calls
         segment = self.segments.get(self.pc)
+        hooks = self.hooks.get(self.pc)
         engine = sim.engine
         if (
             segment is None
             or engine.events_fired + sim.nranks > self.limit
             or sim._straggler_dom.node_slowdown
-            or (sim._net_dom.active and self.pc in self.exchanging)
-            or not self._array_step(order, segment)
+            or (sim._net_dom.active and self.pc in self.net_bound)
+            or (hooks and sim._sdc_dom.latent)
+            or not self._array_step(order, segment, hooks)
         ):
             for rank in self._per_rank(order):
                 rank.advance()
 
-    def _array_step(self, order, segment: tuple) -> bool:
-        """Step *segment* for every rank at once, unless a pending event
-        (a fault, a repair) sorts before its rendezvous and so would fire
-        between the per-rank arrivals; return whether it did."""
+    def _array_step(self, order, segment: tuple, hooks: Optional[tuple]) -> bool:
+        """Step *segment*, whose commit hooks are *hooks*, for every rank
+        at once, unless a pending event (a fault, a repair) sorts before
+        its last arrival and so would fire between the per-rank arrivals;
+        return whether it did."""
         sim = self.sim
         if isinstance(order, list):
             order = np.array([rank.rank for rank in order])
         first, end = segment
         engine = sim.engine
         now = engine.now
+        prices = self.prices
+        ckpts = [pc for pc, code, _ in hooks if code == _CHECKPOINT] if hooks else ()
+        offsets = []  # the batch offset of each checkpoint row
         span = np.zeros(sim.nranks)
         for pc in range(first, end):
-            span += self.prices[pc]
+            if pc in ckpts:
+                offsets.append(span.copy())
+            span += prices[pc]
         times = (now + span)[order]
         perm = np.argsort(times, kind="stable")
         last = int(perm[-1])
@@ -795,14 +820,36 @@ class _ArrayStepper:
         for rank in self.recorded:
             self._record(rank, now, first, end, float(span[rank.rank]))
         sync = sim.sync
-        sync._pending = engine.schedule_event(
-            Event(
+        seq = queue.take_seqs(len(order))
+        ids = order[perm]
+        instr = self.rows[end][1]
+        if hooks:
+            # A checkpoint row completes at ``t_start + off + dt``, where
+            # ``t_start`` is the batch event's time less the batch span.
+            t_start = (now + span) - span
+            commits = [
+                (((t_start + off) + prices[pc]).tolist(), prices[pc].tolist())
+                for pc, off in zip(ckpts, offsets)
+            ]
+            head = int(perm[0])
+            name = sim._ranks[int(ids[0])].name
+            payload = (times[perm], seq + perm, ids, self.calls, hooks, commits)
+            event = Event(
+                time=float(times[head]),
+                handler=sync._rendezvous,
+                payload=(ids, instr, self._commit_hooked, payload),
+                seq=seq + head,
+                src=name,
+                dst=name,
+            )
+        else:
+            event = Event(
                 time=t_last,
                 handler=sync._rendezvous,
-                payload=(order[perm], self.rows[end][1], self._commit, times[perm[:-1]]),
-                seq=queue.take_seqs(len(order)) + last,
+                payload=(ids, instr, self._commit, times[perm[:-1]]),
+                seq=seq + last,
             )
-        )
+        sync._pending = engine.schedule_event(event)
         self.pc = end + 1
         self.calls += 1
         self.stale = True
@@ -821,6 +868,48 @@ class _ArrayStepper:
             s = flight.tick_stride
             for count in range(base - base % s + s, base + n + 1, s):
                 flight.tick(float(times[count - base - 1]), count)
+
+    def _commit_hooked(self, _t: float, payload: tuple) -> None:
+        """Fire the per-rank batch events of a hooked segment, the first
+        of which is the rendezvous firing now.  They are traced (the
+        first by the engine) and counted at their sorted ``(time, seq)``
+        keys; each rank, in that order, commits the segment's checkpoints
+        as :meth:`_Rank._on_batch_done` would (``ckpt_seq``,
+        ``restart_history`` and its prune) and calls the commit and
+        verify hooks, which return at once without latent corruption.
+        The clock then moves to the last arrival, where the collective
+        is priced."""
+        times, seqs, ids, calls, hooks, commits = payload
+        sim = self.sim
+        engine = sim.engine
+        ranks = sim._ranks
+        ids = ids.tolist()
+        recorders = engine._recorders()
+        if recorders:
+            for t, seq, r in zip(times[1:].tolist(), seqs[1:].tolist(), ids[1:]):
+                name = ranks[r].name
+                for sink in recorders:
+                    sink((t, PRIORITY_NORMAL, seq, name, name))
+        commit = [domain.on_checkpoint_commit for domain in sim._commit_domains]
+        verify = [domain.on_verify_point for domain in sim._verify_domains]
+        for r in ids:
+            rank = ranks[r]
+            done = iter(commits)
+            for pc, code, level in hooks:
+                if code == _VERIFY:
+                    for hook in verify:
+                        hook(rank)
+                    continue
+                t_done, cost = next(done)
+                seq = rank.ckpt_seq = rank.ckpt_seq + 1
+                history = rank.restart_history
+                history[seq] = (pc + 1, calls, t_done[r], cost[r], level)
+                if seq > 6:
+                    history.pop(seq - 6, None)
+                for hook in commit:
+                    hook(rank, seq)
+        self._commit(_t, times[:-1])
+        engine.now = float(times[-1])
 
     def _record(self, rank: _Rank, now: float, first: int, end: int, span: float) -> None:
         """*rank*'s marker and batch rows of the segment starting now,
@@ -953,6 +1042,7 @@ class BESSTSimulator:
         # hot-path shortcuts (batch pricing reads these every event)
         self._straggler_dom = by_name["straggler"]
         self._net_dom = by_name["network"]
+        self._sdc_dom = by_name["sdc"]
         #: the domains the commit and verify hooks go to
         self._commit_domains = self._defining("on_checkpoint_commit")
         self._verify_domains = self._defining("on_verify_point")

@@ -61,7 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Version 4: array steppers (also in deterministic fault runs) carry
 #: the stale-rank flag and pickle a deterministic price matrix as one
 #: column.
-SNAPSHOT_VERSION = 4
+#: Version 5: array steppers also step segments with commit hooks (their
+#: hook rows and network-bound segments are stepper state).
+SNAPSHOT_VERSION = 5
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

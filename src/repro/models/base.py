@@ -44,14 +44,6 @@ class PerformanceModel(abc.ABC):
         prediction.
         """
 
-    def predict_many(
-        self,
-        param_list: Sequence[Mapping[str, float]],
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Vector of predictions for a sequence of parameter mappings."""
-        return np.asarray([self.predict(p, rng) for p in param_list], dtype=float)
-
     def price_table(self, params: Mapping[str, float]) -> Optional[np.ndarray]:
         """Every runtime ``predict(params, rng)`` can return, or ``None``.
 

@@ -153,14 +153,6 @@ class BenchmarkDataset:
             target._rows[key] = list(self._rows[key])
         return train, test
 
-    def filter(self, predicate) -> "BenchmarkDataset":
-        """Subset rows whose parameter dict satisfies *predicate*."""
-        out = BenchmarkDataset(self.param_names, self.kernel)
-        for key, vals in self._rows.items():
-            if predicate(self.params_of(key)):
-                out._rows[key] = list(vals)
-        return out
-
     def merge(self, other: "BenchmarkDataset") -> "BenchmarkDataset":
         """Union of two datasets over identical parameter spaces."""
         if other.param_names != self.param_names:

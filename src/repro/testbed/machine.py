@@ -11,7 +11,7 @@ these truths, exactly as it would only see timer output on Quartz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 

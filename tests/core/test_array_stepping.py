@@ -1,11 +1,13 @@
 """Array-stepped runs equal per-rank stepping.
 
 A fault-free run of one program on every rank, and a deterministic fault
-run between its faults, steps each hook-free segment (no ``Checkpoint``
-or ``Verify`` row, ending at a collective) for all ranks in one array
-operation.  The comparison arm stubs :meth:`_ArrayStepper.plan` to
-return ``None``, so it steps per rank: every result must be equal, and
-so must the rings of the flight recorders both arms carry.
+run between its faults, steps each segment that ends at a collective,
+``Checkpoint`` and ``Verify`` rows (commit hooks) included, for all ranks
+in one array operation.  The comparison arm stubs
+:meth:`_ArrayStepper.plan` to return ``None``, so it steps per rank:
+every result must be equal, and so must the traces, the rings of the
+flight recorders both arms carry, the seqs, the RNG streams and each
+rank's ``restart_history``.
 """
 
 import functools
@@ -27,10 +29,11 @@ from repro.core import (
     Compute,
     Exchange,
     Marker,
+    Verify,
 )
 from repro.core import simulator as simulator_mod
 from repro.core.campaign import CampaignSpec, build_campaign_app
-from repro.core.fault_injection import FaultInjector, FaultModel, RecoveryPolicy
+from repro.core.fault_injection import FaultDetail, FaultInjector, FaultModel, RecoveryPolicy
 from repro.core.ft import scenario_l1, scenario_l1_l2
 from repro.des.component import Component
 from repro.des.engine import SimulationError
@@ -79,12 +82,44 @@ def same_program_builder(rank, nranks, params):
     return body
 
 
+def hooked_builder(rank, nranks, params):
+    """Commit hooks in every position: a verify after a kernel, a segment
+    of one L1 checkpoint, an L2 checkpoint with no exchange beside it
+    among markers, a verify and another checkpoint, an L1 checkpoint
+    after an exchange, and a last batch with no collective.  Ten
+    checkpoints, so ``restart_history`` is pruned."""
+    l1 = Checkpoint.of(1, "fti_l1", ranks=nranks)
+    body = [Marker("start")]
+    for ts in range(1, TIMESTEPS + 1):
+        body += [
+            Compute.of("solve", ranks=nranks, n=ts % 3),
+            Verify.of("abft_verify", ranks=nranks),
+            Collective("allreduce", nbytes=8),
+        ]
+        if ts % 2 == 0:
+            body += [l1, Collective("barrier")]
+        if ts % 3 == 0:
+            body += [
+                Marker(f"ckpt{ts}"),
+                Compute.of("lulesh_timestep", ranks=nranks),
+                Checkpoint.of(2, "fti_l2", ranks=nranks),
+                Marker(f"l2done{ts}"),
+                l1,
+                Verify.of("abft_verify", ranks=nranks),
+                Collective("barrier"),
+            ]
+        if ts % 4 == 0:
+            body += [Exchange(nbytes=4096, neighbors=2), l1, Collective("allreduce", nbytes=8)]
+    return body + [Compute.of("solve", ranks=nranks, n=1), l1]
+
+
 APPS = {
     "lulesh": lambda: lulesh_appbeo(TIMESTEPS, scenario_l1_l2(4)),
     "lulesh_verify": lambda: lulesh_appbeo(TIMESTEPS, scenario_l1_l2(4).with_verification(2)),
     "cmtbone": lambda: cmtbone_appbeo(TIMESTEPS),
     "iterative": lambda: iterative_solver_appbeo(TIMESTEPS, scenario_l1(3)),
     "same_program": lambda: AppBEO("same_program", same_program_builder),
+    "hooked": lambda: AppBEO("hooked", hooked_builder),
 }
 
 
@@ -131,12 +166,17 @@ def traced_sim(tick_stride=1, **kwargs):
     return sim
 
 
-def run_both(planned, tick_stride=1, **kwargs):
-    """(array-stepped, per-rank) runs of one configuration."""
+def run_both(planned, tick_stride=1, prepare=None, **kwargs):
+    """(array-stepped, per-rank) runs of one configuration; *prepare*,
+    if given, is called with each simulator before it runs."""
     array_sim = traced_sim(tick_stride, **kwargs)
+    if prepare is not None:
+        prepare(array_sim)
     array_res = array_sim.run()
     assert planned[-1] is not None
     reference = traced_sim(tick_stride, **kwargs)
+    if prepare is not None:
+        prepare(reference)
     ref_res = run_per_rank(planned, reference)
     assert planned[-1] is None
     assert array_sim.engine.trace_log == reference.engine.trace_log
@@ -172,7 +212,9 @@ def test_sweep_covers_every_option():
 
 
 @pytest.mark.parametrize("app,nranks,record,monte_carlo,seed", SWEEP)
-def test_array_stepping_equals_per_rank_stepping(planned, app, nranks, record, monte_carlo, seed):
+def test_array_stepping_equals_per_rank_stepping(
+    planned, hooked_steps, app, nranks, record, monte_carlo, seed
+):
     array_res, ref_res = run_both(
         planned,
         app=app,
@@ -183,6 +225,10 @@ def test_array_stepping_equals_per_rank_stepping(planned, app, nranks, record, m
     )
     assert array_res == ref_res
     assert array_res.total_time.hex() == ref_res.total_time.hex()
+    # fault-free: nothing can act on a segment's commit hooks
+    assert all(step["array"] for step in hooked_steps)
+    if app == "hooked":
+        assert len(hooked_steps) == sum(TIMESTEPS // k for k in (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("record", ["rank0", "all", "none"])
@@ -202,15 +248,16 @@ def test_flight_ticks_equal_per_rank_stepping(planned, tick_stride):
 
 
 def test_fig7_like_run_prices_per_rank_only_hooked_batches(monkeypatch):
-    """LULESH at 64 ranks with checkpoints: the hook-free segments are
-    array-stepped, so ``_price_batch`` prices only the batches with a
-    checkpoint (or the program's last), and no model is polled."""
+    """LULESH at 64 ranks with checkpoints: every segment ending at a
+    collective is array-stepped, checkpoints included, so ``_price_batch``
+    prices only the program's last batch, which ends with no collective,
+    and no model is polled."""
     batches = []
     price_batch = simulator_mod._Rank._price_batch
 
     def spy(rank):
         dt, batch, hooked = price_batch(rank)
-        batches.append(hooked or rank.pc == len(rank.rows))
+        batches.append(rank.pc == len(rank.rows))
         return dt, batch, hooked
 
     def no_poll(*args, **kwargs):
@@ -220,9 +267,8 @@ def test_fig7_like_run_prices_per_rank_only_hooked_batches(monkeypatch):
     monkeypatch.setattr(ArchBEO, "predict", no_poll)
     app = lulesh_appbeo(40, scenario_l1_l2(10))
     res = BESSTSimulator(app, make_arch(), nranks=64, seed=7).run()
-    # 4 checkpoint instants, each with an L1 batch and an L2 batch (which
-    # holds the next timestep's kernel, or ends the program)
-    assert all(batches) and len(batches) == 64 * 4 * 2
+    # the last checkpoint instant's L2 batch ends the program
+    assert all(batches) and len(batches) == 64
     assert res.events_fired > 64 * 40
 
 
@@ -379,8 +425,14 @@ MIXES = (
 )
 POLICIES = {"legacy": RecoveryPolicy.legacy, "default": RecoveryPolicy}
 #: swept apps and the rank counts each may take: the campaign workload,
-#: a program with ``Exchange`` rows, and one with ``Verify`` rows
-FAULT_APPS = {"campaign": (8, 16), "same_program": (6, 8, 12), "lulesh_verify": (8, 27)}
+#: a program with ``Exchange`` rows, one with ``Verify`` rows, and one
+#: with commit hooks in every position
+FAULT_APPS = {
+    "campaign": (8, 16),
+    "same_program": (6, 8, 12),
+    "lulesh_verify": (8, 27),
+    "hooked": (6, 8, 12),
+}
 
 
 def fault_app(app, nranks, period):
@@ -499,7 +551,12 @@ def test_deterministic_fault_run_equals_per_rank_stepping(planned, case):
     assert array_res == ref_res
     assert array_res.total_time.hex() == ref_res.total_time.hex()
     assert array_sim.engine.queue.next_seq == reference.engine.queue.next_seq
-    assert depths[0].snapshot() == depths[1].snapshot()
+    # Depth is sampled once per 64 fired events.  A hooked array step
+    # holds one heap event where per-rank stepping holds one per rank, so
+    # its samples read a shorter queue, never a longer one.
+    array_depth, ref_depth = (depth.snapshot() for depth in depths)
+    assert array_depth["count"] == ref_depth["count"]
+    assert array_depth["sum"] <= ref_depth["sum"]
     assert array_sim.engine.trace_log == reference.engine.trace_log
     assert array_sim._flightrec.ring == reference._flightrec.ring
     assert array_sim.fault_injector.log.entries == reference.fault_injector.log.entries
@@ -588,3 +645,193 @@ def test_autosnapshot_of_stale_ranks_restores_bit_identical(planned, tmp_path):
         pytest.fail("no snapshot caught stale ranks before a release")
     res = resumed.run()
     assert res == ref and res.faults_injected > 0
+
+
+# -- segments with commit hooks --------------------------------------------------------
+
+
+@pytest.fixture
+def hooked_steps(monkeypatch):
+    """Each step of a segment with commit hooks: whether it was
+    array-stepped, and what could act on it as it began."""
+    steps = []
+    step = simulator_mod._ArrayStepper.step
+
+    def spy(self, order):
+        pc = order[0].pc if isinstance(order, list) else self.pc
+        sim = self.sim
+        state = dict(
+            pc=pc,
+            latent=bool(sim._sdc_dom.latent),
+            slowed=bool(sim._straggler_dom.node_slowdown),
+            net=sim._net_dom.active,
+            events=sim.engine.events_fired,
+            now=sim.engine.now,
+        )
+        step(self, order)
+        if pc in self.hooks:
+            steps.append(dict(state, array=self.pc != pc))
+
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "step", spy)
+    return steps
+
+
+def fault_free_entries(app="hooked", nranks=8):
+    """Rank 0's timeline rows in a deterministic fault-free run."""
+    return make_sim(app=app, nranks=nranks, monte_carlo=False).run().timelines[0].entries
+
+
+def strike(*faults):
+    """A ``run_both`` *prepare* that schedules ``(time, node, kind,
+    detail)`` faults."""
+
+    def prepare(sim):
+        for t, node, kind, detail in faults:
+            sim.engine.schedule(
+                t, lambda ev, n=node, k=kind, d=detail: sim.inject_fault(n, kind=k, detail=d)
+            )
+
+    return prepare
+
+
+def midpoint(entry):
+    return (entry.t_start + entry.t_end) / 2
+
+
+def run_hooked(planned, prepare, nranks=8, **kwargs):
+    kwargs = dict(app="hooked", monte_carlo=False, record_timelines="all", **kwargs)
+    array_res, ref_res = run_both(planned, prepare=prepare, nranks=nranks, **kwargs)
+    assert array_res == ref_res
+    assert array_res.total_time.hex() == ref_res.total_time.hex()
+    return array_res
+
+
+@pytest.mark.parametrize("detector", ["verify", "commit"])
+def test_latent_sdc_steps_hooked_segments_per_rank(planned, hooked_steps, detector):
+    """A strike pending at a verify point or a checkpoint commit must meet
+    the hook on the per-rank path, where detection can stop the rank."""
+    entries = fault_free_entries()
+    # The strike lands while the ranks wait for a release, so the next
+    # segment starts with it pending.
+    if detector == "verify":  # the first allreduce; a verify follows
+        at = next(e for e in entries if e.kind == "collective")
+        policy = RecoveryPolicy()
+    else:  # the allreduce before the first checkpoint, validated at commit
+        first = next(i for i, e in enumerate(entries) if e.kind == "checkpoint")
+        at, policy = entries[first - 1], RecoveryPolicy(ckpt_validate_prob=1.0)
+    detail = FaultDetail(covered=True, correctable=detector == "verify")
+    res = run_hooked(planned, strike((midpoint(at), 0, "sdc", detail)), recovery_policy=policy)
+    assert res.sdc["injected"] == res.sdc["detected"] == 1
+    assert res.rollbacks == (detector == "commit")
+    pending = [step for step in hooked_steps if step["latent"]]
+    assert pending and not any(step["array"] for step in pending)
+    assert any(step["array"] for step in hooked_steps)
+
+
+def test_l2_checkpoint_under_partitioned_network_steps_per_rank(planned, hooked_steps):
+    """A dead switch cuts node 3's partner copy (node 4 holds no rank):
+    an L2 commit degrades to L1 on the per-rank path, while L1-only
+    segments with no exchange are still array-stepped."""
+    t = midpoint(fault_free_entries()[1])
+    res = run_hooked(planned, strike((t, 4, "switch", FaultDetail(repair_s=1e9))))
+    assert res.net["degraded_commits"] == 2 * (TIMESTEPS // 3)  # ranks 6 and 7
+    assert res.net["partition_stalls"] == 0
+    active = [step for step in hooked_steps if step["net"]]
+    assert any(step["array"] for step in active)
+    assert not all(step["array"] for step in active)
+
+
+def test_straggler_across_a_checkpoint_steps_per_rank(planned, hooked_steps):
+    entries = fault_free_entries()
+    first = next(e for e in entries if e.kind == "checkpoint")
+    t = midpoint(entries[1])
+    detail = FaultDetail(victims=(1,), slowdown=1.5, repair_s=entries[-1].t_end / 3)
+    assert t < first.t_start < t + detail.repair_s
+    res = run_hooked(planned, strike((t, 1, "straggler", detail)))
+    assert res.straggler["straggler_excess_s"] > 0
+    slowed = [step for step in hooked_steps if step["slowed"]]
+    assert slowed and not any(step["array"] for step in slowed)
+    assert any(step["array"] for step in hooked_steps if not step["slowed"])
+
+
+def test_failstop_in_the_segment_after_a_hooked_array_step(planned, hooked_steps):
+    """The rollback reads the ``restart_history`` an array step wrote."""
+    entries = fault_free_entries()
+    ckpts = [i for i, e in enumerate(entries) if e.kind == "checkpoint"]
+    after = next(e for e in entries[ckpts[2] :] if e.kind == "compute")
+    t = midpoint(after)
+    res = run_hooked(planned, strike((t, 0, "node", None)), recovery_policy=RecoveryPolicy())
+    assert res.rollbacks == 1 and res.torn_checkpoints == 0
+    # the struck segment steps per rank, every hooked one before it not
+    before = [step for step in hooked_steps if step["now"] < t]
+    assert len(before) > 3 and not before[-1]["array"]
+    assert all(step["array"] for step in before[:-1])
+
+
+def test_failstop_inside_a_per_rank_l1_write_tears_it(planned, hooked_steps, monkeypatch):
+    """A fail-stop strike inside an L1 checkpoint write steps that segment
+    per rank; every rank's write is torn, and with in-place L1 writes the
+    struck node's previous L1 copy is gone, so recovery skips that
+    checkpoint and rolls back one further."""
+    entries = fault_free_entries()
+    ckpts = [e for e in entries if e.kind == "checkpoint"]
+    i = next(i for i in range(1, len(ckpts)) if ckpts[i - 1].level == ckpts[i].level == 1)
+    targets = []
+    rollback = simulator_mod._Rank.rollback
+
+    def spy(rank, seq, delay):
+        targets.append(seq)
+        rollback(rank, seq, delay)
+
+    monkeypatch.setattr(simulator_mod._Rank, "rollback", spy)
+    res = run_hooked(planned, strike((midpoint(ckpts[i]), 0, "node", None)), recovery_policy=RecoveryPolicy())
+    assert res.torn_checkpoints == 8 and res.rollbacks == 1
+    # seqs count from 1: the write of seq i + 1 tore, seq i is invalid
+    assert targets == [i - 1] * 8 * 2
+    steps = [step for step in hooked_steps if step["pc"] > 0]
+    torn = next(j for j, step in enumerate(steps) if not step["array"])
+    assert all(step["array"] for step in steps[:torn])
+
+
+def test_max_events_next_to_a_hooked_segment(planned, hooked_steps):
+    """Budgets that stop just before, inside and just after a hooked
+    segment's per-rank events stop both arms at the same event, and each
+    resumes to the same result."""
+    kwargs = dict(app="hooked", nranks=8, record_timelines="all")
+    full = make_sim(**kwargs).run()
+    steps = [step for step in hooked_steps if step["array"]]
+    c = steps[len(steps) // 2]["events"]
+    for budget in range(c - 2, c + 8 + 3):
+        sims = [traced_sim(**kwargs), traced_sim(**kwargs)]
+        with pytest.raises(SimulationError, match="max_events"):
+            sims[0].run(max_events=budget)
+        with pytest.raises(SimulationError, match="max_events"):
+            run_per_rank(planned, sims[1], max_events=budget)
+        stops = [(sim.engine.events_fired, sim.engine.now, sim.engine.queue.next_seq) for sim in sims]
+        assert stops[0] == stops[1]
+        assert rank_states(sims[0]) == rank_states(sims[1]) or sims[0]._stepper.stale
+        assert sims[0].run() == sims[1].run() == full
+        assert sims[0].engine.trace_log == sims[1].engine.trace_log
+        assert sims[0]._flightrec.ring == sims[1]._flightrec.ring
+        assert rank_states(sims[0]) == rank_states(sims[1])
+
+
+def test_autosnapshot_after_a_hooked_array_step_restores_bit_identical(planned, tmp_path):
+    """A snapshot taken after a hooked array step, before its rendezvous
+    commits the ranks' checkpoints, resumes to the same result."""
+    case = next(case for case in FAULT_SWEEP if case[0] == "hooked")
+    reference = fault_sim(case)
+    ref = reference.run()
+    sim = fault_sim(case)
+    sim.enable_snapshots(str(tmp_path), every_events=1, keep=1 << 20)
+    sim.run()
+    for path in SnapshotStore(str(tmp_path)).paths():
+        resumed = BESSTSimulator.restore(path)
+        pending = resumed.sync._pending
+        if pending is not None and pending.payload[2] == resumed._stepper._commit_hooked:
+            break
+    else:
+        pytest.fail("no snapshot caught a hooked array step before its rendezvous")
+    res = resumed.run()
+    assert res == ref and res.faults_injected > 0
+    assert rank_states(resumed) == rank_states(reference)

@@ -49,12 +49,6 @@ def test_callable_model_stochastic():
     assert m.predict({}, rng) != m.predict({})
 
 
-def test_predict_many():
-    m = ConstantModel(1.0)
-    out = m.predict_many([{}, {}, {}])
-    assert out.tolist() == [1.0, 1.0, 1.0]
-
-
 def test_dataset_mape_zero_for_perfect_model():
     ds = toy_dataset()
     m = CallableModel(lambda p: float(np.mean(ds.samples(p))), ("n",))

@@ -105,12 +105,6 @@ def test_split_validates_fraction():
             ds.split(bad)
 
 
-def test_filter():
-    ds = make_grid_dataset()
-    small = ds.filter(lambda p: p["epr"] <= 10)
-    assert len(small) == 4
-
-
 def test_merge():
     a = make_grid_dataset()
     b = BenchmarkDataset(("epr", "ranks"), kernel="k")

@@ -9,7 +9,6 @@ from repro.models import BenchmarkDataset, CallableModel, ConstantModel, ScaledM
 from repro.models.symreg import (
     Binary,
     Const,
-    Expression,
     GPConfig,
     ParseError,
     SymbolicRegressionModel,
