@@ -21,11 +21,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from repro.network.commmodel import LogGPModel
+from repro.network.health import NET_KIND_SPLIT, aggregate_stretch
 from repro.network.topology import Topology
-
-#: default split of the network fault rate across kinds (mirrors
-#: :data:`repro.core.fault_injection.NET_KIND_SPLIT`)
-_DEFAULT_SPLIT = (("link", 0.6), ("switch", 0.1), ("netdeg", 0.3))
 
 
 def steady_state_failed_links(
@@ -39,15 +37,6 @@ def steady_state_failed_links(
     if repair_s < 0:
         raise ValueError(f"repair_s must be >= 0, got {repair_s}")
     return nlinks * repair_s / (link_mtbf_s + repair_s)
-
-
-def aggregate_stretch(nlinks: int, failed: float) -> float:
-    """Fabric-wide hop stretch with *failed* of *nlinks* out of service —
-    the closed form of :meth:`NetworkHealth.aggregate_penalty`'s
-    ``1 + 2·failed/links`` (each detour costs ~2 extra hops)."""
-    if nlinks < 1:
-        raise ValueError(f"nlinks must be >= 1, got {nlinks}")
-    return 1.0 + 2.0 * max(0.0, failed) / nlinks
 
 
 def single_link_stretch(topology: Topology) -> float:
@@ -164,15 +153,28 @@ def active_probability(event_rate_per_s: float, repair_s: float) -> float:
     return 1.0 - math.exp(-event_rate_per_s * repair_s)
 
 
+def _far_time(
+    model: LogGPModel,
+    nbytes: int,
+    stretch: float = 1.0,
+    derate: float = 1.0,
+    loss: float = 0.0,
+) -> float:
+    """:meth:`LogGPModel.far_time` under a fabric-wide ``(stretch,
+    derate, loss)`` penalty, without its retransmit timeout; the
+    defaults give the healthy time."""
+    return (
+        model.L * model.topology.diameter() * stretch
+        + 2 * model.o
+        + model.G * nbytes * model.contention_factor * derate
+    ) / (1.0 - loss)
+
+
 def degraded_collective_inflation(
     topology: Topology,
     nbytes: int,
     degrade_factor: float = 4.0,
     loss_prob: float = 0.05,
-    latency_per_hop: float = 100e-9,
-    overhead: float = 300e-9,
-    bytes_per_second: float = 12.5e9,
-    contention_factor: Optional[float] = None,
 ) -> float:
     """``far_time`` inflation *conditional on* an active link
     degradation: the bandwidth term de-rates by the full
@@ -183,16 +185,9 @@ def degraded_collective_inflation(
         raise ValueError(f"degrade_factor must be >= 1, got {degrade_factor}")
     if not 0.0 <= loss_prob < 1.0:
         raise ValueError(f"loss_prob must be in [0, 1), got {loss_prob}")
-    L = float(latency_per_hop)
-    o = float(overhead)
-    G = 1.0 / float(bytes_per_second)
-    if contention_factor is None:
-        contention_factor = getattr(topology, "oversubscription", 1.0)
-    d = topology.diameter()
-    healthy = L * d + 2 * o + G * nbytes * contention_factor
-    faulty = (L * d + 2 * o + G * nbytes * contention_factor * degrade_factor) / (
-        1.0 - loss_prob
-    )
+    model = LogGPModel(topology)
+    healthy = _far_time(model, nbytes)
+    faulty = _far_time(model, nbytes, derate=degrade_factor, loss=loss_prob)
     return faulty / healthy if healthy > 0 else 1.0
 
 
@@ -236,10 +231,6 @@ def expected_collective_inflation(
     split: Optional[Sequence[tuple[str, float]]] = None,
     degrade_factor: float = 4.0,
     loss_prob: float = 0.05,
-    latency_per_hop: float = 100e-9,
-    overhead: float = 300e-9,
-    bytes_per_second: float = 12.5e9,
-    contention_factor: Optional[float] = None,
 ) -> float:
     """Expected steady-state inflation of one ``far_time`` collective
     message under the link failure process — the analytic mirror of
@@ -259,7 +250,7 @@ def expected_collective_inflation(
     if repair_s < 0:
         raise ValueError(f"repair_s must be >= 0, got {repair_s}")
     if split is None:
-        split = _DEFAULT_SPLIT
+        split = NET_KIND_SPLIT
     shares = {k: 0.0 for k in ("link", "switch", "netdeg")}
     for kind, w in split:
         if kind not in shares:
@@ -280,14 +271,7 @@ def expected_collective_inflation(
     p_deg = 1.0 - math.exp(-n_netdeg)
     derate = 1.0 + p_deg * (degrade_factor - 1.0)
     loss = p_deg * loss_prob
-    L = float(latency_per_hop)
-    o = float(overhead)
-    G = 1.0 / float(bytes_per_second)
-    if contention_factor is None:
-        contention_factor = getattr(topology, "oversubscription", 1.0)
-    d = topology.diameter()
-    healthy = L * d + 2 * o + G * nbytes * contention_factor
-    faulty = (L * d * stretch + 2 * o + G * nbytes * contention_factor * derate) / (
-        1.0 - loss
-    )
+    model = LogGPModel(topology)
+    healthy = _far_time(model, nbytes)
+    faulty = _far_time(model, nbytes, stretch, derate, loss)
     return faulty / healthy if healthy > 0 else 1.0

@@ -60,7 +60,7 @@ from repro.core.supervisor import (
     TaskSupervisor,
 )
 from repro.des.snapshot import SnapshotStore
-from repro.faults.domains import NetworkDomain, SdcDomain
+from repro.faults.domains import FailStopDomain, NetworkDomain, SdcDomain
 from repro.guard.durable import JournalError, WriteAheadJournal
 from repro.guard.resource import STAGE_SUSPEND_EXPORTERS, STAGES
 from repro.models import ConstantModel
@@ -115,7 +115,7 @@ class CampaignSpec:
     #: (crossbar baseline), "torus" (square 2-D) or "fattree"
     net_topology: str = "full"
     #: how the folded link rate splits across link/switch/netdeg, as
-    #: sorted (kind, weight) pairs; empty = NET_KIND_SPLIT
+    #: sorted (kind, weight) pairs; empty = ``network.health.NET_KIND_SPLIT``
     net_fault_split: tuple = ()
 
     def __post_init__(self) -> None:
@@ -196,7 +196,20 @@ class CampaignSpec:
         at ``nlinks / link_mtbf`` while the configured mix keeps its
         relative shares.
         """
-        model = FaultModel(
+        model = self._node_fault_model()
+        if self.net_link_mtbf_s > 0:
+            model = fold_link_rate(
+                model,
+                nnodes=self.nnodes,
+                nlinks=link_count(self.build_topology()),
+                link_mtbf_s=self.net_link_mtbf_s,
+                split=self.net_fault_split or None,
+            )
+        return model
+
+    def _node_fault_model(self) -> FaultModel:
+        """The node failure stream, before any link rate is folded in."""
+        return FaultModel(
             node_mtbf_s=self.node_mtbf_s,
             software_fraction=self.software_fraction,
             kind_weights=dict(self.fault_mix) if self.fault_mix else None,
@@ -209,15 +222,13 @@ class CampaignSpec:
             net_loss_prob=self.net_loss_prob,
             net_repair_s=self.net_repair_s,
         )
-        if self.net_link_mtbf_s > 0:
-            model = fold_link_rate(
-                model,
-                nnodes=self.nnodes,
-                nlinks=link_count(self.build_topology()),
-                link_mtbf_s=self.net_link_mtbf_s,
-                split=self.net_fault_split or None,
-            )
-        return model
+
+    @property
+    def kind_mix(self) -> dict[str, float]:
+        """The configured fault-kind mix: the validated weights of the
+        node failure stream (zero weights dropped, canonical kind
+        order), before any link rate is folded in."""
+        return self._node_fault_model().weights
 
     @property
     def work_s(self) -> float:
@@ -232,6 +243,36 @@ class CampaignSpec:
     @property
     def system_mtbf_s(self) -> float:
         return self.node_mtbf_s / self.nnodes
+
+    @property
+    def expected_waste_s(self) -> float:
+        """Young/Daly expected waste (checkpoint overhead, rework and
+        restarts) of this point's workload under its system MTBF."""
+        return expected_waste(
+            self.work_s,
+            self.interval_s,
+            self.ckpt_cost_s,
+            self.system_mtbf_s,
+            restart_cost=self.recovery_time_s,
+        )
+
+    @property
+    def two_error_mtbfs(self) -> tuple[float, float]:
+        """``(fail-stop, SDC)`` MTBFs of the two-error-type model.
+
+        The injector draws one system-wide arrival stream and then a kind
+        from :attr:`kind_mix`, so each error type's MTBF is the system
+        MTBF over its share; ``math.inf`` when the mix has none.  The
+        fail-stop share sums the weights in ``FailStopDomain.kinds``
+        order, so it does not depend on set iteration order.
+        """
+        mix = self.kind_mix
+
+        def mtbf(kinds: tuple[str, ...]) -> float:
+            share = sum(mix.get(k, 0.0) for k in kinds)
+            return self.system_mtbf_s / share if share > 0 else math.inf
+
+        return mtbf(FailStopDomain.kinds), mtbf(SdcDomain.kinds)
 
 
 class CampaignWorkload:
@@ -689,13 +730,7 @@ def _youngdaly_check(spec: CampaignSpec, replicas: list[dict]) -> dict:
     per run) it should sit within ±50 % (see tests/docs), the renewal
     approximation's documented accuracy band here.
     """
-    predicted = expected_waste(
-        spec.work_s,
-        spec.interval_s,
-        spec.ckpt_cost_s,
-        spec.system_mtbf_s,
-        restart_cost=spec.recovery_time_s,
-    )
+    predicted = spec.expected_waste_s
     completed = [r for r in replicas if r["completed"]]
     if not completed:
         return {

@@ -54,14 +54,10 @@ import numpy as np
 # cumulative-weight walk of FaultModel.draw_kind, so new kinds append
 # at the END and existing mixes keep their draw streams.
 from repro.faults.domains import FAULT_KINDS
+from repro.network.health import NET_KIND_SPLIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-
-#: how a folded-in network failure rate splits across the network kinds:
-#: mostly link failures, occasional switch deaths, a steady trickle of
-#: degraded links (cable/optics de-rate before they die)
-NET_KIND_SPLIT = (("link", 0.6), ("switch", 0.1), ("netdeg", 0.3))
 
 
 @dataclass(frozen=True)

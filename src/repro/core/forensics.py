@@ -32,15 +32,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analytical.youngdaly import expected_waste, two_error_waste_fraction
+from repro.analytical.youngdaly import two_error_waste_fraction
 from repro.core.fault_injection import FAULT_ROW_FIELDS
-from repro.faults.domains import FAILSTOP_KINDS, StragglerDomain
+from repro.faults.domains import FailStopDomain, StragglerDomain
 
-#: FAILSTOP_KINDS (the kinds whose episodes the Young/Daly fail-stop
-#: model prices) and the straggler kinds come from the fault domains
-#: that own them, not from a copy of the taxonomy here.  A kind no
-#: domain owns (a journal written by a build with extra kinds) still
-#: gets a chain, with no straggler share.
+#: The fail-stop kinds (whose episodes the Young/Daly fail-stop model
+#: prices) and the straggler kinds come from the fault domains that own
+#: them, not from a copy of the taxonomy here.  A kind no domain owns (a
+#: journal written by a build with extra kinds) still gets a chain, with
+#: no straggler share.
 
 #: outlier threshold: |z| of a replica's waste vs its point's distribution
 OUTLIER_Z = 2.0
@@ -190,7 +190,7 @@ def attribute_replica(result: dict, replica: Optional[int] = None) -> dict:
         sum(
             ep["rework_s"] + ep["downtime_s"] + ep["requeue_s"]
             for ep in episodes
-            if ep["kind"] in FAILSTOP_KINDS
+            if ep["kind"] in FailStopDomain.kinds
         )
     )
     return {
@@ -251,13 +251,7 @@ def _failstop_youngdaly(spec, attributions: list[dict]) -> dict:
     cross-check; with a mixed taxonomy it isolates the share the model
     can actually see.
     """
-    predicted = expected_waste(
-        spec.work_s,
-        spec.interval_s,
-        spec.ckpt_cost_s,
-        spec.system_mtbf_s,
-        restart_cost=spec.recovery_time_s,
-    )
+    predicted = spec.expected_waste_s
     completed = [a for a in attributions if a["completed"]]
     if not completed:
         return {
@@ -275,32 +269,20 @@ def _failstop_youngdaly(spec, attributions: list[dict]) -> dict:
     }
 
 
-def _kind_weights(spec) -> dict[str, float]:
-    mix = dict(spec.fault_mix) if spec.fault_mix else {}
-    if not mix:
-        mix = {
-            "software": spec.software_fraction,
-            "node": 1.0 - spec.software_fraction,
-        }
-    return mix
-
-
 def _two_error_check(spec, attributions: list[dict]) -> Optional[dict]:
     """Two-error-type waste-fraction comparison (when ABFT is on and the
-    mix carries both fail-stop and SDC arrival streams)."""
+    spec has both fail-stop and SDC arrival streams)."""
     if spec.verify_period <= 0:
         return None
-    mix = _kind_weights(spec)
-    p_sdc = mix.get("sdc", 0.0)
-    p_fs = sum(mix.get(k, 0.0) for k in FAILSTOP_KINDS)
-    if p_sdc <= 0 or p_fs <= 0:
+    mtbf_failstop, mtbf_sdc = spec.two_error_mtbfs
+    if math.isinf(mtbf_failstop) or math.isinf(mtbf_sdc):
         return None
     predicted = two_error_waste_fraction(
         spec.interval_s,
         spec.ckpt_cost_s,
         spec.verify_cost_s,
-        spec.system_mtbf_s / p_fs,
-        spec.system_mtbf_s / p_sdc,
+        mtbf_failstop,
+        mtbf_sdc,
     )
     completed = [a for a in attributions if a["completed"]]
     if not completed:
@@ -429,7 +411,7 @@ def analyze_journal(
                 "spec_key": spec_key,
                 "mtbf_s": spec.node_mtbf_s,
                 "ckpt_period": spec.ckpt_period,
-                "fault_mix": _kind_weights(spec),
+                "fault_mix": spec.kind_mix,
                 "reps": int(meta["reps"]),
                 "replicas_done": len(attributions),
                 "completed": sum(1 for a in attributions if a["completed"]),

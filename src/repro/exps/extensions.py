@@ -611,6 +611,21 @@ class SDCVerifyRow:
     sdc_detected: float         #: mean detected strikes per run
     sdc_undetected: float       #: mean strikes still latent at completion
     wrong_result_rate: float    #: fraction of runs completing with bad output
+    analytic_period: float      #: two-error-type optimum of this row's spec
+
+
+def _ext8_spec(
+    verify_period: int, node_mtbf_s: float, ckpt_period: int, timesteps: int
+):
+    from repro.core.campaign import CampaignSpec
+
+    return CampaignSpec(
+        node_mtbf_s=node_mtbf_s,
+        ckpt_period=ckpt_period,
+        timesteps=timesteps,
+        fault_mix=EXT8_FAULT_MIX,
+        verify_period=verify_period,
+    )
 
 
 def sdc_verification_dse(
@@ -632,7 +647,7 @@ def sdc_verification_dse(
     optimum of :func:`repro.analytical.youngdaly.two_error_interval`
     (see :func:`ext8_analytic_period`).
     """
-    from repro.core.campaign import CampaignSpec, build_campaign_simulator
+    from repro.core.campaign import build_campaign_simulator
     from repro.core.fault_injection import RecoveryPolicy
     from repro.core.montecarlo import derive_seeds
 
@@ -640,13 +655,7 @@ def sdc_verification_dse(
     seeds = derive_seeds(seed, reps)
     rows: list[SDCVerifyRow] = []
     for vp in verify_periods:
-        spec = CampaignSpec(
-            node_mtbf_s=node_mtbf_s,
-            ckpt_period=ckpt_period,
-            timesteps=timesteps,
-            fault_mix=EXT8_FAULT_MIX,
-            verify_period=vp,
-        )
+        spec = _ext8_spec(vp, node_mtbf_s, ckpt_period, timesteps)
         results = []
         for s in seeds:
             sim = build_campaign_simulator(spec, int(s), policy)
@@ -664,35 +673,23 @@ def sdc_verification_dse(
                 wrong_result_rate=float(
                     np.mean([1.0 if r.wrong_result else 0.0 for r in results])
                 ),
+                analytic_period=ext8_analytic_period(spec),
             )
         )
     return rows
 
 
-def ext8_analytic_period(
-    node_mtbf_s: float = 6.0,
-    compute_s: float = 0.1,
-    ckpt_cost_s: float = 0.05,
-    verify_cost_s: float = 0.01,
-) -> float:
-    """The two-error-type optimal cadence, in timesteps.
-
-    The injector draws one fault per exponential arrival and then picks
-    its kind from :data:`EXT8_FAULT_MIX`, so each kind's MTBF is the
-    overall MTBF divided by that kind's weight.  Fail-stop pools every
-    kind that interrupts execution (everything but SDC).
-    """
+def ext8_analytic_period(spec) -> float:
+    """The two-error-type optimal cadence of *spec*, in timesteps: the
+    optimum of :func:`~repro.analytical.youngdaly.two_error_interval`
+    over the spec's fail-stop and SDC MTBFs
+    (:attr:`~repro.core.campaign.CampaignSpec.two_error_mtbfs`)."""
     from repro.analytical.youngdaly import two_error_interval
 
-    mix = dict(EXT8_FAULT_MIX)
-    sdc_w = mix.get("sdc", 0.0)
-    failstop_w = sum(w for k, w in mix.items() if k != "sdc")
-    mtbf_sdc = node_mtbf_s / sdc_w if sdc_w > 0 else float("inf")
-    mtbf_failstop = (
-        node_mtbf_s / failstop_w if failstop_w > 0 else float("inf")
+    tau = two_error_interval(
+        spec.ckpt_cost_s, spec.verify_cost_s, *spec.two_error_mtbfs
     )
-    tau = two_error_interval(ckpt_cost_s, verify_cost_s, mtbf_failstop, mtbf_sdc)
-    return tau / compute_s
+    return tau / spec.compute_s
 
 
 def format_ext8(rows: list[SDCVerifyRow]) -> str:
@@ -719,7 +716,7 @@ def format_ext8(rows: list[SDCVerifyRow]) -> str:
         )
     lines.append(
         "analytic two-error-type optimum: "
-        f"{ext8_analytic_period():.1f} timesteps between verifications"
+        f"{rows[0].analytic_period:.1f} timesteps between verifications"
     )
     return "\n".join(lines)
 
@@ -791,9 +788,8 @@ def ext9_analytic_slowdown(
 
     spec = _ext9_spec(link_mtbf_s, ckpt_period, timesteps)
     topo = spec.build_topology()
-    netdeg_rate = (
-        link_count(topo) / link_mtbf_s * dict(EXT9_NET_SPLIT).get("netdeg", 0.0)
-    )
+    netdeg_share = dict(spec.net_fault_split).get("netdeg", 0.0)
+    netdeg_rate = link_count(topo) / link_mtbf_s * netdeg_share
     f = active_probability(netdeg_rate, spec.net_repair_s)
     coll_inflation = degraded_collective_inflation(
         topo,
@@ -801,9 +797,7 @@ def ext9_analytic_slowdown(
         degrade_factor=spec.net_degrade_factor,
         loss_prob=spec.net_loss_prob,
     )
-    serial = timesteps * spec.compute_s + (
-        timesteps // ckpt_period
-    ) * spec.ckpt_cost_s
+    serial = spec.work_s + (timesteps // ckpt_period) * spec.ckpt_cost_s
     comm_fraction = max(0.0, 1.0 - serial / baseline_total)
     ts_inflation = 1.0 + comm_fraction * (coll_inflation - 1.0)
     return time_shared_slowdown(f, ts_inflation)

@@ -794,9 +794,6 @@ DOMAINS: tuple[type[FaultDomain], ...] = (
     TornCheckpointDomain,
 )
 
-#: kinds whose recovery semantics are fail-stop (coordinated rollback)
-FAILSTOP_KINDS: frozenset = frozenset(FailStopDomain.kinds)
-
 
 def _check_domains() -> None:
     seen: dict[str, str] = {}

@@ -39,9 +39,24 @@ class NetworkPartitionedError(RuntimeError):
     """No surviving route exists between two endpoints."""
 
 
+#: how a network failure rate splits across the network fault kinds:
+#: mostly link failures, occasional switch deaths, a steady trickle of
+#: degraded links (cable/optics de-rate before they die)
+NET_KIND_SPLIT = (("link", 0.6), ("switch", 0.1), ("netdeg", 0.3))
+
+
 def link_count(topology: "Topology") -> int:
     """Number of links (neighbour edges) in *topology*'s endpoint graph."""
     return topology.to_networkx().number_of_edges()
+
+
+def aggregate_stretch(nlinks: int, failed: float) -> float:
+    """Fabric-wide hop stretch with *failed* of *nlinks* links out of
+    service: ``1 + 2·failed/nlinks`` (each detour costs ~2 extra hops).
+    *failed* may be fractional (an expected count)."""
+    if nlinks < 1:
+        raise ValueError(f"nlinks must be >= 1, got {nlinks}")
+    return 1.0 + 2.0 * max(0.0, failed) / nlinks
 
 
 class NetworkHealth:
@@ -275,11 +290,11 @@ class NetworkHealth:
         whole fabric for collective pricing.
 
         Collectives touch routes all over the machine, so they are priced
-        with a fabric-wide expectation instead of per-pair routing: each
-        out-of-service link detours the routes crossing it by ~2 extra
-        hops, giving ``stretch = 1 + 2·failed/links`` (links removed by
-        isolated endpoints count as failed); the worst active de-rate and
-        loss bound the bandwidth term.  Cached until the next mutation.
+        with a fabric-wide expectation instead of per-pair routing: the
+        hop stretch is :func:`aggregate_stretch` of the out-of-service
+        links (links removed by isolated endpoints count as failed); the
+        worst active de-rate and loss bound the bandwidth term.  Cached
+        until the next mutation.
         """
         if self._penalty is None:
             out = len(self.failed_links)
@@ -287,7 +302,7 @@ class NetworkHealth:
                 for peer in self._graph[n]:
                     if frozenset((n, peer)) not in self.failed_links:
                         out += 1
-            stretch = 1.0 + (2.0 * out / self.nlinks if self.nlinks else 0.0)
+            stretch = aggregate_stretch(self.nlinks, out) if self.nlinks else 1.0
             derate = max((d for d, _ in self.degraded.values()), default=1.0)
             loss = max((l for _, l in self.degraded.values()), default=0.0)
             self._penalty = (stretch, derate, loss)

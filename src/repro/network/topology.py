@@ -92,35 +92,6 @@ class Topology(abc.ABC):
             self._health = NetworkHealth(self)
         return self._health
 
-    # Convenience delegations so callers can mutate health directly on
-    # the topology (`topo.fail_link(a, b)`).
-
-    def fail_link(self, a: int, b: int) -> None:
-        self.health().fail_link(a, b)
-
-    def repair_link(self, a: int, b: int) -> None:
-        self.health().repair_link(a, b)
-
-    def degrade_link(
-        self, a: int, b: int, derate: float = 2.0, loss_prob: float = 0.0
-    ) -> None:
-        self.health().degrade_link(a, b, derate=derate, loss_prob=loss_prob)
-
-    def fail_node(self, node: int) -> None:
-        self.health().fail_node(node)
-
-    def repair_node(self, node: int) -> None:
-        self.health().repair_node(node)
-
-    def is_partitioned(self, a: int, b: int) -> bool:
-        """True when the fault overlay has severed every a–b route
-        (always False while no overlay exists)."""
-        if self._health is None:
-            self._check_node(a)
-            self._check_node(b)
-            return False
-        return self._health.is_partitioned(a, b)
-
 
 class FullyConnected(Topology):
     """Every node one switch away from every other (crossbar).

@@ -19,7 +19,15 @@ from repro.analytical import (
     time_shared_slowdown,
     torus_stretch_bound,
 )
-from repro.network import FullyConnected, Torus, TwoStageFatTree, link_count
+from repro.analytical.netavail import _far_time
+from repro.network import (
+    FullyConnected,
+    LogGPModel,
+    Torus,
+    TwoStageFatTree,
+    link_count,
+)
+from repro.network.dragonfly import Dragonfly
 
 
 # -- occupancy ---------------------------------------------------------------------
@@ -160,6 +168,24 @@ def test_degraded_collective_inflation_exact_ratio():
         degraded_collective_inflation(t, nbytes, degrade_factor=0.5)
     with pytest.raises(ValueError, match="loss_prob"):
         degraded_collective_inflation(t, nbytes, loss_prob=1.0)
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        FullyConnected(8),
+        Torus((2, 4)),
+        TwoStageFatTree(16, nodes_per_edge=4, uplinks_per_edge=2),
+        Dragonfly(32, nodes_per_router=2, routers_per_group=4),
+    ],
+    ids=lambda t: type(t).__name__,
+)
+@pytest.mark.parametrize("nbytes", [0, 8, 1 << 26])
+def test_healthy_term_is_loggp_far_time(topology, nbytes):
+    """The closed forms price a healthy collective message exactly as
+    the simulator's :meth:`LogGPModel.far_time` does, bit for bit."""
+    model = LogGPModel(topology)
+    assert _far_time(model, nbytes) == model.far_time(nbytes)
 
 
 def test_expected_collective_inflation_limits_and_monotonicity():

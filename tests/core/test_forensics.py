@@ -318,3 +318,29 @@ def test_analyze_ingests_harness_failure_log(tmp_path):
     assert summary["failures"] == 2
     assert summary["by_kind"] == {"crash": 1, "poisoned": 1}
     assert summary["quarantined"] == ["abc:0"]
+
+
+def test_golden_journal_crosschecks_are_pinned():
+    """The analytical cross-check blocks of the golden journal's
+    post-mortem, bit for bit (float hex recorded while forensics still
+    carried its own copy of the kind mix and the Young/Daly inputs)."""
+    from pathlib import Path
+
+    journal = Path(__file__).parent / "golden" / "campaign.wal.jsonl"
+    (point,) = analyze_journal(str(journal))["points"]
+    got = {
+        block: {k: v.hex() for k, v in point[block].items()}
+        for block in ("youngdaly", "two_error")
+    }
+    assert got == {
+        "youngdaly": {
+            "predicted_waste_s": "0x1.2cbda0d2c8c72p+1",
+            "simulated_failstop_waste_s": "0x1.97c2e2d3c8cbbp+1",
+            "ratio": "0x1.5b1968f8d7625p+0",
+        },
+        "two_error": {
+            "predicted_fraction": "0x1.b020c49ba5e36p-2",
+            "simulated_fraction": "0x1.de70d3635df50p+1",
+            "ratio": "0x1.1b6fbb1b525a8p+3",
+        },
+    }

@@ -181,11 +181,7 @@ def test_ext7_granularity():
 
 
 def test_ext8_sdc_verification_dse():
-    from repro.exps.extensions import (
-        ext8_analytic_period,
-        format_ext8,
-        sdc_verification_dse,
-    )
+    from repro.exps.extensions import format_ext8, sdc_verification_dse
 
     rows = sdc_verification_dse(
         verify_periods=(0, 2, 10), reps=4, timesteps=40, seed=1
@@ -200,9 +196,27 @@ def test_ext8_sdc_verification_dse():
     assert by[2].mean_verify > by[10].mean_verify > 0.0
     assert by[2].sdc_detected > 0.0
     assert by[2].wrong_result_rate < by[0].wrong_result_rate
-    assert ext8_analytic_period() > 0.0
+    assert all(r.analytic_period > 0.0 for r in rows)
     out = format_ext8(rows)
     assert "EXT8" in out and "analytic two-error-type optimum" in out
+
+
+def test_ext8_analytic_period_prices_the_swept_spec():
+    """The closed form reads the MTBFs of the process EXT8 simulates: 4
+    nodes of 6 s MTBF (1.5 s system MTBF), fail-stop share 0.5
+    (software, node, burst; stragglers are not fail-stop), SDC share
+    0.4."""
+    from repro.analytical import two_error_interval
+    from repro.exps.extensions import _ext8_spec, ext8_analytic_period
+
+    spec = _ext8_spec(5, node_mtbf_s=6.0, ckpt_period=10, timesteps=80)
+    mtbf_failstop, mtbf_sdc = spec.two_error_mtbfs
+    assert mtbf_failstop == pytest.approx(3.0)
+    assert mtbf_sdc == pytest.approx(3.75)
+    assert ext8_analytic_period(spec) == two_error_interval(
+        spec.ckpt_cost_s, spec.verify_cost_s, mtbf_failstop, mtbf_sdc
+    ) / spec.compute_s
+    assert round(ext8_analytic_period(spec), 1) == 3.7
 
 
 def test_ext8_is_deterministic():
@@ -221,6 +235,7 @@ def test_ext8_is_deterministic():
             sdc_detected=1.0,
             sdc_undetected=0.0,
             wrong_result_rate=0.0,
+            analytic_period=3.7210420376762543,
         )
     ]
 
@@ -277,6 +292,18 @@ def test_ext9_is_deterministic():
             retransmits=0.8421052631578938,
         )
     ]
+
+
+def test_ext9_analytic_slowdown_is_pinned():
+    """The first EXT9 grid point's closed form, bit for bit (recorded
+    while it still read the module's split and ``timesteps *
+    compute_s`` instead of the spec's own fields).  The baseline is that
+    point's fault-free runtime."""
+    from repro.exps.extensions import ext9_analytic_slowdown
+
+    baseline = float.fromhex("0x1.0792572e5ac96p+2")
+    got = ext9_analytic_slowdown(8.0, 5, 40, baseline_total=baseline)
+    assert got.hex() == "0x1.faf876d958cbfp+0"
 
 
 def test_ext9_analytic_slowdown_monotone_in_mtbf():

@@ -53,21 +53,21 @@ def test_fail_and_repair_link_roundtrip():
 def test_fail_nonexistent_link_rejected_with_pair_in_message():
     t = Torus((3, 3))
     with pytest.raises(ValueError, match=r"\(0, 4\) is not a link"):
-        t.fail_link(0, 4)  # diagonal: not a torus edge
+        t.health().fail_link(0, 4)  # diagonal: not a torus edge
 
 
 def test_fail_link_out_of_range_node():
     t = Torus((3, 3))
     with pytest.raises(IndexError, match="out of range"):
-        t.fail_link(0, 9)
+        t.health().fail_link(0, 9)
 
 
 def test_degrade_link_validation():
     t = Torus((3, 3))
     with pytest.raises(ValueError, match="derate must be >= 1"):
-        t.degrade_link(0, 1, derate=0.5)
+        t.health().degrade_link(0, 1, derate=0.5)
     with pytest.raises(ValueError, match="loss_prob must be in"):
-        t.degrade_link(0, 1, loss_prob=1.0)
+        t.health().degrade_link(0, 1, loss_prob=1.0)
 
 
 def test_repair_link_clears_degradation_too():
@@ -223,7 +223,7 @@ def test_reroute_inflates_hops_and_counts():
     t = Torus((3, 3))
     m = LogGPModel(t)
     base = m.p2p_time(0, 1, 1 << 20)
-    t.fail_link(0, 1)
+    t.health().fail_link(0, 1)
     assert m.p2p_time(0, 1, 1 << 20) > base
     assert m.stats["reroutes"] == 1.0
 
@@ -235,7 +235,7 @@ def test_contention_from_actual_route_used():
     m = LogGPModel(t, contention_factor=3.0)
     n = 1 << 20
     healthy = m.p2p_time(0, 2, n)  # 2 hops: no contention
-    t.fail_link(1, 2)
+    t.health().fail_link(1, 2)
     detoured = m.p2p_time(0, 2, n)  # 6 hops the long way: contended
     assert healthy == pytest.approx(m.L * 2 + 2 * m.o + m.G * n)
     assert detoured == pytest.approx(m.L * 6 + 2 * m.o + m.G * n * 3.0)
@@ -246,7 +246,7 @@ def test_degraded_link_derates_bandwidth_and_adds_retransmits():
     m = LogGPModel(t, retransmit_timeout=1e-3)
     n = 1 << 20
     base = m.p2p_time(0, 1, n)
-    t.degrade_link(0, 1, derate=2.0, loss_prob=0.5)
+    t.health().degrade_link(0, 1, derate=2.0, loss_prob=0.5)
     faulty = m.p2p_time(0, 1, n)
     degraded = m.L * 1 + 2 * m.o + m.G * n * 2.0
     assert faulty == pytest.approx(degraded * 2.0 + 1.0 * 1e-3)  # 2 tries
@@ -256,8 +256,8 @@ def test_degraded_link_derates_bandwidth_and_adds_retransmits():
 
 def test_partitioned_pair_raises_with_endpoints_in_message():
     t = Torus((1, 4))
-    t.fail_link(0, 1)
-    t.fail_link(0, 3)
+    t.health().fail_link(0, 1)
+    t.health().fail_link(0, 3)
     m = LogGPModel(t)
     with pytest.raises(
         NetworkPartitionedError, match="from node 0 to node 1"
@@ -269,7 +269,7 @@ def test_p2p_penalty_is_faulty_over_healthy_ratio():
     t = Torus((3, 3))
     m = LogGPModel(t)
     assert m.p2p_penalty(0, 1) == pytest.approx(1.0)
-    t.degrade_link(0, 1, derate=4.0)
+    t.health().degrade_link(0, 1, derate=4.0)
     assert m.p2p_penalty(0, 1) > 1.0
     assert m.p2p_penalty(0, 0) == 1.0
 
@@ -279,7 +279,7 @@ def test_fattree_core_pair_priced_by_aggregate_penalty():
     m = LogGPModel(ft)
     n = 1 << 20
     base = m.p2p_time(0, 4, n)  # cross-switch, healthy
-    ft.degrade_link(0, 1, derate=4.0)  # same-switch link; fabric penalty
+    ft.health().degrade_link(0, 1, derate=4.0)  # same-switch link; fabric penalty
     faulty = m.p2p_time(0, 4, n)  # no endpoint-graph route: fallback
     assert faulty > base
 
@@ -289,8 +289,8 @@ def test_collective_far_time_pays_fabric_penalty():
     m = LogGPModel(t)
     n = 1 << 20
     base = m.far_time(n)
-    t.fail_link(0, 1)
-    t.degrade_link(1, 2, derate=4.0, loss_prob=0.1)
+    t.health().fail_link(0, 1)
+    t.health().degrade_link(1, 2, derate=4.0, loss_prob=0.1)
     faulty = m.far_time(n)
     stretch, derate, loss = t.health().aggregate_penalty()
     expected = (m.L * t.diameter() * stretch + 2 * m.o + m.G * n * derate) / (
