@@ -70,7 +70,8 @@ class FaultDetail:
     * ``victims`` — every node felled by a ``burst`` (includes the seed
       node); empty for single-node kinds.
     * ``slowdown`` / ``repair_s`` — a ``straggler``'s clock-rate factor
-      and time until the node is repaired (``repair_s <= 0`` = never).
+      (finite, >= 1) and time until the node is repaired
+      (``repair_s <= 0`` = never).
     * ``covered`` — an ``sdc`` strike landed inside ABFT-protected
       operations (detectable at the next Verify point); uncovered
       strikes are invisible to every detector.
@@ -81,7 +82,8 @@ class FaultDetail:
       deterministically.  ``repair_s`` doubles as the network repair
       delay for the three network kinds.
     * ``derate`` / ``loss_prob`` — a ``netdeg`` link's bandwidth de-rate
-      factor (>= 1) and transient message-loss probability.
+      factor (finite, >= 1) and transient message-loss probability
+      (in [0, 1)).
     """
 
     victims: tuple[int, ...] = ()
@@ -92,6 +94,17 @@ class FaultDetail:
     edge: tuple[int, ...] = ()
     derate: float = 1.0
     loss_prob: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Bounds are written ``not x > lo`` so that NaN fails them too.
+        if not 1.0 <= self.slowdown < math.inf:
+            raise ValueError(f"slowdown must be finite and >= 1, got {self.slowdown}")
+        if math.isnan(self.repair_s):
+            raise ValueError("repair_s must be a number, got nan")
+        if not 1.0 <= self.derate < math.inf:
+            raise ValueError(f"derate must be finite and >= 1, got {self.derate}")
+        if not 0.0 <= self.loss_prob < 1.0:
+            raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +135,12 @@ class FaultModel:
         Probability a covered strike is within ABFT's correction
         capability (single corrupted element).
     straggler_slowdown / straggler_repair_s:
-        A straggler's compute-clock factor and repair delay
+        A straggler's compute-clock factor (finite, >= 1) and repair delay
         (``<= 0`` repair = degraded until job end).
     burst_size:
         Nodes felled per correlated burst (capped at the live count).
     net_degrade_factor / net_loss_prob:
-        A ``netdeg`` fault's bandwidth de-rate (>= 1) and message-loss
+        A ``netdeg`` fault's bandwidth de-rate (finite, >= 1) and message-loss
         probability (in [0, 1)).
     net_repair_s:
         Time until a failed/degraded link or dead switch is repaired
@@ -168,15 +181,15 @@ class FaultModel:
             raise ValueError(
                 f"sdc_correct_prob must be in [0,1], got {self.sdc_correct_prob}"
             )
-        if not self.straggler_slowdown >= 1.0:
+        if not 1.0 <= self.straggler_slowdown < math.inf:
             raise ValueError(
-                f"straggler_slowdown must be >= 1, got {self.straggler_slowdown}"
+                f"straggler_slowdown must be finite and >= 1, got {self.straggler_slowdown}"
             )
         if self.burst_size < 1:
             raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
-        if not self.net_degrade_factor >= 1.0:
+        if not 1.0 <= self.net_degrade_factor < math.inf:
             raise ValueError(
-                f"net_degrade_factor must be >= 1, got {self.net_degrade_factor}"
+                f"net_degrade_factor must be finite and >= 1, got {self.net_degrade_factor}"
             )
         if not 0.0 <= self.net_loss_prob < 1.0:
             raise ValueError(

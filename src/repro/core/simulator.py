@@ -698,6 +698,10 @@ class _ArrayStepper:
     Either way the ranks are released in ``(time, seq)`` order, and
     recorded ranks get their timeline rows at once.  An obs adapter
     times and counts heap events only, as it does for lazy ones.
+
+    While a straggler slows a node, an array step scales the clocked
+    rows of that node's ranks by its factor, as their per-rank batches
+    would, and credits each slowed rank's excess in release order.
     """
 
     def __init__(self, sim: "BESSTSimulator", rows: list, prices: np.ndarray) -> None:
@@ -731,6 +735,8 @@ class _ArrayStepper:
         #: the ``events_fired`` count the run may reach (``max_events``)
         self.limit = float("inf")
         self.recorded = [rank for rank in sim._ranks if rank.record]
+        #: rank -> the node it runs on (for a straggler's per-rank factor)
+        self.node_of = np.array([sim.archbeo.node_of_rank(r) for r in range(sim.nranks)])
 
     @classmethod
     def plan(cls, sim: "BESSTSimulator") -> Optional["_ArrayStepper"]:
@@ -768,8 +774,8 @@ class _ArrayStepper:
         order, as ranks (after a per-rank segment) or rank ids.
 
         The segment is stepped for all ranks at once only when that is
-        exact: it cannot cross ``max_events``; no straggler slows a node;
-        its exchanges and L2+ checkpoints cross a healthy network; no
+        exact: it cannot cross ``max_events``; its exchanges and L2+
+        checkpoints cross a healthy network; no
         latent corruption waits for its commit hooks, which are then
         no-ops; and its rendezvous is the next event
         (:meth:`_array_step`).  Otherwise it is stepped per rank."""
@@ -782,7 +788,6 @@ class _ArrayStepper:
         if (
             segment is None
             or engine.events_fired + sim.nranks > self.limit
-            or sim._straggler_dom.node_slowdown
             or (sim._net_dom.active and self.pc in self.net_bound)
             or (hooks and sim._sdc_dom.latent)
             or not self._array_step(order, segment, hooks)
@@ -802,13 +807,28 @@ class _ArrayStepper:
         engine = sim.engine
         now = engine.now
         prices = self.prices
+        rows = self.rows
+        # A straggler slows the clocked rows (``Compute``, ``Checkpoint``,
+        # ``Verify``) of the ranks on its node, as ``_price_batch`` does.
+        slow = slowed = None
+        if sim._straggler_dom.node_slowdown:
+            slow = np.ones(sim.nranks)
+            for node, factor in sim._straggler_dom.node_slowdown.items():
+                slow[self.node_of == node] = factor
+            slowed = np.zeros(sim.nranks)  # each rank's slowed time
         ckpts = [pc for pc, code, _ in hooks if code == _CHECKPOINT] if hooks else ()
         offsets = []  # the batch offset of each checkpoint row
+        dts = []  # each batch row's duration on every rank
         span = np.zeros(sim.nranks)
         for pc in range(first, end):
             if pc in ckpts:
                 offsets.append(span.copy())
-            span += prices[pc]
+            dt = prices[pc]
+            if slow is not None and rows[pc][0] <= _VERIFY:
+                dt = slow * dt
+                slowed += dt
+            dts.append(dt)
+            span += dt
         times = (now + span)[order]
         perm = np.argsort(times, kind="stable")
         last = int(perm[-1])
@@ -817,18 +837,25 @@ class _ArrayStepper:
         if queue.peek_time() <= t_last:  # the next event may sort first
             if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + last):
                 return False
+        if slow is not None:
+            # The per-rank batches would credit their excess in release order.
+            note_excess = sim._straggler_dom.note_excess
+            factors, slowed = slow.tolist(), slowed.tolist()
+            for r in order.tolist():
+                if factors[r] != 1.0 and slowed[r] > 0.0:
+                    note_excess(r, slowed[r] * (1.0 - 1.0 / factors[r]))
         for rank in self.recorded:
-            self._record(rank, now, first, end, float(span[rank.rank]))
+            self._record(rank, now, first, dts, float(span[rank.rank]))
         sync = sim.sync
         seq = queue.take_seqs(len(order))
         ids = order[perm]
-        instr = self.rows[end][1]
+        instr = rows[end][1]
         if hooks:
             # A checkpoint row completes at ``t_start + off + dt``, where
             # ``t_start`` is the batch event's time less the batch span.
             t_start = (now + span) - span
             commits = [
-                (((t_start + off) + prices[pc]).tolist(), prices[pc].tolist())
+                (((t_start + off) + dts[pc - first]).tolist(), dts[pc - first].tolist())
                 for pc, off in zip(ckpts, offsets)
             ]
             head = int(perm[0])
@@ -911,17 +938,18 @@ class _ArrayStepper:
         self._commit(_t, times[:-1])
         engine.now = float(times[-1])
 
-    def _record(self, rank: _Rank, now: float, first: int, end: int, span: float) -> None:
+    def _record(self, rank: _Rank, now: float, first: int, dts: list, span: float) -> None:
         """*rank*'s marker and batch rows of the segment starting now,
-        whose batch takes *span* on this rank."""
+        whose batch rows from *first* take *dts* (one value per rank)
+        and *span* in all on this rank."""
         entries = rank.timeline.entries
         rows = self.rows
         for pc in range(self.pc, first):
             entries.append(TimelineEntry(now, now, "marker", rows[pc][5]))
         t_start = (now + span) - span  # as the lazy event computes it
         off = 0.0
-        for pc in range(first, end):
-            dt = float(self.prices[pc, rank.rank])
+        for pc, durations in enumerate(dts, first):
+            dt = float(durations[rank.rank])
             _, _, _, _, kind, label, level = rows[pc]
             entries.append(
                 TimelineEntry(t_start + off, t_start + off + dt, kind, label, level=level)

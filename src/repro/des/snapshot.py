@@ -63,7 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: column.
 #: Version 5: array steppers also step segments with commit hooks (their
 #: hook rows and network-bound segments are stepper state).
-SNAPSHOT_VERSION = 5
+#: Version 6: array steppers also step straggler-slowed segments (they
+#: carry the rank -> node map).
+SNAPSHOT_VERSION = 6
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

@@ -741,7 +741,9 @@ def test_l2_checkpoint_under_partitioned_network_steps_per_rank(planned, hooked_
     assert not all(step["array"] for step in active)
 
 
-def test_straggler_across_a_checkpoint_steps_per_rank(planned, hooked_steps):
+def test_straggler_across_a_checkpoint_is_array_stepped(planned, hooked_steps):
+    """A slowed node's ranks take longer over the hooked segments, which
+    are still array-stepped, save the one its repair lands in."""
     entries = fault_free_entries()
     first = next(e for e in entries if e.kind == "checkpoint")
     t = midpoint(entries[1])
@@ -750,8 +752,118 @@ def test_straggler_across_a_checkpoint_steps_per_rank(planned, hooked_steps):
     res = run_hooked(planned, strike((t, 1, "straggler", detail)))
     assert res.straggler["straggler_excess_s"] > 0
     slowed = [step for step in hooked_steps if step["slowed"]]
-    assert slowed and not any(step["array"] for step in slowed)
+    assert len(slowed) > 2 and all(step["array"] for step in slowed[:-1])
+    # the repair fires among the last slowed segment's arrivals
+    assert not slowed[-1]["array"] and slowed[-1]["now"] < t + detail.repair_s
     assert any(step["array"] for step in hooked_steps if not step["slowed"])
+
+
+@pytest.fixture
+def slowed_steps(monkeypatch):
+    """Each segment step begun while a straggler slows a node: whether
+    it has commit hooks, whether it was array-stepped, and when."""
+    steps = []
+    step = simulator_mod._ArrayStepper.step
+
+    def spy(self, order):
+        pc = order[0].pc if isinstance(order, list) else self.pc
+        slowed = bool(self.sim._straggler_dom.node_slowdown)
+        now = self.sim.engine.now
+        step(self, order)
+        if slowed and pc in self.segments:
+            steps.append(dict(hooked=pc in self.hooks, array=self.pc != pc, now=now))
+
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "step", spy)
+    return steps
+
+
+def excess_hex(res):
+    by_node = res.straggler["straggler_excess_by_node"]
+    return res.straggler["straggler_excess_s"].hex(), {n: x.hex() for n, x in by_node.items()}
+
+
+@pytest.mark.parametrize("app", ["same_program", "hooked"])
+def test_two_stragglers_with_different_factors(planned, slowed_steps, app):
+    """Nodes 1 and 2 (ranks 2-5) slowed 1.5x and 3x for good: each slowed
+    segment is array-stepped, hooked or not, save the one the second
+    strike lands in, and the excess sums bit for bit as per rank."""
+    entries = fault_free_entries(app)
+    # the first batch row, and the first after the second collective
+    second = [i for i, e in enumerate(entries) if e.kind == "collective"][1]
+    t2 = midpoint(next(e for e in entries[second:] if e.kind == "compute"))
+    strikes = strike(
+        (midpoint(entries[1]), 1, "straggler", FaultDetail(slowdown=1.5)),
+        (t2, 2, "straggler", FaultDetail(slowdown=3.0)),
+    )
+    res, ref = run_both(
+        planned, prepare=strikes, app=app, nranks=8, monte_carlo=False, record_timelines="all"
+    )
+    assert res == ref
+    assert excess_hex(res) == excess_hex(ref)
+    assert sorted(res.straggler["straggler_excess_by_node"]) == ["1", "2"]
+    per_rank = [step for step in slowed_steps if not step["array"]]
+    assert len(per_rank) == 1 and per_rank[0]["now"] < t2
+    hooked = {step["hooked"] for step in slowed_steps if step["array"]}
+    assert hooked == ({True, False} if app == "same_program" else {True})
+
+
+def test_straggler_repair_among_the_arrivals_steps_per_rank(planned, slowed_steps):
+    """A repair landing after the healthy ranks arrive at a collective and
+    before the slowed ones do sends that segment per rank."""
+    t = midpoint(fault_free_entries()[1])
+    kwargs = dict(app="hooked", nranks=8, monte_carlo=False, record_timelines="all")
+    sim = make_sim(**kwargs)
+    strike((t, 1, "straggler", FaultDetail(slowdown=2.0)))(sim)
+    timelines = sim.run().timelines
+    # each segment's batch ends just before its collective; the strike's
+    # own segment was priced before it landed, so it ends alike
+    fast_rows, slow_rows = timelines[0].entries, timelines[2].entries
+    ends = [
+        (fast.t_end, slow.t_end)
+        for fast, slow, nxt in zip(fast_rows, slow_rows, fast_rows[1:])
+        if nxt.kind == "collective" and fast.t_end > t
+    ]
+    t_fast, t_slow = ends[2]
+    assert t_fast < t_slow
+    repaired = (t_fast + t_slow) / 2
+    detail = FaultDetail(slowdown=2.0, repair_s=repaired - t)
+    slowed_steps.clear()
+    res = run_hooked(planned, strike((t, 1, "straggler", detail)))
+    assert excess_hex(res)[1].keys() == {"1"}
+    # the segment after the strike's is array-stepped, the next per rank
+    assert [step["array"] for step in slowed_steps if step["now"] < repaired] == [True, False]
+
+
+def test_autosnapshot_after_a_slowed_hooked_array_step_restores_bit_identical(planned, tmp_path):
+    """A snapshot taken after a slowed hooked array step, before its
+    rendezvous commits the ranks' checkpoints, resumes to the same
+    result, excess included."""
+    kwargs = dict(app="hooked", nranks=8, monte_carlo=False, record_timelines="all")
+    detail = FaultDetail(slowdown=1.5, repair_s=fault_free_entries()[-1].t_end / 2)
+    sims = [make_sim(**kwargs), make_sim(**kwargs)]
+    for sim in sims:
+        with pytest.raises(SimulationError):
+            sim.run(max_events=20)
+        sim.inject_fault(1, kind="straggler", detail=detail)
+    ref = sims[0].run()
+    sim = sims[1]
+    sim.enable_snapshots(str(tmp_path), every_events=1, keep=1 << 20)
+    sim.run()
+    for path in SnapshotStore(str(tmp_path)).paths():
+        resumed = BESSTSimulator.restore(path)
+        pending = resumed.sync._pending
+        if (
+            resumed._straggler_dom.node_slowdown
+            and pending is not None
+            and pending.payload[2] == resumed._stepper._commit_hooked
+        ):
+            break
+    else:
+        pytest.fail("no snapshot caught a slowed hooked array step before its rendezvous")
+    res = resumed.run()
+    assert res == ref and res.total_time.hex() == ref.total_time.hex()
+    assert excess_hex(res) == excess_hex(ref) and res.straggler["straggler_excess_s"] > 0
+    assert rank_states(resumed) == rank_states(sims[0])
 
 
 def test_failstop_in_the_segment_after_a_hooked_array_step(planned, hooked_steps):

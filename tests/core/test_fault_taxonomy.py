@@ -76,11 +76,46 @@ def test_invalid_kind_weights_rejected(weights, match):
         (dict(straggler_repair_s=math.nan), "straggler_repair_s"),
         (dict(net_degrade_factor=math.nan), "net_degrade_factor"),
         (dict(net_repair_s=math.nan), "net_repair_s"),
+        (dict(straggler_slowdown=math.inf), "straggler_slowdown"),
+        (dict(net_degrade_factor=math.inf), "net_degrade_factor"),
     ],
 )
 def test_invalid_taxonomy_parameters_rejected(kwargs, match):
     with pytest.raises(ValueError, match=match):
         FaultModel(node_mtbf_s=10.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, kind", [("straggler_slowdown", "straggler"), ("net_degrade_factor", "netdeg")]
+)
+def test_infinite_slowdown_rejected_by_the_campaign_spec(field, kind):
+    """An infinite clock or link slowdown would leave ranks unfinished."""
+    from repro.core.campaign import CampaignSpec
+
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CampaignSpec(node_mtbf_s=1.0, ckpt_period=5, fault_mix={kind: 1.0}, **{field: math.inf})
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(slowdown=0.5), "slowdown"),
+        (dict(slowdown=math.nan), "slowdown"),
+        (dict(slowdown=math.inf), "slowdown"),
+        (dict(repair_s=math.nan), "repair_s"),
+        (dict(derate=0.5), "derate"),
+        (dict(derate=math.nan), "derate"),
+        (dict(derate=math.inf), "derate"),
+        (dict(loss_prob=-0.1), "loss_prob"),
+        (dict(loss_prob=1.0), "loss_prob"),
+        (dict(loss_prob=math.nan), "loss_prob"),
+    ],
+)
+def test_invalid_fault_detail_rejected(kwargs, match):
+    """A hand-made detail passed to ``inject_fault`` is checked where it
+    is built, not clamped (slowdown) or refused mid-run (link fields)."""
+    with pytest.raises(ValueError, match=match):
+        FaultDetail(**kwargs)
 
 
 def test_ckpt_validate_prob_validated():

@@ -468,6 +468,8 @@ def test_campaign_fault_mix_semantic_errors_from_model(capsys):
         ["--chaos-crash", "-0.5", "--chaos-hang", "0.6"],
         ["--chaos-enospc", "-1", "--chaos-eio", "1.5"],
         ["--chaos-enospc-after", "-1"],
+        ["--straggler-slowdown", "inf"],
+        ["--net-degrade-factor", "inf"],
     ],
 )
 def test_campaign_rejects_bad_values_before_running(tmp_path, capsys, bad):
