@@ -10,6 +10,7 @@ RNG so Monte-Carlo simulation can draw from the calibration distribution
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ class ConstantModel(PerformanceModel):
     """Always predicts the same value; useful for tests and stubs."""
 
     def __init__(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"negative runtime {value!r}")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"value must be finite and >= 0, got {value!r}")
         self.value = float(value)
 
     def predict(self, params, rng=None) -> float:
@@ -90,8 +91,8 @@ class ScaledModel(PerformanceModel):
     """
 
     def __init__(self, inner: PerformanceModel, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError(f"factor must be > 0, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"factor must be finite and > 0, got {factor!r}")
         self.inner = inner
         self.factor = float(factor)
         self.param_names = inner.param_names

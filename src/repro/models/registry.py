@@ -61,6 +61,10 @@ def _deserialize_model(data: Mapping) -> PerformanceModel:
     raise ModelError(f"unknown serialised model type {kind!r}")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"registry JSON holds the non-finite number {name}")
+
+
 class ModelRegistry:
     """A named collection of persistable performance models.
 
@@ -113,7 +117,9 @@ class ModelRegistry:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelRegistry":
-        data = json.loads(text)
+        """Rebuild a registry; a ``NaN``, ``Infinity`` or ``-Infinity``
+        literal anywhere in *text* raises ``ValueError``."""
+        data = json.loads(text, parse_constant=_refuse_constant)
         version = data.get("format_version")
         if version != _FORMAT_VERSION:
             raise ModelError(

@@ -9,9 +9,10 @@ Trees are immutable: no code mutates a node after construction.
 :meth:`Expression.replace`, :meth:`~Expression.with_constants` and
 :meth:`~Expression.simplify` build new trees that share the untouched
 subtrees of their input, the GP engine shares genes and subtrees between
-individuals instead of copying them, and every node caches its
-:meth:`~Expression.size` and ``str()``.  Mutating a node in place would
-silently corrupt every tree that shares it and every cached value above it.
+individuals instead of copying them, every node records its
+:meth:`~Expression.size` and :meth:`~Expression.depth` when built, and
+caches its ``str()``.  Mutating a node in place would silently corrupt
+every tree that shares it and every recorded or cached value above it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ class Expression:
 
     #: node count contribution used by parsimony pressure
     arity = 0
-    # Caches, filled on first use (nodes are immutable).
-    _size: int | None = None
+    # A leaf's size and depth; Unary and Binary set theirs when built.
+    _size = 1
+    _depth = 1
+    # Cache, filled on first use (nodes are immutable).
     _str: str | None = None
 
     def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -52,13 +55,10 @@ class Expression:
 
     def size(self) -> int:
         """Total node count (complexity measure)."""
-        if self._size is None:
-            self._size = 1 + sum(c.size() for c in self.children())
         return self._size
 
     def depth(self) -> int:
-        kids = self.children()
-        return 1 if not kids else 1 + max(c.depth() for c in kids)
+        return self._depth
 
     def walk(self) -> Iterator["Expression"]:
         """Pre-order traversal."""
@@ -69,25 +69,42 @@ class Expression:
     def copy(self) -> "Expression":
         return self.with_children(tuple(c.copy() for c in self.children()))
 
+    def _locate(self, index: int) -> tuple[int, "Expression", int]:
+        """``(j, child, i)``: pre-order node *index* (> 0) of this tree is
+        node ``i`` of its ``j``-th child."""
+        index -= 1
+        for j, c in enumerate(self.children()):
+            size = c.size()
+            if index < size:
+                return j, c, index
+            index -= size
+        raise IndexError(index)
+
+    def node_at(self, index: int) -> "Expression":
+        """The pre-order node at *index*: ``list(self.walk())[index]``,
+        reached by descending through the subtree sizes."""
+        if not 0 <= index < self.size():
+            raise IndexError(f"node index {index} out of range for {self.size()} nodes")
+        node = self
+        while index:
+            _, node, index = node._locate(index)
+        return node
+
     def replace(self, index: int, new: "Expression") -> "Expression":
-        """This tree with the pre-order node at *index* replaced by *new*.
+        """This tree with the pre-order node at *index* replaced by *new*;
+        an index out of range returns the tree itself.
 
         Only the path from the root to *index* is rebuilt; *new* and every
         other subtree are shared with the inputs.
         """
-
-        def rec(node: Expression, start: int) -> Expression:
-            if start == index:
-                return new
-            if not start < index < start + node.size():
-                return node
-            kids = []
-            for c in node.children():
-                kids.append(rec(c, start + 1))
-                start += c.size()
-            return node.with_children(tuple(kids))
-
-        return rec(self, 0)
+        if index == 0:
+            return new
+        if not 0 < index < self.size():
+            return self
+        j, child, index = self._locate(index)
+        kids = list(self.children())
+        kids[j] = child.replace(index, new)
+        return self.with_children(tuple(kids))
 
     def variables(self) -> set[str]:
         return {n.name for n in self.walk() if isinstance(n, Var)}
@@ -238,6 +255,8 @@ class Unary(Expression):
             raise ValueError(f"unknown unary op {op!r}")
         self.op = op
         self.child = child
+        self._size = 1 + child.size()
+        self._depth = 1 + child.depth()
 
     def evaluate(self, env):
         with np.errstate(all="ignore"):
@@ -268,6 +287,8 @@ class Binary(Expression):
         self.op = op
         self.left = left
         self.right = right
+        self._size = 1 + left.size() + right.size()
+        self._depth = 1 + max(left.depth(), right.depth())
 
     def evaluate(self, env):
         with np.errstate(all="ignore"):

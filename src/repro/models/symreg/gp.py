@@ -36,12 +36,28 @@ from repro.models.symreg.expr import (
     Expression,
     Unary,
     Var,
+    _finite,
 )
 
 #: numpy's stacked least-squares gufunc, the one ``np.linalg.lstsq`` calls:
 #: ``(a, b, rcond) -> (x, residuals, rank, singular values)``, one ``gelsd``
 #: per matrix of a ``(..., m, n)`` stack
 _lstsq = _umath_linalg.lstsq
+
+
+def _rms_errors(A: np.ndarray, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> list[float]:
+    """The weighted RMS residual ``sqrt(mean(((A[i] @ x[i] - y) * w)**2))``
+    of each matrix of the ``(b, n, m)`` stack *A* with its ``(m, 1)``
+    coefficients ``x[i]``; a non-finite error is ``1e30``.
+
+    One stacked ``matmul`` and one row-wise mean: numpy runs the same
+    ``gemv`` on each matrix as ``A[i] @ x[i]`` and the same pairwise sum on
+    each row as ``mean``, so every row gets the bits of its own computation.
+    """
+    with np.errstate(all="ignore"):
+        resid = (np.matmul(A, x)[:, :, 0] - y) * w
+        errs = np.sqrt((resid**2).mean(axis=1)).tolist()
+    return [e if math.isfinite(e) else 1e30 for e in errs]
 
 
 @dataclass
@@ -78,10 +94,12 @@ class GPConfig:
             "p_const_jitter": self.p_const_jitter,
         }
         for name, p in probs.items():
-            if p < 0:
+            if not p >= 0:
                 raise ValueError(f"{name} must be >= 0, got {p!r}")
         if sum(probs.values()) > 1.0 + 1e-9:
             raise ValueError("operator probabilities exceed 1")
+        if self.generations < 0:
+            raise ValueError(f"generations must be >= 0, got {self.generations!r}")
         if self.tournament_k < 1:
             raise ValueError("tournament_k must be >= 1")
         lo, hi = self.init_depth
@@ -144,7 +162,9 @@ class _Split:
     Memoises each gene's design-matrix column by ``str(gene)``, which is
     the tree's identity (:meth:`Expression.__eq__`): equal strings evaluate
     to identical columns, so a hit returns exactly what a fresh evaluation
-    would.
+    would.  A column is the gene's values with nan -> 0 and +-inf -> +-1e30
+    (the rule of :func:`~repro.models.symreg.expr._finite`), broadcast to
+    the split's length; a column that needs neither is not copied.
     """
 
     __slots__ = ("env", "y", "w", "columns")
@@ -159,9 +179,10 @@ class _Split:
         key = str(gene)
         col = self.columns.get(key)
         if col is None:
-            n = self.y.shape[0]
-            col = np.broadcast_to(np.asarray(gene.evaluate(self.env), dtype=float), (n,))
-            col = self.columns[key] = np.nan_to_num(col, nan=0.0, posinf=1e30, neginf=-1e30)
+            col = np.asarray(gene.evaluate(self.env), dtype=float)
+            if col.shape != self.y.shape:
+                col = np.broadcast_to(col, self.y.shape)
+            col = self.columns[key] = _finite(col)
         return col
 
     def design_matrices(self, gene_lists: list[list[Expression]]) -> np.ndarray:
@@ -276,9 +297,10 @@ class SymbolicRegressor:
         call of the stacked ``lstsq`` gufunc per gene count.  The gufunc
         runs the same ``gelsd`` on each matrix as ``np.linalg.lstsq(rcond=None)``
         does on that matrix alone, and a matrix that fails comes back as NaN
-        without touching its neighbours.
+        without touching its neighbours.  :func:`_rms_errors` scores the
+        whole stack at once.
         """
-        keys = [tuple(str(g) for g in ind.genes) for ind in inds]
+        keys = [tuple(map(str, ind.genes)) for ind in inds]
         unseen: dict[int, dict[tuple[str, ...], _Individual]] = {}
         for key, ind in zip(keys, inds):
             if key not in scores:
@@ -289,17 +311,16 @@ class SymbolicRegressor:
             rcond = np.finfo(float).eps * max(A.shape[1], k + 1)
             with np.errstate(all="ignore"):
                 x = _lstsq(A * w[None, :, None], (y * w)[:, None], rcond, signature="ddd->ddid")[0]
-            finite = np.isfinite(x).all(axis=(1, 2))
+            errors = _rms_errors(A, x, y, w)
+            finite = np.isfinite(x).all(axis=(1, 2)).tolist()
+            coeffs = x[:, :, 0].copy()
+            coeffs.setflags(write=False)  # each row is shared by every individual with its key
             for i, (key, ind) in enumerate(group.items()):
                 if not finite[i]:
                     scores[key] = (None, 1e30, 1e30)
                     continue
-                coeffs = x[i, :, 0].copy()
-                coeffs.setflags(write=False)  # shared by every individual with this key
-                resid = (A[i] @ coeffs - y) * w
-                err = float(np.sqrt((resid**2).mean()))
-                error = err if np.isfinite(err) else 1e30
-                scores[key] = (coeffs, error, error + self.config.parsimony * ind.size())
+                error = errors[i]
+                scores[key] = (coeffs[i], error, error + self.config.parsimony * ind.size())
         for key, ind in zip(keys, inds):
             ind.coeffs, ind.error, ind.fitness = scores[key]
 
@@ -308,18 +329,16 @@ class SymbolicRegressor:
         """Error of an already-fitted individual on another split."""
         if ind.coeffs is None:
             return 1e30
-        A = split.design_matrices([ind.genes])[0]
-        resid = (A @ ind.coeffs - split.y) * split.w
-        err = float(np.sqrt(np.mean(resid**2)))
-        return err if np.isfinite(err) else 1e30
+        A = split.design_matrices([ind.genes])
+        return _rms_errors(A, ind.coeffs[None, :, None], split.y, split.w)[0]
 
     # -- genetic operators -------------------------------------------------------------
 
-    def _tournament(self, pop: list[_Individual], fit: np.ndarray) -> _Individual:
+    def _tournament(self, pop: list[_Individual], fit: Sequence[float]) -> _Individual:
         """The fittest of ``tournament_k`` draws from *pop*, whose fitness is
-        *fit*; a tie goes to the first drawn, as ``min`` would pick."""
+        *fit*; a tie goes to the first drawn."""
         idx = self.rng.integers(0, len(pop), size=self.config.tournament_k)
-        return pop[int(idx[fit[idx].argmin()])]
+        return pop[min(idx.tolist(), key=fit.__getitem__)]
 
     def _pick(self, seq: Sequence):
         """``rng.choice(seq)``: the same ``integers`` draw, without the overhead."""
@@ -349,7 +368,7 @@ class SymbolicRegressor:
         # Low-level: subtree crossover between random genes.
         gi = int(self.rng.integers(0, len(child.genes)))
         donor_gene = b.genes[int(self.rng.integers(0, len(b.genes)))]
-        donor_sub = list(donor_gene.walk())[self._random_node_index(donor_gene)]
+        donor_sub = donor_gene.node_at(self._random_node_index(donor_gene))
         child.genes[gi] = self._enforce_depth(
             child.genes[gi].replace(self._random_node_index(child.genes[gi]), donor_sub)
         )
@@ -369,7 +388,7 @@ class SymbolicRegressor:
         gi = int(self.rng.integers(0, len(child.genes)))
         gene = child.genes[gi]
         idx = self._random_node_index(gene)
-        target = list(gene.walk())[idx]
+        target = gene.node_at(idx)
         if isinstance(target, Binary):
             op = self._pick(self.config.binary_ops)
             child.genes[gi] = gene.replace(idx, Binary(op, target.left, target.right))
@@ -469,7 +488,7 @@ class SymbolicRegressor:
 
             # A child's draws read only this generation's fitness, never a
             # sibling's, so the children are built first and scored together.
-            fit = np.array([ind.fitness for ind in pop])
+            fit = [ind.fitness for ind in pop]
             elite = pop[: cfg.elitism]
             children: list[_Individual] = []
             for _ in range(cfg.population_size - len(elite)):

@@ -9,6 +9,7 @@ samples".
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,16 +59,21 @@ class SymbolicRegressionModel(PerformanceModel):
         unknown = expression.variables() - set(self.param_names)
         if unknown:
             raise ModelError(f"expression references unknown variables {unknown}")
-        if noise_rel_std < 0:
-            raise ValueError(f"negative noise_rel_std {noise_rel_std!r}")
+        # A NaN or infinite parameter would make every Monte-Carlo
+        # prediction NaN or infinite.
+        if not 0 <= noise_rel_std < math.inf:
+            raise ValueError(f"noise_rel_std must be finite and >= 0, got {noise_rel_std!r}")
         self.noise_rel_std = float(noise_rel_std)
         self.noise_factors = (
             np.asarray(noise_factors, dtype=float) if noise_factors is not None else None
         )
-        if self.noise_factors is not None and (
-            self.noise_factors.size == 0 or np.any(self.noise_factors < 0)
+        if self.noise_factors is not None and not (
+            self.noise_factors.size
+            and np.all((self.noise_factors >= 0) & (self.noise_factors < math.inf))
         ):
-            raise ValueError("noise_factors must be non-empty and non-negative")
+            raise ValueError("noise_factors must be non-empty, finite and non-negative")
+        if not math.isfinite(floor):
+            raise ValueError(f"floor must be finite, got {floor!r}")
         self.floor = float(floor)
         # Simulations call predict() with the same handful of parameter
         # points millions of times; memoise the deterministic part.

@@ -1,13 +1,19 @@
-"""The GP engine's batched scoring equals the per-individual scoring it replaced.
+"""The GP engine's shortcuts equal the per-individual code they replaced.
 
 :meth:`SymbolicRegressor._evaluate_all` solves every unseen gene list of a
 generation with one call of numpy's stacked ``lstsq`` gufunc per gene
-count, and :meth:`SymbolicRegressor._tournament` picks with ``argmin`` over
-a fitness array.  ``test_gp_pinned.py`` holds whole fits to recorded
-constants; these tests hold the two parts bit for bit to the code they
-replaced (one ``np.linalg.lstsq`` per matrix; ``min`` with a key), including
-cases a pinned fit only meets by chance: rank-deficient and ``1e30``-column
-matrices, a solve that fails, and ties in a tournament.
+count and scores each stack with one ``matmul`` and one row-wise mean
+(``gp._rms_errors``); ``_Split.column`` copies a column only when it must;
+trees are indexed with :meth:`Expression.node_at` and cached sizes and
+depths instead of a walk; and :meth:`SymbolicRegressor._tournament` picks
+with ``min`` over a fitness list built once per generation.
+``test_gp_pinned.py`` holds whole fits to recorded constants; these tests
+hold each part bit for bit to the code it replaced (one ``np.linalg.lstsq``,
+``A @ coeffs`` and ``mean`` per matrix; ``nan_to_num`` of every column;
+``list(walk())[i]``; a recursive depth; ``min`` over the drawn
+individuals), including cases a pinned fit only meets by chance:
+rank-deficient and ``1e30``-column matrices, a solve that fails, and ties
+in a tournament.
 """
 
 import numpy as np
@@ -16,7 +22,7 @@ from numpy.linalg import _umath_linalg
 
 from repro.models.symreg import GPConfig, SymbolicRegressor, gp
 from repro.models.symreg.expr import Binary, Const, Unary, Var
-from repro.models.symreg.gp import _Individual
+from repro.models.symreg.gp import _Individual, _rms_errors
 
 # -- the stacked least-squares solve -------------------------------------------------
 
@@ -62,6 +68,13 @@ def gene_lists(k):
     return lists
 
 
+def per_matrix_rms(A, coeffs, y, w):
+    """The error the engine computed per individual before stacking."""
+    resid = (A @ coeffs - y) * w
+    err = float(np.sqrt(np.mean(resid**2)))
+    return err if np.isfinite(err) else 1e30
+
+
 def per_matrix_score(genes, X, y, w, parsimony):
     """What the engine computed before batching: one ``np.linalg.lstsq``
     per individual on a ``column_stack`` design matrix."""
@@ -78,9 +91,7 @@ def per_matrix_score(genes, X, y, w, parsimony):
         return None, 1e30, 1e30
     if not np.all(np.isfinite(coeffs)):
         return None, 1e30, 1e30
-    resid = (A @ coeffs - y) * w
-    err = float(np.sqrt(np.mean(resid**2)))
-    error = err if np.isfinite(err) else 1e30
+    error = per_matrix_rms(A, coeffs, y, w)
     return coeffs, error, error + parsimony * sum(g.size() for g in genes)
 
 
@@ -136,6 +147,26 @@ def test_a_failed_solve_scores_worst_and_spares_its_neighbours():
         assert_same_score(inds[i], per_matrix_score(lists[i], X, y, train.w, 1e-4))
 
 
+def test_stacked_errors_equal_per_matrix_rms():
+    rng = np.random.default_rng(37)
+    for _ in range(600):
+        b, n, m = int(rng.integers(1, 12)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        A = rng.normal(size=(b, n, m)) * 10.0 ** rng.integers(-3, 4, size=(b, 1, m))
+        A[:, :, 0] = 1.0
+        x = rng.normal(size=(b, m, 1))
+        y = rng.normal(size=n)
+        w = 1.0 / np.maximum(np.abs(y), 1e-30) if rng.random() < 0.5 else np.ones(n)
+        if m > 1 and rng.random() < 0.3:  # the +-1e30 columns nan_to_num leaves
+            A[int(rng.integers(0, b)), :, m - 1] = rng.choice([1e30, -1e30], size=n)
+        if rng.random() < 0.2:  # a solve that failed comes back NaN
+            x[int(rng.integers(0, b))] = np.nan
+        coeffs = x[:, :, 0].copy()
+        with np.errstate(all="ignore"):
+            expected = [per_matrix_rms(A[i], coeffs[i], y, w) for i in range(b)]
+        got = _rms_errors(A, x, y, w)
+        assert [e.hex() for e in got] == [e.hex() for e in expected]
+
+
 def test_seen_gene_lists_are_not_solved_again():
     X, y = data()
     reg = SymbolicRegressor(("x", "y"))
@@ -149,7 +180,82 @@ def test_seen_gene_lists_are_not_solved_again():
     assert not first.coeffs.flags.writeable
 
 
-# -- the argmin tournament -------------------------------------------------------------
+# -- columns -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gene",
+    [
+        Const(2.5),
+        Binary("+", Const(1.0), Const(2.0)),
+        Binary("*", Const(1e300), Const(1e300)),
+        Var("x"),
+        Var("y"),
+        Unary("sqrt", Var("x")),
+        X_SQ,
+        Binary("-", Const(0.0), X_SQ),
+        Binary("/", Var("y"), Var("x")),
+    ],
+    ids=str,
+)
+def test_column_equals_nan_to_num_of_the_broadcast(gene):
+    X, y = data()
+    X[3] = [np.inf, -np.inf]  # Var columns that need nan_to_num themselves
+    reg = SymbolicRegressor(("x", "y"))
+    train = reg._split(X, y)
+    with np.errstate(all="ignore"):
+        col = train.column(gene)
+        raw = np.asarray(gene.evaluate(train.env), dtype=float)
+    old = np.nan_to_num(
+        np.broadcast_to(raw, y.shape), nan=0.0, posinf=1e30, neginf=-1e30
+    )
+    assert col.dtype == old.dtype and col.shape == old.shape == y.shape
+    assert col.tobytes() == old.tobytes()
+    assert train.column(gene) is col
+
+
+# -- tree indexing ---------------------------------------------------------------------
+
+
+def seeded_trees():
+    """Random trees, plus trees built from them by ``replace`` and
+    ``with_constants``, whose rebuilt paths compute their own sizes."""
+    trees = []
+    for seed in range(60):
+        reg = SymbolicRegressor(("x", "y"), seed=seed)
+        a = reg._random_tree(1 + seed % 6, full=seed % 2 == 0)
+        b = reg._random_tree(1 + (seed + 3) % 6, full=False)
+        replaced = a.replace(reg._random_node_index(a), b)
+        jittered = replaced.with_constants(c + 1.0 for c in replaced.constants())
+        trees += [a, b, replaced, jittered]
+    return trees
+
+
+def recomputed_depth(node):
+    return 1 + max((recomputed_depth(c) for c in node.children()), default=0)
+
+
+def test_node_at_equals_the_walk():
+    trees = seeded_trees()
+    assert max(t.size() for t in trees) > 20
+    for tree in trees:
+        nodes = list(tree.walk())
+        assert tree.size() == len(nodes)
+        assert all(tree.node_at(i) is node for i, node in enumerate(nodes))
+        for bad in (-1, len(nodes)):
+            with pytest.raises(IndexError):
+                tree.node_at(bad)
+
+
+def test_cached_depth_equals_a_recomputed_depth():
+    trees = seeded_trees()
+    assert max(t.depth() for t in trees) >= 6
+    for tree in trees:
+        for node in tree.walk():
+            assert node.depth() == recomputed_depth(node)
+
+
+# -- the tournament ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -162,7 +268,7 @@ def test_tournament_tie_break_equals_min(k, levels):
     pop = [_Individual([Var("x")]) for _ in levels]
     for ind, f in zip(pop, levels):
         ind.fitness = f
-    fit = np.array(levels)
+    fit = list(levels)
     ties = 0
     for seed in range(300):
         reg = SymbolicRegressor(("x",), GPConfig(tournament_k=k), seed=seed)

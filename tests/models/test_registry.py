@@ -85,6 +85,16 @@ def test_unknown_type_rejected():
         )
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_fails_at_load(literal):
+    reg = ModelRegistry("m")
+    reg.add("k", SymbolicRegressionModel("x", ("x",), noise_factors=[0.9, 1.1]))
+    text = reg.to_json()
+    assert "0.9" in text
+    with pytest.raises(ValueError, match=literal):
+        ModelRegistry.from_json(text.replace("0.9", literal))
+
+
 def test_from_fitted_accepts_bare_models():
     reg = ModelRegistry.from_fitted({"k": ConstantModel(2.0)}, machine="m")
     assert reg.get("k").predict({}) == 2.0

@@ -331,6 +331,9 @@ BAD_GP_SETTINGS = [
     ("binary_ops", (), "binary_ops"),
     ("unary_ops", ("cube",), "'cube'"),
     ("binary_ops", ("+", "^"), r"'\^'"),
+    ("p_crossover", float("nan"), "p_crossover"),
+    ("p_point_mutation", float("nan"), "p_point_mutation"),
+    ("generations", -1, "generations"),
 ]
 
 
@@ -464,6 +467,23 @@ def test_model_noise_draws():
 def test_model_floor():
     m = SymbolicRegressionModel("(x - 100)", ("x",), floor=0.5)
     assert m.predict({"x": 1}) == 0.5
+
+
+NON_FINITE_MODELS = {
+    "noise_rel_std": lambda v: SymbolicRegressionModel("x", ("x",), noise_rel_std=v),
+    "noise_factors": lambda v: SymbolicRegressionModel("x", ("x",), noise_factors=[1.0, v]),
+    "floor": lambda v: SymbolicRegressionModel("x", ("x",), floor=v),
+    "value": ConstantModel,
+    "factor": lambda v: ScaledModel(ConstantModel(1.0), v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_MODELS))
+def test_models_refuse_non_finite_parameters(field, value):
+    # accepted, each would turn every Monte-Carlo prediction NaN or infinite
+    with pytest.raises(ValueError, match=field):
+        NON_FINITE_MODELS[field](value)
 
 
 @pytest.mark.parametrize(
