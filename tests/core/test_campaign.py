@@ -80,6 +80,10 @@ def test_grid_shape_and_json_roundtrip():
         assert set(p["waste"]) == {"rework", "downtime", "checkpoint", "requeue"}
         assert 0.0 <= p["completion_probability"] <= 1.0
         assert "predicted_waste_s" in p["youngdaly"]
+    for p in report.points:
+        if p.completion_probability > 0:
+            assert p.expected_makespan > p.spec.work_s
+            assert p.youngdaly["ratio"] is not None
     # the formatted table mentions every sweep value
     table = report.format()
     assert "6.0" in table and "20.0" in table
