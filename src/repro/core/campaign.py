@@ -1034,10 +1034,15 @@ class ResilienceCampaign:
         first use, so options set after construction still apply."""
         if self._supervisor is None:
             if self.n_workers > 1:
-                # Network faults route with networkx.  Load it before the
-                # pool forks, so workers inherit it instead of each
-                # importing it again.
+                # Load what a replica imports lazily before the pool
+                # forks, so workers inherit it instead of each importing
+                # it again on its first replica: networkx routes network
+                # faults, repro.obs holds the recovery metrics registry.
+                # Here, not at module top, so plain imports stay cheap;
+                # tests/core/test_supervisor.py checks the list is whole.
                 import networkx  # noqa: F401
+                import numpy.random  # noqa: F401
+                import repro.obs  # noqa: F401
             self._supervisor = TaskSupervisor(
                 _run_replica,
                 n_workers=self.n_workers,

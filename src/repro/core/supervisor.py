@@ -9,6 +9,10 @@ multi-hour sweep).  It schedules tasks individually with
 * **one pool across runs** — the worker pool is started by the first
   task that needs one and reused by every later :meth:`TaskSupervisor.run`
   until :meth:`TaskSupervisor.close`; only an unclean run kills it;
+* **one task queued ahead per worker** — up to ``2 * n_workers`` tasks
+  are in flight, and the window is refilled before ``on_result`` runs,
+  so a worker never waits on the parent's harvest and fsync; a
+  queued-ahead task's deadline starts only when it reaches a worker;
 * **per-task timeouts** — a hung worker is detected, its pool is killed
   and rebuilt, and the task retried;
 * **retry with exponential backoff + deterministic jitter**
@@ -286,6 +290,8 @@ class _Task:
     attempts: int = 0
     not_before: float = 0.0
     deadline: float = float("inf")
+    #: holds a worker; False while queued ahead (see ``_promote``)
+    started: bool = False
 
 
 # -- the supervisor --------------------------------------------------------------
@@ -315,7 +321,8 @@ class TaskSupervisor:
         ``error`` and retried (this is what catches garbage).
     on_result:
         Called ``on_result(key, result)`` once per *first* completion —
-        the write-ahead hook.  Quarantined tasks never reach it.
+        the write-ahead hook — in completion order, after the window is
+        refilled.  Quarantined tasks never reach it.
     on_quarantine:
         Called ``on_quarantine(key, failures)`` when a task is poisoned
         (retries exhausted), with its accumulated :class:`TaskFailure`
@@ -439,9 +446,16 @@ class TaskSupervisor:
     def _paused(self) -> bool:
         return self.guard is not None and self.guard.paused
 
+    @property
+    def _window(self) -> int:
+        """Tasks in flight at most: one queued ahead per worker."""
+        return 2 * self.n_workers
+
     # -- supervised (process-pool) path ----------------------------------------
 
     def _run_supervised(self, queue, results, stats) -> None:
+        # Submit order; the oldest n_workers tasks hold the workers, the
+        # rest are queued ahead (see _promote).
         inflight: dict = {}
         strikes = 0  # consecutive rebuilds without a completed task
         try:
@@ -449,37 +463,25 @@ class TaskSupervisor:
                 if self.obs is not None:
                     self.obs.tick()
                 self._guard_poll()
-                now = time.monotonic()
-                if self._paused():
-                    # Backpressure: stop launching, keep harvesting.  The
-                    # guard leaves the pause within a few polls (down once
-                    # pressure clears, else up to abort), so this cannot
-                    # livelock.
-                    broken = False
-                    if not inflight:
-                        time.sleep(0.05)
-                        continue
-                else:
-                    broken = not self._submit_ready(queue, inflight, now, stats)
-                if not broken:
-                    if not inflight:
-                        self._sleep_until_ready(queue, now)
-                        continue
+                finished, broken = [], False
+                if inflight:
                     done, _ = wait(
                         list(inflight),
                         timeout=self._wait_timeout(queue, inflight),
                         return_when=FIRST_COMPLETED,
                     )
-                    for fut in done:
-                        task = inflight.pop(fut)
-                        kind, detail, value = self._harvest(fut)
-                        if kind is None:
-                            self._complete(task, value, results, stats)
-                            strikes = 0
-                        else:
-                            broken = broken or kind == "crash"
-                            self._charge(task, kind, detail, queue, stats)
+                    finished, broken = self._harvest_done(done, inflight, queue, stats)
                     broken = self._reap_overdue(inflight, queue, stats) or broken
+                # Refill before journaling, so the workers have their next
+                # replica while the parent fsyncs.  Backpressure: while the
+                # guard pauses, stop launching and keep harvesting; it leaves
+                # the pause within a few polls (down once pressure clears,
+                # else up to abort), so this cannot livelock.
+                if not broken and not self._paused():
+                    broken = not self._submit_ready(queue, inflight, stats)
+                for task, value in finished:
+                    self._complete(task, value, results, stats)
+                    strikes = 0
                 if broken:
                     self._rebuild(inflight, queue, stats)
                     strikes += 1
@@ -488,6 +490,11 @@ class TaskSupervisor:
                         if self.obs is not None:
                             self.obs.degraded()
                         break
+                elif not inflight and queue:
+                    if self._paused():
+                        time.sleep(0.05)
+                    else:
+                        self._sleep_until_ready(queue, time.monotonic())
         except BaseException:
             # An abort or an error may leave tasks in flight: the next
             # run must not inherit busy or hung workers.
@@ -496,10 +503,12 @@ class TaskSupervisor:
         if queue:  # degraded: finish in-process, where workers can't die
             self._run_sequential(queue, results, stats)
 
-    def _submit_ready(self, queue, inflight, now, stats) -> bool:
-        """Top up the pool, starting it if needed; returns False when the
-        pool is broken (a pool found broken between runs included)."""
-        while len(inflight) < self.n_workers and queue:
+    def _submit_ready(self, queue, inflight, stats) -> bool:
+        """Top up the window of :attr:`_window` tasks, starting the pool
+        if needed; returns False when the pool is broken (a pool found
+        broken between runs included)."""
+        now = time.monotonic()
+        while len(inflight) < self._window and queue:
             task = self._pop_ready(queue, now)
             if task is None:
                 break
@@ -519,12 +528,55 @@ class TaskSupervisor:
                 task.not_before = now
                 queue.appendleft(task)
                 return False
-            if self.retry.timeout_s is not None:
-                task.deadline = now + self.retry.timeout_s
             inflight[fut] = task
-            if self.obs is not None:
-                self.obs.task_started(task.key, task.attempts + 1)
+            self._promote(inflight)
         return True
+
+    def _promote(self, inflight) -> None:
+        """Start the clock of each task that now holds a worker.
+
+        The pool hands tasks to workers first in, first out, and a worker
+        takes its next task only after returning its last result, so the
+        oldest ``n_workers`` unharvested tasks are the running ones.  A
+        queued-ahead task moves up when an earlier one is harvested: its
+        deadline (and ``task_started``) can start late, never early.
+        """
+        now = time.monotonic()
+        for task in list(inflight.values())[: self.n_workers]:
+            if not task.started:
+                task.started = True
+                if self.retry.timeout_s is not None:
+                    task.deadline = now + self.retry.timeout_s
+                if self.obs is not None:
+                    self.obs.task_started(task.key, task.attempts + 1)
+
+    def _harvest_done(self, done, inflight, queue, stats):
+        """Classify the finished futures → (``[(task, value)]``, crashed).
+
+        Failures are charged here; results are left to the caller to
+        complete.  Crashes go last: every worker that returned a result
+        before the pool broke took its next task, so that task was
+        running, and is charged, when the pool broke.  A queued-ahead
+        task never held the dead worker: it stays in ``inflight`` for
+        ``_rebuild`` to requeue uncharged, so one crash charges at most
+        ``n_workers`` tasks.
+        """
+        finished, crashed = [], []
+        for fut in [fut for fut in inflight if fut in done]:
+            kind, detail, value = self._harvest(fut)
+            if kind == "crash":
+                crashed.append((fut, detail))
+                continue
+            task = inflight.pop(fut)
+            self._promote(inflight)
+            if kind is None:
+                finished.append((task, value))
+            else:
+                self._charge(task, kind, detail, queue, stats)
+        for fut, detail in crashed:
+            if inflight[fut].started:
+                self._charge(inflight.pop(fut), "crash", detail, queue, stats)
+        return finished, bool(crashed)
 
     @staticmethod
     def _pop_ready(queue, now) -> Optional[_Task]:
@@ -543,7 +595,8 @@ class TaskSupervisor:
     def _wait_timeout(self, queue, inflight) -> float:
         now = time.monotonic()
         horizon = [task.deadline - now for task in inflight.values()]
-        horizon += [task.not_before - now for task in queue]
+        if len(inflight) < self._window:  # else no room to submit
+            horizon += [task.not_before - now for task in queue]
         nearest = min(horizon) if horizon else 0.25
         return min(max(nearest, 0.02), 0.25)
 
@@ -586,6 +639,7 @@ class TaskSupervisor:
             task = inflight.pop(fut)
             task.not_before = now
             task.deadline = float("inf")
+            task.started = False
             queue.append(task)
         self._kill()
         stats.pool_rebuilds += 1
@@ -648,6 +702,7 @@ class TaskSupervisor:
     def _charge(self, task, kind, detail, queue, stats) -> None:
         task.attempts += 1
         task.deadline = float("inf")
+        task.started = False
         stats.failures.append(TaskFailure(task.key, kind, task.attempts, detail))
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
         self._log_failure(task.key, kind, task.attempts, detail)

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.analytical import (
@@ -92,8 +92,7 @@ def youngdaly_ablation(
     """Sweep the checkpoint period under fault injection; compare the
     simulated optimum with Daly's analytic interval."""
     ctx = ctx or get_context()
-    arch = ctx.archbeo
-    arch.recovery_time_s = 0.02
+    arch = replace(ctx.archbeo, recovery_time_s=0.02)  # the cached one stays
     nnodes = max(1, ranks // ctx.machine.ranks_per_node)
     model = FaultModel(node_mtbf_s=node_mtbf_s, software_fraction=1.0)
 

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -354,8 +354,7 @@ def level_fault_dse(
     from repro.core.fault_injection import FaultInjector, FaultModel
 
     ctx = ctx or get_all_levels_context()
-    arch = ctx.archbeo
-    arch.recovery_time_s = recovery_time_s
+    arch = replace(ctx.archbeo, recovery_time_s=recovery_time_s)  # the cached one stays
     nnodes = max(1, ranks // ctx.machine.ranks_per_node)
     model = FaultModel(
         node_mtbf_s=node_mtbf_s, software_fraction=software_fraction

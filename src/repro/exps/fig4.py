@@ -15,7 +15,7 @@ overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -58,9 +58,9 @@ def fault_assumption_cases(
     noise across replicas, so Case 4's advantage over it shows.
     """
     ctx = ctx or get_context()
-    arch = ctx.archbeo
-    # fault-injecting runs use the ArchBEO's FT hardware parameters
-    arch.recovery_time_s = recovery_time_s
+    # fault-injecting runs use the ArchBEO's FT hardware parameters; a
+    # copy, so the cached context's ArchBEO keeps its own
+    arch = replace(ctx.archbeo, recovery_time_s=recovery_time_s)
     nnodes = max(1, ranks // ctx.machine.ranks_per_node)
     # classic Case-4 semantics: every fault is recoverable from the last
     # checkpoint regardless of level (EXT5 studies the level-aware mix)

@@ -42,6 +42,14 @@ class Expression:
     def evaluate(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
         """Evaluate over *env* (parameter name -> array), returning finite
         values of the broadcast shape."""
+        # One errstate for the whole tree: the protected operators
+        # produce and then replace inf/nan, which numpy would warn about.
+        with np.errstate(all="ignore"):
+            return self._eval(env)
+
+    def _eval(self, env: Mapping[str, np.ndarray]) -> np.ndarray:
+        """:meth:`evaluate` without entering ``np.errstate``; a node
+        evaluates its children through this."""
         raise NotImplementedError
 
     def children(self) -> tuple["Expression", ...]:
@@ -154,7 +162,7 @@ class Const(Expression):
     def __init__(self, value: float) -> None:
         self.value = float(value)
 
-    def evaluate(self, env):
+    def _eval(self, env):
         return np.asarray(self.value, dtype=float)
 
     def with_children(self, children):
@@ -174,7 +182,7 @@ class Var(Expression):
             raise ValueError(f"invalid variable name {name!r}")
         self.name = name
 
-    def evaluate(self, env):
+    def _eval(self, env):
         try:
             return np.asarray(env[self.name], dtype=float)
         except KeyError:
@@ -258,10 +266,8 @@ class Unary(Expression):
         self._size = 1 + child.size()
         self._depth = 1 + child.depth()
 
-    def evaluate(self, env):
-        with np.errstate(all="ignore"):
-            out = UNARY_OPS[self.op](self.child.evaluate(env))
-        return _finite(out)
+    def _eval(self, env):
+        return _finite(UNARY_OPS[self.op](self.child._eval(env)))
 
     def children(self):
         return (self.child,)
@@ -290,12 +296,10 @@ class Binary(Expression):
         self._size = 1 + left.size() + right.size()
         self._depth = 1 + max(left.depth(), right.depth())
 
-    def evaluate(self, env):
-        with np.errstate(all="ignore"):
-            out = BINARY_OPS[self.op](
-                self.left.evaluate(env), self.right.evaluate(env)
-            )
-        return _finite(out)
+    def _eval(self, env):
+        return _finite(
+            BINARY_OPS[self.op](self.left._eval(env), self.right._eval(env))
+        )
 
     def children(self):
         return (self.left, self.right)

@@ -180,9 +180,11 @@ class _Split:
         col = self.columns.get(key)
         if col is None:
             col = np.asarray(gene.evaluate(self.env), dtype=float)
+            if isinstance(gene, (Var, Const)):  # an operator's are finite
+                col = _finite(col)
             if col.shape != self.y.shape:
                 col = np.broadcast_to(col, self.y.shape)
-            col = self.columns[key] = _finite(col)
+            self.columns[key] = col
         return col
 
     def design_matrices(self, gene_lists: list[list[Expression]]) -> np.ndarray:

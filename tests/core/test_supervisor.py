@@ -1,7 +1,12 @@
 """TaskSupervisor: retries, taxonomy, pool resurrection, WAL journal."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -40,6 +45,11 @@ def _always_oom(x):
 
 def _return_garbage(x):
     return GARBAGE
+
+
+def _sleep_then(payload):
+    time.sleep(payload)
+    return payload
 
 
 def _flaky(payload):
@@ -103,10 +113,17 @@ def test_empty_task_list():
 
 
 def test_on_result_fires_once_per_completion():
-    seen = []
-    sup = TaskSupervisor(_double, n_workers=1, on_result=lambda k, v: seen.append((k, v)))
-    sup.run([("a", 1), ("b", 2)])
-    assert sorted(seen) == [("a", 2), ("b", 4)]
+    for n_workers in (1, 2):  # in-process, and pooled with tasks queued ahead
+        seen = []
+        sup = TaskSupervisor(
+            _double, n_workers=n_workers, on_result=lambda k, v: seen.append((k, v))
+        )
+        try:
+            out = sup.run([(f"t{i}", i) for i in range(10)])
+        finally:
+            sup.close()
+        assert sorted(seen) == sorted((f"t{i}", 2 * i) for i in range(10))
+        assert out.stats.completed == 10
 
 
 # -- failure taxonomy -------------------------------------------------------------
@@ -202,6 +219,119 @@ def test_degrades_to_sequential_when_workers_keep_dying():
     assert out.results == {f"t{i}": 2 * i for i in range(4)}
     assert out.stats.degraded
     assert out.stats.pool_rebuilds >= 2
+
+
+# -- the submission window: one task queued ahead per worker ------------------------
+
+
+def test_queued_ahead_task_is_never_charged_a_timeout():
+    """Two workers, four 0.8 s tasks: two wait queued ahead behind the
+    first two.  Their deadline starts when they move up into a worker,
+    so a 1.2 s timeout covers each task, though not submit-to-finish."""
+    retry = RetryPolicy(max_retries=0, timeout_s=1.2)
+    sup = TaskSupervisor(_sleep_then, n_workers=2, retry=retry)
+    try:
+        out = sup.run([(f"t{i}", 0.8) for i in range(4)])
+    finally:
+        sup.close()
+    assert out.results == {f"t{i}": 0.8 for i in range(4)}
+    assert out.stats.by_kind["timeout"] == 0 and not out.stats.failures
+
+
+def _one_crash_seed(keys):
+    """An injector seed whose draws crash exactly one key, on its first
+    attempt, and no attempt after it."""
+    for seed in range(2000):
+        inj = HarnessFaultInjector(crash_prob=0.1, seed=seed)
+        first = [k for k in keys if inj.decide(k, 1) == "crash"]
+        later = [k for k in keys for a in (2, 3) if inj.decide(k, a) == "crash"]
+        if len(first) == 1 and not later:
+            return seed
+    raise AssertionError("no seed crashes exactly one task")
+
+
+def test_one_crash_charges_at_most_n_workers_attempts():
+    """A crash breaks every future in flight, but the queued-ahead tasks
+    never held the dead worker: they go back uncharged."""
+    keys = [f"t{i}" for i in range(8)]
+    inj = HarnessFaultInjector(crash_prob=0.1, seed=_one_crash_seed(keys))
+    retry = RetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_max_s=0.002)
+    sup = TaskSupervisor(_sleep_then, n_workers=2, retry=retry, fault_injector=inj)
+    try:
+        out = sup.run([(k, 0.05) for k in keys])
+    finally:
+        sup.close()
+    assert out.results == {k: 0.05 for k in keys}
+    assert out.stats.pool_rebuilds == 1
+    assert 1 <= out.stats.by_kind["crash"] <= 2
+    assert out.stats.retries == out.stats.by_kind["crash"]
+
+
+def test_journal_order_is_completion_order(tmp_path):
+    """The slow first task finishes last, so it is journaled last; the
+    refill before each append does not reorder the records."""
+    path = str(tmp_path / "wal.jsonl")
+    tasks = [("slow", 0.6)] + [(f"f{i}", 0.02) for i in range(4)]
+    with WriteAheadJournal(path, {"run": 1}) as wal:
+        sup = TaskSupervisor(
+            _sleep_then,
+            n_workers=2,
+            on_result=lambda k, v: wal.append({"key": k}),
+        )
+        try:
+            sup.run(tasks)
+        finally:
+            sup.close()
+    _, records = WriteAheadJournal.read(path)
+    assert [r["key"] for r in records] == ["f0", "f1", "f2", "f3", "slow"]
+
+
+#: Runs one campaign point on two fresh workers and prints, per replica,
+#: the modules its worker imported while running it.
+_FIRST_REPLICA_IMPORTS = textwrap.dedent(
+    """
+    import json, sys
+    from repro.core.campaign import CampaignSpec, ResilienceCampaign, _run_replica
+
+    def probe(task):
+        before = set(sys.modules)
+        out = _run_replica(task)
+        out["new_modules"] = sorted(set(sys.modules) - before)
+        return out
+
+    mix = {"software": 0.3, "node": 0.15, "sdc": 0.25, "straggler": 0.1,
+           "burst": 0.1, "link": 0.1}
+    spec = CampaignSpec(node_mtbf_s=16, ckpt_period=5, nranks=16, nnodes=8,
+                        timesteps=100, verify_period=5, net_topology="torus",
+                        fault_mix=mix)
+    campaign = ResilienceCampaign(reps=4, base_seed=0, n_workers=2)
+    try:
+        campaign._get_supervisor().worker_fn = probe
+        replicas = campaign._run_replicas(spec)
+    finally:
+        campaign.close()
+    print(json.dumps([r["new_modules"] for r in replicas]))
+    """
+)
+
+
+def test_forked_workers_import_nothing_on_their_first_replica():
+    """The campaign imports before the pool forks what a replica would
+    import lazily (fault domains of every kind hit here), so no worker
+    pays for it on its first replica.  A fresh interpreter, because this
+    one has long imported everything."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_REPLICA_IMPORTS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    imported = json.loads(proc.stdout.splitlines()[-1])
+    assert len(imported) == 4
+    assert imported == [[]] * 4
 
 
 def test_in_process_run_never_injects():

@@ -143,3 +143,16 @@ def test_abl4_engines():
     assert res["parallel_4"]["identical"]
     assert res["sequential"]["events"] == res["parallel_2"]["events"]
     assert "sequential" in format_abl4(res)
+
+
+def test_fault_runs_leave_the_cached_archbeo_alone():
+    """fig4 and abl2 simulate with their own recovery time on a copy of
+    the cached context's ArchBEO, so a later caller of the same context
+    does not inherit it."""
+    from repro.exps.casestudy import get_context
+    from repro.targets import run_target
+
+    before = get_context(seed=0).archbeo.recovery_time_s
+    for name in ("fig4", "abl2"):
+        run_target(name, 0, 1)
+        assert get_context(seed=0).archbeo.recovery_time_s == before, name

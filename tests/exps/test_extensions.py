@@ -97,6 +97,17 @@ def test_ext5_level_fault_dse_smoke(ext_ctx):
     assert "EXT5" in format_ext5(rows)
 
 
+def test_ext5_leaves_the_contexts_archbeo_alone(ext_ctx):
+    from repro.exps.extensions import level_fault_dse
+
+    before = ext_ctx.archbeo.recovery_time_s
+    level_fault_dse(
+        ext_ctx, ranks=8, epr=5, timesteps=20, period=10,
+        recovery_time_s=before + 1.0, reps=1,
+    )
+    assert ext_ctx.archbeo.recovery_time_s == before
+
+
 def _run_with_scheduled_fault(ext_ctx, level, kind, t_fault, recovery=0.02):
     from repro.core.ft import scenario_levels
     from repro.core.simulator import BESSTSimulator
