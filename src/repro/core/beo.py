@@ -178,20 +178,7 @@ class ArchBEO:
             raise ModelError(
                 f"ArchBEO {self.name!r} has no topology/comm model for collectives"
             )
-        c = self.comm
-        if instr.op == "barrier":
-            return c.barrier(nranks)
-        if instr.op == "allreduce":
-            return c.allreduce(nranks, instr.nbytes)
-        if instr.op == "broadcast":
-            return c.broadcast(nranks, instr.nbytes)
-        if instr.op == "reduce":
-            return c.reduce(nranks, instr.nbytes)
-        if instr.op == "gather":
-            return c.gather(nranks, instr.nbytes)
-        if instr.op == "alltoall":
-            return c.alltoall(nranks, instr.nbytes)
-        raise ModelError(f"unpriced collective {instr.op!r}")  # pragma: no cover
+        return self.comm.price(instr.op, nranks, instr.nbytes)
 
     def exchange_time(self, instr: Exchange) -> float:
         """Halo exchange: neighbours transfer concurrently, but each

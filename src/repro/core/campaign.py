@@ -32,6 +32,7 @@ reportable at any time via :meth:`ResilienceCampaign.report_from_journal`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -135,6 +136,13 @@ class CampaignSpec:
         for name in ("ckpt_period", "timesteps", "nranks", "nnodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Ranks sit nranks // nnodes to a node: a remainder would strand
+        # ranks past the last node the injector draws, and a surplus node
+        # would hold no rank yet still roll the job back.
+        if self.nranks % self.nnodes:
+            raise ValueError(
+                f"nranks ({self.nranks}) must be a multiple of nnodes ({self.nnodes})"
+            )
         if not 1 <= self.level <= 4:
             raise ValueError(f"level must be in 1-4, got {self.level}")
         if self.allreduce_bytes < 0:
@@ -301,11 +309,20 @@ class CampaignWorkload:
         return body
 
 
+@functools.lru_cache(maxsize=4)
+def _campaign_workload(spec: CampaignSpec) -> CampaignWorkload:
+    """One builder per spec: the simulator keeps an SPMD app's compiled
+    program with its builder, so the replicas of one grid point run in
+    a process (a pool worker, or the parent) compile it once.  Equal
+    specs share one; the few most recent are kept."""
+    return CampaignWorkload(spec)
+
+
 def build_campaign_app(spec: CampaignSpec) -> AppBEO:
     """The campaign's synthetic SPMD workload."""
     return AppBEO(
         f"campaign_p{spec.ckpt_period}_l{spec.level}",
-        CampaignWorkload(spec),
+        _campaign_workload(spec),
         spmd=True,
     )
 
@@ -320,7 +337,7 @@ def build_campaign_simulator(
     arch = ArchBEO(
         "campaign",
         topology=spec.build_topology(),
-        cores_per_node=max(1, spec.nranks // spec.nnodes),
+        cores_per_node=spec.nranks // spec.nnodes,
     )
     arch.bind("work", ConstantModel(spec.compute_s))
     arch.bind("ckpt", ConstantModel(spec.ckpt_cost_s))

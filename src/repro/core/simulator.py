@@ -75,6 +75,7 @@ result block.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional
@@ -616,7 +617,96 @@ def _segments(rows: list) -> dict:
     return segments
 
 
-def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
+class _Program:
+    """A compiled program and what the array stepper derives from its
+    rows alone: the segments (:func:`_segments`), their commit hooks,
+    the segments priced for a healthy network, and the rows that share
+    one model value.
+
+    Simulators of one SPMD app share it (:func:`_spmd_program`), so the
+    replicas of a campaign point build, compile and table their program
+    once per process.  Nothing here changes after construction but the
+    one-entry cache of :meth:`equal_steps`.  It pickles as its rows: a
+    restored simulator derives the rest again.
+    """
+
+    def __init__(self, rows: list) -> None:
+        self.rows = rows
+        self.segments = _segments(rows)
+        #: start pc -> ``(pc, kind code, level)`` of each ``Checkpoint``
+        #: and ``Verify`` row of the segment, for the segments with any
+        self.hooks = {}
+        #: start pcs of the segments whose prices assume a healthy
+        #: network: an ``Exchange`` row (priced at run start) or an L2+
+        #: ``Checkpoint`` row (its partner copy crosses the fabric)
+        self.net_bound = set()
+        for start, (first, end) in self.segments.items():
+            batch = [(pc, rows[pc][0], rows[pc][6]) for pc in range(first, end)]
+            hooks = tuple(row for row in batch if row[1] in (_CHECKPOINT, _VERIFY))
+            if hooks:
+                self.hooks[start] = hooks
+            if any(
+                code == _EXCHANGE or (code == _CHECKPOINT and level >= 2)
+                for _, code, level in batch
+            ):
+                self.net_bound.add(start)
+        #: the pcs of each distinct priced row, which share one model value
+        pcs_of: dict[Instruction, list] = {}
+        for pc, row in enumerate(rows):
+            if row[0] <= _EXCHANGE:
+                pcs_of.setdefault(row[1], []).append(pc)
+        self.groups = list(pcs_of.values())
+        #: ``(price column bytes, its equal-price step tables)``
+        self._equal: Optional[tuple] = None
+
+    def __reduce__(self):
+        return (_Program, (self.rows,))
+
+    def equal_steps(self, column: np.ndarray) -> dict:
+        """``start pc -> (row durations, span, checkpoints)`` of each
+        segment when every rank pays *column*'s prices.  Durations are
+        floats, added into the span from 0.0 in row order as
+        ``_price_batch`` adds them, so every sum is bit-identical;
+        ``checkpoints`` holds ``(offset, duration)`` of each
+        ``Checkpoint`` row.  The tables of the last column are kept."""
+        key = column.tobytes()
+        if self._equal is None or self._equal[0] != key:
+            rows = self.rows
+            steps = {}
+            for start, (first, end) in self.segments.items():
+                durations = column[first:end].tolist()
+                span, ckpts = 0.0, []
+                for pc, dt in enumerate(durations, first):
+                    if rows[pc][0] == _CHECKPOINT:
+                        ckpts.append((span, dt))
+                    span += dt
+                steps[start] = (durations, span, tuple(ckpts))
+            self._equal = (key, steps)
+        return self._equal[1]
+
+
+#: builder -> ``(key, program)`` of the last SPMD program compiled from
+#: it, so the cache lives as long as the app's builder
+_PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _spmd_program(sim: "BESSTSimulator") -> _Program:
+    """*sim*'s SPMD program: rank 0's, compiled once per builder, rank
+    count and parameters.  Replicas of one campaign point share it; an
+    app used with other parameters recompiles and keeps the new one."""
+    appbeo = sim.appbeo
+    params = {**appbeo.default_params, **sim.params}
+    key = (sim.nranks, repr(sorted(params.items())))
+    try:
+        cached = _PROGRAMS.get(appbeo._builder)
+    except TypeError:  # a builder that cannot be weakly referenced
+        return _Program(sim._compile(0))
+    if cached is None or cached[0] != key:
+        cached = _PROGRAMS[appbeo._builder] = (key, _Program(sim._compile(0)))
+    return cached[1]
+
+
+def _price_matrix(sim: "BESSTSimulator", program: _Program) -> Optional[np.ndarray]:
     """``prices[pc, rank]``: the duration of row *pc* on each rank in a
     fault-free run, or ``None`` when a model cannot list its prices
     (:meth:`~repro.models.base.PerformanceModel.price_table`).
@@ -630,13 +720,10 @@ def _price_matrix(sim: "BESSTSimulator", rows: list) -> Optional[np.ndarray]:
     equal, and the matrix is one column broadcast across the ranks.
     """
     arch = sim.archbeo
+    rows = program.rows
     column = np.zeros(len(rows))
-    pcs_of: dict[Instruction, list] = {}  # one model value per distinct row
-    for pc, row in enumerate(rows):
-        if row[0] <= _EXCHANGE:
-            pcs_of.setdefault(row[1], []).append(pc)
     tables = []
-    for pcs in pcs_of.values():
+    for pcs in program.groups:
         code, instr, kernel, params = rows[pcs[0]][:4]
         if code == _EXCHANGE:
             column[pcs] = arch.exchange_time(instr)
@@ -702,30 +789,19 @@ class _ArrayStepper:
     While a straggler slows a node, an array step scales the clocked
     rows of that node's ranks by its factor, as their per-rank batches
     would, and credits each slowed rank's excess in release order.
+
+    Deterministic pricing gives every rank one price per row.  While no
+    straggler slows a node, every rank then arrives at ``now + span``:
+    the step reads its segment's durations, span and checkpoint costs
+    from :attr:`equal` (floats, tabled once per program and price
+    column), and the release order stays as it is.
     """
 
-    def __init__(self, sim: "BESSTSimulator", rows: list, prices: np.ndarray) -> None:
+    def __init__(self, sim: "BESSTSimulator", program: _Program, prices: np.ndarray) -> None:
         self.sim = sim
-        self.rows = rows
+        self.program = program
         self.prices = prices
-        self.segments = _segments(rows)
-        #: start pc -> ``(pc, kind code, level)`` of each ``Checkpoint``
-        #: and ``Verify`` row of the segment, for the segments with any
-        self.hooks = {}
-        #: start pcs of the segments whose prices assume a healthy
-        #: network: an ``Exchange`` row (priced at run start) or an L2+
-        #: ``Checkpoint`` row (its partner copy crosses the fabric)
-        self.net_bound = set()
-        for start, (first, end) in self.segments.items():
-            batch = [(pc, rows[pc][0], rows[pc][6]) for pc in range(first, end)]
-            hooks = tuple(row for row in batch if row[1] in (_CHECKPOINT, _VERIFY))
-            if hooks:
-                self.hooks[start] = hooks
-            if any(
-                code == _EXCHANGE or (code == _CHECKPOINT and level >= 2)
-                for _, code, level in batch
-            ):
-                self.net_bound.add(start)
+        self._bind()
         #: the lockstep program counter and collective count
         self.pc = 0
         self.calls = 0
@@ -735,8 +811,22 @@ class _ArrayStepper:
         #: the ``events_fired`` count the run may reach (``max_events``)
         self.limit = float("inf")
         self.recorded = [rank for rank in sim._ranks if rank.record]
-        #: rank -> the node it runs on (for a straggler's per-rank factor)
-        self.node_of = np.array([sim.archbeo.node_of_rank(r) for r in range(sim.nranks)])
+        #: rank -> the node it runs on (for a straggler's per-rank
+        #: factor), built at the first slowed step
+        self.node_of: Optional[np.ndarray] = None
+
+    def _bind(self) -> None:
+        """Take the program's tables, and the equal-price step tables
+        when the price matrix is one column broadcast across the ranks."""
+        program = self.program
+        self.rows = program.rows
+        self.segments = program.segments
+        self.hooks = program.hooks
+        self.net_bound = program.net_bound
+        prices = self.prices
+        #: start pc -> ``(durations, span, checkpoints)`` of each segment
+        #: (:meth:`_Program.equal_steps`), or ``None`` if ranks' prices differ
+        self.equal = None if prices.strides[1] else program.equal_steps(prices[:, 0])
 
     @classmethod
     def plan(cls, sim: "BESSTSimulator") -> Optional["_ArrayStepper"]:
@@ -753,8 +843,9 @@ class _ArrayStepper:
         rows = sim._ranks[0].rows
         if any(rank.rows is not rows for rank in sim._ranks):
             return None
-        prices = _price_matrix(sim, rows)
-        return None if prices is None else cls(sim, rows, prices)
+        program = sim._program if sim._program is not None else _Program(rows)
+        prices = _price_matrix(sim, program)
+        return None if prices is None else cls(sim, program, prices)
 
     def start(self, rank: _Rank) -> None:
         """*rank*'s start event fired.  Start events fire in rank order, so
@@ -803,15 +894,85 @@ class _ArrayStepper:
         sim = self.sim
         if isinstance(order, list):
             order = np.array([rank.rank for rank in order])
-        first, end = segment
         engine = sim.engine
         now = engine.now
+        if self.equal is not None and not sim._straggler_dom.node_slowdown:
+            arrivals = self._equal_arrivals(now, order, self.equal[self.pc])
+        else:
+            arrivals = self._spread_arrivals(now, order, segment, hooks)
+        # ``times`` and ``perm``: the arrival times and seq offsets in
+        # release order; ``ids``: the ranks in it; ``records``: the
+        # recorded ranks' row durations and span; ``credits``: straggler
+        # excess per rank; ``commits``: each checkpoint's completion
+        # times and costs, indexed by rank
+        times, perm, ids, records, credits, commits = arrivals
+        last = int(perm[-1])
+        t_last = float(times[-1])
+        queue = engine.queue
+        if queue.peek_time() <= t_last:  # the next event may sort first
+            if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + last):
+                return False
+        for r, excess in credits:
+            sim._straggler_dom.note_excess(r, excess)
+        first, end = segment
+        for rank, durations, span in records:
+            self._record(rank, now, first, durations, span)
+        sync = sim.sync
+        seq = queue.take_seqs(len(ids))
+        instr = self.rows[end][1]
+        if hooks:
+            name = sim._ranks[int(ids[0])].name
+            payload = (times, seq, perm, ids, self.calls, hooks, commits)
+            event = Event(
+                time=float(times[0]),
+                handler=sync._rendezvous,
+                payload=(ids, instr, self._commit_hooked, payload),
+                seq=seq + int(perm[0]),
+                src=name,
+                dst=name,
+            )
+        else:
+            event = Event(
+                time=t_last,
+                handler=sync._rendezvous,
+                payload=(ids, instr, self._commit, times[:-1]),
+                seq=seq + last,
+            )
+        sync._pending = engine.schedule_event(event)
+        self.pc = end + 1
+        self.calls += 1
+        self.stale = True
+        return True
+
+    def _equal_arrivals(self, now: float, order: np.ndarray, table: tuple) -> tuple:
+        """The arrivals of a segment every rank prices alike (*table*, its
+        :attr:`equal` entry): all at ``now + span``.  A stable sort of
+        equal times keeps *order*, so it is the release order, and the
+        last arrival is its last rank."""
+        durations, span, ckpts = table
+        n = len(order)
+        t = now + span
+        records = [(rank, durations, span) for rank in self.recorded]
+        t_start = t - span  # as :meth:`_spread_arrivals` computes it
+        commits = [([(t_start + off) + dt] * n, [dt] * n) for off, dt in ckpts]
+        return [t] * n, range(n), order, records, (), commits
+
+    def _spread_arrivals(self, now: float, order: np.ndarray, segment: tuple, hooks) -> tuple:
+        """The arrivals of a segment whose ranks price its rows apart
+        (Monte-Carlo noise, a straggler's factor), from the price
+        matrix, sorted by time: a stable argsort of the arrival times in
+        *order*."""
+        sim = self.sim
         prices = self.prices
         rows = self.rows
+        first, end = segment
         # A straggler slows the clocked rows (``Compute``, ``Checkpoint``,
         # ``Verify``) of the ranks on its node, as ``_price_batch`` does.
         slow = slowed = None
         if sim._straggler_dom.node_slowdown:
+            if self.node_of is None:
+                node_of_rank = sim.archbeo.node_of_rank
+                self.node_of = np.array([node_of_rank(r) for r in range(sim.nranks)])
             slow = np.ones(sim.nranks)
             for node, factor in sim._straggler_dom.node_slowdown.items():
                 slow[self.node_of == node] = factor
@@ -831,58 +992,34 @@ class _ArrayStepper:
             span += dt
         times = (now + span)[order]
         perm = np.argsort(times, kind="stable")
-        last = int(perm[-1])
-        t_last = float(times[last])
-        queue = engine.queue
-        if queue.peek_time() <= t_last:  # the next event may sort first
-            if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + last):
-                return False
+        times = times[perm]
+        credits = ()
         if slow is not None:
             # The per-rank batches would credit their excess in release order.
-            note_excess = sim._straggler_dom.note_excess
             factors, slowed = slow.tolist(), slowed.tolist()
-            for r in order.tolist():
-                if factors[r] != 1.0 and slowed[r] > 0.0:
-                    note_excess(r, slowed[r] * (1.0 - 1.0 / factors[r]))
-        for rank in self.recorded:
-            self._record(rank, now, first, dts, float(span[rank.rank]))
-        sync = sim.sync
-        seq = queue.take_seqs(len(order))
-        ids = order[perm]
-        instr = rows[end][1]
-        if hooks:
-            # A checkpoint row completes at ``t_start + off + dt``, where
-            # ``t_start`` is the batch event's time less the batch span.
-            t_start = (now + span) - span
-            commits = [
-                (((t_start + off) + dts[pc - first]).tolist(), dts[pc - first].tolist())
-                for pc, off in zip(ckpts, offsets)
+            credits = [
+                (r, slowed[r] * (1.0 - 1.0 / factors[r]))
+                for r in order.tolist()
+                if factors[r] != 1.0 and slowed[r] > 0.0
             ]
-            head = int(perm[0])
-            name = sim._ranks[int(ids[0])].name
-            payload = (times[perm], seq + perm, ids, self.calls, hooks, commits)
-            event = Event(
-                time=float(times[head]),
-                handler=sync._rendezvous,
-                payload=(ids, instr, self._commit_hooked, payload),
-                seq=seq + head,
-                src=name,
-                dst=name,
-            )
-        else:
-            event = Event(
-                time=t_last,
-                handler=sync._rendezvous,
-                payload=(ids, instr, self._commit, times[perm[:-1]]),
-                seq=seq + last,
-            )
-        sync._pending = engine.schedule_event(event)
-        self.pc = end + 1
-        self.calls += 1
-        self.stale = True
-        return True
+        records = [
+            (rank, [float(dt[rank.rank]) for dt in dts], float(span[rank.rank]))
+            for rank in self.recorded
+        ]
+        ids = order[perm]
+        if not hooks:
+            return times, perm, ids, records, credits, ()
+        # A checkpoint row completes at ``t_start + off + dt``, where
+        # ``t_start`` is the batch event's time less the batch span.
+        t_start = (now + span) - span
+        commits = [
+            (((t_start + off) + dts[pc - first]).tolist(), dts[pc - first].tolist())
+            for pc, off in zip(ckpts, offsets)
+        ]
+        # :meth:`_commit_hooked` walks the arrivals as lists
+        return times.tolist(), perm.tolist(), ids, records, credits, commits
 
-    def _commit(self, _t: float, times: np.ndarray) -> None:
+    def _commit(self, _t: float, times) -> None:
         """Count the lazy arrivals that sort before the rendezvous, at
         their sorted *times*, and give a flight recorder the ticks they
         would have (the rendezvous itself was counted already)."""
@@ -906,17 +1043,17 @@ class _ArrayStepper:
         verify hooks, which return at once without latent corruption.
         The clock then moves to the last arrival, where the collective
         is priced."""
-        times, seqs, ids, calls, hooks, commits = payload
+        times, first_seq, perm, ids, calls, hooks, commits = payload
         sim = self.sim
         engine = sim.engine
         ranks = sim._ranks
         ids = ids.tolist()
         recorders = engine._recorders()
         if recorders:
-            for t, seq, r in zip(times[1:].tolist(), seqs[1:].tolist(), ids[1:]):
+            for t, offset, r in zip(times[1:], perm[1:], ids[1:]):
                 name = ranks[r].name
                 for sink in recorders:
-                    sink((t, PRIORITY_NORMAL, seq, name, name))
+                    sink((t, PRIORITY_NORMAL, first_seq + offset, name, name))
         commit = [domain.on_checkpoint_commit for domain in sim._commit_domains]
         verify = [domain.on_verify_point for domain in sim._verify_domains]
         for r in ids:
@@ -936,20 +1073,19 @@ class _ArrayStepper:
                 for hook in commit:
                     hook(rank, seq)
         self._commit(_t, times[:-1])
-        engine.now = float(times[-1])
+        engine.now = times[-1]
 
-    def _record(self, rank: _Rank, now: float, first: int, dts: list, span: float) -> None:
+    def _record(self, rank: _Rank, now: float, first: int, durations: list, span: float) -> None:
         """*rank*'s marker and batch rows of the segment starting now,
-        whose batch rows from *first* take *dts* (one value per rank)
-        and *span* in all on this rank."""
+        whose batch rows from *first* take *durations* and *span* in all
+        on this rank."""
         entries = rank.timeline.entries
         rows = self.rows
         for pc in range(self.pc, first):
             entries.append(TimelineEntry(now, now, "marker", rows[pc][5]))
         t_start = (now + span) - span  # as the lazy event computes it
         off = 0.0
-        for pc, durations in enumerate(dts, first):
-            dt = float(durations[rank.rank])
+        for pc, dt in enumerate(durations, first):
             _, _, _, _, kind, label, level = rows[pc]
             entries.append(
                 TimelineEntry(t_start + off, t_start + off + dt, kind, label, level=level)
@@ -974,7 +1110,11 @@ class _ArrayStepper:
                 rank.pc, rank.collective_calls, rank._pending = self.pc, self.calls, None
 
     def __getstate__(self) -> dict:
+        # The program pickles as its rows; the tables taken from it are
+        # derived again on restore (:meth:`_bind`).
         state = dict(self.__dict__)
+        for name in ("rows", "segments", "hooks", "net_bound", "equal"):
+            del state[name]
         if not self.prices.strides[1]:  # equal columns: pickle one
             state["prices"] = (self.prices[:, 0], self.prices.shape)
         return state
@@ -984,6 +1124,7 @@ class _ArrayStepper:
             column, shape = state["prices"]
             state["prices"] = np.broadcast_to(column[:, None], shape)
         self.__dict__.update(state)
+        self._bind()
 
 
 class BESSTSimulator:
@@ -1074,14 +1215,25 @@ class BESSTSimulator:
         #: the domains the commit and verify hooks go to
         self._commit_domains = self._defining("on_checkpoint_commit")
         self._verify_domains = self._defining("on_verify_point")
-        #: instruction -> compiled row, shared by every rank's program
+        #: instruction -> compiled row, shared by every rank's program,
+        #: of what this simulator compiled (nothing when it reuses an SPMD
+        #: app's program)
         self._rows: dict[Instruction, tuple] = {}
 
-        # An SPMD app is built and compiled once; any other app once per
-        # rank, with programs equal to rank 0's sharing its row list (rows
-        # are interned, so the comparison only tests identities).
-        rows0 = rows = self._compile(0)
+        # An SPMD app is built and compiled once per builder, rank count
+        # and parameters (:func:`_spmd_program`), so replicas share one
+        # program; any other app once per rank, with programs equal to
+        # rank 0's sharing its row list (rows are interned, so the
+        # comparison only tests identities).
+        #: the compiled program of an SPMD app, else ``None``
+        self._program: Optional[_Program] = None
+        if appbeo.spmd:
+            self._program = _spmd_program(self)
+            rows0 = self._program.rows
+        else:
+            rows0 = self._compile(0)
         for r in range(nranks):
+            rows = rows0
             if r and not appbeo.spmd:
                 rows = self._compile(r)
                 if rows == rows0:

@@ -65,7 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: hook rows and network-bound segments are stepper state).
 #: Version 6: array steppers also step straggler-slowed segments (they
 #: carry the rank -> node map).
-SNAPSHOT_VERSION = 6
+#: Version 7: array steppers pickle their compiled program as its rows
+#: and derive its tables on restore; a hooked rendezvous carries its
+#: arrivals as lists and its seqs as a base and offsets.
+SNAPSHOT_VERSION = 7
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

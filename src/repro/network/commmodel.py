@@ -217,6 +217,29 @@ class CollectiveCostModel:
 
     def __init__(self, p2p: LogGPModel) -> None:
         self.p2p = p2p
+        #: ``(op, nranks, nbytes)`` -> price on the healthy fabric
+        self._healthy: dict[tuple, float] = {}
+
+    def price(self, op: str, nranks: int, nbytes: int = 0) -> float:
+        """Seconds of collective *op* over *nranks* ranks, *nbytes* as
+        the op reads it.  On a healthy fabric the price depends on these
+        arguments alone and is memoised; while a fault overlay is active
+        it is priced afresh, so detours and retransmission ``stats``
+        count every call."""
+        healthy = self.p2p._overlay() is None
+        if healthy:
+            cost = self._healthy.get((op, nranks, nbytes))
+            if cost is not None:
+                return cost
+        if op == "barrier":
+            cost = self.barrier(nranks)
+        elif op in ("allreduce", "broadcast", "reduce", "gather", "alltoall"):
+            cost = getattr(self, op)(nranks, nbytes)
+        else:
+            raise ValueError(f"unpriced collective {op!r}")
+        if healthy:
+            self._healthy[(op, nranks, nbytes)] = cost
+        return cost
 
     def _stages(self, nranks: int) -> int:
         if nranks < 1:

@@ -13,6 +13,7 @@ rank's ``restart_history``.
 import functools
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.core import (
     Verify,
 )
 from repro.core import simulator as simulator_mod
-from repro.core.campaign import CampaignSpec, build_campaign_app
+from repro.core.campaign import CampaignSpec, build_campaign_app, build_campaign_simulator
 from repro.core.fault_injection import FaultDetail, FaultInjector, FaultModel, RecoveryPolicy
 from repro.core.ft import scenario_l1, scenario_l1_l2
 from repro.des.component import Component
@@ -947,3 +948,157 @@ def test_autosnapshot_after_a_hooked_array_step_restores_bit_identical(planned, 
     res = resumed.run()
     assert res == ref and res.faults_injected > 0
     assert rank_states(resumed) == rank_states(reference)
+
+
+# -- equal prices ------------------------------------------------------------------------
+
+
+@pytest.fixture
+def equal_steps(monkeypatch):
+    """Counts the array steps that read equal-price tables (the scalar
+    path).  While ``off`` is set, no stepper gets those tables, so every
+    array step reads the per-rank price columns (the numpy path)."""
+    spy = types.SimpleNamespace(calls=0, off=False)
+    arrivals = simulator_mod._ArrayStepper._equal_arrivals
+    tables = simulator_mod._Program.equal_steps
+
+    def counted(self, *args):
+        spy.calls += 1
+        return arrivals(self, *args)
+
+    def switch(self, column):
+        return None if spy.off else tables(self, column)
+
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "_equal_arrivals", counted)
+    monkeypatch.setattr(simulator_mod._Program, "equal_steps", switch)
+    return spy
+
+
+def run_arms(planned, equal_steps, build, budget=0):
+    """Runs a simulator from ``build()`` on the scalar path, the numpy
+    path and per rank, each stopped at ``max_events=budget`` first if
+    *budget*, and asserts that all three agree on results, stops,
+    traces, seqs, flight rings, RNG streams, fault logs and every rank's
+    ``restart_history``.  Returns the scalar arm's simulator."""
+    arms = []
+    for arm in ("scalar", "numpy", "per_rank"):
+        sim = build()
+        calls = equal_steps.calls
+        planned.per_rank = arm == "per_rank"
+        equal_steps.off = arm == "numpy"
+        stop = None
+        try:
+            if budget:
+                with pytest.raises(SimulationError, match="max_events"):
+                    sim.run(max_events=budget)
+                engine = sim.engine
+                stop = (engine.events_fired, engine.now, engine.queue.next_seq)
+            res = sim.run()
+        finally:
+            planned.per_rank = equal_steps.off = False
+        assert (equal_steps.calls > calls) == (arm == "scalar")
+        assert (planned[-1] is None) == (arm == "per_rank")
+        log = sim.fault_injector.log.entries if sim.fault_injector else None
+        arms.append((sim, res, stop, log))
+    (sim, res, stop, log), *others = arms
+    for other, other_res, other_stop, other_log in others:
+        assert res == other_res and res.total_time.hex() == other_res.total_time.hex()
+        assert stop == other_stop and log == other_log
+        assert sim.engine.trace_log == other.engine.trace_log
+        assert sim._flightrec.ring == other._flightrec.ring
+        assert sim.engine.queue.next_seq == other.engine.queue.next_seq
+        assert sim.engine.rngs.state_digest() == other.engine.rngs.state_digest()
+        assert rank_states(sim) == rank_states(other)
+    return sim
+
+
+DETERMINISTIC_SWEEP = [case for case in SWEEP if not case[3]]
+
+
+def test_deterministic_sweep_covers_both_record_options():
+    assert len(DETERMINISTIC_SWEEP) > 6
+    assert {case[2] for case in DETERMINISTIC_SWEEP} >= {"all", "none"}
+
+
+@pytest.mark.parametrize("app,nranks,record,monte_carlo,seed", DETERMINISTIC_SWEEP)
+def test_equal_prices_step_as_the_numpy_path_and_per_rank(
+    planned, equal_steps, app, nranks, record, monte_carlo, seed
+):
+    stride = (1, 4, 64)[seed % 3]
+    run_arms(
+        planned,
+        equal_steps,
+        lambda: traced_sim(
+            stride, app=app, nranks=nranks, seed=seed, record_timelines=record, monte_carlo=False
+        ),
+    )
+
+
+@pytest.mark.parametrize("case", FAULT_SWEEP, ids=str)
+def test_equal_prices_in_a_fault_run_step_as_the_numpy_path_and_per_rank(
+    planned, equal_steps, case
+):
+    app, nranks, _mix, _policy, period, _record, _stride, stop, _seed = case
+    budget = int(stop * fault_free(app, nranks, period).events_fired)
+    sim = run_arms(planned, equal_steps, lambda: fault_sim(case), budget)
+    assert sim.run().faults_injected > 0
+
+
+MIXED_SPEC = CampaignSpec(
+    node_mtbf_s=8.0,
+    ckpt_period=5,
+    nranks=16,
+    nnodes=8,
+    timesteps=40,
+    verify_period=3,
+    net_topology="torus",
+    fault_mix={
+        "software": 0.3,
+        "node": 0.15,
+        "sdc": 0.25,
+        "straggler": 0.1,
+        "burst": 0.1,
+        "link": 0.1,
+    },
+)
+
+
+def campaign_replica(seed, stride=1):
+    sim = build_campaign_simulator(MIXED_SPEC, seed, RecoveryPolicy())
+    sim.engine.trace = True
+    sim.attach_flightrec(FlightRecorder(capacity=1 << 20, tick_stride=stride))
+    return sim
+
+
+#: each seed strikes a straggler, SDC and a fail-stop fault
+@pytest.mark.parametrize("seed, stride, stop", [(3, 1, 0.0), (6, 4, 0.3), (13, 64, 0.7)])
+def test_campaign_replica_steps_equal_prices_as_the_numpy_path_and_per_rank(
+    planned, equal_steps, slowed_steps, seed, stride, stop
+):
+    full = build_campaign_simulator(MIXED_SPEC, seed, RecoveryPolicy()).run()
+    slowed_steps.clear()
+    sim = run_arms(
+        planned, equal_steps, lambda: campaign_replica(seed, stride), int(stop * full.events_fired)
+    )
+    res = sim.run()
+    assert res == full and res.straggler["straggler_excess_s"] > 0
+    # the scalar arm array-steps its slowed segments on the numpy path
+    assert any(step["array"] for step in slowed_steps)
+
+
+def test_autosnapshot_restored_mid_run_steps_equal_prices(planned, equal_steps, tmp_path):
+    """A restored stepper derives its equal-price tables again and keeps
+    to the scalar path; the resumed run equals the numpy path and per
+    rank stepping."""
+    ref = run_arms(planned, equal_steps, lambda: campaign_replica(6))
+    sim = campaign_replica(6)
+    sim.enable_snapshots(str(tmp_path), every_events=50, keep=1 << 20)
+    ref_res = ref.run()
+    with pytest.raises(SimulationError):
+        sim.run(max_events=ref_res.events_fired // 2)
+    resumed = BESSTSimulator.restore(SnapshotStore(str(tmp_path)).latest())
+    assert resumed._stepper.equal is not None
+    calls = equal_steps.calls
+    assert resumed.run() == ref_res
+    assert equal_steps.calls > calls
+    assert rank_states(resumed) == rank_states(ref)

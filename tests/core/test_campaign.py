@@ -53,6 +53,24 @@ def test_spec_rejects_knobs_without_a_cli_flag(bad):
         CampaignSpec(**{"node_mtbf_s": 8.0, "ckpt_period": 5, **bad})
 
 
+@pytest.mark.parametrize("nranks, nnodes", [(10, 4), (4, 8)])
+def test_spec_rejects_ranks_that_do_not_fill_the_nodes(nranks, nnodes):
+    """Ranks sit ``nranks // nnodes`` to a node.  10 ranks on 4 nodes
+    would strand ranks 8-9 on a node the injector never draws; 4 ranks
+    on 8 nodes would leave nodes 4-7 empty, yet a fault there would
+    still roll the job back."""
+    with pytest.raises(ValueError, match=rf"nranks \({nranks}\).*nnodes \({nnodes}\)"):
+        CampaignSpec(node_mtbf_s=8.0, ckpt_period=5, nranks=nranks, nnodes=nnodes)
+
+
+@pytest.mark.parametrize("nranks, nnodes", [(8, 8), (8, 1), (12, 6)])
+def test_spec_accepts_ranks_that_fill_the_nodes(nranks, nnodes):
+    spec = CampaignSpec(node_mtbf_s=8.0, ckpt_period=5, nranks=nranks, nnodes=nnodes)
+    sim = build_campaign_simulator(spec, seed=0, policy=RecoveryPolicy(), inject=False)
+    placed = {sim.archbeo.node_of_rank(r) for r in range(nranks)}
+    assert placed == set(range(nnodes))
+
+
 def test_spec_keeps_infinite_mtbf_as_fault_free_point():
     assert CampaignSpec(node_mtbf_s=math.inf, ckpt_period=5).node_mtbf_s == math.inf
 

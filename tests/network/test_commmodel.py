@@ -148,3 +148,39 @@ def test_collective_times_nonnegative_and_monotone_in_size(nranks, nbytes):
     t = c.broadcast(nranks, nbytes)
     assert t >= 0
     assert c.broadcast(nranks, nbytes + 1024) >= t
+
+
+def test_price_dispatches_every_op():
+    c = CollectiveCostModel(make_model())
+    assert c.price("barrier", 16) == c.barrier(16)
+    for op in ("allreduce", "broadcast", "reduce", "gather", "alltoall"):
+        assert c.price(op, 16, 4096) == getattr(c, op)(16, 4096)
+    with pytest.raises(ValueError, match="unpriced collective"):
+        c.price("scan", 16, 8)
+
+
+def test_price_is_memoised_on_a_healthy_fabric_only(monkeypatch):
+    """A healthy price is computed once per ``(op, nranks, nbytes)``; under
+    an active overlay every call prices afresh, so the retransmissions
+    of a lossy link keep counting."""
+    c = CollectiveCostModel(make_model())
+    walks = []
+    far_time = c.p2p.far_time
+
+    def counted(nbytes):
+        walks.append(nbytes)
+        return far_time(nbytes)
+
+    monkeypatch.setattr(c.p2p, "far_time", counted)
+    healthy = c.price("allreduce", 64, 8)
+    assert c.price("allreduce", 64, 8) == healthy and len(walks) == 2  # reduce + broadcast
+    c.price("allreduce", 64, 16)
+    assert len(walks) == 4
+    health = c.p2p.topology.health()
+    health.degrade_link(0, 1, derate=2.0, loss_prob=0.5)
+    degraded = [c.price("allreduce", 64, 8) for _ in range(2)]
+    assert degraded[0] == degraded[1] > healthy
+    assert len(walks) == 8
+    assert c.p2p.stats["retransmits"] == pytest.approx(4.0)  # one per far_time
+    health.reset()
+    assert c.price("allreduce", 64, 8) == healthy and len(walks) == 8

@@ -122,7 +122,8 @@ SCENARIOS: tuple[Scenario, ...] = (
         ),
     ),
     # the pinned all-kinds campaign, killed mid-sweep, resumes to the
-    # committed golden report
+    # committed golden report; pool workers, whose replicas share one
+    # compiled program per worker, produce it too
     Scenario(
         name="golden-resume",
         argv=(
@@ -132,6 +133,7 @@ SCENARIOS: tuple[Scenario, ...] = (
             " --verify-period 3 --sdc-coverage 0.9"
             " --net-topology torus --net-repair-time 1"
         ),
+        variants=("--workers 2",),
         golden=True,
         enospc_after=(2, 6),
     ),
