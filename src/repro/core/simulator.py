@@ -13,10 +13,12 @@ only the rendezvous itself goes on the heap.  A run of one program on
 every rank goes further (:class:`_ArrayStepper`): it prices every row at
 run start (drawing all its model noise then, if fault-free) and steps
 each segment that ends at a collective, commit hooks or not, for every
-rank in one array operation whenever that is exact.  A deterministic
-fault run is array-stepped between its faults and steps per rank where
-a fault, a latent corruption, a straggler or a degraded link is in
-play.
+rank in one array operation whenever that is exact.  With no per-event
+observer attached, it fires each such segment's rendezvous and release
+itself, inline, while they sort before the next pending event.  A
+deterministic fault run is array-stepped between its faults and steps
+per rank where a fault, a latent corruption, a straggler or a degraded
+link is in play.
 
 Fault injection (Cases 2 and 4 of Fig. 4) plugs in through
 :meth:`BESSTSimulator.run`'s ``fault_injector``: node failures trigger a
@@ -76,6 +78,7 @@ result block.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional
@@ -236,6 +239,9 @@ def _compile_row(instr: Instruction) -> tuple:
 #: sort key of a ``(key, rank, lazy entry)`` arrival
 _arrival_key = itemgetter(0)
 
+#: checkpoints a rank's ``restart_history`` keeps, besides seq 0
+_HISTORY = 6
+
 
 class _SyncDomain:
     """Rendezvous state for one collective call site sequence.
@@ -317,16 +323,20 @@ class _SyncDomain:
 
     def _price(self, ranks: list, instr: Collective) -> None:
         """Every rank has arrived, the last one now: schedule the release."""
+        self.schedule_release(ranks, instr, *self.release_at(instr))
+
+    def release_at(self, instr: Collective) -> tuple[float, float]:
+        """Price *instr* at its last arrival, now: ``(cost, the time its
+        release frees the ranks)``."""
         now = self.sim.engine.now
         cost = self.sim.archbeo.collective_time(instr, self.sim.nranks)
+        return cost, max(now + cost, now)
+
+    def schedule_release(self, ranks, instr: Collective, cost: float, t: float) -> None:
         # One release event frees every rank (equivalent to per-rank
         # events at the same timestamp, at 1/nranks the event count).
         self._pending = self.sim.engine.schedule_event(
-            Event(
-                time=max(now + cost, now),
-                handler=self._release_all,
-                payload=(ranks, instr, cost),
-            )
+            Event(time=t, handler=self._release_all, payload=(ranks, instr, cost))
         )
 
     def _release_all(self, ev: Event) -> None:
@@ -532,7 +542,7 @@ class _Rank(Component):
                     dt,
                     sim._net_dom.effective_ckpt_level(self.rank, level),
                 )
-                stale = self.ckpt_seq - 6
+                stale = self.ckpt_seq - _HISTORY
                 if stale > 0:
                     self.restart_history.pop(stale, None)
                 if sim._on_checkpoint_commit(self, self.ckpt_seq):
@@ -758,11 +768,12 @@ class _ArrayStepper:
     in lockstep: each segment starts, for all of them, at a release (or
     at the last start event).  :meth:`step` decides per segment: it steps
     a segment (:func:`_segments`) here, for every rank at once, when that
-    is exact, and the ranks' own ``pc`` and ``collective_calls`` go
-    stale.  It steps any other segment per rank, as without a stepper,
-    after writing them back (:meth:`write_back`).  So does
-    ``inject_fault``, before the fault touches a rank.  (``_batch_span``
-    needs no write-back: each per-rank batch sets it before it is read.)
+    is exact, and the ranks' own ``pc``, ``collective_calls`` and
+    checkpoint history go stale.  It steps any other segment per rank, as
+    without a stepper, after writing them back (:meth:`write_back`).  So
+    does ``inject_fault``, before the fault touches a rank.
+    (``_batch_span`` needs no write-back: each per-rank batch sets it
+    before it is read.)
 
     A Monte-Carlo run gets one only when it is fault-free, because a
     rank re-executing rows after a rollback draws fresh noise.  A
@@ -773,18 +784,32 @@ class _ArrayStepper:
     that pass collective *n* share a pc.
 
     An array step reserves one seq per rank in release order, as the
-    per-rank batches would, and schedules one rendezvous event.  For a
-    hook-free segment it does what the per-rank lazy arrivals would: the
-    rendezvous takes the largest ``(time, seq)`` arrival's key, and its
-    handler counts the other ranks' lazy events in ``events_fired`` (and
-    samples a flight recorder where they would).  A segment with commit
-    hooks (:attr:`hooks`) stands for one heap batch event per rank, so
-    its rendezvous takes the smallest key, and its handler
-    (:meth:`_commit_hooked`) fires the others in ``(time, seq)`` order:
-    it traces them, commits each rank's checkpoints and calls its hooks.
-    Either way the ranks are released in ``(time, seq)`` order, and
-    recorded ranks get their timeline rows at once.  An obs adapter
-    times and counts heap events only, as it does for lazy ones.
+    per-rank batches would, and fires one rendezvous.  For a hook-free
+    segment it does what the per-rank lazy arrivals would: the
+    rendezvous takes the largest ``(time, seq)`` arrival's key and
+    counts the other ranks' lazy events in ``events_fired``.  A segment
+    with commit hooks (:attr:`hooks`) stands for one heap batch event
+    per rank; it is stepped so only while no domain's commit or verify
+    hook can act (``FaultDomain.commit_hooks_idle``), so it calls none.
+    Its rendezvous takes the smallest key and counts the others; every
+    rank commits the segment's checkpoints alike, so the step notes
+    them once, as lockstep commits that :meth:`write_back` writes into
+    each rank's ``restart_history``.  Either way the ranks are released
+    in ``(time, seq)`` order, and recorded ranks get their timeline rows
+    at once.
+
+    *Run-ahead.*  While the engine's inline window is open
+    (``Engine.run_ahead``: no trace log or event journal attached), a
+    rendezvous within the run's horizon and event budget fires inline,
+    in the step, since nothing sorts between it and the step; so does
+    the release it prices, if it too sorts before the queue's next live
+    event.  Then the next segment is stepped in the same loop, and a
+    stretch between faults costs no heap event at all.  A flight
+    recorder gets the ticks these events would have (:meth:`_count`).
+    With the window closed, the rendezvous and release are heap events,
+    so a trace or journal records every event it would record per rank
+    (:meth:`_commit`, :meth:`_commit_hooked`).  An obs adapter times
+    and counts heap events only, as it does lazy ones.
 
     While a straggler slows a node, an array step scales the clocked
     rows of that node's ranks by its factor, as their per-rank batches
@@ -805,9 +830,16 @@ class _ArrayStepper:
         #: the lockstep program counter and collective count
         self.pc = 0
         self.calls = 0
-        #: an array step left the ranks' own ``pc``, ``collective_calls``
-        #: and ``_pending`` behind (see :meth:`write_back`)
+        #: an array step left the ranks' own ``pc``, ``collective_calls``,
+        #: ``_pending`` or checkpoint history behind (see :meth:`write_back`)
         self.stale = False
+        #: checkpoints every rank committed in array steps, not yet in the
+        #: ranks' ``restart_history``: their number, and the last
+        #: ``_HISTORY`` of them as ``(resume pc, collective count,
+        #: completion time, cost, level)``, whose time and cost are one
+        #: float for every rank or a list indexed by rank
+        self.commits = 0
+        self.last_commits: deque = deque(maxlen=_HISTORY)
         #: the ``events_fired`` count the run may reach (``max_events``)
         self.limit = float("inf")
         self.recorded = [rank for rank in sim._ranks if rank.record]
@@ -855,42 +887,67 @@ class _ArrayStepper:
 
     def release(self, ranks, instr: Collective, cost: float) -> None:
         """The release of *instr* fired: record it, step the next segment."""
+        self._record_release(instr, cost)
+        self.step(ranks)
+
+    def _record_release(self, instr: Collective, cost: float) -> None:
         now = self.sim.engine.now
         for rank in self.recorded:
             rank.timeline.entries.append(TimelineEntry(now - cost, now, "collective", instr.op))
-        self.step(ranks)
 
     def step(self, order) -> None:
-        """Step the segment at the lockstep pc; *order* is the release
-        order, as ranks (after a per-rank segment) or rank ids.
-
-        The segment is stepped for all ranks at once only when that is
-        exact: it cannot cross ``max_events``; its exchanges and L2+
-        checkpoints cross a healthy network; no
-        latent corruption waits for its commit hooks, which are then
-        no-ops; and its rendezvous is the next event
-        (:meth:`_array_step`).  Otherwise it is stepped per rank."""
-        sim = self.sim
+        """Step segments from the lockstep pc; *order* is the release
+        order of the first, as ranks (after a per-rank segment) or rank
+        ids.  While a segment's release fires inline, the next segment
+        follows in this loop."""
         if isinstance(order, list):  # ranks hold the lockstep state
             self.pc, self.calls = order[0].pc, order[0].collective_calls
-        segment = self.segments.get(self.pc)
-        hooks = self.hooks.get(self.pc)
+        inline = False
+        while order is not None:
+            order = self._segment(order, inline)
+            inline = True
+
+    def _segment(self, order, inline: bool):
+        """Step the segment at the lockstep pc, whose ranks were released
+        in *order* (by a release fired *inline* or not).
+
+        It is stepped for all ranks at once only when that is exact: it
+        cannot cross ``max_events``; its exchanges and L2+ checkpoints
+        cross a healthy network; no domain's commit or verify hook can
+        act on it; and no pending event sorts among its arrivals
+        (:meth:`_arrivals`).  Otherwise it is stepped per rank.  Returns
+        the next segment's release order if this one's release fired
+        inline (:meth:`_fire`), else ``None``."""
+        sim = self.sim
         engine = sim.engine
-        if (
+        pc = self.pc
+        segment = self.segments.get(pc)
+        hooks = self.hooks.get(pc)
+        if not (
             segment is None
             or engine.events_fired + sim.nranks > self.limit
-            or (sim._net_dom.active and self.pc in self.net_bound)
-            or (hooks and sim._sdc_dom.latent)
-            or not self._array_step(order, segment, hooks)
+            or (sim._net_dom.active and pc in self.net_bound)
+            or (hooks and not sim._hooks_idle())
         ):
-            for rank in self._per_rank(order):
-                rank.advance()
+            arrivals = self._arrivals(order, segment, hooks)
+            if arrivals is not None:
+                return self._fire(segment, hooks, arrivals)
+        if inline:  # the ranks' arrivals key on the release fired inline
+            engine.firing = Event(time=engine.now, seq=engine.queue.next_seq - 1)
+        for rank in self._per_rank(order):
+            rank.advance()
+        return None
 
-    def _array_step(self, order, segment: tuple, hooks: Optional[tuple]) -> bool:
-        """Step *segment*, whose commit hooks are *hooks*, for every rank
-        at once, unless a pending event (a fault, a repair) sorts before
-        its last arrival and so would fire between the per-rank arrivals;
-        return whether it did."""
+    def _arrivals(self, order, segment: tuple, hooks: Optional[tuple]) -> Optional[tuple]:
+        """The arrivals of *segment*, whose commit hooks are *hooks*, for
+        every rank, unless a pending event (a fault, a repair) sorts
+        before the last and so would fire between the per-rank arrivals.
+
+        Returns ``times`` and ``perm``, the arrival times and seq offsets
+        in release order; ``ids``, the ranks in it; ``records``, the
+        recorded ranks' row durations and span; ``credits``, straggler
+        excess per rank; and ``commits``, each checkpoint's completion
+        time and cost."""
         sim = self.sim
         if isinstance(order, list):
             order = np.array([rank.rank for rank in order])
@@ -900,49 +957,96 @@ class _ArrayStepper:
             arrivals = self._equal_arrivals(now, order, self.equal[self.pc])
         else:
             arrivals = self._spread_arrivals(now, order, segment, hooks)
-        # ``times`` and ``perm``: the arrival times and seq offsets in
-        # release order; ``ids``: the ranks in it; ``records``: the
-        # recorded ranks' row durations and span; ``credits``: straggler
-        # excess per rank; ``commits``: each checkpoint's completion
-        # times and costs, indexed by rank
-        times, perm, ids, records, credits, commits = arrivals
-        last = int(perm[-1])
-        t_last = float(times[-1])
         queue = engine.queue
+        t_last = float(arrivals[0][-1])
         if queue.peek_time() <= t_last:  # the next event may sort first
-            if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + last):
-                return False
+            if queue.peek_key() < (t_last, PRIORITY_NORMAL, queue.next_seq + int(arrivals[1][-1])):
+                return None
+        return arrivals
+
+    def _fire(self, segment: tuple, hooks: Optional[tuple], arrivals: tuple):
+        """Step *segment* for every rank (:meth:`_arrivals`): take its
+        seqs, write the recorded ranks' rows and fire its rendezvous.
+
+        In the engine's inline window, the rendezvous fires here: it
+        counts the arrivals' events, moves the clock to the last one,
+        notes a hooked segment's checkpoints and prices the collective.
+        So does the release, if it sorts before the queue's next live
+        event, within the window; then this returns the release order.
+        Otherwise the rendezvous or release is a heap event, and this
+        returns ``None``."""
+        times, _, ids, records, credits, commits = arrivals
+        sim = self.sim
+        engine = sim.engine
+        now = engine.now
         for r, excess in credits:
             sim._straggler_dom.note_excess(r, excess)
         first, end = segment
         for rank, durations, span in records:
             self._record(rank, now, first, durations, span)
-        sync = sim.sync
-        seq = queue.take_seqs(len(ids))
+        queue = engine.queue
+        n = len(ids)
+        seq = queue.take_seqs(n)
         instr = self.rows[end][1]
-        if hooks:
-            name = sim._ranks[int(ids[0])].name
-            payload = (times, seq, perm, ids, self.calls, hooks, commits)
-            event = Event(
-                time=float(times[0]),
-                handler=sync._rendezvous,
-                payload=(ids, instr, self._commit_hooked, payload),
-                seq=seq + int(perm[0]),
-                src=name,
-                dst=name,
-            )
-        else:
-            event = Event(
-                time=t_last,
-                handler=sync._rendezvous,
-                payload=(ids, instr, self._commit, times[:-1]),
-                seq=seq + last,
-            )
-        sync._pending = engine.schedule_event(event)
+        calls = self.calls
         self.pc = end + 1
         self.calls += 1
         self.stale = True
-        return True
+        sync = sim.sync
+        t_last = float(times[-1])
+        window = engine.run_ahead
+        if (
+            window is None
+            or engine._lazy
+            or t_last > window[0]
+            or engine.events_fired + n > window[1]
+        ):
+            event = self._rendezvous_event(arrivals, seq, instr, hooks, calls)
+            sync._pending = engine.schedule_event(event)
+            return None
+        # The rendezvous fires inline, with the arrivals' events before it.
+        self._count(times)
+        engine.now = t_last
+        if hooks:
+            self._note_commits(hooks, calls, commits)
+        cost, t = sync.release_at(instr)
+        if (
+            t > window[0]
+            or engine.events_fired >= window[1]
+            or (queue.peek_time() <= t and queue.peek_key() < (t, PRIORITY_NORMAL, queue.next_seq))
+        ):
+            sync.schedule_release(ids, instr, cost, t)
+            return None
+        # So does the release, with the seq its heap event would take.
+        queue.take_seq()
+        self._count((t,))
+        engine.now = t
+        self._record_release(instr, cost)
+        return ids
+
+    def _rendezvous_event(self, arrivals: tuple, seq: int, instr: Collective, hooks, calls: int):
+        """The heap rendezvous of a segment whose *arrivals* took seqs
+        from *seq*: at the last arrival's key for a hook-free segment,
+        at the first's, as that rank's batch event, for a hooked one."""
+        times, perm, ids, _, _, commits = arrivals
+        sync = self.sim.sync
+        if not hooks:
+            return Event(
+                time=float(times[-1]),
+                handler=sync._rendezvous,
+                payload=(ids, instr, self._commit, times[:-1]),
+                seq=seq + int(perm[-1]),
+            )
+        name = self.sim._ranks[int(ids[0])].name
+        payload = (times, seq, perm, ids, calls, hooks, commits)
+        return Event(
+            time=float(times[0]),
+            handler=sync._rendezvous,
+            payload=(ids, instr, self._commit_hooked, payload),
+            seq=seq + int(perm[0]),
+            src=name,
+            dst=name,
+        )
 
     def _equal_arrivals(self, now: float, order: np.ndarray, table: tuple) -> tuple:
         """The arrivals of a segment every rank prices alike (*table*, its
@@ -954,7 +1058,7 @@ class _ArrayStepper:
         t = now + span
         records = [(rank, durations, span) for rank in self.recorded]
         t_start = t - span  # as :meth:`_spread_arrivals` computes it
-        commits = [([(t_start + off) + dt] * n, [dt] * n) for off, dt in ckpts]
+        commits = [((t_start + off) + dt, dt) for off, dt in ckpts]
         return [t] * n, range(n), order, records, (), commits
 
     def _spread_arrivals(self, now: float, order: np.ndarray, segment: tuple, hooks) -> tuple:
@@ -1016,64 +1120,75 @@ class _ArrayStepper:
             (((t_start + off) + dts[pc - first]).tolist(), dts[pc - first].tolist())
             for pc, off in zip(ckpts, offsets)
         ]
-        # :meth:`_commit_hooked` walks the arrivals as lists
+        # :meth:`_commit_hooked` traces the arrivals from lists
         return times.tolist(), perm.tolist(), ids, records, credits, commits
 
     def _commit(self, _t: float, times) -> None:
         """Count the lazy arrivals that sort before the rendezvous, at
         their sorted *times*, and give a flight recorder the ticks they
-        would have (the rendezvous itself was counted already)."""
+        would have (the rendezvous itself was counted already, and the
+        loop ticks it after this handler)."""
         engine = self.sim.engine
-        base = engine.events_fired - 1
-        n = len(times)
-        engine.events_fired += n
-        flight = engine._flightrec
-        if flight is not None:
-            s = flight.tick_stride
-            for count in range(base - base % s + s, base + n + 1, s):
-                flight.tick(float(times[count - base - 1]), count)
+        first = engine.events_fired
+        if engine._flightrec is not None:
+            self._tick(first, len(times), lambda count: times[count - first])
+        engine.events_fired += len(times)
+
+    def _count(self, times) -> None:
+        """Count events fired inline at their sorted *times*.  The loop
+        ticks a flight recorder after each heap event handler, at the
+        count and clock it leaves: so each count's tick waits for the
+        next count, and the last waits for the loop."""
+        engine = self.sim.engine
+        if engine._flightrec is not None:
+            first, now = engine.events_fired, engine.now
+            self._tick(
+                first, len(times), lambda count: times[count - first - 1] if count > first else now
+            )
+        engine.events_fired += len(times)
+
+    def _tick(self, first: int, n: int, time_of) -> None:
+        """Give the flight recorder the ticks of counts ``first`` to
+        ``first + n - 1``, at ``time_of(count)``."""
+        flight = self.sim.engine._flightrec
+        s = flight.tick_stride
+        for count in range(first + (-first % s), first + n, s):
+            flight.tick(float(time_of(count)), count)
 
     def _commit_hooked(self, _t: float, payload: tuple) -> None:
         """Fire the per-rank batch events of a hooked segment, the first
         of which is the rendezvous firing now.  They are traced (the
         first by the engine) and counted at their sorted ``(time, seq)``
-        keys; each rank, in that order, commits the segment's checkpoints
-        as :meth:`_Rank._on_batch_done` would (``ckpt_seq``,
-        ``restart_history`` and its prune) and calls the commit and
-        verify hooks, which return at once without latent corruption.
+        keys, and the segment's checkpoints are noted as lockstep
+        commits (:meth:`_note_commits`).  No commit or verify hook is
+        called: none could act when the segment was stepped, and only a
+        fault, which would have stepped it per rank, could change that.
         The clock then moves to the last arrival, where the collective
         is priced."""
         times, first_seq, perm, ids, calls, hooks, commits = payload
-        sim = self.sim
-        engine = sim.engine
-        ranks = sim._ranks
-        ids = ids.tolist()
+        engine = self.sim.engine
         recorders = engine._recorders()
         if recorders:
-            for t, offset, r in zip(times[1:], perm[1:], ids[1:]):
+            ranks = self.sim._ranks
+            for t, offset, r in zip(times[1:], perm[1:], ids[1:].tolist()):
                 name = ranks[r].name
                 for sink in recorders:
                     sink((t, PRIORITY_NORMAL, first_seq + offset, name, name))
-        commit = [domain.on_checkpoint_commit for domain in sim._commit_domains]
-        verify = [domain.on_verify_point for domain in sim._verify_domains]
-        for r in ids:
-            rank = ranks[r]
-            done = iter(commits)
-            for pc, code, level in hooks:
-                if code == _VERIFY:
-                    for hook in verify:
-                        hook(rank)
-                    continue
-                t_done, cost = next(done)
-                seq = rank.ckpt_seq = rank.ckpt_seq + 1
-                history = rank.restart_history
-                history[seq] = (pc + 1, calls, t_done[r], cost[r], level)
-                if seq > 6:
-                    history.pop(seq - 6, None)
-                for hook in commit:
-                    hook(rank, seq)
+        self._note_commits(hooks, calls, commits)
         self._commit(_t, times[:-1])
         engine.now = times[-1]
+
+    def _note_commits(self, hooks: tuple, calls: int, commits: list) -> None:
+        """Note the checkpoints of a hooked segment that every rank
+        committed after its *calls* th collective: *hooks* are its hook
+        rows, *commits* each checkpoint's completion time and cost."""
+        done = iter(commits)
+        for pc, code, level in hooks:
+            if code == _CHECKPOINT:
+                t_done, cost = next(done)
+                self.last_commits.append((pc + 1, calls, t_done, cost, level))
+                self.commits += 1
+        self.stale = True
 
     def _record(self, rank: _Rank, now: float, first: int, durations: list, span: float) -> None:
         """*rank*'s marker and batch rows of the segment starting now,
@@ -1102,12 +1217,42 @@ class _ArrayStepper:
 
     def write_back(self) -> None:
         """Give the ranks the state per-rank stepping would have left
-        them in, if an array step left theirs stale: past its
-        collective, with no event pending."""
+        them in, if array steps left theirs stale: past the last
+        collective, with no event pending, and with the lockstep commits
+        in their ``restart_history`` (:meth:`_replay`).  It runs before
+        anything reads that state: before a per-rank segment (the run's
+        last segment is one) and in ``inject_fault``."""
         if self.stale:
             self.stale = False
             for rank in self.sim._ranks:
                 rank.pc, rank.collective_calls, rank._pending = self.pc, self.calls, None
+                if self.commits:
+                    self._replay(rank)
+            self.commits = 0
+            self.last_commits.clear()
+
+    def _replay(self, rank: _Rank) -> None:
+        """Write the lockstep commits into *rank*'s ``ckpt_seq`` and
+        ``restart_history``, as its batches would have, one by one:
+        each bumps ``ckpt_seq``, stores the entry under it and prunes the
+        entry ``_HISTORY`` seqs older.  Only the last ``_HISTORY``
+        entries survive; each earlier commit's net effect is its prune,
+        of an entry older than the commits or of one they stored."""
+        r = rank.rank
+        history = rank.restart_history
+        seq = rank.ckpt_seq  # every key in the history is at most this
+        skipped = self.commits - len(self.last_commits)
+        for old in range(max(1, seq + 1 - _HISTORY), min(seq, seq + skipped - _HISTORY) + 1):
+            history.pop(old, None)
+        seq += skipped
+        for resume, calls, t_done, cost, level in self.last_commits:
+            if isinstance(t_done, list):
+                t_done, cost = t_done[r], cost[r]
+            seq += 1
+            history[seq] = (resume, calls, t_done, cost, level)
+            if seq > _HISTORY:
+                history.pop(seq - _HISTORY, None)
+        rank.ckpt_seq = seq
 
     def __getstate__(self) -> dict:
         # The program pickles as its rows; the tables taken from it are
@@ -1215,6 +1360,9 @@ class BESSTSimulator:
         #: the domains the commit and verify hooks go to
         self._commit_domains = self._defining("on_checkpoint_commit")
         self._verify_domains = self._defining("on_verify_point")
+        self._hooked_domains = [
+            d for d in self._domains if d in self._commit_domains or d in self._verify_domains
+        ]
         #: instruction -> compiled row, shared by every rank's program,
         #: of what this simulator compiled (nothing when it reuses an SPMD
         #: app's program)
@@ -1322,6 +1470,14 @@ class BESSTSimulator:
         ``DOMAINS`` order.  Callers look the method up per call, so a
         patch of the class still sees every call."""
         return [d for d in self._domains if hook in type(d).hooks()]
+
+    def _hooks_idle(self) -> bool:
+        """No commit or verify hook can act now (each domain defining
+        one says so: ``FaultDomain.commit_hooks_idle``)."""
+        for domain in self._hooked_domains:
+            if not domain.commit_hooks_idle():
+                return False
+        return True
 
     def _on_checkpoint_commit(self, rank: "_Rank", seq: int) -> bool:
         for domain in self._commit_domains:

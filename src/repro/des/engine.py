@@ -14,6 +14,14 @@ RNG streams (:class:`~repro.des.rng.RNGRegistry`).
 A *lazy event* (:meth:`Engine.defer`) takes its place in that order
 without a heap entry of its own: it is committed, and counted in
 ``events_fired``, just before the first heap event that sorts after it.
+
+While no trace log or event journal records each fired event,
+:meth:`Engine.run` opens an *inline window* (:attr:`Engine.run_ahead`):
+a handler may then fire events of its own that sort before the queue's
+next live event, within the run's horizon and event budget, without
+pushing them.  It does what the loop would: takes their seqs, counts
+them in ``events_fired``, gives a flight recorder their ticks and moves
+``now``.
 """
 
 from __future__ import annotations
@@ -65,9 +73,12 @@ class Engine:
         #: lazy events (see :meth:`defer`): a heap of ``(time, priority,
         #: seq, handler, payload)`` entries, committed in queue order
         self._lazy: list[tuple] = []
-        #: the heap event fired last, whose handler may be running
-        #: (``None`` between runs)
+        #: the heap event fired last, whose handler may be running, or
+        #: the event that handler fired inline last (``None`` between runs)
         self.firing: Optional[Event] = None
+        #: ``(horizon, events_fired limit)`` of the running loop while its
+        #: inline window is open, else ``None`` (see :meth:`run`)
+        self.run_ahead: Optional[tuple[float, float]] = None
         self.trace = trace
         self.trace_log: list[tuple] = []
         self._running = False
@@ -243,9 +254,12 @@ class Engine:
         """Attach (or with ``None`` detach) an observability adapter.
 
         While attached, :meth:`run` brackets every handler call with
-        wall-clock busy-time accounting, samples queue depth every 64
-        events, and flushes run-level metrics (and an ``engine.run``
-        span) through the adapter at run end.  Detached engines pay one
+        wall-clock busy-time accounting (events a handler fires inline
+        count toward its time), samples queue depth after the first heap
+        event past each 64-event mark (at most once per heap event, so
+        rarely in a run whose events fire inline), and flushes run-level
+        metrics (and an ``engine.run`` span) through the adapter at run
+        end.  Detached engines pay one
         ``is None`` test per run.
         """
         self._obs = obs
@@ -267,6 +281,7 @@ class Engine:
         state["_obs"] = None  # wall-clock state and locks: reattach too
         state["_flightrec"] = None  # open spill handle: reattach too
         state["firing"] = None  # snapshots are taken between events
+        state["run_ahead"] = None  # and belong to no running loop
         return state
 
     # -- execution -----------------------------------------------------------
@@ -282,6 +297,18 @@ class Engine:
         max_events:
             Safety valve; raise :class:`SimulationError` once this run
             has fired that many events (lazy ones included).
+
+        With no trace log or event journal attached, neither of which
+        may miss a heap event, the loop opens its inline window:
+        :attr:`run_ahead` holds *until* and the ``events_fired`` count
+        that events fired inline may reach, and a handler may fire
+        events inline up to both (the array stepper of
+        ``core.simulator`` fires its rendezvous and releases so).  That
+        count is the budget's, capped below the autosnapshot cadence's
+        next check, so snapshots fall between the same events as with
+        the window closed.  An obs adapter counts inline events and
+        times them as part of the handler that fires them.  The window
+        closes when the loop ends.
 
         Returns
         -------
@@ -312,9 +339,11 @@ class Engine:
             obs_busy = obs.busy if obs is not None else None
             if obs is not None:
                 obs.run_started(self)
-                # Queue depth is sampled once per 64 fired events; a
-                # threshold, not a mask test, because lazy commits move
-                # events_fired past multiples of 64 between heap events.
+                # Queue depth is sampled after the first heap event at or
+                # past each multiple of 64 fired events: a threshold, not
+                # a mask test, because lazy commits and events fired
+                # inline move events_fired past multiples of 64 between
+                # heap events (past several, in one inline stretch).
                 depth_at = (self.events_fired | 63) + 1
             # Hoisted flight-recorder state: attached recorders pay a
             # mask test per event and one record per tick_stride events.
@@ -322,6 +351,8 @@ class Engine:
             flight_mask = flight.tick_stride - 1 if flight is not None else 0
             # Hoisted recorders: one emptiness test per event.
             recorders = self._recorders()
+            if not recorders:
+                self.run_ahead = (end, min(limit, autosnap_check - 1))
             try:
                 while True:
                     t = self.queue.peek_time()
@@ -379,8 +410,10 @@ class Engine:
                             self._count_autosnap_disabled()
                             autosnap = None
                             autosnap_check = float("inf")
-                            continue
-                        autosnap_check = autosnap.next_check_at()
+                        else:
+                            autosnap_check = autosnap.next_check_at()
+                        if not recorders:
+                            self.run_ahead = (end, min(limit, autosnap_check - 1))
             finally:
                 # Metrics survive even a loop abort (e.g. the max_events
                 # livelock guard): partial runs are exactly when numbers
@@ -399,3 +432,4 @@ class Engine:
         finally:
             self._running = False
             self.firing = None
+            self.run_ahead = None

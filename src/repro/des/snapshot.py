@@ -68,7 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Version 7: array steppers pickle their compiled program as its rows
 #: and derive its tables on restore; a hooked rendezvous carries its
 #: arrivals as lists and its seqs as a base and offsets.
-SNAPSHOT_VERSION = 7
+#: Version 8: array steppers carry the checkpoints they committed for
+#: every rank but have not yet written into the ranks' histories, and
+#: engines the (always closed, between runs) inline window.
+SNAPSHOT_VERSION = 8
 
 #: First line of every snapshot file.
 SNAPSHOT_MAGIC = b"repro-snapshot\n"

@@ -158,6 +158,14 @@ class FaultDomain:
         hook started a recovery episode."""
         return False
 
+    def commit_hooks_idle(self) -> bool:
+        """True while neither :meth:`on_checkpoint_commit` nor
+        :meth:`on_verify_point` can act: a call would return False and
+        change nothing.  The array stepper then calls neither for a
+        segment stepped for every rank at once.  A domain whose hooks
+        can act must say when."""
+        return True
+
     def on_failstop_strike(self, now: float, node: int) -> None:
         """A fail-stop fault struck *node* at *now*."""
 
@@ -286,6 +294,10 @@ class SdcDomain(FaultDomain):
                 "fid": fid,
             }
         )
+
+    def commit_hooks_idle(self):
+        """Both hooks act only on a rank with a latent strike."""
+        return not self.latent
 
     def on_checkpoint_commit(self, rank, seq):
         """A rank committed checkpoint *seq*.

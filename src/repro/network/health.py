@@ -8,7 +8,9 @@ lossy.  :class:`NetworkHealth` is that layer.
 
 It is built over the topology's exported endpoint graph
 (:meth:`Topology.to_networkx`, edge ``weight`` = hop count), so "one
-link" here is one neighbour edge of the endpoint graph.  Routes are
+link" here is one neighbour edge of the endpoint graph.  That graph is
+built once per topology shape in a process (:func:`healthy_graph`) and
+shared: overlays read it and never mutate it.  Routes are
 recomputed over the surviving graph (weighted shortest path), which gives
 
 * **hop inflation** — a detour around a failed link costs its real extra
@@ -45,9 +47,33 @@ class NetworkPartitionedError(RuntimeError):
 NET_KIND_SPLIT = (("link", 0.6), ("switch", 0.1), ("netdeg", 0.3))
 
 
+#: ``(topology class, its fields) -> healthy endpoint graph`` of the
+#: last few topology shapes seen in this process
+_GRAPHS: dict = {}
+_GRAPHS_KEPT = 8
+
+
+def healthy_graph(topology: "Topology") -> "nx.Graph":
+    """*topology*'s endpoint graph (:meth:`Topology.to_networkx`), built
+    once per topology class and parameters and shared by every caller,
+    so a campaign's replicas do not rebuild it.  Callers must not mutate
+    it.  A topology with an unhashable field gets a fresh build."""
+    fields = tuple(sorted((k, v) for k, v in vars(topology).items() if k != "_health"))
+    key = (type(topology), fields)
+    try:
+        graph = _GRAPHS.get(key)
+    except TypeError:
+        return topology.to_networkx()
+    if graph is None:
+        if len(_GRAPHS) >= _GRAPHS_KEPT:
+            del _GRAPHS[next(iter(_GRAPHS))]
+        graph = _GRAPHS[key] = topology.to_networkx()
+    return graph
+
+
 def link_count(topology: "Topology") -> int:
     """Number of links (neighbour edges) in *topology*'s endpoint graph."""
-    return topology.to_networkx().number_of_edges()
+    return healthy_graph(topology).number_of_edges()
 
 
 def aggregate_stretch(nlinks: int, failed: float) -> float:
@@ -70,7 +96,8 @@ class NetworkHealth:
 
     def __init__(self, topology: "Topology") -> None:
         self.topology = topology
-        self._graph = topology.to_networkx()
+        #: the healthy endpoint graph, shared (:func:`healthy_graph`)
+        self._graph = healthy_graph(topology)
         #: links in the healthy endpoint graph (the "k failed of L" base)
         self.nlinks = self._graph.number_of_edges()
         self.failed_links: set[frozenset] = set()

@@ -7,9 +7,12 @@ in one array operation.  The comparison arm stubs
 :meth:`_ArrayStepper.plan` to return ``None``, so it steps per rank:
 every result must be equal, and so must the traces, the rings of the
 flight recorders both arms carry, the seqs, the RNG streams and each
-rank's ``restart_history``.
+rank's ``restart_history``.  A run with no trace log or event journal
+also fires its rendezvous and releases inline (run-ahead), so
+:func:`run_arms` runs an untraced arm too.
 """
 
+import contextlib
 import functools
 import itertools
 import random
@@ -189,7 +192,11 @@ def run_both(planned, tick_stride=1, prepare=None, **kwargs):
 
 
 def rank_states(sim):
-    return [(r.pc, r.collective_calls, r.ckpt_seq, r.restart_history) for r in sim._ranks]
+    """Each rank's own lockstep state, ``restart_history`` in its order."""
+    return [
+        (r.pc, r.collective_calls, r.ckpt_seq, list(r.restart_history.items()))
+        for r in sim._ranks
+    ]
 
 
 #: seeded sweep: every app at every rank count, with timeline recording,
@@ -653,13 +660,14 @@ def test_autosnapshot_of_stale_ranks_restores_bit_identical(planned, tmp_path):
 
 @pytest.fixture
 def hooked_steps(monkeypatch):
-    """Each step of a segment with commit hooks: whether it was
-    array-stepped, and what could act on it as it began."""
+    """Each segment with commit hooks the stepper took up, released by a
+    heap event or inline: whether it was array-stepped, and what could
+    act on it as it began."""
     steps = []
-    step = simulator_mod._ArrayStepper.step
+    segment = simulator_mod._ArrayStepper._segment
 
-    def spy(self, order):
-        pc = order[0].pc if isinstance(order, list) else self.pc
+    def spy(self, order, inline):
+        pc = self.pc
         sim = self.sim
         state = dict(
             pc=pc,
@@ -669,11 +677,12 @@ def hooked_steps(monkeypatch):
             events=sim.engine.events_fired,
             now=sim.engine.now,
         )
-        step(self, order)
+        released = segment(self, order, inline)
         if pc in self.hooks:
             steps.append(dict(state, array=self.pc != pc))
+        return released
 
-    monkeypatch.setattr(simulator_mod._ArrayStepper, "step", spy)
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "_segment", spy)
     return steps
 
 
@@ -764,17 +773,18 @@ def slowed_steps(monkeypatch):
     """Each segment step begun while a straggler slows a node: whether
     it has commit hooks, whether it was array-stepped, and when."""
     steps = []
-    step = simulator_mod._ArrayStepper.step
+    segment = simulator_mod._ArrayStepper._segment
 
-    def spy(self, order):
-        pc = order[0].pc if isinstance(order, list) else self.pc
+    def spy(self, order, inline):
+        pc = self.pc
         slowed = bool(self.sim._straggler_dom.node_slowdown)
         now = self.sim.engine.now
-        step(self, order)
+        released = segment(self, order, inline)
         if slowed and pc in self.segments:
             steps.append(dict(hooked=pc in self.hooks, array=self.pc != pc, now=now))
+        return released
 
-    monkeypatch.setattr(simulator_mod._ArrayStepper, "step", spy)
+    monkeypatch.setattr(simulator_mod._ArrayStepper, "_segment", spy)
     return steps
 
 
@@ -975,41 +985,72 @@ def equal_steps(monkeypatch):
 
 
 def run_arms(planned, equal_steps, build, budget=0):
-    """Runs a simulator from ``build()`` on the scalar path, the numpy
-    path and per rank, each stopped at ``max_events=budget`` first if
-    *budget*, and asserts that all three agree on results, stops,
-    traces, seqs, flight rings, RNG streams, fault logs and every rank's
-    ``restart_history``.  Returns the scalar arm's simulator."""
+    """Runs a simulator from ``build()`` (traced, with a flight
+    recorder) four ways, each stopped at ``max_events=budget`` first if
+    *budget*: on the scalar path, on the numpy path, untraced and with
+    an obs adapter (the run-ahead arm: the engine's inline window is
+    open, so rendezvous and releases fire inline), and per rank.  All
+    four agree on results, timelines included, stops, ``events_fired``,
+    seqs, the clock, flight rings, RNG streams, fault logs and every
+    rank's ``restart_history`` in its order; the traced arms on traces
+    too.  Only the run-ahead arm fires a release inline.  Returns the
+    scalar arm's simulator."""
     arms = []
-    for arm in ("scalar", "numpy", "per_rank"):
+    for arm in ("scalar", "numpy", "run_ahead", "per_rank"):
         sim = build()
+        if arm == "run_ahead":
+            sim.engine.trace = False
+            sim.engine.attach_obs(EngineObs(registry=MetricsRegistry()))
         calls = equal_steps.calls
         planned.per_rank = arm == "per_rank"
         equal_steps.off = arm == "numpy"
         stop = None
         try:
-            if budget:
-                with pytest.raises(SimulationError, match="max_events"):
-                    sim.run(max_events=budget)
-                engine = sim.engine
-                stop = (engine.events_fired, engine.now, engine.queue.next_seq)
-            res = sim.run()
+            with inline_releases() as inline:
+                if budget:
+                    with pytest.raises(SimulationError, match="max_events"):
+                        sim.run(max_events=budget)
+                    engine = sim.engine
+                    stop = (engine.events_fired, engine.now, engine.queue.next_seq)
+                res = sim.run()
         finally:
             planned.per_rank = equal_steps.off = False
-        assert (equal_steps.calls > calls) == (arm == "scalar")
+        equal = arm in ("scalar", "run_ahead") and not sim.monte_carlo
+        assert (equal_steps.calls > calls) == equal
         assert (planned[-1] is None) == (arm == "per_rank")
+        assert bool(inline) == (arm == "run_ahead")
         log = sim.fault_injector.log.entries if sim.fault_injector else None
-        arms.append((sim, res, stop, log))
-    (sim, res, stop, log), *others = arms
-    for other, other_res, other_stop, other_log in others:
+        engine = sim.engine
+        arms.append((arm, sim, res, stop, log, (engine.events_fired, engine.now)))
+    (_, sim, res, stop, log, end), *others = arms
+    for arm, other, other_res, other_stop, other_log, other_end in others:
         assert res == other_res and res.total_time.hex() == other_res.total_time.hex()
-        assert stop == other_stop and log == other_log
-        assert sim.engine.trace_log == other.engine.trace_log
+        assert stop == other_stop and log == other_log and end == other_end
+        if arm != "run_ahead":
+            assert sim.engine.trace_log == other.engine.trace_log
         assert sim._flightrec.ring == other._flightrec.ring
         assert sim.engine.queue.next_seq == other.engine.queue.next_seq
         assert sim.engine.rngs.state_digest() == other.engine.rngs.state_digest()
         assert rank_states(sim) == rank_states(other)
     return sim
+
+
+@contextlib.contextmanager
+def inline_releases():
+    """Yields the list of release orders :meth:`_ArrayStepper._fire`
+    returns while the block runs: one per release fired inline."""
+    released = []
+    fire = simulator_mod._ArrayStepper._fire
+
+    def spy(self, *args):
+        order = fire(self, *args)
+        if order is not None:
+            released.append(order)
+        return order
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator_mod._ArrayStepper, "_fire", spy)
+        yield released
 
 
 DETERMINISTIC_SWEEP = [case for case in SWEEP if not case[3]]
@@ -1030,6 +1071,24 @@ def test_equal_prices_step_as_the_numpy_path_and_per_rank(
         equal_steps,
         lambda: traced_sim(
             stride, app=app, nranks=nranks, seed=seed, record_timelines=record, monte_carlo=False
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "app,nranks,record,monte_carlo,seed", [case for case in SWEEP if case[3]]
+)
+def test_monte_carlo_sweep_runs_ahead_as_per_rank_stepping(
+    planned, equal_steps, app, nranks, record, monte_carlo, seed
+):
+    """The Monte-Carlo half of the sweep, which prices ranks apart, four
+    ways too (its scalar and numpy arms both take the numpy path)."""
+    stride = (1, 4, 64)[seed % 3]
+    run_arms(
+        planned,
+        equal_steps,
+        lambda: traced_sim(
+            stride, app=app, nranks=nranks, seed=seed, record_timelines=record, monte_carlo=True
         ),
     )
 
@@ -1102,3 +1161,128 @@ def test_autosnapshot_restored_mid_run_steps_equal_prices(planned, equal_steps, 
     assert resumed.run() == ref_res
     assert equal_steps.calls > calls
     assert rank_states(resumed) == rank_states(ref)
+
+
+@pytest.mark.parametrize("kind", ["node", "straggler", "sdc"])
+@pytest.mark.parametrize("app", ["same_program", "hooked"])
+def test_fault_between_a_rendezvous_and_its_release(planned, equal_steps, app, kind):
+    """A fault inside a collective, after its last arrival and before its
+    release: the rendezvous fires inline, but the release sorts after
+    the fault, so it stays a heap event and the fault fires first, as
+    per rank."""
+    entries = fault_free_entries(app)
+    collectives = [e for e in entries if e.kind == "collective" and e.t_end > e.t_start]
+    at = midpoint(collectives[len(collectives) // 2])
+    detail = FaultDetail(slowdown=2.0, covered=True, correctable=False)
+
+    def build():
+        sim = traced_sim(app=app, nranks=8, monte_carlo=False, record_timelines="all")
+        strike((at, 1, kind, detail))(sim)
+        return sim
+
+    res = run_arms(planned, equal_steps, build).run()
+    assert res.faults_injected == 1
+    if kind == "node":
+        assert res.rollbacks == 1
+    elif kind == "straggler":
+        assert res.straggler["straggler_excess_s"] > 0
+    else:
+        assert res.sdc["injected"] == 1
+
+
+def run_per_rank_replica(planned):
+    """:data:`MIXED_SPEC`'s seed-6 replica, stepped per rank."""
+    sim = build_campaign_simulator(MIXED_SPEC, 6, RecoveryPolicy())
+    run_per_rank(planned, sim)
+    return sim
+
+
+def test_until_inside_a_run_ahead_stretch_restores_bit_identical(planned):
+    """``Engine.run(until=)`` cuts an inline stretch at its horizon: the
+    stop equals a traced run's (events, clock, seqs), and a snapshot of
+    it, restored, finishes to the uninterrupted run's result and rank
+    states."""
+    full_sim = build_campaign_simulator(MIXED_SPEC, 6, RecoveryPolicy())
+    full = full_sim.run()
+    assert full.faults_injected > 0
+    for share in (0.5, 0.45, 0.55, 0.4, 0.6):
+        until = full.total_time * share
+        stops, sims = [], []
+        for traced in (False, True):
+            sim = build_campaign_simulator(MIXED_SPEC, 6, RecoveryPolicy())
+            sim.engine.trace = traced
+            sim._stepper = simulator_mod._ArrayStepper.plan(sim)  # as ``run`` plans
+            with inline_releases() as inline:
+                sim.engine.run(until=until)
+            engine = sim.engine
+            stops.append((engine.events_fired, engine.now, engine.queue.next_seq, bool(inline)))
+            sims.append(sim)
+        sim = sims[0]
+        pending = sim.sync._pending
+        # inside a stretch: releases fired inline before the stop, and the
+        # horizon, not a fault, kept the next rendezvous or release back
+        if stops[0][3] and sim._stepper.stale and pending is not None:
+            if pending.time > until and sim.engine.queue.peek_key() == pending.sort_key():
+                break
+    else:
+        pytest.fail("no horizon fell inside a run-ahead stretch")
+    assert stops[0][:3] == stops[1][:3] and stops[0][1] == until and not stops[1][3]
+    resumed = BESSTSimulator.restore(sim.snapshot())
+    assert resumed._stepper.stale and resumed.engine.run_ahead is None
+    res = resumed.run()
+    assert res == full and res.total_time.hex() == full.total_time.hex()
+    assert res.events_fired == full.events_fired
+    assert resumed.engine.queue.next_seq == full_sim.engine.queue.next_seq
+    assert rank_states(resumed) == rank_states(full_sim)
+    assert rank_states(resumed) == rank_states(run_per_rank_replica(planned))
+
+
+
+def test_autosnapshots_of_a_run_ahead_run_fall_where_a_traced_run_takes_them(tmp_path):
+    """An autosnapshot cadence caps the inline window below its next
+    check, so an untraced run, which runs ahead, takes its snapshots
+    between the same events (count, clock, seqs) as a traced run, and
+    each restores to the uninterrupted result."""
+    full = build_campaign_simulator(MIXED_SPEC, 6, RecoveryPolicy()).run()
+    stops = []
+    for traced in (False, True):
+        sim = build_campaign_simulator(MIXED_SPEC, 6, RecoveryPolicy())
+        sim.engine.trace = traced
+        store = SnapshotStore(str(tmp_path / f"traced{traced}"))
+        sim.enable_snapshots(store.directory, every_events=150, keep=1 << 20)
+        with inline_releases() as inline:
+            assert sim.run() == full
+        assert bool(inline) != traced
+        resumed = [BESSTSimulator.restore(path) for path in store.paths()]
+        stops.append(
+            [(r.engine.events_fired, r.engine.now, r.engine.queue.next_seq) for r in resumed]
+        )
+        if not traced:
+            assert all(r.run() == full for r in resumed[::4])
+    assert stops[0] == stops[1] and len(stops[0]) > 10
+
+
+def test_arrivals_after_an_inline_release_key_on_it(planned, monkeypatch):
+    """Ranks that reach a collective in the release that freed them
+    (back-to-back collectives, stepped per rank) key their arrivals on
+    that release, as per rank, whether it fired inline or from the
+    heap."""
+    arms = []  # per arm: call index -> the firing keys of its arrivals
+    arrive = simulator_mod._SyncDomain.arrive
+
+    def spy(self, comp, call_index, instr):
+        arms[-1].setdefault(call_index, []).append(self.sim.engine.firing.sort_key())
+        arrive(self, comp, call_index, instr)
+
+    monkeypatch.setattr(simulator_mod._SyncDomain, "arrive", spy)
+    for per_rank in (False, True):
+        arms.append({})
+        sim = make_sim(app="same_program", monte_carlo=False, record_timelines="none")
+        with inline_releases() as inline:
+            if per_rank:
+                run_per_rank(planned, sim)
+            else:
+                sim.run()
+        assert bool(inline) != per_rank
+    ahead, reference = arms
+    assert ahead and all(ahead[call] == reference[call] for call in ahead)

@@ -20,6 +20,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core import FaultDetail, RecoveryPolicy
+from repro.core import simulator as simulator_mod
 from repro.core.campaign import (
     CampaignSpec,
     ReplicaTask,
@@ -79,21 +80,51 @@ def test_simulator_dispatch_table_matches_registry():
 
 def test_commit_and_verify_hooks_reach_only_the_domains_defining_them(monkeypatch):
     """Only the SDC domain defines the commit and verify hooks, so only
-    it is called; the method is looked up per call, so a patch of the
+    it is called, and only where a hook can act.  A run stepped per rank
+    calls both for every rank at each checkpoint and verify point.  An
+    array-stepped segment calls neither: with no latent strike, the
+    domain says its hooks are idle (``commit_hooks_idle``).  A latent
+    strike sends the hooked segments per rank, where the hooks reach
+    every rank.  The method is looked up per call, so a patch of the
     class made after the simulator was built still sees every call."""
     sim = _sim(verify_period=2)
     assert [d.name for d in sim._commit_domains] == ["sdc"]
     assert [d.name for d in sim._verify_domains] == ["sdc"]
+    assert all(domain.commit_hooks_idle() for domain in sim._domains)
     calls = []
     for hook in ("on_checkpoint_commit", "on_verify_point"):
         original = getattr(SdcDomain, hook)
-        monkeypatch.setattr(
-            SdcDomain, hook, lambda self, *a, _h=hook, _f=original: calls.append(_h) or _f(self, *a)
-        )
-    sim.run()
+
+        def spy(self, rank, *a, _h=hook, _f=original):
+            calls.append((_h, rank.rank))
+            return _f(self, rank, *a)
+
+        monkeypatch.setattr(SdcDomain, hook, spy)
+
+    def counts():
+        return {
+            hook: sorted(r for h, r in calls if h == hook)
+            for hook in ("on_checkpoint_commit", "on_verify_point")
+        }
+
     # 4 ranks: 2 checkpoints and 5 verify points each
-    assert calls.count("on_checkpoint_commit") == 4 * 2
-    assert calls.count("on_verify_point") == 4 * 5
+    every_rank = {
+        "on_checkpoint_commit": sorted(list(range(4)) * 2),
+        "on_verify_point": sorted(list(range(4)) * 5),
+    }
+    with monkeypatch.context() as m:
+        m.setattr(simulator_mod._ArrayStepper, "plan", classmethod(lambda cls, sim: None))
+        per_rank = _sim(verify_period=2).run()
+    assert counts() == every_rank
+    calls.clear()
+    assert sim.run() == per_rank and calls == []
+    calls.clear()
+    struck = _sim(verify_period=2)
+    detail = FaultDetail(covered=False)  # invisible to the detectors: stays latent
+    struck.engine.schedule(1e-9, lambda ev: struck.inject_fault(0, kind="sdc", detail=detail))
+    res = struck.run()
+    assert res.sdc["undetected"] == 1 and not struck._sdc_dom.commit_hooks_idle()
+    assert counts() == every_rank
 
 
 # -- FaultModel.kind_weights edges -------------------------------------------------

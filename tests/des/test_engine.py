@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.des import Component, Engine, Link, SimulationError
+from repro.des import Component, Engine, EventJournal, Link, ParallelEngine, SimulationError
 from repro.des.link import connect
+from repro.obs import EngineObs, FlightRecorder, MetricsRegistry
 
 
 class Recorder(Component):
@@ -267,3 +268,59 @@ def test_max_events_counts_lazy_events():
     with pytest.raises(SimulationError):
         eng.run(max_events=5)
     assert eng.events_fired == 5
+
+
+class WindowProbe(Component):
+    """Records the engine's inline window as its one event fires."""
+
+    def __init__(self):
+        super().__init__("probe")
+        self.seen = []
+
+    def setup(self):
+        self.schedule(1.0, self._look)
+
+    def _look(self, ev):
+        self.seen.append(self.engine.run_ahead)
+
+    def handle_event(self, port_name, payload, time):
+        pass
+
+
+@pytest.mark.parametrize(
+    "observer, window",
+    [
+        (None, (5.0, 10)),
+        ("obs", (5.0, 10)),
+        ("flight", (5.0, 10)),
+        ("autosnap", (5.0, 3)),  # below the first check, at 4 events
+        ("trace", None),
+        ("journal", None),
+        ("parallel", None),
+    ],
+)
+def test_inline_window_closes_only_for_event_recorders(tmp_path, observer, window):
+    """``run_ahead`` holds the horizon and the events_fired count that
+    events fired inline may reach (the budget's, capped below the next
+    autosnapshot check) unless a trace log or event journal records each
+    event, and is closed once the run ends.  The parallel engine never
+    opens it."""
+    eng = ParallelEngine(nparts=1) if observer == "parallel" else Engine()
+    probe = eng.register(WindowProbe())
+    journal = None
+    if observer == "trace":
+        eng.trace = True
+    elif observer == "journal":
+        journal = EventJournal(str(tmp_path / "events.jsonl"))
+        eng.attach_journal(journal)
+    elif observer == "obs":
+        eng.attach_obs(EngineObs(registry=MetricsRegistry()))
+    elif observer == "flight":
+        eng.attach_flightrec(FlightRecorder())
+    elif observer == "autosnap":
+        eng.enable_autosnapshot(str(tmp_path), every_events=4)
+    eng.run(until=5.0, max_events=10)
+    if journal is not None:
+        journal.close()
+    assert probe.seen == [window]
+    assert eng.run_ahead is None

@@ -7,6 +7,7 @@ partition detection, and the fat-tree core-routed fallback.
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -19,6 +20,72 @@ from repro.network import (
     link_count,
 )
 from repro.network.commmodel import LogGPModel
+from repro.network.dragonfly import Dragonfly
+from repro.network.health import healthy_graph
+
+
+# -- the shared healthy graph ---------------------------------------------------------
+
+
+SHAPES = (
+    lambda: Torus((4, 4)),
+    lambda: Torus((3, 2, 2)),
+    lambda: TwoStageFatTree(12, nodes_per_edge=4, uplinks_per_edge=2),
+    lambda: Dragonfly(16, nodes_per_router=2, routers_per_group=2),
+    lambda: FullyConnected(5),
+)
+
+
+def _answers(health, pairs, groups):
+    return (
+        [health.route(a, b) for a, b in pairs],
+        [health.route_quality(a, b) for a, b in pairs],
+        [health.is_partitioned(a, b) for a, b in pairs],
+        [health.group_partitioned(g) for g in groups],
+        health.aggregate_penalty(),
+    )
+
+
+@pytest.mark.parametrize("shape", range(len(SHAPES)))
+def test_shared_graph_routes_as_a_fresh_build(shape):
+    """Overlays of equal topologies share one healthy graph, and under a
+    seeded sweep of failures, degradations and repairs route, price and
+    partition exactly as an overlay over a graph built afresh; the
+    shared graph is left as built."""
+    topo = SHAPES[shape]()
+    shared = NetworkHealth(topo)
+    assert shared._graph is NetworkHealth(SHAPES[shape]())._graph is healthy_graph(topo)
+    fresh = NetworkHealth(topo)
+    fresh._graph = topo.to_networkx()
+    assert fresh._graph is not shared._graph
+    rng = random.Random(41 + shape)
+    edges = sorted(tuple(sorted(e)) for e in shared._graph.edges)
+    nodes = range(topo.num_nodes)
+    pairs = [(a, b) for a in nodes for b in nodes if a < b]
+    groups = [rng.sample(nodes, rng.randint(2, min(5, topo.num_nodes))) for _ in range(8)]
+    for _ in range(12):
+        a, b = rng.choice(edges)
+        node = rng.choice(nodes)
+        seed = rng.random()
+        for health in (shared, fresh):
+            step = random.Random(seed)
+            {
+                0: lambda: health.fail_link(a, b),
+                1: lambda: health.repair_link(a, b),
+                2: lambda: health.degrade_link(a, b, 1 + step.random(), step.random() / 2),
+                3: lambda: health.fail_node(node),
+                4: lambda: health.repair_node(node),
+            }[int(step.random() * 5)]()
+        assert _answers(shared, pairs, groups) == _answers(fresh, pairs, groups)
+    rebuilt = topo.to_networkx()
+    assert sorted(shared._graph.edges(data=True)) == sorted(rebuilt.edges(data=True))
+    assert sorted(shared._graph.nodes) == sorted(rebuilt.nodes)
+
+
+def test_shared_graph_is_per_shape():
+    assert healthy_graph(Torus((4, 4))) is not healthy_graph(Torus((2, 8)))
+    assert healthy_graph(Torus((4, 4))) is not healthy_graph(TwoStageFatTree(16))
+    assert link_count(Torus((2, 8))) == link_count(Torus((2, 8)))
 
 
 # -- overlay state -----------------------------------------------------------------
