@@ -138,8 +138,13 @@ class RankTimeline:
             (e.t_end, e.level) for e in self.entries if e.kind == "checkpoint"
         ]
 
-    def time_in(self, kind: str) -> float:
-        return sum(e.duration for e in self.entries if e.kind == kind)
+    def durations_by_kind(self) -> dict[str, list[float]]:
+        """Every entry's duration, grouped by kind in entry order (one
+        walk; ``sum()`` of a group is the time spent in that kind)."""
+        groups: dict[str, list[float]] = {}
+        for e in self.entries:
+            groups.setdefault(e.kind, []).append(e.duration)
+        return groups
 
     def __getstate__(self) -> dict:
         # Entries pickle as plain tuples, about 4x faster than as
@@ -726,8 +731,10 @@ def _price_matrix(sim: "BESSTSimulator", program: _Program) -> Optional[np.ndarr
     run prices every priced row once per rank, in program order, so one
     ``rng.integers(0, bounds)`` per rank over the rows' table sizes draws
     the same values as the per-row ``predict`` calls and leaves the
-    rank's stream in the same state.  Without noise every column is
-    equal, and the matrix is one column broadcast across the ranks.
+    rank's stream in the same state; one
+    :meth:`~repro.des.rng.RNGRegistry.draw_bounded` call makes them
+    all.  Without noise every column is equal, and the matrix is one
+    column broadcast across the ranks.
     """
     arch = sim.archbeo
     rows = program.rows
@@ -752,7 +759,8 @@ def _price_matrix(sim: "BESSTSimulator", program: _Program) -> Optional[np.ndarr
         for pcs, table in tables:
             bound[pcs] = len(table)
         drawn = np.flatnonzero(bound)
-        draws = np.stack([rank.rng.integers(0, bound[drawn]) for rank in sim._ranks], axis=1)
+        names = [rank.name for rank in sim._ranks]
+        draws = sim.engine.rngs.draw_bounded(names, bound[drawn])
         at = np.cumsum(bound > 0) - 1  # pc -> its row of draws
         for pcs, table in tables:
             prices[pcs] = table[draws[at[pcs]]]
@@ -1631,7 +1639,7 @@ class BESSTSimulator:
                 raise RuntimeError(
                     f"simulation ended with unfinished ranks {unfinished[:5]}"
                 )
-        tl0 = self._ranks[0].timeline
+        rank0 = self._ranks[0].timeline.durations_by_kind()
         # Lifecycle counters come from the recovery context; each fault
         # domain contributes its result block (in ``DOMAINS`` order, which
         # also fixes the order of end-of-run metric emission).
@@ -1650,10 +1658,10 @@ class BESSTSimulator:
             timelines={r.rank: r.timeline for r in self._ranks if r.record},
             nranks=self.nranks,
             events_fired=self.engine.events_fired,
-            checkpoint_time=tl0.time_in("checkpoint"),
-            compute_time=tl0.time_in("compute") + tl0.time_in("exchange"),
-            collective_time=tl0.time_in("collective"),
-            verify_time=tl0.time_in("verify"),
+            checkpoint_time=sum(rank0.get("checkpoint", ())),
+            compute_time=sum(rank0.get("compute", ())) + sum(rank0.get("exchange", ())),
+            collective_time=sum(rank0.get("collective", ())),
+            verify_time=sum(rank0.get("verify", ())),
             **fields,
         )
         return self._result

@@ -255,12 +255,12 @@ class Engine:
 
         While attached, :meth:`run` brackets every handler call with
         wall-clock busy-time accounting (events a handler fires inline
-        count toward its time), samples queue depth after the first heap
-        event past each 64-event mark (at most once per heap event, so
-        rarely in a run whose events fire inline), and flushes run-level
-        metrics (and an ``engine.run`` span) through the adapter at run
-        end.  Detached engines pay one
-        ``is None`` test per run.
+        count toward its time), samples queue depth once per 64 fired
+        events (after the first heap event past each mark, so a handler
+        that fires events inline past several marks records its depth
+        once for each), and flushes run-level metrics (and an
+        ``engine.run`` span) through the adapter at run end.  Detached
+        engines pay one ``is None`` test per run.
         """
         self._obs = obs
         return obs
@@ -340,10 +340,11 @@ class Engine:
             if obs is not None:
                 obs.run_started(self)
                 # Queue depth is sampled after the first heap event at or
-                # past each multiple of 64 fired events: a threshold, not
-                # a mask test, because lazy commits and events fired
-                # inline move events_fired past multiples of 64 between
-                # heap events (past several, in one inline stretch).
+                # past each multiple of 64 fired events, once per multiple:
+                # a threshold, not a mask test, because lazy commits and
+                # events fired inline move events_fired past multiples of
+                # 64 between heap events (past several, in one inline
+                # stretch).
                 depth_at = (self.events_fired | 63) + 1
             # Hoisted flight-recorder state: attached recorders pay a
             # mask test per event and one record per tick_stride events.
@@ -393,8 +394,12 @@ class Engine:
                                 obs_busy.get(_dst, 0.0) + perf_counter() - _t0
                             )
                             if self.events_fired >= depth_at:
-                                obs.queue_depth.observe(len(self.queue))
-                                depth_at = (self.events_fired | 63) + 1
+                                # one sample per multiple of 64 passed:
+                                # events fired inline leave the heap as it is
+                                depth = len(self.queue)
+                                while depth_at <= self.events_fired:
+                                    obs.queue_depth.observe(depth)
+                                    depth_at += 64
                     if flight is not None and not (
                         self.events_fired & flight_mask
                     ):

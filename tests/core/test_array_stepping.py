@@ -15,6 +15,7 @@ also fires its rendezvous and releases inline (run-ahead), so
 import contextlib
 import functools
 import itertools
+import math
 import random
 import types
 
@@ -339,6 +340,25 @@ def test_observed_run_is_array_stepped(planned):
     assert planned[-1] is not None
     assert res == make_sim().run()
     assert obs.registry.counter("engine_events_total").value == res.events_fired
+
+
+def test_run_ahead_samples_queue_depth_every_64_events(planned):
+    """Events fired inline pass several 64-event marks within one heap
+    event: each mark still gets its sample, as in the traced twin, whose
+    window is closed."""
+    spec = CampaignSpec(node_mtbf_s=math.inf, ckpt_period=10, nranks=16, nnodes=8, timesteps=400)
+    counts = []
+    for traced in (False, True):
+        sim = build_campaign_simulator(spec, 0, RecoveryPolicy(), inject=False)
+        sim.engine.trace = traced
+        obs = sim.engine.attach_obs(EngineObs(registry=MetricsRegistry()))
+        with inline_releases() as inline:
+            res = sim.run()
+        assert bool(inline) == (not traced)
+        assert planned[-1] is not None
+        assert obs.queue_depth.count == res.events_fired // 64
+        counts.append((res.events_fired, obs.queue_depth.count))
+    assert counts[0] == counts[1]
 
 
 def _arch_with(kernel, model):

@@ -48,15 +48,26 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     assert {name: err for name, err in errors.items() if err} == {}
 
 
-def test_repro_core_does_not_import_networkx():
-    """networkx serves only fault routing and the analytical cross-checks,
-    so the simulator's own import path must not pay for loading it."""
+def _core_imports(module: str) -> bool:
+    """Whether ``import repro.core`` in a fresh interpreter loads *module*."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, repro.core; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, repro.core; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_repro_core_does_not_import_networkx():
+    """networkx serves only fault routing and the analytical cross-checks,
+    so the simulator's own import path must not pay for loading it."""
+    assert not _core_imports("networkx")
+
+
+def test_repro_core_does_not_import_numpy_random():
+    """The batched noise draws (``des/rng.py``) load ``numpy.random``
+    on first use, so a deterministic campaign's start-up does not."""
+    assert not _core_imports("numpy.random")
